@@ -48,7 +48,15 @@ METHODS = (
 _BOUNDED_METHODS = frozenset(
     ["opt_exact", "mo_exact", "heisenberg_sim", "mo_sim", "worst_case", "recycling", "spin_k_sim"]
 )
-SWEEP_METHODS = METHODS[:7]
+SWEEP_METHODS = (
+    "opt_exact",
+    "opt_asymptotic",
+    "mo_exact",
+    "mo_asymptotic",
+    "heisenberg_sim",
+    "mo_sim",
+    "worst_case",
+)
 
 CSV_FIELDS = ("two_j", "two_k", "theta_rad", "method", "step", "value", "uncertainty", "mode_notes")
 CERTIFY_FIELDS = ("label", "two_j", "theta_rad", "measured_avg_fidelity", "std_err")
@@ -94,8 +102,12 @@ class ExperimentRecord:
     def __post_init__(self):
         if self.two_j < 1:
             raise ValueError("two_j must be >= 1")
+        if not math.isfinite(self.theta_rad):
+            raise ValueError("theta_rad must be finite")
         if not 0.0 <= self.measured_avg_fidelity <= 1.0:
             raise ValueError("measured_avg_fidelity must lie in [0, 1]")
+        if not math.isfinite(self.std_err):
+            raise ValueError("std_err must be finite")
         if self.std_err < 0:
             raise ValueError("std_err must be >= 0")
 
@@ -110,25 +122,26 @@ def parse_theta(text: str) -> float:
     t = text.strip().lower().replace(" ", "")
     if not t:
         raise argparse.ArgumentTypeError("empty angle")
-    if "pi" not in t:
-        try:
-            return float(t)
-        except ValueError:
-            raise argparse.ArgumentTypeError("cannot parse angle %r" % text)
-    left, _, right = t.partition("pi")
-    coeff = Fraction(1)
     try:
-        if left:
-            if not left.endswith("*"):
-                raise ValueError(left)
-            coeff *= Fraction(left[:-1])
-        if right:
-            if not right.startswith("/"):
-                raise ValueError(right)
-            coeff /= Fraction(right[1:])
-    except (ValueError, ZeroDivisionError):
+        if "pi" not in t:
+            value = float(t)
+        else:
+            left, _, right = t.partition("pi")
+            coeff = Fraction(1)
+            if left:
+                if not left.endswith("*"):
+                    raise ValueError(left)
+                coeff *= Fraction(left[:-1])
+            if right:
+                if not right.startswith("/"):
+                    raise ValueError(right)
+                coeff /= Fraction(right[1:])
+            value = float(coeff) * math.pi
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError("cannot parse angle %r" % text)
-    return float(coeff) * math.pi
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("angle must be finite, got %r" % text)
+    return value
 
 
 def parse_two_j(text: str) -> int:

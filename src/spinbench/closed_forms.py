@@ -39,10 +39,6 @@ class FidelityValue:
             assert -1e-12 <= self.value <= 1 + 1e-12
 
 
-def _cos_norm(theta):
-    return math.cos(theta)
-
-
 def _eq5_value(j: float, c: float) -> float:
     """The j >= 3/2 optimum as a function of cos(theta), continued to any j."""
     tj = 2.0 * j
@@ -65,7 +61,7 @@ def optimal_fidelity(j, theta: float) -> FidelityValue:
     j = as_half_integer(j)
     if j.doubled < 1:
         raise ValueError("optimal_fidelity needs j >= 1/2")
-    c = _cos_norm(theta)
+    c = math.cos(theta)
     jv = j.value
     if j.doubled >= 3:
         return FidelityValue(min(_eq5_value(jv, c), 1.0), "exact")

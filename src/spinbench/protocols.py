@@ -27,11 +27,11 @@ from .spin_algebra import (
     DIM_CAP,
     Z_AXIS,
     Direction,
+    _exchange_sectors,
     as_half_integer,
     make_spin_operators,
     rotation_unitary,
     spin_coherent_state,
-    total_spin_projectors,
 )
 
 
@@ -44,21 +44,18 @@ class StrategyFidelities(NamedTuple):
 def heisenberg_gate(j, k, f):
     """exp(-i f * 2 J.K / (2j+1)) on the coupled program (x) target space.
 
-    2 J.K = L^2 - J^2 - K^2 is a scalar on each total-spin block, so the
-    exponential is assembled directly from the block projectors: eigenvalue
-    [l(l+1) - j(j+1) - k(k+1)] / (2j+1) on the spin-l block.
+    2 J.K commutes with the total J_z, so the gate is block-diagonal with one
+    block of size <= 2k+1 per total M = m_j + m_k; each block is exponentiated
+    from its eigendecomposition (eigenvalues l(l+1) - j(j+1) - k(k+1)).
     """
     j = as_half_integer(j)
     k = as_half_integer(k)
-    jv, kv = j.value, k.value
     dim = (j.doubled + 1) * (k.doubled + 1)
     if dim > DIM_CAP:
         raise ValueError("joint dimension %d exceeds cap %d" % (dim, DIM_CAP))
     u = np.zeros((dim, dim), dtype=complex)
-    for l, proj in total_spin_projectors(j, k):
-        lv = l.value
-        lam = (lv * (lv + 1.0) - jv * (jv + 1.0) - kv * (kv + 1.0)) / (2.0 * jv + 1.0)
-        u += np.exp(-1j * f * lam) * proj
+    for indices, w, v in _exchange_sectors(j.doubled, k.doubled):
+        u[np.ix_(indices, indices)] = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
     return u
 
 
@@ -93,8 +90,7 @@ def _mo_entanglement_quadrature(j, theta, tau, order):
             = [cos(theta/2)cos(tau/2) + sin(theta/2)sin(tau/2) u]^2,
 
     independent of the azimuth of n'.  Gauss-Legendre in u (polynomial degree
-    2j+2, exact once order >= j+2) with a uniform trapezoid layer of 2*order
-    points in azimuth.
+    2j+2, exact once order >= j+2).
     """
     jv = as_half_integer(j).value
     u_nodes, u_weights = np.polynomial.legendre.leggauss(order)
@@ -102,11 +98,7 @@ def _mo_entanglement_quadrature(j, theta, tau, order):
     cu, su = math.cos(tau / 2.0), math.sin(tau / 2.0)
     overlap = ((1.0 + u_nodes) / 2.0) ** (2.0 * jv)
     trace_term = (ct * cu + st * su * u_nodes) ** 2
-    # azimuth layer: 2*order equally weighted points (the integrand carries no
-    # azimuth dependence, so the layer averages identical values)
-    az_weights = np.full(2 * order, 1.0 / (2 * order))
-    polar_integrand = overlap * trace_term
-    fe = (2.0 * jv + 1.0) / 2.0 * float(az_weights.sum() * (u_weights @ polar_integrand))
+    fe = (2.0 * jv + 1.0) / 2.0 * float(u_weights @ (overlap * trace_term))
     return min(max(fe, 0.0), 1.0)
 
 
@@ -173,9 +165,6 @@ def simulate_spin_k_mo(j, k, theta, quadrature_order: int = 64) -> float:
     cos_half = ct2 + st2 * u_nodes
     character = eval_chebyu(k.doubled, cos_half)
     overlap = ((1.0 + u_nodes) / 2.0) ** (2.0 * jv)
-    az_weights = np.full(2 * quadrature_order, 1.0 / (2 * quadrature_order))
-    fe = (2.0 * jv + 1.0) / 2.0 * float(
-        az_weights.sum() * (u_weights @ (overlap * (character / dk) ** 2))
-    )
+    fe = (2.0 * jv + 1.0) / 2.0 * float(u_weights @ (overlap * (character / dk) ** 2))
     fe = min(max(fe, 0.0), 1.0)
     return average_fidelity_from_entanglement(fe, dk)

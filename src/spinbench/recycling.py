@@ -9,6 +9,7 @@ over measure-and-operate survives.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,16 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .closed_forms import coupling_angle, mo_benchmark
-from .spin_algebra import (
-    DIM_CAP,
-    Z_AXIS,
-    HalfInteger,
-    as_half_integer,
-    make_spin_operators,
-    rotation_unitary,
-)
-
-EXACT_MODE_MAX_J = 60
+from .spin_algebra import HalfInteger, _exchange_sectors, as_half_integer
 
 
 @dataclass(frozen=True)
@@ -113,20 +105,19 @@ def complementary_step(j, theta, dist: ProgramDistribution,
 def _per_m_exact_all(doubled_j, theta):
     """Exact average fidelity for every program basis state |j,m> at once.
 
-    One reshape of the joint gate gives the Kraus family for all m
-    simultaneously; the loop over m collapses into a single contraction.
+    The gate conserves total M and the target rotation V is about z, so
+    Tr[V^dag K_a] vanishes unless the program leaves in its input state a = m,
+    and then only two diagonal entries of the gate enter:
+    Tr[V^dag K_m] = e^{i theta/2} <m,up|U|m,up> + e^{-i theta/2} <m,down|U|m,down>.
+    Each diagonal entry comes from one total-M block of size <= 2.
     """
-    from .protocols import heisenberg_gate  # local import: protocols imports nothing from here
-
-    j = HalfInteger(doubled_j)
-    dc = j.doubled + 1
-    if 2 * dc > DIM_CAP:
-        raise ValueError("joint dimension %d exceeds cap %d" % (2 * dc, DIM_CAP))
-    u = heisenberg_gate(j, 0.5, coupling_angle(j, theta))
-    v = rotation_unitary(make_spin_operators(0.5), Z_AXIS, theta)
-    t = u.reshape(dc, 2, dc, 2)
-    overlaps = np.einsum("il,aiml->am", v.conj(), t)  # Tr[V^dag K_a] per program m
-    fe = np.sum(np.abs(overlaps) ** 2, axis=0) / 4.0
+    scale = -1j * coupling_angle(HalfInteger(doubled_j), theta) / (doubled_j + 1.0)
+    diag = np.empty(2 * (doubled_j + 1), dtype=complex)
+    for indices, w, v in _exchange_sectors(doubled_j, 1):
+        diag[indices] = (v * v) @ np.exp(scale * w)
+    up, down = diag[0::2], diag[1::2]
+    overlaps = cmath.exp(0.5j * theta) * up + cmath.exp(-0.5j * theta) * down
+    fe = np.abs(overlaps) ** 2 / 4.0
     favg = (2.0 * fe + 1.0) / 3.0
     favg.setflags(write=False)
     return favg
@@ -153,37 +144,29 @@ def _per_m_vector(j, theta, mode):
     j = as_half_integer(j)
     if mode == "exact":
         return np.asarray(_per_m_exact_all(j.doubled, float(theta)))
-    jv = j.value
-    drops = np.arange(j.doubled + 1)
-    return 1.0 - (1.0 + 2.0 * drops) * (1.0 - math.cos(theta)) / (3.0 * jv)
-
-
-def _resolve_mode(j, mode):
-    if mode == "auto":
-        return "exact" if as_half_integer(j).value <= EXACT_MODE_MAX_J else "asymptotic"
-    if mode in ("exact", "asymptotic"):
-        return mode
-    raise ValueError("mode must be 'auto', 'exact' or 'asymptotic'")
+    if mode == "asymptotic":
+        drops = np.arange(j.doubled + 1)
+        return 1.0 - (1.0 + 2.0 * drops) * (1.0 - math.cos(theta)) / (3.0 * j.value)
+    raise ValueError("mode must be 'exact' or 'asymptotic'")
 
 
 class RecyclingCurve(NamedTuple):
     points: list          # [(n, average fidelity)], n = 1 .. n_max
-    mode: str             # per-use fidelity mode actually used
+    mode: str             # per-use fidelity mode: "exact" or "asymptotic"
 
 
-def recycling_curve(j, theta, n_max, mode: str = "auto",
+def recycling_curve(j, theta, n_max, mode: str = "exact",
                     kernel: str = "exact") -> RecyclingCurve:
     """Average fidelity of the n-th use, n = 1 .. n_max.
 
     The program starts in |j,j>; the value at use n mixes the per-m fidelities
     with the m-distribution after n-1 back-actions.  Per-m fidelities are
-    exact up to j = 60 and switch to the large-j form beyond (override with
-    mode=).
+    exact at every j (O(j) work per angle); mode="asymptotic" uses the
+    labelled large-j form 1 - (1 + 2(j-m))(1 - cos theta)/(3j) instead.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     j = as_half_integer(j)
-    mode = _resolve_mode(j, mode)
     fm = _per_m_vector(j, theta, mode)
     dist = fresh_program(j)
     points = []
@@ -200,7 +183,7 @@ class Longevity(NamedTuple):
     n_max: int            # horizon actually searched
 
 
-def advantage_longevity(j, theta, n_max=None, mode: str = "auto",
+def advantage_longevity(j, theta, n_max=None, mode: str = "exact",
                         kernel: str = "exact") -> Longevity:
     """How many uses beat measure-and-operate.
 
@@ -215,7 +198,6 @@ def advantage_longevity(j, theta, n_max=None, mode: str = "auto",
     asym = jv / one_minus_c if one_minus_c > 1e-300 else math.inf
     if n_max is None:
         n_max = 2000 if not math.isfinite(asym) else min(int(3 * asym) + 20, 2000)
-    mode = _resolve_mode(j, mode)
     fm = _per_m_vector(j, theta, mode)
     bench = mo_benchmark(j, theta).value
     dist = fresh_program(j)

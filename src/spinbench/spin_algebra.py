@@ -209,70 +209,31 @@ def spin_coherent_state(j, n: Direction) -> np.ndarray:
     return rotation_unitary(ops, axis, polar) @ highest
 
 
-def _lowering(ops: SpinOperators) -> np.ndarray:
-    return ops.jx - 1j * ops.jy
-
-
 @lru_cache(maxsize=64)
-def _projectors_cached(doubled_j1, doubled_j2):
-    j1, j2 = doubled_j1 / 2, doubled_j2 / 2
-    d1, d2 = doubled_j1 + 1, doubled_j2 + 1
-    dim = d1 * d2
-    if dim > DIM_CAP * 2:
-        raise ValueError("coupled dimension %d too large" % dim)
-    ops1 = make_spin_operators(HalfInteger(doubled_j1))
-    ops2 = make_spin_operators(HalfInteger(doubled_j2))
-    jz_tot = np.kron(np.diag(ops1.jz), np.ones(d2)) + np.kron(
-        np.ones(d1), np.diag(ops2.jz)
-    )
-    jz_tot = jz_tot.real
-    jminus = np.kron(_lowering(ops1), np.eye(d2)) + np.kron(np.eye(d1), _lowering(ops2))
+def _exchange_sectors(doubled_j, doubled_k):
+    """The total-M blocks of 2 J.K on the product space j (x) k.
 
-    # Clebsch-Gordan construction: walk l from j1+j2 down to |j1-j2|.  The
-    # highest-weight vector of each l-sector is the unique direction in the
-    # M = l magnetic subspace orthogonal to everything lowered from above;
-    # the rest of the multiplet follows by applying J_-.
-    projectors = []
-    built = {}  # M -> list of vectors |l, M> already constructed
-    two_l_values = range(doubled_j1 + doubled_j2, abs(doubled_j1 - doubled_j2) - 2, -2)
-    for two_l in two_l_values:
-        l = two_l / 2
-        sector = np.flatnonzero(np.abs(jz_tot - l) < 0.25)
-        vec = None
-        if len(sector) == 1 and not built.get(l):
-            vec = np.zeros(dim, dtype=complex)
-            vec[sector[0]] = 1.0
-        else:
-            # orthogonalize a sector basis vector against the known |l', l>
-            others = built.get(l, [])
-            basis = np.zeros((dim, len(sector)), dtype=complex)
-            basis[sector, np.arange(len(sector))] = 1.0
-            proj = basis.copy()
-            for u in others:
-                proj -= np.outer(u, u.conj() @ basis)
-            norms = np.linalg.norm(proj, axis=0)
-            pick = int(np.argmax(norms))
-            assert norms[pick] > 1e-8, "degenerate Clebsch-Gordan sector"
-            vec = proj[:, pick] / norms[pick]
-            # Condon-Shortley-like sign fix: first sizable entry real positive
-            lead = np.flatnonzero(np.abs(vec) > 1e-10)[0]
-            vec = vec * (abs(vec[lead]) / vec[lead])
-        # lower through the multiplet and accumulate the projector
-        p = np.outer(vec, vec.conj())
-        built.setdefault(l, []).append(vec)
-        mval = l
-        current = vec
-        ltot = l * (l + 1)
-        while mval > -l + 0.5:
-            current = jminus @ current
-            nrm = np.sqrt(ltot - mval * (mval - 1))
-            current = current / nrm
-            mval -= 1
-            built.setdefault(mval, []).append(current)
-            p = p + np.outer(current, current.conj())
-        p.setflags(write=False)
-        projectors.append((HalfInteger(two_l), p))
-    return tuple(projectors)
+    2 J.K = 2 J_z K_z + J_+ K_- + J_- K_+ conserves M = m_j + m_k, so it splits
+    into tridiagonal blocks of size <= 2 min(j, k) + 1, one per M from j+k down
+    to -(j+k).  Each entry is (indices, w, v): the product-basis positions of
+    the block (m_j descending within it) and the eigh of the block.  The
+    eigenvalues are l(l+1) - j(j+1) - k(k+1), so in a block of size s the i-th
+    eigenvector (ascending) is the |l, M> state with l = j + k - s + 1 + i.
+    """
+    if doubled_j < 0 or doubled_k < 0:
+        raise ValueError("spins must be non-negative")
+    j, k = doubled_j / 2, doubled_k / 2
+    sectors = []
+    for drop in range(doubled_j + doubled_k + 1):  # drop = j + k - M
+        a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
+        mj, mk = j - a, k - (drop - a)
+        # <m_j+1, m_k-1| J_+ K_- |m_j, m_k> couples each state to its predecessor
+        off = np.sqrt(j * (j + 1) - mj[1:] * (mj[1:] + 1)) * np.sqrt(
+            k * (k + 1) - mk[1:] * (mk[1:] - 1))
+        block = np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1)
+        w, v = np.linalg.eigh(block)
+        sectors.append((a * (doubled_k + 1) + drop - a, w, v))
+    return tuple(sectors)
 
 
 def total_spin_projectors(j1, j2):
@@ -282,6 +243,15 @@ def total_spin_projectors(j1, j2):
     """
     j1 = as_half_integer(j1)
     j2 = as_half_integer(j2)
-    if j1.doubled < 0 or j2.doubled < 0:
-        raise ValueError("spins must be non-negative")
-    return list(_projectors_cached(j1.doubled, j2.doubled))
+    sectors = _exchange_sectors(j1.doubled, j2.doubled)
+    dim = (j1.doubled + 1) * (j2.doubled + 1)
+    if dim > DIM_CAP * 2:
+        raise ValueError("coupled dimension %d too large" % dim)
+    top = j1.doubled + j2.doubled
+    projectors = {two_l: np.zeros((dim, dim), dtype=complex)
+                  for two_l in range(top, abs(j1.doubled - j2.doubled) - 2, -2)}
+    for indices, _, v in sectors:
+        block, size = np.ix_(indices, indices), len(indices)
+        for i in range(size):
+            projectors[top - 2 * (size - 1 - i)][block] += np.outer(v[:, i], v[:, i])
+    return [(HalfInteger(two_l), p) for two_l, p in projectors.items()]

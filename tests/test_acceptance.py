@@ -120,8 +120,8 @@ def test_criterion_6_recycling_longevity():
         ok &= steps is not None and abs(steps - j / 2) <= 1
     steps40 = advantage_longevity(40.0, PI, mode="exact").steps
     ok &= steps40 is not None and abs(steps40 - 20) <= 2
-    _check(6, "advantage survives j/2 uses at theta=pi (j=40 exact, 100/200/400 "
-              "asymptotic)", ok, t0)
+    _check(6, "advantage survives j/2 uses at theta=pi (exact per-use fidelities, "
+              "j=40/100/200/400)", ok, t0)
 
 
 def test_criterion_7_spin_k_slopes():

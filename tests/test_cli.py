@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from spinbench import cli
+from spinbench import cli, optimal_fidelity
 from spinbench.cli import (
     CERTIFY_FIELDS,
     CSV_FIELDS,
@@ -40,7 +40,8 @@ def test_parse_theta():
     assert parse_theta(" Pi ") == PI
 
 
-@pytest.mark.parametrize("bad", ["", "two*pi", "pi*2", "1/0*pi", "pipi", "3..1"])
+@pytest.mark.parametrize("bad", ["", "two*pi", "pi*2", "1/0*pi", "pipi", "3..1",
+                                 "nan", "inf", "-inf", "1e400", "1e400*pi"])
 def test_parse_theta_rejects(bad):
     with pytest.raises(Exception):
         parse_theta(bad)
@@ -106,6 +107,11 @@ def test_experiment_record_validation():
         ExperimentRecord("bad", 3, PI, 1.2, 0.01)
     with pytest.raises(ValueError):
         ExperimentRecord("bad", 3, PI, 0.7, -0.01)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ExperimentRecord("bad", 3, bad, 0.7, 0.01)
+        with pytest.raises(ValueError):
+            ExperimentRecord("bad", 3, PI, 0.7, bad)
 
 
 def _roundtrip(rows):
@@ -250,6 +256,14 @@ def test_longevity_command(capsys):
     assert values == sorted(values, reverse=True)
 
 
+def test_longevity_is_exact_beyond_dense_cap(capsys):
+    # the joint program (x) qubit space has 2004 > DIM_CAP states here; the
+    # per-use fidelities never build it
+    rows = _run_csv(capsys, ["longevity", "--two-j", "1001", "--theta", "pi", "--n-max", "3"])
+    assert [r.mode_notes for r in rows[:-1]] == ["exact"] * 3
+    assert abs(rows[0].value - optimal_fidelity(500.5, PI).value) < 1e-12
+
+
 def test_longevity_no_crossing_flag(capsys):
     rows = _run_csv(capsys, ["longevity", "--two-j", "80", "--theta", "pi", "--n-max", "5"])
     assert rows[-1].mode_notes == "benchmark;no_crossing_within_n_max"
@@ -343,6 +357,21 @@ def test_certify_bad_rows_counted(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["results"]) == 1
     assert [e["line"] for e in doc["row_errors"]] == [3, 4]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_certify_non_finite_fields_are_row_errors(tmp_path, capsys, bad):
+    path = _certify_file(tmp_path, [
+        ("ok", 3, PI, 0.69, 0.005),
+        ("angle", 3, bad, 0.69, 0.005),
+        ("error", 3, PI, 0.69, bad),
+        ("also-ok", 4, PI, 0.70, 0.01),
+    ])
+    assert main(["certify", "--input", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["label"] for r in doc["results"]] == ["ok", "also-ok"]
+    assert [e["line"] for e in doc["row_errors"]] == [3, 4]
+    assert all("finite" in e["error"] for e in doc["row_errors"])
 
 
 def test_certify_all_bad_rows_is_data_error(tmp_path, capsys):

@@ -41,7 +41,8 @@ def _dense_exchange_gate(j, k, f):
     return (v * np.exp(-1j * f * w)) @ v.conj().T
 
 
-@pytest.mark.parametrize("j,k", [(0.5, 0.5), (1.5, 0.5), (5.0, 0.5), (2.0, 1.0), (1.5, 1.5)])
+@pytest.mark.parametrize("j,k", [(0.5, 0.5), (1.5, 0.5), (5.0, 0.5), (2.0, 1.0), (1.5, 1.5),
+                                 (20.5, 0.5), (10.0, 2.0), (0.5, 1.5)])
 def test_heisenberg_gate_matches_dense_exponential(j, k):
     for f in (0.0, 0.7, 2.9):
         u = heisenberg_gate(j, k, f)

@@ -6,7 +6,6 @@ import pytest
 from spinbench.closed_forms import coupling_angle, mo_benchmark, optimal_fidelity
 from spinbench.protocols import heisenberg_gate
 from spinbench.recycling import (
-    EXACT_MODE_MAX_J,
     ProgramDistribution,
     advantage_longevity,
     asymptotic_distribution,
@@ -140,6 +139,23 @@ def test_per_m_exact_vs_asymptotic_frozen():
     assert 8.0 < gap2 * 4.0e4 < 12.0
 
 
+def test_per_m_matches_dense_gate_contraction():
+    # second route: reshape the dense gate into the Kraus family of every
+    # program state |j,m> and contract with the target rotation
+    from spinbench.recycling import _per_m_exact_all
+
+    for two_j in (1, 2, 3, 7, 20, 40, 41):
+        jh = as_half_integer(two_j / 2)
+        dc = two_j + 1
+        for theta in (0.3, 1.0, 2.0, 2.9, PI):
+            v = rotation_unitary(make_spin_operators(0.5), Z_AXIS, theta)
+            t = heisenberg_gate(jh, 0.5, coupling_angle(jh, theta)).reshape(dc, 2, dc, 2)
+            overlaps = np.einsum("il,aiml->am", v.conj(), t)  # Tr[V^dag K_a] per program m
+            fe = np.sum(np.abs(overlaps) ** 2, axis=0) / 4.0
+            dense = (2.0 * fe + 1.0) / 3.0
+            assert np.abs(np.asarray(_per_m_exact_all(two_j, theta)) - dense).max() < 1e-12
+
+
 def test_per_m_decreases_with_drop_near_top():
     from spinbench.recycling import _per_m_exact_all
 
@@ -154,15 +170,16 @@ def test_recycling_curve_basics():
     assert ns == tuple(range(1, 41))
     assert abs(vals[0] - optimal_fidelity(10.0, 2.4).value) < 1e-12
     assert np.all(np.diff(vals) <= 1e-12)  # degrades monotonically
-    big = recycling_curve(60.0, PI, 40)    # largest spin of the exact regime
+    big = recycling_curve(500.5, PI, 40)
     assert big.mode == "exact"
     assert np.all(np.diff([v for _, v in big.points]) <= 1e-12)
-    assert recycling_curve(100.0, 2.4, 3).mode == "asymptotic"
-    assert recycling_curve(100.0, 2.4, 3, mode="exact").mode == "exact"
+    assert recycling_curve(100.0, 2.4, 3, mode="asymptotic").mode == "asymptotic"
+    assert recycling_curve(100.0, 2.4, 3).mode == "exact"
     with pytest.raises(ValueError):
         recycling_curve(10.0, 2.4, 0)
-    with pytest.raises(ValueError):
-        recycling_curve(10.0, 2.4, 5, mode="sideways")
+    for bad in ("sideways", "auto"):
+        with pytest.raises(ValueError):
+            recycling_curve(10.0, 2.4, 5, mode=bad)
 
 
 def test_degraded_fidelity_tracks_linear_growth_model():
@@ -175,10 +192,11 @@ def test_degraded_fidelity_tracks_linear_growth_model():
 
 
 def test_longevity_frozen_values():
-    assert advantage_longevity(40.0, PI).steps == 21           # exact mode
-    assert advantage_longevity(100.0, PI).steps == 50          # asymptotic mode
-    assert advantage_longevity(100.0, PI, mode="exact").steps == 51
-    assert advantage_longevity(100.0, PI / 2).steps == 100
+    assert advantage_longevity(40.0, PI).steps == 21
+    assert advantage_longevity(100.0, PI).steps == 51
+    assert advantage_longevity(100.0, PI / 2).steps == 102
+    assert advantage_longevity(100.0, PI, mode="asymptotic").steps == 50
+    assert advantage_longevity(100.0, PI / 2, mode="asymptotic").steps == 100
     lon = advantage_longevity(100.0, PI)
     assert abs(lon.asymptotic - 50.0) < 1e-12
     assert advantage_longevity(50.0, 1e-9).steps is None       # no degradation
@@ -230,8 +248,3 @@ def test_asymptotic_distribution_shape():
     assert tv < 0.05
     assert abs(dist.mean_drop() / geo.mean_drop() - 1.0) < 0.05
 
-
-def test_exact_mode_threshold():
-    assert EXACT_MODE_MAX_J == 60
-    assert recycling_curve(60.0, 1.0, 2).mode == "exact"
-    assert recycling_curve(60.5, 1.0, 2).mode == "asymptotic"

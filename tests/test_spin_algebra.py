@@ -208,3 +208,55 @@ def test_heisenberg_coupling_is_constant_on_total_spin_blocks():
     for l, p in blocks:
         lam = 0.5 * (l.value * (l.value + 1.0) - c1 - c2)
         assert np.abs(jk @ p - lam * p).max() < 1e-11
+
+
+def _gram_schmidt_projectors(j1, j2):
+    """Clebsch-Gordan walk in the full product space, as an independent route.
+
+    Walk l from j1+j2 down to |j1-j2|: the highest-weight vector of each
+    l-multiplet is the unit vector in the M = l subspace orthogonal to every
+    state already lowered from above, and J_- fills in the rest.
+    """
+    o1, o2 = make_spin_operators(j1), make_spin_operators(j2)
+    d1, d2 = o1.dim, o2.dim
+    dim = d1 * d2
+    jz_tot = (np.kron(np.diag(o1.jz), np.ones(d2)) + np.kron(np.ones(d1), np.diag(o2.jz))).real
+    jminus = (np.kron(o1.jx - 1j * o1.jy, np.eye(d2))
+              + np.kron(np.eye(d1), o2.jx - 1j * o2.jy))
+    built = {}  # M -> states |l', M> already constructed
+    projectors = []
+    for two_l in range(j1.doubled + j2.doubled, abs(j1.doubled - j2.doubled) - 2, -2):
+        l = two_l / 2
+        sector = np.flatnonzero(np.abs(jz_tot - l) < 0.25)
+        basis = np.zeros((dim, len(sector)), dtype=complex)
+        basis[sector, np.arange(len(sector))] = 1.0
+        for u in built.get(l, []):
+            basis -= np.outer(u, u.conj() @ basis)
+        norms = np.linalg.norm(basis, axis=0)
+        pick = int(np.argmax(norms))
+        assert norms[pick] > 1e-8
+        current = basis[:, pick] / norms[pick]
+        p = np.zeros((dim, dim), dtype=complex)
+        m = l
+        while True:
+            built.setdefault(m, []).append(current)
+            p += np.outer(current, current.conj())
+            if m < -l + 0.5:
+                break
+            current = jminus @ current / np.sqrt(l * (l + 1) - m * (m - 1))
+            m -= 1
+        projectors.append((two_l, p))
+    return projectors
+
+
+def test_projectors_match_gram_schmidt_walk():
+    worst = 0.0
+    for two_j1 in range(0, 41):
+        for two_j2 in (1, 2, 3):
+            j1, j2 = HalfInteger(two_j1), HalfInteger(two_j2)
+            got = total_spin_projectors(j1, j2)
+            want = _gram_schmidt_projectors(j1, j2)
+            assert [l.doubled for l, _ in got] == [two_l for two_l, _ in want]
+            for (_, p), (_, q) in zip(got, want):
+                worst = max(worst, np.abs(p - q).max())
+    assert worst < 1e-12
