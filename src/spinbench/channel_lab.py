@@ -7,16 +7,20 @@ is present).  Everything here works for arbitrary control/target dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .spin_algebra import Direction, HalfInteger, make_spin_operators, rotation_unitary
+from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_operators, rotation_unitary
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
+# largest chart points x Kraus operators the worst-case grid search evaluates
+# at once (2**25 complex overlaps are 512 MiB); larger searches are refused
+WORST_CASE_BUDGET = 2**25
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ class ProgramChannel:
             raise ValueError("program state dimension %d != 2j+1 = %d" % (phi.size, dc))
         if np.abs(u @ u.conj().T - np.eye(dc * dt)).max() > 1e-12:
             raise ValueError("joint evolution is not unitary")
-        assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
+        if abs(np.linalg.norm(phi) - 1.0) >= 1e-12:
+            raise ValueError("program state is not normalized")
         # Kraus operators K_a = (<a| (x) I) U (|phi> (x) I), one per control
         # basis state; these realize the partial trace over the control.
         blocks = u.reshape(dc, dt, dc, dt)
@@ -118,7 +123,8 @@ def entanglement_fidelity(ch: ProgramChannel, target_gate) -> float:
     k = ch.kraus_operators()
     overlaps = np.einsum("ji,aji->a", v.conj(), k)  # Tr[V^dag K_a]
     fe = float(np.sum(np.abs(overlaps) ** 2).real) / d**2
-    assert -1e-12 <= fe <= 1 + 1e-12
+    if not -1e-12 <= fe <= 1 + 1e-12:
+        raise ToleranceError("entanglement fidelity %r escapes [0, 1]" % fe)
     return min(max(fe, 0.0), 1.0)
 
 
@@ -222,6 +228,10 @@ def worst_case_fidelity(ch: ProgramChannel, target_gate, grid: int = 24):
         axes = [np.linspace(0.0, np.pi / 2, nmag)] * (d - 1) + [
             np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
         ] * (d - 1)
+    n_points = math.prod(len(a) for a in axes)
+    if n_points * len(mats) > WORST_CASE_BUDGET:
+        raise ValueError("worst-case search over %d chart points x %d Kraus operators "
+                         "exceeds the budget of %d" % (n_points, len(mats), WORST_CASE_BUDGET))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
     states = np.stack([_state_from_chart(x, d) for x in points])

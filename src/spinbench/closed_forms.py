@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import as_half_integer
+from .spin_algebra import ToleranceError, as_half_integer
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
@@ -34,9 +34,10 @@ class FidelityValue:
     note: str = ""
 
     def __post_init__(self):
-        assert self.kind in ("exact", "asymptotic")
-        if self.kind == "exact":
-            assert -1e-12 <= self.value <= 1 + 1e-12
+        if self.kind not in ("exact", "asymptotic"):
+            raise ValueError("kind must be 'exact' or 'asymptotic', got %r" % (self.kind,))
+        if self.kind == "exact" and not -1e-12 <= self.value <= 1 + 1e-12:
+            raise ToleranceError("exact fidelity %r escapes [0, 1]" % (self.value,))
 
 
 def _eq5_value(j: float, c: float) -> float:

@@ -6,8 +6,8 @@ non-negative matrix (gamma_a, gamma_b; gamma_c, gamma_d).  Trace preservation
 pins two affine combinations of the parameters, and the entanglement fidelity
 becomes A sin^2(t/2) + B cos^2(t/2) + C Jz_mean sin(t/2)cos(t/2)
 + D Jz2_mean sin^2(t/2), linear both in the channel parameters and in the two
-program moments.  This module maximizes that expression and locates the angle
-at which the optimal program switches character.
+program moments.  This module maximizes that expression exactly and locates
+the angle at which the optimal program switches character.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq
+from scipy.optimize import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
 
-from .spin_algebra import HalfInteger, as_half_integer
+from .spin_algebra import HalfInteger, ToleranceError, as_half_integer
 
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -65,15 +65,20 @@ def params_from_gammas(j, gamma_a, gamma_d, gamma_b) -> CovariantChannelParams:
     For j = 1/2 the lower block is absent: beta = 0 identically and the second
     constraint fixes gamma_d = 1/2, so the supplied gamma_d must be 1/2.
     """
-    jv = as_half_integer(j).value
-    alpha = ((2.0 * jv + 2.0) - (2.0 * jv + 1.0) * gamma_a) / (2.0 * jv + 3.0)
-    if as_half_integer(j).doubled == 1:
-        if abs(gamma_d - 0.5) > 1e-12:
-            raise ValueError("at j=1/2 trace preservation forces gamma_d = 1/2")
-        beta = 0.0
-    else:
-        beta = (2.0 * jv - (2.0 * jv + 1.0) * gamma_d) / (2.0 * jv - 1.0)
+    j = as_half_integer(j)
+    if j.doubled == 1 and abs(gamma_d - 0.5) > 1e-12:
+        raise ValueError("at j=1/2 trace preservation forces gamma_d = 1/2")
+    alpha, beta = _alpha_beta(j, gamma_a, gamma_d)
     return CovariantChannelParams(alpha, beta, gamma_a, gamma_d, complex(gamma_b))
+
+
+def _alpha_beta(j: HalfInteger, gamma_a, gamma_d):
+    # the two trace-preservation constraints; the lower block is absent at j = 1/2
+    jv = j.value
+    alpha = ((2.0 * jv + 2.0) - (2.0 * jv + 1.0) * gamma_a) / (2.0 * jv + 3.0)
+    if j.doubled == 1:
+        return alpha, 0.0
+    return alpha, (2.0 * jv - (2.0 * jv + 1.0) * gamma_d) / (2.0 * jv - 1.0)
 
 
 def check_params(j, params: CovariantChannelParams, tol=PSD_TOL):
@@ -117,15 +122,18 @@ def moments_lower_bound(j, x: float) -> float:
 def check_moments(j, moments: ProgramMoments, tol=1e-9):
     jv = as_half_integer(j).value
     x, y = moments.jz_mean, moments.jz2_mean
-    if abs(x) > jv + tol or y > jv * jv + tol or y < moments_lower_bound(j, x) - tol:
+    if (abs(x) > jv + tol or y > jv * jv + tol or y < moments_lower_bound(j, x) - tol
+            or y < x * x - tol):
         raise ValueError("moments %r are not realizable by any program distribution" % (moments,))
-    assert y >= x * x - tol
 
 
 def abcd_coefficients(j, params: CovariantChannelParams):
     """The four linear coefficients (A, B, C, D) of the fidelity expression."""
     check_params(j, params)
-    jv = as_half_integer(j).value
+    return _abcd(as_half_integer(j).value, params)
+
+
+def _abcd(jv, params: CovariantChannelParams):
     rt = math.sqrt(jv * (jv + 1.0))
     gb, gc = complex(params.gamma_b), complex(params.gamma_b).conjugate()
     two = 2.0 * (1.0 + 2.0 * jv)
@@ -142,13 +150,18 @@ def abcd_coefficients(j, params: CovariantChannelParams):
     return a_coef, b_coef, c_coef, d_coef
 
 
+def _fidelity(theta, x, y, abcd) -> float:
+    a, b, c, d = abcd
+    s, co = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    return a * s * s + b * co * co + c * x * s * co + d * y * s * s
+
+
 def covariant_entanglement_fidelity(j, theta, params: CovariantChannelParams,
                                     moments: ProgramMoments) -> float:
     check_moments(j, moments)
-    a, b, c, d = abcd_coefficients(j, params)
-    s, co = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    fe = a * s * s + b * co * co + c * moments.jz_mean * s * co + d * moments.jz2_mean * s * s
-    assert -1e-10 <= fe <= 1.0 + 1e-10
+    fe = _fidelity(theta, moments.jz_mean, moments.jz2_mean, abcd_coefficients(j, params))
+    if not -1e-10 <= fe <= 1.0 + 1e-10:
+        raise ToleranceError("covariant entanglement fidelity %r escapes [0, 1]" % fe)
     return fe
 
 
@@ -156,85 +169,62 @@ def covariant_entanglement_fidelity(j, theta, params: CovariantChannelParams,
 # maximization
 
 
-def _fe_terms(j, theta, x, y):
-    """Coefficients of F_e = base(ga, gd) + u*Re(gb) + w*Im(gb).
+def _linear_terms(j: HalfInteger, theta, x, y):
+    """(c0, pa, pd, z) with F_e = c0 + pa*gamma_a + pd*gamma_d + Re(conj(z)*gamma_b)
+    at moments (x, y).  Once alpha and beta are eliminated F_e is affine, so
+    each coefficient is a difference of two of its values."""
+    def fe(ga, gd, gb):
+        params = CovariantChannelParams(*_alpha_beta(j, ga, gd), ga, gd, gb)
+        return _fidelity(theta, x, y, _abcd(j.value, params))
 
-    Returns (base_fn, u, w) where base_fn(ga, gd) works on arrays.  alpha and
-    beta are already eliminated through the trace constraints.
+    c0 = fe(0.0, 0.0, 0j)
+    z = complex(fe(0.0, 0.0, 1 + 0j) - c0, fe(0.0, 0.0, 1j) - c0)
+    return c0, fe(1.0, 0.0, 0j) - c0, fe(0.0, 1.0, 0j) - c0, z
+
+
+def _edge_argmax(p, q, cap):
+    # argmax of the concave p*t + q*sqrt(t), q >= 0, over 0 <= t <= cap
+    if p >= 0.0:
+        return cap
+    return min((q / (2.0 * p)) ** 2, cap)
+
+
+def _optimum_at_moments(j: HalfInteger, theta, x, y):
+    """(fe, params): the exact maximum of F_e at fixed moments.
+
+    gamma_b = sqrt(gamma_a*gamma_d)*z/|z| leaves pa*gamma_a + pd*gamma_d
+    + |z|*sqrt(gamma_a*gamma_d), concave and linear on each ray from the
+    origin, so the maximum sits at the origin or on an outer edge gamma_a =
+    cap_a or gamma_d = cap_d, where it is p*t + q*sqrt(t) in the free
+    coordinate.  At j = 1/2 the edge gamma_d = 1/2 is the whole feasible set.
     """
-    jv = as_half_integer(j).value
-    s, co = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    rt = math.sqrt(jv * (jv + 1.0))
-    two = 2.0 * (1.0 + 2.0 * jv)
-    u = (-2.0 * rt * co * co + (2.0 / rt) * y * s * s) / two
-    w = -x * s * co / rt
-
-    def base(ga, gd):
-        alpha = ((2 * jv + 2) - (2 * jv + 1) * ga) / (2 * jv + 3)
-        beta = 0.0 if jv == 0.5 else ((2 * jv) - (2 * jv + 1) * gd) / (2 * jv - 1)
-        a_coef = ((jv + 1) * alpha + jv * beta) / two
-        b_coef = ((jv + 1) * ga + jv * gd) / two
-        d_coef = (-alpha / (jv + 1) - beta / jv + ga / (jv + 1) + gd / jv) / two
-        return a_coef * s * s + b_coef * co * co + d_coef * y * s * s
-
-    return base, u, w
-
-
-def _maximize_at_moments(j, theta, x, y, grid_points=41, restarts=5, seed=0):
-    """Grid + Nelder-Mead maximum of F_e at fixed program moments.
-
-    The chart is (gamma_a, gamma_d, r_frac, phi) with
-    gamma_b = r_frac*sqrt(gamma_a*gamma_d)*exp(i*phi); at j=1/2 gamma_d is
-    pinned to 1/2 and drops out of the search.
-    """
-    j = as_half_integer(j)
-    base, u, w = _fe_terms(j, theta, x, y)
+    c0, pa, pd, z = _linear_terms(j, theta, x, y)
+    r = abs(z)
     cap_a, cap_d = gamma_a_cap(j), gamma_d_cap(j)
-    pinned_d = j.doubled == 1
+    if j.doubled == 1:
+        candidates = [(_edge_argmax(pa, r * math.sqrt(0.5), cap_a), 0.5)]
+    else:
+        candidates = [
+            (0.0, 0.0),
+            (cap_a, _edge_argmax(pd, r * math.sqrt(cap_a), cap_d)),
+            (_edge_argmax(pa, r * math.sqrt(cap_d), cap_a), cap_d),
+        ]
 
-    gas = np.linspace(0.0, cap_a, grid_points)
-    gds = np.array([0.5]) if pinned_d else np.linspace(0.0, cap_d, grid_points)
-    rfr = np.linspace(0.0, 1.0, grid_points)
-    phs = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    GA, GD, RF, PH = np.meshgrid(gas, gds, rfr, phs, indexing="ij")
-    R = RF * np.sqrt(GA * GD)
-    vals = base(GA, GD) + u * R * np.cos(PH) + w * R * np.sin(PH)
-    flat = int(np.argmax(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    start = np.array([GA[idx], GD[idx], RF[idx], PH[idx]])
+    def value(gammas):
+        ga, gd = gammas
+        return c0 + pa * ga + pd * gd + r * math.sqrt(ga * gd)
 
-    lo = np.array([0.0, 0.5 if pinned_d else 0.0, 0.0, 0.0])
-    hi = np.array([cap_a, 0.5 if pinned_d else cap_d, 1.0, 2.0 * np.pi])
-
-    def neg(p):
-        ga, gd, rf, ph = p
-        r = rf * math.sqrt(max(ga, 0.0) * max(gd, 0.0))
-        return -(base(ga, gd) + u * r * math.cos(ph) + w * r * math.sin(ph))
-
-    rng = np.random.default_rng(seed)
-    best_val = vals[idx]
-    best_p = start
-    for trial in range(restarts):
-        p0 = start if trial == 0 else np.clip(
-            start + rng.normal(scale=0.08, size=4) * (hi - lo), lo, hi
-        )
-        res = minimize(neg, p0, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_p = res.x
-    ga, gd, rf, ph = best_p
-    gamma_b = rf * math.sqrt(max(ga, 0.0) * max(gd, 0.0)) * complex(math.cos(ph), math.sin(ph))
-    return float(best_val), params_from_gammas(j, float(ga), float(gd), gamma_b)
+    ga, gd = max(candidates, key=value)
+    gamma_b = math.sqrt(ga * gd) * z / r if r > 0.0 else 0j
+    return value((ga, gd)), params_from_gammas(j, ga, gd, gamma_b)
 
 
-def maximize_covariant_fidelity(j, theta, grid_points=41, restarts=5, seed=0):
+def maximize_covariant_fidelity(j, theta):
     """Global maximum of the covariant entanglement fidelity.
 
     The fidelity is linear in (Jz_mean, Jz2_mean), so it suffices to scan the
-    vertices (m, m^2) of the moment hull; for each vertex the channel
-    parameters are optimized by dense grid plus simplex refinement.  Ties are
+    vertices (m, m^2) of the moment hull; at each vertex the channel
+    parameters are optimized exactly (see _optimum_at_moments).  Ties are
     resolved toward larger Jz_mean, except that an exactly tied Jz_mean = 0
     program is preferred at j = 1/2 (that is the form the piecewise optimum
     takes there).
@@ -250,7 +240,7 @@ def maximize_covariant_fidelity(j, theta, grid_points=41, restarts=5, seed=0):
         candidates.append((0.0, 0.25))  # midpoint moments: the central program
     best = None
     for x, y in candidates:
-        fe, params = _maximize_at_moments(j, theta, x, y, grid_points, restarts, seed)
+        fe, params = _optimum_at_moments(j, theta, x, y)
         if best is None or fe > best[0] + 1e-10:
             best = (fe, params, ProgramMoments(x, y))
         elif abs(fe - best[0]) <= 1e-10 and j.doubled == 1 and x == 0.0:
@@ -267,14 +257,15 @@ def _central_moments(j):
     return (0.0, 0.0)
 
 
-def locate_transition(j, n_scan=33, tol=1e-5, grid_points=25, restarts=3):
+def locate_transition(j):
     """Angle displacement |theta - pi| at which the optimal program switches
     from the maximal-projection (coherent) branch to the central branch.
 
-    The branch indicator is the maximizer itself: for j = 1 (and above) the
-    winning moment vertex, for j = 1/2 whether the optimal gamma_a sits at its
-    cap (the coherent/boundary branch) or strictly inside.  Bisection runs to
-    `tol` in theta; returns None when no switch happens on (0, pi).
+    At j = 1/2 the optimal gamma_a leaves its cap where the slope of F_e
+    along the edge gamma_d = 1/2 at gamma_a = cap_a, for the coherent moments
+    (1/2, 1/4), turns negative.  For j >= 1 the switch is where the central
+    program's optimum overtakes the coherent one.  Either is a brentq root on
+    [0.05, pi]; returns None when the central branch does not win at pi.
     """
     j = as_half_integer(j)
     if j.doubled < 1:
@@ -283,30 +274,15 @@ def locate_transition(j, n_scan=33, tol=1e-5, grid_points=25, restarts=3):
     if j.doubled == 1:
         cap = gamma_a_cap(j)
 
-        def central(theta):
-            _, params, _ = maximize_covariant_fidelity(j, theta, grid_points, restarts)
-            return params.gamma_a < cap - 1e-5
+        def central_gain(theta):
+            _, pa, _, z = _linear_terms(j, theta, 0.5, 0.25)
+            return -(pa + abs(z) * math.sqrt(0.5 / cap) / 2.0)
     else:
-        xc, yc = _central_moments(j)
-        xj, yj = j.value, j.value**2
+        def central_gain(theta):
+            f_cen, _ = _optimum_at_moments(j, theta, *_central_moments(j))
+            f_coh, _ = _optimum_at_moments(j, theta, j.value, j.value**2)
+            return f_cen - f_coh
 
-        def central(theta):
-            f_coh, _ = _maximize_at_moments(j, theta, xj, yj, grid_points, restarts)
-            f_cen, _ = _maximize_at_moments(j, theta, xc, yc, grid_points, restarts)
-            return f_cen > f_coh
-
-    thetas = np.linspace(0.05, np.pi, n_scan)
-    flags = [central(t) for t in thetas]
-    if True not in flags:
+    if central_gain(math.pi) <= 0.0:
         return None
-    first = flags.index(True)
-    if first == 0:
-        return float(np.pi - thetas[0])
-    lo, hi = thetas[first - 1], thetas[first]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if central(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(np.pi - 0.5 * (lo + hi))
+    return float(math.pi - brentq(central_gain, 0.05, math.pi))

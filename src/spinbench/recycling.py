@@ -10,6 +10,7 @@ over measure-and-operate survives.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -150,6 +151,16 @@ def _per_m_vector(j, theta, mode):
     raise ValueError("mode must be 'exact' or 'asymptotic'")
 
 
+def _use_fidelities(j, theta, mode, kernel):
+    """(n, average fidelity of the n-th use), n = 1, 2, ...; the program
+    starts in |j,j> and is stepped only when the next use is asked for."""
+    fm = _per_m_vector(j, theta, mode)
+    dist = fresh_program(j)
+    for n in itertools.count(1):
+        yield n, float(fm @ dist.probs)
+        dist = complementary_step(j, theta, dist, kernel)
+
+
 class RecyclingCurve(NamedTuple):
     points: list          # [(n, average fidelity)], n = 1 .. n_max
     mode: str             # per-use fidelity mode: "exact" or "asymptotic"
@@ -166,15 +177,8 @@ def recycling_curve(j, theta, n_max, mode: str = "exact",
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    j = as_half_integer(j)
-    fm = _per_m_vector(j, theta, mode)
-    dist = fresh_program(j)
-    points = []
-    for n in range(1, n_max + 1):
-        points.append((n, float(fm @ dist.probs)))
-        if n < n_max:
-            dist = complementary_step(j, theta, dist, kernel)
-    return RecyclingCurve(points, mode)
+    uses = _use_fidelities(as_half_integer(j), theta, mode, kernel)
+    return RecyclingCurve(list(itertools.islice(uses, n_max)), mode)
 
 
 class Longevity(NamedTuple):
@@ -193,20 +197,24 @@ def advantage_longevity(j, theta, n_max=None, mode: str = "exact",
     rounding noise cannot manufacture a crossing when both values sit at 1.
     """
     j = as_half_integer(j)
-    jv = j.value
+    return _longevity(j, theta, _use_fidelities(j, theta, mode, kernel), n_max)
+
+
+def curve_longevity(j, theta, curve: RecyclingCurve) -> Longevity:
+    """advantage_longevity read off a computed curve, with its length as the
+    horizon; the chain is not stepped again."""
+    return _longevity(as_half_integer(j), theta, curve.points, len(curve.points))
+
+
+def _longevity(j, theta, uses, n_max) -> Longevity:
+    # reads the (n, fidelity) pairs `uses` only up to the first loss
     one_minus_c = 1.0 - math.cos(theta)
-    asym = jv / one_minus_c if one_minus_c > 1e-300 else math.inf
+    asym = j.value / one_minus_c if one_minus_c > 1e-300 else math.inf
     if n_max is None:
         n_max = 2000 if not math.isfinite(asym) else min(int(3 * asym) + 20, 2000)
-    fm = _per_m_vector(j, theta, mode)
     bench = mo_benchmark(j, theta).value
-    dist = fresh_program(j)
-    for n in range(1, n_max + 1):
-        value = float(fm @ dist.probs)
-        if value < bench - 1e-12:
-            return Longevity(n, asym, n_max)
-        dist = complementary_step(j, theta, dist, kernel)
-    return Longevity(None, asym, n_max)
+    losses = (n for n, value in itertools.islice(uses, n_max) if value < bench - 1e-12)
+    return Longevity(next(losses, None), asym, n_max)
 
 
 def asymptotic_distribution(j, theta, n) -> ProgramDistribution:

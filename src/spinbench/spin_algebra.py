@@ -21,6 +21,10 @@ import numpy as np
 DIM_CAP = 2001
 
 
+class ToleranceError(Exception):
+    """A computed value breached an internal consistency bound."""
+
+
 class HalfInteger:
     """An exact half-integer, stored as twice its value.
 

@@ -81,11 +81,11 @@ def test_criterion_3_covariant_machinery():
     ok = True
     for j, theta in ((1.5, PI), (2.0, 2.0), (2.5, 1.2), (3.0, 2.6)):
         fe, _, _ = maximize_covariant_fidelity(j, theta)
-        ok &= abs((2 * fe + 1) / 3 - optimal_fidelity(j, theta).value) < 1e-6
+        ok &= abs((2 * fe + 1) / 3 - optimal_fidelity(j, theta).value) < 1e-12
     fe_half, _, _ = maximize_covariant_fidelity(0.5, PI)
-    ok &= abs((2 * fe_half + 1) / 3 - 5.0 / 9.0) < 1e-6
+    ok &= abs((2 * fe_half + 1) / 3 - 5.0 / 9.0) < 1e-12
     theta_half = PI - locate_transition(0.5)
-    ok &= abs(theta_half - 2.0 * math.atan(math.sqrt(4.0 + math.sqrt(7.0)))) < 1e-3
+    ok &= abs(math.cos(theta_half) + (4.0 + math.sqrt(7.0)) / 9.0) < 1e-10
     disp_one = locate_transition(1.0)
     ok &= abs(disp_one - 0.23 * PI) < 0.02
     _check(3, "covariant optimizer reproduces closed forms and both program "

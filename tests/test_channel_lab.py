@@ -46,6 +46,8 @@ def test_program_channel_rejects_bad_shapes():
         ProgramChannel(np.eye(5), np.array([1.0, 0, 0]), j, HalfInteger(1))
     with pytest.raises(ValueError):
         ProgramChannel(2 * np.eye(6), np.array([1.0, 0, 0]), j, HalfInteger(1))
+    with pytest.raises(ValueError):
+        ProgramChannel(np.eye(6), np.array([1.0, 1.0, 0]), j, HalfInteger(1))  # not normalized
 
 
 def test_kraus_completeness():

@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spinbench import cli, optimal_fidelity
+from spinbench import cli, optimal_fidelity, recycling
 from spinbench.cli import (
     CERTIFY_FIELDS,
     CSV_FIELDS,
@@ -221,6 +222,15 @@ def test_sweep_ordering_and_gap(capsys):
         assert rows[i].value > rows[i + 1].value
 
 
+def test_sweep_json_header_has_no_seed(capsys):
+    assert main(["sweep", "--two-j-range", "3", "--thetas", "pi", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["schema", "command", "threads", "rows"]
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--two-j-range", "3", "--thetas", "pi", "--seed", "1"])
+    assert exc.value.code == 1
+
+
 def test_sweep_byte_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--two-j-range", "3:5", "--thetas", "pi/2,2.0,pi",
@@ -264,6 +274,24 @@ def test_longevity_is_exact_beyond_dense_cap(capsys):
     assert abs(rows[0].value - optimal_fidelity(500.5, PI).value) < 1e-12
 
 
+def test_longevity_steps_the_chain_once(capsys, monkeypatch):
+    # the crossing is read off the curve; the chain is not stepped a second time
+    calls = []
+    step = recycling.complementary_step
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(recycling, "complementary_step", counted)
+    for two_j, n_max in ((80, 30), (80, 5), (1001, 3)):
+        calls.clear()
+        rows = _run_csv(capsys, ["longevity", "--two-j", str(two_j), "--theta", "pi",
+                                 "--n-max", str(n_max)])
+        assert len(rows) == n_max + 1
+        assert len(calls) == n_max - 1
+
+
 def test_longevity_no_crossing_flag(capsys):
     rows = _run_csv(capsys, ["longevity", "--two-j", "80", "--theta", "pi", "--n-max", "5"])
     assert rows[-1].mode_notes == "benchmark;no_crossing_within_n_max"
@@ -290,6 +318,14 @@ def test_spin_k_command_matches_qubit_path(capsys):
     worst = [r for r in krows if r.method == "worst_case"]
     assert [r.step for r in worst] == [0, 1]
     assert "asymptotic" in worst[1].mode_notes
+
+
+def test_spin_k_refuses_oversized_worst_case_search(capsys):
+    # a spin-2 target's chart has 8^4 * 16^4 points: refused before allocating
+    t0 = time.perf_counter()
+    assert main(["spin-k", "--two-j", "6", "--two-k", "4", "--theta", "pi"]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert "exceeds the budget" in capsys.readouterr().err
 
 
 def test_spin_k_zero_angle(capsys):

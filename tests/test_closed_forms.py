@@ -18,6 +18,7 @@ from spinbench.closed_forms import (
     spin_k_worst_case_asymptotic,
     worst_case_asymptotic,
 )
+from spinbench.spin_algebra import ToleranceError
 
 PI = math.pi
 
@@ -157,8 +158,10 @@ def test_asymptotic_forms_track_exact_at_large_j():
 def test_asymptotic_may_leave_unit_interval():
     # small-j asymptotics are labelled, not clamped
     assert worst_case_asymptotic(0.5, PI).value < 0.0
-    with pytest.raises(AssertionError):
+    with pytest.raises(ToleranceError):
         FidelityValue(-3.0, "exact")
+    with pytest.raises(ValueError):
+        FidelityValue(0.5, "estimated")
 
 
 def test_spin_k_reduces_to_qubit_at_k_half():

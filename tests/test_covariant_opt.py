@@ -145,25 +145,43 @@ def test_optimizer_reproduces_closed_form():
     fe, params, moments = maximize_covariant_fidelity(1.5, 2.0)
     check_params(1.5, params)
     assert (moments.jz_mean, moments.jz2_mean) == (1.5, 2.25)
-    assert abs((2 * fe + 1) / 3 - optimal_fidelity(1.5, 2.0).value) < 1e-7
+    assert abs((2 * fe + 1) / 3 - optimal_fidelity(1.5, 2.0).value) < 1e-12
 
 
 def test_optimizer_j_half_central_at_pi():
     fe, params, moments = maximize_covariant_fidelity(0.5, PI)
-    assert abs((2 * fe + 1) / 3 - 5.0 / 9.0) < 1e-7
+    assert abs((2 * fe + 1) / 3 - 5.0 / 9.0) < 1e-12
     assert moments.jz_mean == 0.0
     # interior branch: gamma_a strictly below its cap
     assert params.gamma_a < gamma_a_cap(0.5) - 1e-3
 
 
-def test_optimizer_seed_independent():
-    a = maximize_covariant_fidelity(1.0, 2.4, grid_points=21, restarts=3, seed=0)[0]
-    b = maximize_covariant_fidelity(1.0, 2.4, grid_points=21, restarts=3, seed=9)[0]
-    assert abs(a - b) < 1e-8
+@pytest.mark.parametrize("two_j", range(1, 11))
+def test_optimizer_returns_a_feasible_channel_at_the_closed_form(two_j):
+    j = two_j / 2
+    for theta in (0.3, 0.7, 1.2, 2.0, 2.6, 3.0, PI):
+        fe, params, moments = maximize_covariant_fidelity(j, theta)
+        check_params(j, params)
+        check_moments(j, moments)
+        assert abs(covariant_entanglement_fidelity(j, theta, params, moments) - fe) < 1e-13
+        assert abs((2 * fe + 1) / 3 - optimal_fidelity(j, theta).value) < 1e-12
+        # the coherent program |j,j> is optimal away from the small-j windows
+        if two_j >= 3:
+            assert (moments.jz_mean, moments.jz2_mean) == (j, j * j)
+
+
+def test_j_half_transition_is_exact():
+    theta = PI - locate_transition(0.5)
+    assert abs(math.cos(theta) + (4.0 + math.sqrt(7.0)) / 9.0) <= 1e-10
+    # the optimal gamma_a sits at its cap before the switch and leaves it after
+    cap = gamma_a_cap(0.5)
+    assert maximize_covariant_fidelity(0.5, theta - 1e-3)[1].gamma_a == cap
+    assert maximize_covariant_fidelity(0.5, theta + 1e-3)[1].gamma_a < cap
 
 
 def test_no_transition_above_j_one():
-    assert locate_transition(1.5, n_scan=9, grid_points=11, restarts=1) is None
+    for two_j in range(3, 11):
+        assert locate_transition(two_j / 2) is None
 
 
 def test_gamma_caps():
