@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_operators, rotation_unitary
 
@@ -21,6 +21,8 @@ EIG_FLOOR = -1e-10
 # largest chart points x Kraus operators the worst-case grid search evaluates
 # at once (2**25 complex overlaps are 512 MiB); larger searches are refused
 WORST_CASE_BUDGET = 2**25
+# I, sigma_x, sigma_y, sigma_z
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -180,24 +182,18 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     return mean, stderr
 
 
-def _state_from_chart(x, dim):
-    """Map chart parameters to a pure state (first amplitude real >= 0).
-
-    dim 2 uses the Bloch chart (polar, azimuth); higher dims use hyperspherical
-    magnitudes plus one phase per amplitude after the first.
-    """
-    if dim == 2:
-        t, p = x
-        return np.array([np.cos(t / 2.0), np.exp(1j * p) * np.sin(t / 2.0)])
-    mags = x[: dim - 1]
-    phases = x[dim - 1 :]
-    amps = np.empty(dim, dtype=complex)
-    rest = 1.0
-    for i in range(dim - 1):
-        amps[i] = np.sqrt(rest) * np.cos(mags[i])
-        rest = rest * np.sin(mags[i]) ** 2
-    amps[dim - 1] = np.sqrt(max(rest, 0.0))
-    amps[1:] *= np.exp(1j * phases)
+def _chart_states(x, dim):
+    """Pure states (first amplitude real >= 0) for rows of chart parameters:
+    hyperspherical magnitudes x[:, :dim-1], phases of the other amplitudes x[:, dim-1:]."""
+    mags, phases = x[:, : dim - 1], x[:, dim - 1 :]
+    # rest[:, i]: weight left after amplitude i.  float_power squares with C
+    # pow() as a float64 scalar's ** 2 does, for states bitwise equal to a loop's
+    rest = np.cumprod(np.float_power(np.sin(mags), 2), axis=1)
+    amps = np.empty((len(x), dim), dtype=complex)
+    amps[:, 0] = np.cos(mags[:, 0])
+    amps[:, 1 : dim - 1] = np.sqrt(rest[:, :-1]) * np.cos(mags[:, 1:])
+    amps[:, dim - 1] = np.sqrt(rest[:, -1])
+    amps[:, 1:] *= np.exp(1j * phases)
     return amps
 
 
@@ -210,40 +206,41 @@ def _fidelity_batch(mats, states):
 def worst_case_fidelity(ch: ProgramChannel, target_gate, grid: int = 24):
     """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs.
 
-    Coarse grid over the state chart, then Nelder-Mead refinement from the
-    three best grid cells.  Heuristic but reliable at these dimensions.
+    Exact for a qubit target.  For d >= 3 the value is an upper bound on the
+    minimum: the best point of a grid over the state chart, refined by
+    Nelder-Mead from the three best grid cells; `grid` (>= 8) applies there only.
 
-    Returns (value, argmin_state).
+    Returns (value, argmin_state), with value the fidelity of that state.
     """
-    if grid < 8:
-        raise ValueError("grid must be >= 8")
     d = ch.target_dim
     v = _check_unitary(target_gate, d)
     mats = v.conj().T @ ch.kraus_operators()  # broadcast over the Kraus index
+    return _qubit_minimum(mats) if d == 2 else _chart_search(mats, grid)
 
-    if d == 2:
-        axes = [np.linspace(0.0, np.pi, grid), np.linspace(0.0, 2 * np.pi, 2 * grid, endpoint=False)]
-    else:
-        nmag = max(6, grid // 2)
-        axes = [np.linspace(0.0, np.pi / 2, nmag)] * (d - 1) + [
-            np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-        ] * (d - 1)
+
+def _chart_search(mats, grid):
+    """worst_case_fidelity's search for d >= 3; it covers d = 2 as well."""
+    if grid < 8:
+        raise ValueError("grid must be >= 8")
+    d = mats.shape[-1]
+    nmag = max(6, grid // 2)
+    axes = [np.linspace(0.0, np.pi / 2, nmag)] * (d - 1) + [
+        np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    ] * (d - 1)
     n_points = math.prod(len(a) for a in axes)
     if n_points * len(mats) > WORST_CASE_BUDGET:
         raise ValueError("worst-case search over %d chart points x %d Kraus operators "
                          "exceeds the budget of %d" % (n_points, len(mats), WORST_CASE_BUDGET))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
-    states = np.stack([_state_from_chart(x, d) for x in points])
-    values = _fidelity_batch(mats, states)
+    values = _fidelity_batch(mats, _chart_states(points, d))
 
     order = np.argsort(values)
     best_val = values[order[0]]
     best_x = points[order[0]]
 
     def objective(x):
-        psi = _state_from_chart(x, d)
-        return float(_fidelity_batch(mats, psi[None, :])[0])
+        return float(_fidelity_batch(mats, _chart_states(x[None, :], d))[0])
 
     for idx in order[:3]:
         res = minimize(objective, points[idx], method="Nelder-Mead",
@@ -251,5 +248,45 @@ def worst_case_fidelity(ch: ProgramChannel, target_gate, grid: int = 24):
         if res.fun < best_val:
             best_val = res.fun
             best_x = res.x
-    state = _state_from_chart(best_x, d)
-    return float(best_val), state
+    return float(best_val), _chart_states(best_x[None, :], d)[0]
+
+
+def _qubit_minimum(mats):
+    """Exact minimum over pure qubit states of F = sum_a |<psi|M_a|psi>|^2.
+
+    With rho = (I + r.sigma)/2, F(r) = (1, r).G.(1, r) on |r| = 1, the
+    trust-region subproblem (More & Sorensen 1983).  In the eigenbasis P of
+    Q = G[1:, 1:], with h = P^T G[1:, 0] and gap_i = lambda_i - lambda_1, the
+    minimum is r_i = -h_i / (gap_i + t) at the t >= 0 where |r| = 1; in the
+    hard case (h_1 = 0 and |r| <= 1 at t = 0) r is completed to unit length
+    along P[:, 0].
+
+    Returns (value, state) with value = F(state).
+    """
+    coef = np.einsum("aij,kji->ak", mats, PAULI) / 2.0  # <psi|M_a|psi> = coef_a.(1, r)
+    gram = (coef.T @ coef.conj()).real
+    lam, p = np.linalg.eigh(gram[1:, 1:])
+    h, gap = p.T @ gram[1:, 0], lam - lam[0]
+
+    def coords(t):  # entries with h_i = 0 stay 0
+        return np.divide(-h, gap + t, out=np.zeros(3), where=h != 0.0)
+
+    def excess(t):  # |r|^2 - 1, falling in t
+        return coords(t) @ coords(t) - 1.0
+
+    # at t_lo one term of |r|^2 is >= 1; at t_hi each is <= h_i^2/|h|^2
+    t_lo, t_hi = max(0.0, np.max(np.abs(h) - gap)), np.linalg.norm(h)
+    if excess(t_lo) > 0.0 > excess(t_hi):
+        t = brentq(excess, t_lo, t_hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
+    else:  # a root at an end of the bracket, or the hard case
+        t = t_lo if excess(t_lo) <= 0.0 else t_hi
+    r = coords(t)
+    if t == 0.0:  # the hard case, as t_lo = 0 needs h_1 = 0
+        r[0] = math.sqrt(max(-excess(0.0), 0.0))
+    v = np.r_[1.0, p @ r / np.linalg.norm(r)]
+    state = np.linalg.eigh(np.einsum("k,kij->ij", v, PAULI))[1][:, 1]  # top eigenvector of 2 rho
+    value = float(_fidelity_batch(mats, state[None, :])[0])
+    if abs(v @ gram @ v - value) > 1e-12:
+        raise ToleranceError("Bloch quadratic %r differs from F = %r on its state"
+                             % (v @ gram @ v, value))
+    return value, state

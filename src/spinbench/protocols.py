@@ -59,24 +59,13 @@ def heisenberg_gate(j, k, f):
     return u
 
 
-def _program_channel(j, k, f, program):
-    return ProgramChannel(heisenberg_gate(j, k, f), program, as_half_integer(j), as_half_integer(k))
-
-
-def simulate_optimal_qubit_strategy(j, theta, n: Direction = Z_AXIS,
-                                    grid: int = 24) -> StrategyFidelities:
+def simulate_optimal_qubit_strategy(j, theta, n: Direction = Z_AXIS) -> StrategyFidelities:
     """Exchange coupling at the tuned interaction angle, program pointing along n.
 
     Returns entanglement, average and worst-case fidelity with respect to the
     target rotation by theta about n.
     """
-    j = as_half_integer(j)
-    ch = _program_channel(j, 0.5, coupling_angle(j, theta), spin_coherent_state(j, n))
-    v = rotation_unitary(make_spin_operators(0.5), n, theta)
-    fe = entanglement_fidelity(ch, v)
-    favg = average_fidelity_from_entanglement(fe, 2)
-    fw, _ = worst_case_fidelity(ch, v, grid=grid)
-    return StrategyFidelities(fe, favg, fw)
+    return simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta), n=n)
 
 
 def _mo_entanglement_quadrature(j, theta, tau, order):
@@ -108,8 +97,8 @@ def simulate_mo_strategy(j, theta, quadrature_order: int = 64) -> float:
     Measures the program with the coherent-state POVM and rotates the target
     about the estimated axis by the optimal conditional angle.
     """
-    if quadrature_order < 16:
-        raise ValueError("quadrature_order must be >= 16")
+    if not 16 <= quadrature_order <= DIM_CAP:
+        raise ValueError("quadrature_order must be in [16, %d], got %d" % (DIM_CAP, quadrature_order))
     tau = mo_optimal_angle(j, theta)
     fe = _mo_entanglement_quadrature(j, theta, tau, quadrature_order)
     return average_fidelity_from_entanglement(fe, 2)
@@ -130,7 +119,7 @@ def simulate_spin_k(j, k, theta, f=None, n: Direction = Z_AXIS,
         raise ValueError("target spin must be >= 1/2")
     if f is None:
         f = theta
-    ch = _program_channel(j, k, f, spin_coherent_state(j, n))
+    ch = ProgramChannel(heisenberg_gate(j, k, f), spin_coherent_state(j, n), j, k)
     v = rotation_unitary(make_spin_operators(k), n, theta)
     fe = entanglement_fidelity(ch, v)
     favg = average_fidelity_from_entanglement(fe, k.doubled + 1)
@@ -152,8 +141,8 @@ def simulate_spin_k_mo(j, k, theta, quadrature_order: int = 64) -> float:
     the entanglement fidelity is a polynomial integral in u handled exactly by
     Gauss-Legendre once order >= j + k + 2.
     """
-    if quadrature_order < 16:
-        raise ValueError("quadrature_order must be >= 16")
+    if not 16 <= quadrature_order <= DIM_CAP:
+        raise ValueError("quadrature_order must be in [16, %d], got %d" % (DIM_CAP, quadrature_order))
     j = as_half_integer(j)
     k = as_half_integer(k)
     if k.doubled < 1:

@@ -113,8 +113,9 @@ def _per_m_exact_all(doubled_j, theta):
     Each diagonal entry comes from one total-M block of size <= 2.
     """
     scale = -1j * coupling_angle(HalfInteger(doubled_j), theta) / (doubled_j + 1.0)
+    sectors = _exchange_sectors(doubled_j, 1)  # refuses an oversized j before allocating
     diag = np.empty(2 * (doubled_j + 1), dtype=complex)
-    for indices, w, v in _exchange_sectors(doubled_j, 1):
+    for indices, w, v in sectors:
         diag[indices] = (v * v) @ np.exp(scale * w)
     up, down = diag[0::2], diag[1::2]
     overlaps = cmath.exp(0.5j * theta) * up + cmath.exp(-0.5j * theta) * down

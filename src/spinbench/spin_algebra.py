@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Matrices are never exponentiated beyond this dimension (2j+1 <= DIM_CAP).
+# Matrices are never exponentiated beyond this dimension (2j+1 <= DIM_CAP),
+# and no coupling is split into more than DIM_CAP total-M sectors.
 DIM_CAP = 2001
 
 
@@ -226,6 +227,8 @@ def _exchange_sectors(doubled_j, doubled_k):
     """
     if doubled_j < 0 or doubled_k < 0:
         raise ValueError("spins must be non-negative")
+    if doubled_j + doubled_k + 1 > DIM_CAP:
+        raise ValueError("%d total-M sectors exceed cap %d" % (doubled_j + doubled_k + 1, DIM_CAP))
     j, k = doubled_j / 2, doubled_k / 2
     sectors = []
     for drop in range(doubled_j + doubled_k + 1):  # drop = j + k - M
@@ -247,10 +250,10 @@ def total_spin_projectors(j1, j2):
     """
     j1 = as_half_integer(j1)
     j2 = as_half_integer(j2)
-    sectors = _exchange_sectors(j1.doubled, j2.doubled)
     dim = (j1.doubled + 1) * (j2.doubled + 1)
     if dim > DIM_CAP * 2:
         raise ValueError("coupled dimension %d too large" % dim)
+    sectors = _exchange_sectors(j1.doubled, j2.doubled)
     top = j1.doubled + j2.doubled
     projectors = {two_l: np.zeros((dim, dim), dtype=complex)
                   for two_l in range(top, abs(j1.doubled - j2.doubled) - 2, -2)}

@@ -56,7 +56,7 @@ def test_criterion_1_headline_numbers():
     t0 = time.perf_counter()
     ok = abs(optimal_fidelity(1.5, PI).value - 17 / 24) < 1e-12
     ok &= abs(mo_benchmark(1.5, PI).value - 29 / 45) < 1e-12
-    sim = simulate_optimal_qubit_strategy(1.5, PI, grid=8)
+    sim = simulate_optimal_qubit_strategy(1.5, PI)
     ok &= abs(sim.average - 17 / 24) < 1e-9
     ok &= abs(simulate_mo_strategy(1.5, PI, 64) - 29 / 45) < 1e-6
     _check(1, "headline fidelities 17/24 and 29/45, exact and simulated", ok, t0)
@@ -69,7 +69,7 @@ def test_criterion_2_simulation_matches_closed_form():
     for two_j in range(3, 21):
         j = HalfInteger(two_j)
         for theta in thetas:
-            got = simulate_optimal_qubit_strategy(j, float(theta), grid=8).average
+            got = simulate_optimal_qubit_strategy(j, float(theta)).average
             worst = max(worst, abs(got - optimal_fidelity(j, float(theta)).value))
     ok = worst <= 1e-9
     _check(2, "closed form vs channel simulation, 18 spins x 25 angles "
@@ -172,10 +172,10 @@ def test_criterion_8_property_suites(tmp_path):
     checks.append(np.linalg.eigvalsh(out.matrix).min() > -1e-12)
 
     # covariance: the strategy fidelity is independent of the rotation axis
-    base = simulate_optimal_qubit_strategy(2.0, 2.1, grid=8).entanglement
+    base = simulate_optimal_qubit_strategy(2.0, 2.1).entanglement
     for _ in range(6):
         n = Direction.normalized(*rng.standard_normal(3))
-        got = simulate_optimal_qubit_strategy(2.0, 2.1, n=n, grid=8).entanglement
+        got = simulate_optimal_qubit_strategy(2.0, 2.1, n=n).entanglement
         checks.append(abs(got - base) < 1e-10)
 
     # Markov kernel stochasticity

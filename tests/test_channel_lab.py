@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinbench import channel_lab
 from spinbench.channel_lab import (
     DensityMatrix,
     ProgramChannel,
@@ -16,7 +17,10 @@ from spinbench.channel_lab import (
 from spinbench.closed_forms import coupling_angle, optimal_fidelity
 from spinbench.protocols import heisenberg_gate
 from spinbench.spin_algebra import (
+    Direction,
     HalfInteger,
+    ToleranceError,
+    X_AXIS,
     Z_AXIS,
     make_spin_operators,
     rotation_unitary,
@@ -93,6 +97,114 @@ def test_worst_case_below_average():
     fw, _ = worst_case_fidelity(ch, v)
     assert fw <= favg + 1e-12
     assert 0.0 <= fw <= 1.0
+
+
+def _programmed_mats(two_j, theta, n):
+    # V^dag K_a of the tuned exchange channel, the operators the worst case reads
+    j = HalfInteger(two_j)
+    ch = ProgramChannel(heisenberg_gate(j, 0.5, coupling_angle(j, theta)),
+                        spin_coherent_state(j, n), j, HalfInteger(1))
+    v = rotation_unitary(make_spin_operators(0.5), n, theta)
+    return v.conj().T @ ch.kraus_operators()
+
+
+def _random_qubit_kraus(rng):
+    # Kraus operators of a random isometry from C^2 into C^A (x) C^2
+    a = int(rng.integers(1, 6))
+    z = rng.standard_normal((2 * a, 2)) + 1j * rng.standard_normal((2 * a, 2))
+    return np.linalg.qr(z)[0].reshape(a, 2, 2)
+
+
+def _fidelity_of(mats, psi):
+    return sum(abs(np.vdot(psi, m @ psi)) ** 2 for m in mats)
+
+
+def _assert_real_state(mats, value, state):
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+    assert abs(_fidelity_of(mats, state) - value) < 1e-12
+
+
+def test_qubit_minimum_never_above_chart_search():
+    # the chart search evaluates real states, so it bounds the minimum from
+    # above; the programmed channels are covariant, which makes Q degenerate
+    rng = np.random.default_rng(5)
+    cases = [_random_qubit_kraus(rng) for _ in range(200)]
+    tilted = Direction.normalized(0.3, -0.5, 0.8)
+    cases += [_programmed_mats(two_j, theta, n)
+              for two_j in (1, 2, 3, 4, 7, 40, 300)
+              for theta in (0.3, 0.7, 1.2, 2.0, 2.6, 3.0, math.pi)
+              for n in (Z_AXIS, X_AXIS, tilted)]
+    for mats in cases:
+        value, state = channel_lab._qubit_minimum(mats)
+        _assert_real_state(mats, value, state)
+        assert value <= channel_lab._chart_search(mats, 24)[0] + 1e-12
+
+
+def test_qubit_minimum_hard_cases():
+    _, sx, sy, sz = channel_lab.PAULI
+    eye = np.eye(2)
+    a, s, u = 0.3, 0.6, 0.9
+    cases = [
+        # identity channel: Q = 0 and b = 0
+        ([eye], 1.0),
+        # F = (a + s z)^2: b is orthogonal to the lowest eigenspace (the x-y
+        # plane) and the stationary point z = -a/s lies inside the sphere
+        ([a * eye + s * sz], 0.0),
+        # F = (a + s x)^2 + u^2 y^2 + u^2 z^2: b lies wholly in the lowest
+        # eigenspace, and the minimum is at x = -1
+        ([a * eye + s * sx, u * sy, u * sz], (a - s) ** 2),
+    ]
+    rng = np.random.default_rng(2)
+    half = make_spin_operators(0.5)
+    for mats, want in cases:
+        mats = np.array(mats, dtype=complex)
+        # in a rotated frame the degenerate directions are only degenerate to rounding
+        w = rotation_unitary(half, Direction.normalized(*rng.standard_normal(3)), 1.1)
+        for ms in (mats, w @ mats @ w.conj().T):
+            value, state = channel_lab._qubit_minimum(ms)
+            _assert_real_state(ms, value, state)
+            assert abs(value - want) < 1e-12
+
+
+def test_qubit_worst_case_needs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the qubit worst case must not search")
+
+    monkeypatch.setattr(channel_lab, "minimize", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    ch = _qubit_channel()
+    v = rotation_unitary(make_spin_operators(0.5), Z_AXIS, 2.0)
+    value, state = worst_case_fidelity(ch, v)
+    _assert_real_state(v.conj().T @ ch.kraus_operators(), value, state)
+
+
+def test_qubit_minimum_checks_its_value(monkeypatch):
+    # a state fidelity that disagrees with the Bloch quadratic is an error
+    batch = channel_lab._fidelity_batch
+    monkeypatch.setattr(channel_lab, "_fidelity_batch",
+                        lambda mats, states: batch(mats, states) + 1e-9)
+    with pytest.raises(ToleranceError):
+        channel_lab._qubit_minimum(_programmed_mats(6, 2.0, X_AXIS))
+
+
+def _chart_state_loop(x, dim):
+    # one point at a time: the reference for the array construction
+    mags, phases = x[: dim - 1], x[dim - 1 :]
+    amps = np.empty(dim, dtype=complex)
+    rest = 1.0
+    for i in range(dim - 1):
+        amps[i] = np.sqrt(rest) * np.cos(mags[i])
+        rest = rest * np.sin(mags[i]) ** 2
+    amps[dim - 1] = np.sqrt(max(rest, 0.0))
+    amps[1:] *= np.exp(1j * phases)
+    return amps
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_chart_states_match_point_by_point_loop(dim):
+    x = np.random.default_rng(dim).uniform(-7.0, 7.0, (5000, 2 * (dim - 1)))
+    want = np.array([_chart_state_loop(p, dim) for p in x])
+    assert np.array_equal(channel_lab._chart_states(x, dim), want)
 
 
 def test_monte_carlo_matches_closed_form():

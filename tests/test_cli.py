@@ -328,6 +328,22 @@ def test_spin_k_refuses_oversized_worst_case_search(capsys):
     assert "exceeds the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # leggauss would diagonalize an order x order matrix, order 5e13
+    (["sweep", "--two-j-range", "99999999999999", "--thetas", "pi", "--methods", "mo_sim"],
+     "quadrature_order must be in [16, 2001]"),
+    # one block eigh for each of 1e11 total-M sectors
+    (["longevity", "--two-j", "99999999999", "--theta", "pi", "--n-max", "2"],
+     "total-M sectors exceed cap 2001"),
+])
+def test_unbounded_work_is_refused_before_it_starts(capsys, argv, message):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_spin_k_zero_angle(capsys):
     rows = _run_csv(capsys, ["spin-k", "--two-j", "6", "--two-k", "2", "--theta", "0"])
     for r in rows:

@@ -19,6 +19,7 @@ from spinbench.protocols import (
     simulate_spin_k_mo,
 )
 from spinbench.spin_algebra import (
+    DIM_CAP,
     Direction,
     HalfInteger,
     Z_AXIS,
@@ -70,25 +71,25 @@ def test_heisenberg_gate_commutes_with_collective_rotations():
 @pytest.mark.parametrize("j", [1.5, 2.0, 3.0, 4.5])
 def test_qubit_strategy_hits_closed_form(j):
     for theta in (0.6, PI / 2, 2.4, PI):
-        got = simulate_optimal_qubit_strategy(j, theta, grid=8)
+        got = simulate_optimal_qubit_strategy(j, theta)
         assert abs(got.average - optimal_fidelity(j, theta).value) < 1e-9
-        assert got.worst_case <= got.average + 1e-10
+        assert got.worst_case <= got.average + 1e-12
 
 
 def test_qubit_strategy_flip_oracle():
-    got = simulate_optimal_qubit_strategy(1.5, PI, grid=8)
+    got = simulate_optimal_qubit_strategy(1.5, PI)
     assert abs(got.average - 17.0 / 24.0) < 1e-12
     assert abs(got.entanglement - 9.0 / 16.0) < 1e-12
 
 
 def test_strategy_axis_independent():
     rng = np.random.default_rng(12)
-    base = simulate_optimal_qubit_strategy(2.0, 2.1, grid=8)
+    base = simulate_optimal_qubit_strategy(2.0, 2.1)
     for _ in range(5):
         n = Direction.normalized(*rng.standard_normal(3))
-        got = simulate_optimal_qubit_strategy(2.0, 2.1, n=n, grid=8)
+        got = simulate_optimal_qubit_strategy(2.0, 2.1, n=n)
         assert abs(got.entanglement - base.entanglement) < 1e-10
-        assert abs(got.worst_case - base.worst_case) < 1e-6
+        assert abs(got.worst_case - base.worst_case) < 1e-12
 
 
 def test_tuned_angle_is_the_argmax():
@@ -122,8 +123,11 @@ def test_mo_quadrature_converged():
     a = simulate_mo_strategy(6.0, 2.2, quadrature_order=64)
     b = simulate_mo_strategy(6.0, 2.2, quadrature_order=128)
     assert abs(a - b) < 1e-8
-    with pytest.raises(ValueError):
-        simulate_mo_strategy(6.0, 2.2, quadrature_order=8)
+    for order in (8, DIM_CAP + 1):
+        with pytest.raises(ValueError):
+            simulate_mo_strategy(6.0, 2.2, quadrature_order=order)
+        with pytest.raises(ValueError):
+            simulate_spin_k_mo(6.0, 1.0, 2.2, quadrature_order=order)
 
 
 def test_coherent_beats_mo():
@@ -135,8 +139,8 @@ def test_coherent_beats_mo():
 
 def test_spin_k_reduces_to_qubit():
     j, theta = 3.0, 2.0
-    tuned = simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta), grid=8)
-    direct = simulate_optimal_qubit_strategy(j, theta, grid=8)
+    tuned = simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta))
+    direct = simulate_optimal_qubit_strategy(j, theta)
     assert abs(tuned.entanglement - direct.entanglement) < 1e-12
     # spin-k MO rotates by theta itself, so at k = 1/2 it matches the qubit
     # quadrature at conditional angle theta (not the tuned tau)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinbench import spin_algebra
 from spinbench.spin_algebra import (
     DIM_CAP,
     Direction,
@@ -153,9 +154,20 @@ def test_projectors_commute_with_collective_rotations():
             assert np.abs(u @ p - p @ u).max() < 1e-10
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
     with pytest.raises(ValueError):
         make_spin_operators(HalfInteger(2 * DIM_CAP))
+    # the sector cap admits every program up to 2j = 1999 against a qubit
+    assert len(spin_algebra._exchange_sectors(DIM_CAP - 2, 1)) == DIM_CAP
+    with pytest.raises(ValueError, match="sectors exceed cap"):
+        spin_algebra._exchange_sectors(DIM_CAP - 1, 1)
+
+    def unreachable(*args):
+        raise RuntimeError("sectors built before the dimension check")
+
+    monkeypatch.setattr(spin_algebra, "_exchange_sectors", unreachable)
+    with pytest.raises(ValueError, match="coupled dimension"):
+        total_spin_projectors(50, 50)
 
 
 def test_ladder_matrix_elements():
