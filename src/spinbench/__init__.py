@@ -9,6 +9,7 @@ certifies experimental data against the classical benchmark.
 
 from .channel_lab import (
     DensityMatrix,
+    KrausChannel,
     ProgramChannel,
     apply_program_channel,
     average_fidelity_from_entanglement,

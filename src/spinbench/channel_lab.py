@@ -99,6 +99,32 @@ class ProgramChannel:
         return self._kraus
 
 
+@dataclass(frozen=True)
+class KrausChannel:
+    """A channel on a d-dimensional target given by its Kraus operators,
+    shape (count, d, d), with sum_a K_a^dag K_a = I."""
+
+    operators: np.ndarray
+
+    def __post_init__(self):
+        k = np.array(self.operators, dtype=complex)
+        if k.ndim != 3 or len(k) < 1 or k.shape[1] != k.shape[2]:
+            raise ValueError("Kraus operators have shape %s, expected (count, d, d)" % (k.shape,))
+        completeness = np.einsum("aji,ajl->il", k.conj(), k)
+        error = np.abs(completeness - np.eye(k.shape[1])).max()
+        if not error <= 1e-12:  # a NaN fails too
+            raise ValueError("Kraus operators are not complete: |sum K^dag K - I| = %g" % error)
+        k.setflags(write=False)
+        object.__setattr__(self, "operators", k)
+
+    @property
+    def target_dim(self):
+        return self.operators.shape[1]
+
+    def kraus_operators(self) -> np.ndarray:
+        return self.operators
+
+
 def apply_program_channel(ch: ProgramChannel, rho_in: DensityMatrix) -> DensityMatrix:
     """Push a target state through the channel: sum_a K_a rho K_a^dag."""
     if rho_in.dim != ch.target_dim:
@@ -115,7 +141,7 @@ def _check_unitary(v, dim):
     return v
 
 
-def entanglement_fidelity(ch: ProgramChannel, target_gate) -> float:
+def entanglement_fidelity(ch: ProgramChannel | KrausChannel, target_gate) -> float:
     """<Phi+_V| (C (x) I)(Phi+) |Phi+_V> for the canonical |Phi+> = sum_m |mm>/sqrt(d).
 
     With Kraus operators this collapses to sum_a |Tr[V^dag K_a]|^2 / d^2.
@@ -203,7 +229,7 @@ def _fidelity_batch(mats, states):
     return np.sum(np.abs(inner) ** 2, axis=1)
 
 
-def worst_case_fidelity(ch: ProgramChannel, target_gate, grid: int = 24):
+def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = 24):
     """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs.
 
     Exact for a qubit target.  For d >= 3 the value is an upper bound on the

@@ -8,7 +8,8 @@ j = 3/2), angles in radians with ``pi`` literals (``pi``, ``0.5*pi``,
 --threads.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
-tolerance failure.
+tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
+points is a usage error, refused before any spin list is built.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ SWEEP_METHODS = (
     "mo_sim",
     "worst_case",
 )
+
+SWEEP_POINTS_CAP = 100_000
 
 CSV_FIELDS = ("two_j", "two_k", "theta_rad", "method", "step", "value", "uncertainty", "mode_notes")
 CERTIFY_FIELDS = ("label", "two_j", "theta_rad", "measured_avg_fidelity", "std_err")
@@ -163,6 +166,11 @@ def parse_two_j_range(text: str):
                 raise ValueError(text)
             if stride < 1 or hi < lo:
                 raise ValueError(text)
+            count = (hi - lo) // stride + 1  # counted before any list is built
+            if count > SWEEP_POINTS_CAP:
+                raise argparse.ArgumentTypeError(
+                    "spin range %r holds %d spins, more than the cap of %d sweep points"
+                    % (text, count, SWEEP_POINTS_CAP))
             values = list(range(lo, hi + 1, stride))
         else:
             values = [int(p) for p in text.split(",") if p.strip()]
@@ -544,6 +552,11 @@ def main(argv=None):
         parser.error("--n-max must be >= 1")
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
+    if args.command == "sweep":
+        points = len(args.two_j_range) * len(args.thetas)
+        if points > SWEEP_POINTS_CAP:
+            parser.error("sweep grid of %d (2j, theta) points exceeds the cap of %d"
+                         % (points, SWEEP_POINTS_CAP))
     try:
         return args.func(args)
     except ToleranceError as exc:

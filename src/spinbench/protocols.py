@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import eval_chebyu
 
 from .channel_lab import (
-    ProgramChannel,
+    KrausChannel,
     average_fidelity_from_entanglement,
     entanglement_fidelity,
     worst_case_fidelity,
@@ -27,11 +27,13 @@ from .spin_algebra import (
     DIM_CAP,
     Z_AXIS,
     Direction,
+    ToleranceError,
+    _exchange_block,
     _exchange_sectors,
     as_half_integer,
     make_spin_operators,
+    rotation_from_z,
     rotation_unitary,
-    spin_coherent_state,
 )
 
 
@@ -104,6 +106,29 @@ def simulate_mo_strategy(j, theta, quadrature_order: int = 64) -> float:
     return average_fidelity_from_entanglement(fe, 2)
 
 
+def _strategy_kraus(j, k, f):
+    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U.
+
+    U conserves total M, so with the program in |j,j> only the 2k+1 sectors of
+    drop d = j + k - M = 0 .. 2k act, each reached from the target state of
+    index d.  Each block B_d is exponentiated as in `heisenberg_gate`, and
+    K_a[d-a, d] = B_d[a, 0] for a = 0 .. min(d, 2j); the operators of higher a
+    vanish, so min(2k, 2j) + 1 are returned.  Each block is checked unitary.
+    """
+    dt = k.doubled + 1
+    kraus = np.zeros((min(k.doubled, j.doubled) + 1, dt, dt), dtype=complex)
+    for drop in range(dt):
+        _, w, v = _exchange_block(j.doubled, k.doubled, drop)
+        block = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
+        error = np.abs(block @ block.conj().T - np.eye(len(w))).max()
+        if not error <= 1e-12:  # a NaN fails too
+            raise ToleranceError("exchange block of drop %d is not unitary (error %g)"
+                                 % (drop, error))
+        a = np.arange(len(w))
+        kraus[a, drop - a, drop] = block[:, 0]
+    return kraus
+
+
 def simulate_spin_k(j, k, theta, f=None, n: Direction = Z_AXIS,
                     grid: int = 16) -> StrategyFidelities:
     """Program a rotation on a spin-k target through the exchange coupling.
@@ -111,16 +136,26 @@ def simulate_spin_k(j, k, theta, f=None, n: Direction = Z_AXIS,
     By default the interaction angle equals theta itself, the simple choice
     whose error vanishes as 1/j; pass f explicitly to study other schedules
     (with k = 1/2 and f = coupling_angle this reproduces the tuned qubit
-    strategy).
+    strategy).  The channel is built from the 2k+1 total-M sectors that the
+    program |j,j> reaches, in O(k^3) work at any j; a program along n != z is
+    the z one turned by the target rotation R taking z to n (the gate
+    commutes with R (x) R), so its Kraus operators are R K_a R^dag.
     """
     j = as_half_integer(j)
     k = as_half_integer(k)
+    if j.doubled < 1:
+        raise ValueError("program spin must be >= 1/2")
     if k.doubled < 1:
         raise ValueError("target spin must be >= 1/2")
     if f is None:
         f = theta
-    ch = ProgramChannel(heisenberg_gate(j, k, f), spin_coherent_state(j, n), j, k)
-    v = rotation_unitary(make_spin_operators(k), n, theta)
+    ops = make_spin_operators(k)
+    kraus = _strategy_kraus(j, k, f)
+    rotation = rotation_from_z(ops, n)
+    if rotation is not None:
+        kraus = rotation @ kraus @ rotation.conj().T
+    ch = KrausChannel(kraus)
+    v = rotation_unitary(ops, n, theta)
     fe = entanglement_fidelity(ch, v)
     favg = average_fidelity_from_entanglement(fe, k.doubled + 1)
     fw, _ = worst_case_fidelity(ch, v, grid=grid)

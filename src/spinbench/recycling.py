@@ -21,6 +21,10 @@ import numpy as np
 from .closed_forms import coupling_angle, mo_benchmark
 from .spin_algebra import HalfInteger, _exchange_sectors, as_half_integer
 
+# uses of one program a curve or a longevity search steps through at most
+# (~30-120 us per use); a longer horizon is refused before the chain starts
+N_MAX_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class ProgramDistribution:
@@ -167,6 +171,11 @@ class RecyclingCurve(NamedTuple):
     mode: str             # per-use fidelity mode: "exact" or "asymptotic"
 
 
+def _check_horizon(n_max):
+    if not 1 <= n_max <= N_MAX_CAP:
+        raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
+
+
 def recycling_curve(j, theta, n_max, mode: str = "exact",
                     kernel: str = "exact") -> RecyclingCurve:
     """Average fidelity of the n-th use, n = 1 .. n_max.
@@ -176,8 +185,7 @@ def recycling_curve(j, theta, n_max, mode: str = "exact",
     exact at every j (O(j) work per angle); mode="asymptotic" uses the
     labelled large-j form 1 - (1 + 2(j-m))(1 - cos theta)/(3j) instead.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_horizon(n_max)
     uses = _use_fidelities(as_half_integer(j), theta, mode, kernel)
     return RecyclingCurve(list(itertools.islice(uses, n_max)), mode)
 
@@ -198,6 +206,8 @@ def advantage_longevity(j, theta, n_max=None, mode: str = "exact",
     rounding noise cannot manufacture a crossing when both values sit at 1.
     """
     j = as_half_integer(j)
+    if n_max is not None:
+        _check_horizon(n_max)
     return _longevity(j, theta, _use_fidelities(j, theta, mode, kernel), n_max)
 
 

@@ -188,13 +188,28 @@ def rotation_unitary(ops: SpinOperators, n: Direction, angle: float) -> np.ndarr
     return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
+def rotation_from_z(ops: SpinOperators, n: Direction):
+    """The rotation that spin_coherent_state uses to take z to n, or None for n = +z.
+
+    It is the rotation about z x n (normalized) by the polar angle arccos(n_z),
+    and for n = -z the rotation about x by pi.
+    """
+    if not isinstance(n, Direction):
+        n = Direction(*n)
+    s2 = n.nx * n.nx + n.ny * n.ny
+    if s2 < 1e-30:
+        return None if n.nz > 0 else rotation_unitary(ops, X_AXIS, np.pi)
+    axis = Direction.normalized(-n.ny, n.nx, 0.0)  # z x n
+    polar = np.arccos(np.clip(n.nz, -1.0, 1.0))
+    return rotation_unitary(ops, axis, polar)
+
+
 def spin_coherent_state(j, n: Direction) -> np.ndarray:
     """The state |j, j> rotated so that its spin points along n.
 
-    The rotation taking z to n is fixed once and for all as the rotation about
-    z x n (normalized) by the polar angle arccos(n_z); for n = -z the rotation
-    is about x by pi, and for n = +z it is the identity.  Any smooth section
-    would give the same fidelities, this one makes outputs reproducible.
+    The rotation taking z to n is fixed once and for all (`rotation_from_z`);
+    any smooth section would give the same fidelities, this one makes outputs
+    reproducible.
     """
     j = as_half_integer(j)
     if j.doubled < 1:
@@ -202,16 +217,22 @@ def spin_coherent_state(j, n: Direction) -> np.ndarray:
     ops = make_spin_operators(j)
     highest = np.zeros(ops.dim, dtype=complex)
     highest[0] = 1.0
-    if not isinstance(n, Direction):
-        n = Direction(*n)
-    s2 = n.nx * n.nx + n.ny * n.ny
-    if s2 < 1e-30:
-        if n.nz > 0:
-            return highest
-        return rotation_unitary(ops, X_AXIS, np.pi) @ highest
-    axis = Direction.normalized(-n.ny, n.nx, 0.0)  # z x n
-    polar = np.arccos(np.clip(n.nz, -1.0, 1.0))
-    return rotation_unitary(ops, axis, polar) @ highest
+    rotation = rotation_from_z(ops, n)
+    return highest if rotation is None else rotation @ highest
+
+
+def _exchange_block(doubled_j, doubled_k, drop):
+    """The total-M block of 2 J.K on j (x) k with M = j + k - drop, as an entry
+    (indices, w, v) of `_exchange_sectors`."""
+    j, k = doubled_j / 2, doubled_k / 2
+    a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
+    mj, mk = j - a, k - (drop - a)
+    # <m_j+1, m_k-1| J_+ K_- |m_j, m_k> couples each state to its predecessor
+    off = np.sqrt(j * (j + 1) - mj[1:] * (mj[1:] + 1)) * np.sqrt(
+        k * (k + 1) - mk[1:] * (mk[1:] - 1))
+    block = np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1)
+    w, v = np.linalg.eigh(block)
+    return a * (doubled_k + 1) + drop - a, w, v
 
 
 @lru_cache(maxsize=64)
@@ -229,18 +250,8 @@ def _exchange_sectors(doubled_j, doubled_k):
         raise ValueError("spins must be non-negative")
     if doubled_j + doubled_k + 1 > DIM_CAP:
         raise ValueError("%d total-M sectors exceed cap %d" % (doubled_j + doubled_k + 1, DIM_CAP))
-    j, k = doubled_j / 2, doubled_k / 2
-    sectors = []
-    for drop in range(doubled_j + doubled_k + 1):  # drop = j + k - M
-        a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
-        mj, mk = j - a, k - (drop - a)
-        # <m_j+1, m_k-1| J_+ K_- |m_j, m_k> couples each state to its predecessor
-        off = np.sqrt(j * (j + 1) - mj[1:] * (mj[1:] + 1)) * np.sqrt(
-            k * (k + 1) - mk[1:] * (mk[1:] - 1))
-        block = np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1)
-        w, v = np.linalg.eigh(block)
-        sectors.append((a * (doubled_k + 1) + drop - a, w, v))
-    return tuple(sectors)
+    return tuple(_exchange_block(doubled_j, doubled_k, drop)
+                 for drop in range(doubled_j + doubled_k + 1))  # drop = j + k - M
 
 
 def total_spin_projectors(j1, j2):

@@ -6,6 +6,7 @@ import pytest
 from spinbench import channel_lab
 from spinbench.channel_lab import (
     DensityMatrix,
+    KrausChannel,
     ProgramChannel,
     apply_program_channel,
     average_fidelity_from_entanglement,
@@ -52,6 +53,21 @@ def test_program_channel_rejects_bad_shapes():
         ProgramChannel(2 * np.eye(6), np.array([1.0, 0, 0]), j, HalfInteger(1))
     with pytest.raises(ValueError):
         ProgramChannel(np.eye(6), np.array([1.0, 1.0, 0]), j, HalfInteger(1))  # not normalized
+
+
+def test_kraus_channel_validates_and_is_accepted():
+    ch = _qubit_channel()
+    kraus = KrausChannel(ch.kraus_operators())
+    assert kraus.target_dim == 2
+    v = rotation_unitary(make_spin_operators(0.5), Z_AXIS, 2.0)
+    assert entanglement_fidelity(kraus, v) == entanglement_fidelity(ch, v)
+    assert worst_case_fidelity(kraus, v)[0] == worst_case_fidelity(ch, v)[0]
+    for bad in (np.eye(2), np.zeros((0, 2, 2)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            KrausChannel(bad)
+    for bad in (2 * np.eye(2)[None], np.eye(2)[None] * math.nan, ch.kraus_operators()[:1]):
+        with pytest.raises(ValueError, match="not complete"):
+            KrausChannel(bad)
 
 
 def test_kraus_completeness():

@@ -1,10 +1,11 @@
+import contextlib
 import io
 import json
 import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spinbench import cli, optimal_fidelity, recycling
 from spinbench.cli import (
@@ -335,6 +336,9 @@ def test_spin_k_refuses_oversized_worst_case_search(capsys):
     # one block eigh for each of 1e11 total-M sectors
     (["longevity", "--two-j", "99999999999", "--theta", "pi", "--n-max", "2"],
      "total-M sectors exceed cap 2001"),
+    # one Markov step per use, ~50 us each
+    (["longevity", "--two-j", "41", "--theta", "pi", "--n-max", "99999999999"],
+     "n_max must be in [1, 100000]"),
 ])
 def test_unbounded_work_is_refused_before_it_starts(capsys, argv, message):
     t0 = time.perf_counter()
@@ -342,6 +346,30 @@ def test_unbounded_work_is_refused_before_it_starts(capsys, argv, message):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--two-j-range", "1:99999999999999", "--thetas", "pi"],
+    ["--two-j-range", "1:99999999999999999999", "--thetas", "pi"],  # len(range) overflows
+    ["--two-j-range", "1:60000", "--thetas", "pi/2,pi"],
+])
+def test_oversized_sweep_grid_is_refused_before_it_starts(capsys, argv):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep"] + argv)
+    assert exc.value.code == 1
+    assert time.perf_counter() - t0 < 5.0
+    assert "error:" in capsys.readouterr().err
+    assert len(parse_two_j_range("1:%d" % cli.SWEEP_POINTS_CAP)) == cli.SWEEP_POINTS_CAP
+
+
+def test_fidelity_beyond_the_dense_cap(capsys):
+    # the strategy is built from 2k+1 total-M sectors, so only the MO
+    # quadrature order bounds 2j here
+    rows = _run_csv(capsys, ["fidelity", "--two-j", "3001", "--theta", "pi"])
+    by_method = {r.method: r for r in rows}
+    assert by_method["heisenberg_sim"].uncertainty < 1e-12
+    assert abs(by_method["heisenberg_sim"].value - optimal_fidelity(1500.5, PI).value) < 1e-12
 
 
 def test_spin_k_zero_angle(capsys):
@@ -448,3 +476,76 @@ def test_csv_header_constant_matches_docs():
                           "value", "uncertainty", "mode_notes")
     assert CERTIFY_FIELDS == ("label", "two_j", "theta_rad",
                               "measured_avg_fidelity", "std_err")
+
+
+# ---------------------------------------------------------------------------
+# every argv maps to an exit code
+
+
+# (admitted values, other values) per flag; "99999999999" spins are refused
+# by the command, not by the parser
+_FLAG_VALUES = {
+    "--two-j": (["1", "3", "41", "99999999999"], ["0", "-2", "1.5", "x"]),
+    "--two-k": (["1", "2", "4"], ["0", "x"]),
+    "--theta": (["pi", "0", "2.0", "pi/3"], ["nan", "inf", "", "1/0*pi"]),
+    "--n-max": (["1", "5", "99999999999"], ["0", "-3", "x"]),
+    "--two-j-range": (["3:5", "1,4", "99999999999"],
+                      ["5:3", "0:2", "1:99999999999999", "1:99999999999999999999", "a"]),
+    "--thetas": (["pi", "pi/2,pi"], ["", "nan"]),
+    "--methods": (["opt_exact", "heisenberg_sim,worst_case", "mo_sim"], ["recycling", ""]),
+    "--format": (["csv", "json"], ["xml"]),
+    "--threads": (["1", "2"], ["0"]),
+    "--input": (["good.csv"], ["bad.csv", "missing.csv"]),
+}
+_COMMAND_FLAGS = {
+    "fidelity": ["--two-j", "--theta", "--format"],
+    "sweep": ["--two-j-range", "--thetas", "--methods", "--threads"],
+    "longevity": ["--two-j", "--theta", "--n-max"],
+    "spin-k": ["--two-j", "--two-k", "--theta", "--format"],
+    "certify": ["--input"],
+    "nope": [],
+}
+
+
+def _flag(name):
+    # an admitted value three times in four, else another value or no flag
+    admitted, other = _FLAG_VALUES[name]
+    value = st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(admitted) if i else st.sampled_from([None] + other))
+    return st.tuples(st.just(name), value)
+
+
+def _invocation(command):
+    # each of the command's flags, or not, and maybe one more flag of any command
+    extra = st.none() | st.sampled_from(sorted(_FLAG_VALUES)).flatmap(_flag)
+    return st.tuples(st.just(command),
+                     st.tuples(*[_flag(name) for name in _COMMAND_FLAGS[command]], extra))
+
+
+_argv = st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(_invocation)
+
+
+@pytest.fixture(scope="module")
+def certify_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("certify")
+    header = ",".join(CERTIFY_FIELDS)
+    (path / "good.csv").write_text(header + "\nrun,3,pi,0.69,0.005\nrun,3,3.14,0.69,0.005\n")
+    (path / "bad.csv").write_text(header + "\nrun,0,nan,1.5,-1\n")
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv)
+def test_every_argv_exits_with_a_documented_code(certify_dir, case):
+    command, flags = case
+    argv = [command]
+    for flag, value in filter(None, flags):
+        if value is not None:
+            argv += [flag, str(certify_dir / value) if flag == "--input" else value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

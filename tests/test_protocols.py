@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spinbench.channel_lab import entanglement_fidelity, ProgramChannel
+from spinbench import protocols, spin_algebra
+from spinbench.channel_lab import (
+    ProgramChannel,
+    average_fidelity_from_entanglement,
+    entanglement_fidelity,
+    worst_case_fidelity,
+)
 from spinbench.closed_forms import (
     coupling_angle,
     mo_benchmark,
@@ -11,7 +17,9 @@ from spinbench.closed_forms import (
     spin_k_fidelity_asymptotic,
 )
 from spinbench.protocols import (
+    StrategyFidelities,
     _mo_entanglement_quadrature,
+    _strategy_kraus,
     heisenberg_gate,
     simulate_mo_strategy,
     simulate_optimal_qubit_strategy,
@@ -22,7 +30,9 @@ from spinbench.spin_algebra import (
     DIM_CAP,
     Direction,
     HalfInteger,
+    ToleranceError,
     Z_AXIS,
+    as_half_integer,
     make_spin_operators,
     rotation_unitary,
     spin_coherent_state,
@@ -68,7 +78,88 @@ def test_heisenberg_gate_commutes_with_collective_rotations():
         assert np.abs(u @ r - r @ u).max() < 1e-10
 
 
-@pytest.mark.parametrize("j", [1.5, 2.0, 3.0, 4.5])
+def _dense_strategy(j, k, theta, f, n=Z_AXIS, grid=16):
+    # the strategy through the whole gate: every control basis state gives a
+    # Kraus operator of ProgramChannel, the program is a coherent state along n
+    j, k = as_half_integer(j), as_half_integer(k)
+    ch = ProgramChannel(heisenberg_gate(j, k, f), spin_coherent_state(j, n), j, k)
+    v = rotation_unitary(make_spin_operators(k), n, theta)
+    fe = entanglement_fidelity(ch, v)
+    fw, _ = worst_case_fidelity(ch, v, grid=grid)
+    return StrategyFidelities(fe, average_fidelity_from_entanglement(fe, k.doubled + 1), fw)
+
+
+@pytest.mark.parametrize("two_k", [1, 2, 3])
+def test_sector_kraus_are_the_nonzero_dense_ones(two_k):
+    k = HalfInteger(two_k)
+    for two_j in range(1, 42):
+        j = HalfInteger(two_j)
+        for f in (0.0, 0.7, 2.9, -1.3):
+            dense = ProgramChannel(heisenberg_gate(j, k, f), spin_coherent_state(j, Z_AXIS),
+                                   j, k).kraus_operators()
+            sector = _strategy_kraus(j, k, f)
+            count = min(two_j, two_k) + 1
+            assert sector.shape == (count, two_k + 1, two_k + 1)
+            assert np.abs(sector - dense[:count]).max() < 1e-14
+            assert not dense[count:].any()
+
+
+def test_strategy_matches_dense_route_on_any_axis():
+    rng = np.random.default_rng(7)
+    axes = [Z_AXIS, Direction(0.0, 0.0, -1.0)] + [
+        Direction.normalized(*rng.standard_normal(3)) for _ in range(3)]
+    # the chart searches of spin >= 1 targets cost 0.05-0.5 s, so they get fewer cases
+    cases = [(two_j, 1, n) for two_j in (1, 2, 5, 12, 41) for n in axes]
+    cases += [(two_j, 2, n) for two_j in (1, 12, 41) for n in axes[:3]]
+    cases += [(5, 3, Z_AXIS), (41, 3, axes[2])]
+    for two_j, two_k, n in cases:
+        theta = rng.uniform(0.0, PI)
+        f = coupling_angle(two_j / 2, theta) if two_k == 1 else theta
+        got = simulate_spin_k(two_j / 2, two_k / 2, theta, f=f, n=n, grid=8)
+        want = _dense_strategy(two_j / 2, two_k / 2, theta, f, n=n, grid=8)
+        assert abs(got.entanglement - want.entanglement) < 1e-12
+        assert abs(got.average - want.average) < 1e-12
+        # the d >= 3 chart search depends on the frame, the qubit minimum does not
+        if two_k == 1 or n == Z_AXIS:
+            assert abs(got.worst_case - want.worst_case) < 1e-12
+
+
+def test_strategy_builds_no_dense_operator(monkeypatch):
+    j = HalfInteger(40)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator built on the strategy path")
+
+    def spin_operators(spin):
+        if as_half_integer(spin) == j:
+            raise AssertionError("spin-j matrices built on the strategy path")
+        return make_spin_operators(spin)
+
+    monkeypatch.setattr(protocols, "heisenberg_gate", refuse)
+    monkeypatch.setattr(protocols, "ProgramChannel", refuse, raising=False)
+    for module in (protocols, spin_algebra):
+        monkeypatch.setattr(module, "make_spin_operators", spin_operators)
+    for n in (Z_AXIS, Direction.normalized(1.0, 2.0, -0.5)):
+        for k in (0.5, 1.0):
+            got = simulate_spin_k(j, k, 2.0, n=n, grid=8)
+            assert 0.0 < got.worst_case <= got.average < 1.0
+
+
+def test_strategy_checks_each_sector_block(monkeypatch):
+    block = spin_algebra._exchange_block
+
+    def skewed(doubled_j, doubled_k, drop):
+        indices, w, v = block(doubled_j, doubled_k, drop)
+        return indices, w, v * (1.0 + 1e-6)
+
+    with pytest.raises(ToleranceError, match="not unitary"):
+        simulate_spin_k(3.0, 1.0, 2.0, f=math.nan)
+    monkeypatch.setattr(protocols, "_exchange_block", skewed)
+    with pytest.raises(ToleranceError, match="not unitary"):
+        simulate_spin_k(3.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("j", [1.5, 2.0, 3.0, 4.5, 1500.5, 500000.0])
 def test_qubit_strategy_hits_closed_form(j):
     for theta in (0.6, PI / 2, 2.4, PI):
         got = simulate_optimal_qubit_strategy(j, theta)

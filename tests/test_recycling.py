@@ -6,6 +6,7 @@ import pytest
 from spinbench.closed_forms import coupling_angle, mo_benchmark, optimal_fidelity
 from spinbench.protocols import heisenberg_gate
 from spinbench.recycling import (
+    N_MAX_CAP,
     ProgramDistribution,
     advantage_longevity,
     asymptotic_distribution,
@@ -175,8 +176,11 @@ def test_recycling_curve_basics():
     assert np.all(np.diff([v for _, v in big.points]) <= 1e-12)
     assert recycling_curve(100.0, 2.4, 3, mode="asymptotic").mode == "asymptotic"
     assert recycling_curve(100.0, 2.4, 3).mode == "exact"
-    with pytest.raises(ValueError):
-        recycling_curve(10.0, 2.4, 0)
+    for horizon in (0, N_MAX_CAP + 1):
+        with pytest.raises(ValueError, match="n_max must be in"):
+            recycling_curve(10.0, 2.4, horizon)
+        with pytest.raises(ValueError, match="n_max must be in"):
+            advantage_longevity(10.0, 2.4, n_max=horizon)
     for bad in ("sideways", "auto"):
         with pytest.raises(ValueError):
             recycling_curve(10.0, 2.4, 5, mode=bad)
