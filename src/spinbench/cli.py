@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import closed_forms, protocols, recycling
-from .spin_algebra import HalfInteger, ToleranceError
+from .spin_algebra import MAX_DOUBLED_SPIN, HalfInteger, ToleranceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,8 +99,8 @@ class ExperimentRecord:
     std_err: float
 
     def __post_init__(self):
-        if self.two_j < 1:
-            raise ValueError("two_j must be >= 1")
+        if not 1 <= self.two_j <= MAX_DOUBLED_SPIN:
+            raise ValueError("two_j must be in [1, 2**53]")
         if not math.isfinite(self.theta_rad):
             raise ValueError("theta_rad must be finite")
         if not 0.0 <= self.measured_avg_fidelity <= 1.0:
@@ -148,8 +148,8 @@ def parse_two_j(text: str) -> int:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("spin must be a doubled integer, got %r" % text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("doubled spin must be >= 1")
+    if not 1 <= v <= MAX_DOUBLED_SPIN:
+        raise argparse.ArgumentTypeError("doubled spin must be in [1, 2**53]")
     return v
 
 
@@ -176,8 +176,8 @@ def parse_two_j_range(text: str):
             values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("cannot parse spin range %r" % text)
-    if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError("spin range must contain doubled spins >= 1")
+    if not values or min(values) < 1 or max(values) > MAX_DOUBLED_SPIN:
+        raise argparse.ArgumentTypeError("spin range must contain doubled spins in [1, 2**53]")
     return values
 
 
@@ -205,11 +205,6 @@ def parse_methods(text: str):
 # report rows
 
 
-def _mo_order(jv, kv=0.5):
-    # Gauss-Legendre is exact once the order clears the polynomial degree
-    return max(64, int(math.ceil(jv + 2 * kv)) + 4)
-
-
 def _point_rows(two_j, theta, methods):
     """Rows for one (j, theta) point, restricted to `methods`, canonical order."""
     j = HalfInteger(two_j)
@@ -234,11 +229,9 @@ def _point_rows(two_j, theta, methods):
             rows.append(FidelityReport(
                 two_j, 1, theta, method, sim.average, abs(sim.average - fo.value)))
         elif method == "mo_sim":
-            order = _mo_order(jv)
-            value = protocols.simulate_mo_strategy(jv, theta, order)
+            value = protocols.simulate_mo_strategy(j, theta)
             rows.append(FidelityReport(
-                two_j, 1, theta, method, value, abs(value - fm.value),
-                "quadrature_order=%d" % order))
+                two_j, 1, theta, method, value, abs(value - fm.value), "gauss_jacobi_nodes=2"))
         elif method == "worst_case":
             asym = closed_forms.worst_case_asymptotic(jv, theta).value
             rows.append(FidelityReport(
@@ -261,8 +254,7 @@ def spin_k_rows(two_j, two_k, theta):
     # that the plain choice f = theta is the one with controlled asymptotics
     f = closed_forms.coupling_angle(jv, theta) if two_k == 1 else theta
     sim = protocols.simulate_spin_k(j, k, theta, f=f, grid=16)
-    order = _mo_order(jv, kv)
-    mo_val = protocols.simulate_spin_k_mo(j, k, theta, order)
+    mo_val = protocols.simulate_spin_k_mo(j, k, theta)
     asym_avg = closed_forms.spin_k_fidelity_asymptotic(jv, kv, theta).value
     asym_mo = closed_forms.spin_k_mo_asymptotic(jv, kv, theta).value
     asym_w = closed_forms.spin_k_worst_case_asymptotic(jv, kv, theta).value
@@ -273,7 +265,7 @@ def spin_k_rows(two_j, two_k, theta):
         FidelityReport(two_j, two_k, theta, "worst_case", sim.worst_case,
                        abs(sim.worst_case - asym_w), "", step=0),
         FidelityReport(two_j, two_k, theta, "mo_sim", mo_val, abs(mo_val - asym_mo),
-                       "quadrature_order=%d" % order),
+                       "gauss_jacobi_nodes=%d" % (two_k + 1)),
         FidelityReport(two_j, two_k, theta, "opt_asymptotic", asym_avg),
         FidelityReport(two_j, two_k, theta, "mo_asymptotic", asym_mo),
         FidelityReport(two_j, two_k, theta, "worst_case", asym_w, 0.0, "asymptotic", step=1),

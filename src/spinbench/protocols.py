@@ -14,7 +14,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_chebyu
 
 from .channel_lab import (
     KrausChannel,
@@ -27,6 +26,7 @@ from .spin_algebra import (
     DIM_CAP,
     Z_AXIS,
     Direction,
+    HalfInteger,
     ToleranceError,
     _exchange_block,
     _exchange_sectors,
@@ -70,39 +70,57 @@ def simulate_optimal_qubit_strategy(j, theta, n: Direction = Z_AXIS) -> Strategy
     return simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta), n=n)
 
 
-def _mo_entanglement_quadrature(j, theta, tau, order):
-    """Entanglement fidelity of estimate-then-rotate with conditional angle tau.
+def _pole_rule(doubled_j, nodes):
+    """Gauss-Jacobi rule for the misalignment t = (1 - cos phi')/2 of the estimate.
 
-    The estimated axis n' is distributed with density (2j+1)/(4pi) times the
-    coherent overlap cos^{4j}(phi'/2), phi' the misalignment polar angle.  The
-    applied gate is the rotation by tau about n', so with u = cos(phi'),
-
-        |Tr[V_theta^dag V_{tau,n'}]|^2 / 4
-            = [cos(theta/2)cos(tau/2) + sin(theta/2)sin(tau/2) u]^2,
-
-    independent of the azimuth of n'.  Gauss-Legendre in u (polynomial degree
-    2j+2, exact once order >= j+2).
+    The coherent-state POVM puts density (2j+1)(1-t)^{2j} on t in [0, 1], a
+    Jacobi weight with beta = 2j.  The nodes are the eigenvalues of its Jacobi
+    matrix and the weights the squared first eigenvector components (Golub &
+    Welsch 1969), so they sum to 1 at every j and `nodes` points integrate
+    polynomials of degree < 2 * nodes exactly.
     """
-    jv = as_half_integer(j).value
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(order)
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    cu, su = math.cos(tau / 2.0), math.sin(tau / 2.0)
-    overlap = ((1.0 + u_nodes) / 2.0) ** (2.0 * jv)
-    trace_term = (ct * cu + st * su * u_nodes) ** 2
-    fe = (2.0 * jv + 1.0) / 2.0 * float(u_weights @ (overlap * trace_term))
+    beta = float(doubled_j)
+    i = np.arange(nodes, dtype=float)
+    d = 2.0 * i + beta
+    diagonal = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
+    off = i[1:] * (i[1:] + beta) / (d[1:] * np.sqrt(d[1:] * d[1:] - 1.0))
+    t, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return t, vectors[0] ** 2
+
+
+def _mo_entanglement_fidelity(j, k, theta, tau):
+    """Entanglement fidelity of estimate-then-rotate-by-tau on a spin-k target.
+
+    The composite rotation V_theta^dag V_{tau,n'} has half-angle cosine
+
+        c(t) = cos((theta - tau)/2) - 2 sin(theta/2) sin(tau/2) t,
+
+    independent of the azimuth of n', and the spin-k character of a rotation
+    with half-angle cosine c is the Chebyshev polynomial U_{2k}(c).  The
+    integrand (U_{2k}(c)/(2k+1))^2 has degree 4k in t, so the 2k+1 nodes of
+    `_pole_rule` integrate it exactly at every j.
+    """
+    if j.doubled < 1:
+        raise ValueError("program spin must be >= 1/2")
+    if k.doubled < 1:
+        raise ValueError("target spin must be >= 1/2")
+    t, weights = _pole_rule(j.doubled, k.doubled + 1)
+    c = math.cos((theta - tau) / 2.0) - 2.0 * math.sin(theta / 2.0) * math.sin(tau / 2.0) * t
+    u_prev, u = 0.0, 1.0  # U_{-1}, U_0
+    for _ in range(k.doubled):
+        u_prev, u = u, 2.0 * c * u - u_prev
+    fe = float(weights @ (u / (k.doubled + 1.0)) ** 2)
     return min(max(fe, 0.0), 1.0)
 
 
-def simulate_mo_strategy(j, theta, quadrature_order: int = 64) -> float:
+def simulate_mo_strategy(j, theta) -> float:
     """Average fidelity of the measure-and-operate strategy.
 
     Measures the program with the coherent-state POVM and rotates the target
     about the estimated axis by the optimal conditional angle.
     """
-    if not 16 <= quadrature_order <= DIM_CAP:
-        raise ValueError("quadrature_order must be in [16, %d], got %d" % (DIM_CAP, quadrature_order))
-    tau = mo_optimal_angle(j, theta)
-    fe = _mo_entanglement_quadrature(j, theta, tau, quadrature_order)
+    j = as_half_integer(j)
+    fe = _mo_entanglement_fidelity(j, HalfInteger(1), theta, mo_optimal_angle(j, theta))
     return average_fidelity_from_entanglement(fe, 2)
 
 
@@ -162,33 +180,12 @@ def simulate_spin_k(j, k, theta, f=None, n: Direction = Z_AXIS,
     return StrategyFidelities(fe, favg, fw)
 
 
-def simulate_spin_k_mo(j, k, theta, quadrature_order: int = 64) -> float:
+def simulate_spin_k_mo(j, k, theta) -> float:
     """Average fidelity of measure-and-operate on a spin-k target.
 
     The estimated-axis distribution is the same coherent overlap as in the
-    qubit case; conditional rotation is by theta about the estimate.  The
-    composite rotation V_theta^dag V_{theta,n'} has half-angle cosine
-
-        c(u) = cos^2(theta/2) + sin^2(theta/2) u,       u = cos(phi'),
-
-    and the (2k+1)-dimensional character of a rotation by angle t is
-    sin((2k+1) t/2)/sin(t/2) = U_{2k}(cos(t/2)), a Chebyshev polynomial, so
-    the entanglement fidelity is a polynomial integral in u handled exactly by
-    Gauss-Legendre once order >= j + k + 2.
+    qubit case; the conditional rotation is by theta itself about the estimate.
     """
-    if not 16 <= quadrature_order <= DIM_CAP:
-        raise ValueError("quadrature_order must be in [16, %d], got %d" % (DIM_CAP, quadrature_order))
-    j = as_half_integer(j)
     k = as_half_integer(k)
-    if k.doubled < 1:
-        raise ValueError("target spin must be >= 1/2")
-    jv = j.value
-    dk = k.doubled + 1
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(quadrature_order)
-    ct2, st2 = math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2
-    cos_half = ct2 + st2 * u_nodes
-    character = eval_chebyu(k.doubled, cos_half)
-    overlap = ((1.0 + u_nodes) / 2.0) ** (2.0 * jv)
-    fe = (2.0 * jv + 1.0) / 2.0 * float(u_weights @ (overlap * (character / dk) ** 2))
-    fe = min(max(fe, 0.0), 1.0)
-    return average_fidelity_from_entanglement(fe, dk)
+    fe = _mo_entanglement_fidelity(as_half_integer(j), k, theta, theta)
+    return average_fidelity_from_entanglement(fe, k.doubled + 1)

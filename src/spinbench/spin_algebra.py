@@ -21,6 +21,9 @@ import numpy as np
 # and no coupling is split into more than DIM_CAP total-M sectors.
 DIM_CAP = 2001
 
+# every spin meets a float, and 2**53 is the largest doubled spin it holds exactly
+MAX_DOUBLED_SPIN = 2 ** 53
+
 
 class ToleranceError(Exception):
     """A computed value breached an internal consistency bound."""
@@ -37,6 +40,8 @@ class HalfInteger:
     def __init__(self, doubled):
         if not isinstance(doubled, (int, np.integer)):
             raise TypeError("doubled must be an integer, got %r" % (doubled,))
+        if abs(doubled) > MAX_DOUBLED_SPIN:
+            raise ValueError("doubled spin exceeds 2**53, the largest a float holds exactly")
         self.doubled = int(doubled)
 
     @classmethod

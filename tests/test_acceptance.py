@@ -58,7 +58,7 @@ def test_criterion_1_headline_numbers():
     ok &= abs(mo_benchmark(1.5, PI).value - 29 / 45) < 1e-12
     sim = simulate_optimal_qubit_strategy(1.5, PI)
     ok &= abs(sim.average - 17 / 24) < 1e-9
-    ok &= abs(simulate_mo_strategy(1.5, PI, 64) - 29 / 45) < 1e-6
+    ok &= abs(simulate_mo_strategy(1.5, PI) - 29 / 45) < 1e-15
     _check(1, "headline fidelities 17/24 and 29/45, exact and simulated", ok, t0)
 
 
@@ -131,7 +131,7 @@ def test_criterion_7_spin_k_slopes():
     sim = simulate_spin_k(j, 1.0, theta, grid=16)
     avg_slope = (1.0 - sim.average) * 3.0 * j / drop
     worst_slope = (1.0 - sim.worst_case) * j / drop
-    mo = simulate_spin_k_mo(j, 1.0, theta, 160)
+    mo = simulate_spin_k_mo(j, 1.0, theta)
     mo_slope = (1.0 - mo) * 3.0 * j / drop
     ok = abs(avg_slope - 3.0) < 0.3
     ok &= abs(mo_slope - 6.0) < 0.6

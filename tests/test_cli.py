@@ -27,6 +27,7 @@ from spinbench.cli import (
 )
 
 PI = math.pi
+_TOO_BIG = "9" * 401  # a doubled spin beyond 2**53, and beyond a float's range
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,20 @@ def test_parse_two_j():
     for bad in ("0", "-2", "1.5", "j"):
         with pytest.raises(Exception):
             parse_two_j(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--two-j", _TOO_BIG, "--theta", "pi"],
+    ["sweep", "--two-j-range", "3," + _TOO_BIG, "--thetas", "pi"],
+    ["longevity", "--two-j", _TOO_BIG, "--theta", "pi", "--n-max", "2"],
+    ["spin-k", "--two-j", _TOO_BIG, "--two-k", "1", "--theta", "pi"],
+    ["fidelity", "--two-j", str(2**53 + 1), "--theta", "pi"],
+])
+def test_oversized_spin_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "[1, 2**53]" in capsys.readouterr().err
 
 
 def test_parse_two_j_range():
@@ -179,8 +194,8 @@ def test_fidelity_command_flip(capsys):
     assert abs(by_method["opt_exact"].value - 17 / 24) < 1e-12
     assert abs(by_method["mo_exact"].value - 29 / 45) < 1e-12
     assert by_method["heisenberg_sim"].uncertainty < 1e-9
-    assert by_method["mo_sim"].uncertainty < 1e-6
-    assert "quadrature_order=" in by_method["mo_sim"].mode_notes
+    assert by_method["mo_sim"].uncertainty <= 1e-15
+    assert by_method["mo_sim"].mode_notes == "gauss_jacobi_nodes=2"
 
 
 def test_fidelity_command_j2_value(capsys):
@@ -330,9 +345,9 @@ def test_spin_k_refuses_oversized_worst_case_search(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    # leggauss would diagonalize an order x order matrix, order 5e13
-    (["sweep", "--two-j-range", "99999999999999", "--thetas", "pi", "--methods", "mo_sim"],
-     "quadrature_order must be in [16, 2001]"),
+    # spin matrices and a chart over the states of a 2002-dimensional target
+    (["spin-k", "--two-j", "3", "--two-k", "2001", "--theta", "pi"],
+     "dimension 2002 exceeds cap 2001"),
     # one block eigh for each of 1e11 total-M sectors
     (["longevity", "--two-j", "99999999999", "--theta", "pi", "--n-max", "2"],
      "total-M sectors exceed cap 2001"),
@@ -346,6 +361,16 @@ def test_unbounded_work_is_refused_before_it_starts(capsys, argv, message):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_mo_sim_is_exact_at_any_spin(capsys):
+    # two Gauss-Jacobi nodes at every j: no order grows with the spin
+    t0 = time.perf_counter()
+    rows = _run_csv(capsys, ["sweep", "--two-j-range", "99999999999999", "--thetas", "pi",
+                             "--methods", "mo_sim"])
+    assert time.perf_counter() - t0 < 1.0
+    assert [r.method for r in rows] == ["mo_sim"]
+    assert rows[0].uncertainty <= 1e-15
 
 
 @pytest.mark.parametrize("argv", [
@@ -364,8 +389,8 @@ def test_oversized_sweep_grid_is_refused_before_it_starts(capsys, argv):
 
 
 def test_fidelity_beyond_the_dense_cap(capsys):
-    # the strategy is built from 2k+1 total-M sectors, so only the MO
-    # quadrature order bounds 2j here
+    # the strategy is built from 2k+1 total-M sectors, so no dimension
+    # bounds 2j here
     rows = _run_csv(capsys, ["fidelity", "--two-j", "3001", "--theta", "pi"])
     by_method = {r.method: r for r in rows}
     assert by_method["heisenberg_sim"].uncertainty < 1e-12
@@ -454,6 +479,18 @@ def test_certify_non_finite_fields_are_row_errors(tmp_path, capsys, bad):
     assert all("finite" in e["error"] for e in doc["row_errors"])
 
 
+def test_certify_oversized_spin_is_a_row_error(tmp_path, capsys):
+    path = _certify_file(tmp_path, [
+        ("ok", 3, PI, 0.69, 0.005),
+        ("huge", int(_TOO_BIG), PI, 0.69, 0.005),
+    ])
+    assert main(["certify", "--input", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["label"] for r in doc["results"]] == ["ok"]
+    assert [e["line"] for e in doc["row_errors"]] == [3]
+    assert "2**53" in doc["row_errors"][0]["error"]
+
+
 def test_certify_all_bad_rows_is_data_error(tmp_path, capsys):
     path = _certify_file(tmp_path, [("bad", 0, PI, 0.69, 0.005)])
     assert main(["certify", "--input", path]) == 2
@@ -482,15 +519,16 @@ def test_csv_header_constant_matches_docs():
 # every argv maps to an exit code
 
 
-# (admitted values, other values) per flag; "99999999999" spins are refused
-# by the command, not by the parser
+# (admitted values, other values) per flag; "99999999999" spins pass the
+# parser and run, except in longevity, which refuses their total-M sectors
 _FLAG_VALUES = {
-    "--two-j": (["1", "3", "41", "99999999999"], ["0", "-2", "1.5", "x"]),
+    "--two-j": (["1", "3", "41", "99999999999"], ["0", "-2", "1.5", "x", _TOO_BIG]),
     "--two-k": (["1", "2", "4"], ["0", "x"]),
     "--theta": (["pi", "0", "2.0", "pi/3"], ["nan", "inf", "", "1/0*pi"]),
     "--n-max": (["1", "5", "99999999999"], ["0", "-3", "x"]),
     "--two-j-range": (["3:5", "1,4", "99999999999"],
-                      ["5:3", "0:2", "1:99999999999999", "1:99999999999999999999", "a"]),
+                      ["5:3", "0:2", "1:99999999999999", "1:99999999999999999999", "a",
+                       _TOO_BIG]),
     "--thetas": (["pi", "pi/2,pi"], ["", "nan"]),
     "--methods": (["opt_exact", "heisenberg_sim,worst_case", "mo_sim"], ["recycling", ""]),
     "--format": (["csv", "json"], ["xml"]),

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from spinbench import protocols, spin_algebra
 from spinbench.channel_lab import (
@@ -18,7 +20,7 @@ from spinbench.closed_forms import (
 )
 from spinbench.protocols import (
     StrategyFidelities,
-    _mo_entanglement_quadrature,
+    _pole_rule,
     _strategy_kraus,
     heisenberg_gate,
     simulate_mo_strategy,
@@ -27,7 +29,6 @@ from spinbench.protocols import (
     simulate_spin_k_mo,
 )
 from spinbench.spin_algebra import (
-    DIM_CAP,
     Direction,
     HalfInteger,
     ToleranceError,
@@ -203,22 +204,45 @@ def test_tuned_angle_is_the_argmax():
 @pytest.mark.parametrize("j", [1.5, 3.0, 6.0])
 def test_mo_simulation_hits_benchmark(j):
     for theta in (PI / 2, 2.0, PI):
-        assert abs(simulate_mo_strategy(j, theta) - mo_benchmark(j, theta).value) < 1e-6
+        assert abs(simulate_mo_strategy(j, theta) - mo_benchmark(j, theta).value) < 1e-15
 
 
 def test_mo_oracle_flip():
     assert abs(simulate_mo_strategy(1.5, PI) - 29.0 / 45.0) < 1e-9
 
 
-def test_mo_quadrature_converged():
-    a = simulate_mo_strategy(6.0, 2.2, quadrature_order=64)
-    b = simulate_mo_strategy(6.0, 2.2, quadrature_order=128)
-    assert abs(a - b) < 1e-8
-    for order in (8, DIM_CAP + 1):
-        with pytest.raises(ValueError):
-            simulate_mo_strategy(6.0, 2.2, quadrature_order=order)
-        with pytest.raises(ValueError):
-            simulate_spin_k_mo(6.0, 1.0, 2.2, quadrature_order=order)
+# Under the estimate's weight (2j+1)(1-t)^{2j}, E[(1-t)^p] = (2j+1)/(2j+1+p):
+# a third route to the MO fidelities, independent of the rule and the closed form.
+def _beta_moment(two_j, p):
+    return Fraction(two_j + 1, two_j + 1 + p)
+
+
+@pytest.mark.parametrize("two_j", [1, 41, 999, 10**6, 2**53])
+def test_pole_rule_reproduces_beta_moments(two_j):
+    for nodes in (1, 2, 3, 5):
+        t, w = _pole_rule(two_j, nodes)
+        for p in range(2 * nodes):
+            assert abs(w @ (1.0 - t) ** p - float(_beta_moment(two_j, p))) < 1e-15
+
+
+def _spin_k_mo_from_moments(two_j, two_k, theta):
+    # (U_{2k}(c)/(2k+1))^2 with c = cos(theta) + 2 sin^2(theta/2) s, s = 1 - t,
+    # expanded in exact rationals (the float coefficients are large and cancel)
+    c = np.array([Fraction(math.cos(theta)), Fraction(2.0 * math.sin(theta / 2.0) ** 2)])
+    u_prev, u = np.array([Fraction(0)]), np.array([Fraction(1)])
+    for _ in range(two_k):
+        u_prev, u = u, P.polysub(P.polymul(2 * c, u), u_prev)
+    poly = P.polymul(u, u)
+    fe = sum(a * _beta_moment(two_j, p) for p, a in enumerate(poly)) / (two_k + 1) ** 2
+    return average_fidelity_from_entanglement(float(fe), two_k + 1)
+
+
+@pytest.mark.parametrize("two_j", [1, 41, 999, 2001, 10**6])
+def test_spin_k_mo_matches_beta_moments(two_j):
+    for two_k in range(1, 5):
+        for theta in (0.3, 1.0, 2.2, PI):
+            got = simulate_spin_k_mo(HalfInteger(two_j), HalfInteger(two_k), theta)
+            assert abs(got - _spin_k_mo_from_moments(two_j, two_k, theta)) < 1e-13
 
 
 def test_coherent_beats_mo():
@@ -233,11 +257,8 @@ def test_spin_k_reduces_to_qubit():
     tuned = simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta))
     direct = simulate_optimal_qubit_strategy(j, theta)
     assert abs(tuned.entanglement - direct.entanglement) < 1e-12
-    # spin-k MO rotates by theta itself, so at k = 1/2 it matches the qubit
-    # quadrature at conditional angle theta (not the tuned tau)
-    fe = _mo_entanglement_quadrature(j, theta, theta, 64)
-    assert abs(simulate_spin_k_mo(j, 0.5, theta) - (2 * fe + 1) / 3) < 1e-12
-    # and is strictly dominated by the tuned conditional angle
+    # spin-k MO rotates by theta itself, so at k = 1/2 it is strictly
+    # dominated by the tuned conditional angle
     assert simulate_spin_k_mo(j, 0.5, theta) < simulate_mo_strategy(j, theta)
 
 

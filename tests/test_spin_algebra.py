@@ -38,6 +38,11 @@ def test_half_integer_rejects_non_half_integers():
         as_half_integer(0.3)
     with pytest.raises(TypeError):
         HalfInteger(1.5)
+    # beyond 2**53 a doubled spin is no longer a float
+    assert HalfInteger(2**53).value == 2.0**52
+    for doubled in (2**53 + 1, -(2**53) - 1, 10**400):
+        with pytest.raises(ValueError):
+            HalfInteger(doubled)
 
 
 @given(st.integers(min_value=-40, max_value=40))
