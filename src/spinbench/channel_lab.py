@@ -18,8 +18,9 @@ from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_oper
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
-# largest chart points x Kraus operators the worst-case grid search evaluates
-# at once (2**25 complex overlaps are 512 MiB); larger searches are refused
+# largest chart points x complex values per point (d amplitudes of the state or
+# one overlap per Kraus operator, whichever is more) the worst-case grid search
+# holds at once (2**25 complex values are 512 MiB); larger searches are refused
 WORST_CASE_BUDGET = 2**25
 # I, sigma_x, sigma_y, sigma_z
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -229,12 +230,15 @@ def _fidelity_batch(mats, states):
     return np.sum(np.abs(inner) ** 2, axis=1)
 
 
-def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = 24):
+def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = 16):
     """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs.
 
     Exact for a qubit target.  For d >= 3 the value is an upper bound on the
     minimum: the best point of a grid over the state chart, refined by
     Nelder-Mead from the three best grid cells; `grid` (>= 8) applies there only.
+    When each V^dag K_a has its nonzero entries on one diagonal, as those of a
+    program along the rotation axis do, psi_n -> e^{i n phi} psi_n leaves the
+    fidelity unchanged, and the grid holds the phase of psi_1 at 0.
 
     Returns (value, argmin_state), with value the fidelity of that state.
     """
@@ -250,13 +254,14 @@ def _chart_search(mats, grid):
         raise ValueError("grid must be >= 8")
     d = mats.shape[-1]
     nmag = max(6, grid // 2)
-    axes = [np.linspace(0.0, np.pi / 2, nmag)] * (d - 1) + [
-        np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    ] * (d - 1)
+    phases = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    axes = [np.linspace(0.0, np.pi / 2, nmag)] * (d - 1) + [phases] * (d - 1)
+    if _on_one_diagonal(mats):
+        axes[d - 1] = phases[:1]
     n_points = math.prod(len(a) for a in axes)
-    if n_points * len(mats) > WORST_CASE_BUDGET:
-        raise ValueError("worst-case search over %d chart points x %d Kraus operators "
-                         "exceeds the budget of %d" % (n_points, len(mats), WORST_CASE_BUDGET))
+    if n_points * max(len(mats), d) > WORST_CASE_BUDGET:
+        raise ValueError("worst-case search over %d chart points x %d Kraus operators, d = %d, "
+                         "exceeds the budget of %d" % (n_points, len(mats), d, WORST_CASE_BUDGET))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
     values = _fidelity_batch(mats, _chart_states(points, d))
@@ -275,6 +280,15 @@ def _chart_search(mats, grid):
             best_val = res.fun
             best_x = res.x
     return float(best_val), _chart_states(best_x[None, :], d)[0]
+
+
+def _on_one_diagonal(mats):
+    """Whether each M_a has all its nonzero entries on one diagonal M_a[i, i + s_a]."""
+    for m in mats:
+        rows, cols = np.nonzero(m)
+        if np.unique(cols - rows).size > 1:
+            return False
+    return True
 
 
 def _qubit_minimum(mats):

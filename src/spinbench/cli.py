@@ -4,8 +4,8 @@ spin-k reports, and certification of experimental data.
 All spins cross the interface as doubled integers (``--two-j 3`` means
 j = 3/2), angles in radians with ``pi`` literals (``pi``, ``0.5*pi``,
 ``pi/3``, ``3/4*pi``).  Output is CSV (default) or JSON with schema tag
-"spinbench/1"; identical invocations produce identical bytes, independent of
---threads.
+"spinbench/1"; identical invocations produce identical bytes, independent of a
+sweep's --threads.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -253,7 +253,7 @@ def spin_k_rows(two_j, two_k, theta):
     # the tuned interaction angle is only known for the qubit target; beyond
     # that the plain choice f = theta is the one with controlled asymptotics
     f = closed_forms.coupling_angle(jv, theta) if two_k == 1 else theta
-    sim = protocols.simulate_spin_k(j, k, theta, f=f, grid=16)
+    sim = protocols.simulate_spin_k(j, k, theta, f=f)
     mo_val = protocols.simulate_spin_k_mo(j, k, theta)
     asym_avg = closed_forms.spin_k_fidelity_asymptotic(jv, kv, theta).value
     asym_mo = closed_forms.spin_k_mo_asymptotic(jv, kv, theta).value
@@ -352,6 +352,11 @@ def _emit(rows, command, fmt, out_path, extra=None):
         buf = io.StringIO()
         write_reports_csv(rows, buf)
         payload = buf.getvalue()
+    _write(payload, out_path)
+
+
+def _write(payload, out_path):
+    """Write to `out_path`, or to stdout when it is not given."""
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(payload)
@@ -472,12 +477,7 @@ def cmd_certify(args):
         "row_errors": row_errors,
         "summary": summary,
     }
-    payload = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(json.dumps(doc, indent=2) + "\n", args.out)
     if not results:
         print("no usable rows in %s" % args.input, file=sys.stderr)
         return EXIT_DATA
@@ -495,7 +495,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sp):
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():
@@ -513,6 +512,7 @@ def build_parser():
     p.add_argument("--two-j-range", type=parse_two_j_range, required=True, dest="two_j_range")
     p.add_argument("--thetas", type=parse_theta_list, required=True)
     p.add_argument("--methods", type=parse_methods, default=["opt_exact", "mo_exact"])
+    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -25,14 +25,12 @@ from .closed_forms import coupling_angle, mo_optimal_angle
 from .spin_algebra import (
     DIM_CAP,
     Z_AXIS,
-    Direction,
     HalfInteger,
     ToleranceError,
     _exchange_block,
     _exchange_sectors,
     as_half_integer,
     make_spin_operators,
-    rotation_from_z,
     rotation_unitary,
 )
 
@@ -61,13 +59,13 @@ def heisenberg_gate(j, k, f):
     return u
 
 
-def simulate_optimal_qubit_strategy(j, theta, n: Direction = Z_AXIS) -> StrategyFidelities:
-    """Exchange coupling at the tuned interaction angle, program pointing along n.
+def simulate_optimal_qubit_strategy(j, theta) -> StrategyFidelities:
+    """Exchange coupling at the tuned interaction angle.
 
     Returns entanglement, average and worst-case fidelity with respect to the
-    target rotation by theta about n.
+    target rotation by theta about the program's axis (see `simulate_spin_k`).
     """
-    return simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta), n=n)
+    return simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta))
 
 
 def _pole_rule(doubled_j, nodes):
@@ -147,17 +145,16 @@ def _strategy_kraus(j, k, f):
     return kraus
 
 
-def simulate_spin_k(j, k, theta, f=None, n: Direction = Z_AXIS,
-                    grid: int = 16) -> StrategyFidelities:
+def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     """Program a rotation on a spin-k target through the exchange coupling.
 
     By default the interaction angle equals theta itself, the simple choice
     whose error vanishes as 1/j; pass f explicitly to study other schedules
     (with k = 1/2 and f = coupling_angle this reproduces the tuned qubit
     strategy).  The channel is built from the 2k+1 total-M sectors that the
-    program |j,j> reaches, in O(k^3) work at any j; a program along n != z is
-    the z one turned by the target rotation R taking z to n (the gate
-    commutes with R (x) R), so its Kraus operators are R K_a R^dag.
+    program |j,j> reaches, in O(k^3) work at any j.  The gate commutes with
+    every collective rotation R (x) R, so a program along any axis n gives the
+    same fidelities for the rotation about n; they are computed along z.
     """
     j = as_half_integer(j)
     k = as_half_integer(k)
@@ -167,16 +164,11 @@ def simulate_spin_k(j, k, theta, f=None, n: Direction = Z_AXIS,
         raise ValueError("target spin must be >= 1/2")
     if f is None:
         f = theta
-    ops = make_spin_operators(k)
-    kraus = _strategy_kraus(j, k, f)
-    rotation = rotation_from_z(ops, n)
-    if rotation is not None:
-        kraus = rotation @ kraus @ rotation.conj().T
-    ch = KrausChannel(kraus)
-    v = rotation_unitary(ops, n, theta)
+    v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)  # refuses 2k+1 > DIM_CAP
+    ch = KrausChannel(_strategy_kraus(j, k, f))
     fe = entanglement_fidelity(ch, v)
     favg = average_fidelity_from_entanglement(fe, k.doubled + 1)
-    fw, _ = worst_case_fidelity(ch, v, grid=grid)
+    fw, _ = worst_case_fidelity(ch, v)
     return StrategyFidelities(fe, favg, fw)
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -47,7 +48,7 @@ class HalfInteger:
     @classmethod
     def from_value(cls, value):
         doubled = 2 * value
-        if doubled != round(doubled):
+        if not -math.inf < doubled < math.inf or doubled != round(doubled):
             raise ValueError("%r is not a half-integer" % (value,))
         return cls(int(round(doubled)))
 
@@ -114,7 +115,7 @@ class Direction:
 
     def __post_init__(self):
         norm2 = self.nx * self.nx + self.ny * self.ny + self.nz * self.nz
-        if abs(norm2 - 1.0) > 1e-14:
+        if not abs(norm2 - 1.0) <= 1e-14:  # a NaN fails too
             raise ValueError(
                 "direction (%g, %g, %g) is not unit length (|n|^2 - 1 = %g)"
                 % (self.nx, self.ny, self.nz, norm2 - 1.0)
@@ -123,8 +124,8 @@ class Direction:
     @classmethod
     def normalized(cls, nx, ny, nz):
         r = np.sqrt(nx * nx + ny * ny + nz * nz)
-        if r == 0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < r < math.inf:
+            raise ValueError("cannot normalize (%g, %g, %g) to unit length" % (nx, ny, nz))
         return cls(nx / r, ny / r, nz / r)
 
     @classmethod
@@ -193,37 +194,27 @@ def rotation_unitary(ops: SpinOperators, n: Direction, angle: float) -> np.ndarr
     return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
 
-def rotation_from_z(ops: SpinOperators, n: Direction):
-    """The rotation that spin_coherent_state uses to take z to n, or None for n = +z.
-
-    It is the rotation about z x n (normalized) by the polar angle arccos(n_z),
-    and for n = -z the rotation about x by pi.
-    """
-    if not isinstance(n, Direction):
-        n = Direction(*n)
-    s2 = n.nx * n.nx + n.ny * n.ny
-    if s2 < 1e-30:
-        return None if n.nz > 0 else rotation_unitary(ops, X_AXIS, np.pi)
-    axis = Direction.normalized(-n.ny, n.nx, 0.0)  # z x n
-    polar = np.arccos(np.clip(n.nz, -1.0, 1.0))
-    return rotation_unitary(ops, axis, polar)
-
-
 def spin_coherent_state(j, n: Direction) -> np.ndarray:
     """The state |j, j> rotated so that its spin points along n.
 
-    The rotation taking z to n is fixed once and for all (`rotation_from_z`);
-    any smooth section would give the same fidelities, this one makes outputs
+    The rotation taking z to n is fixed once and for all: about z x n
+    (normalized) by the polar angle arccos(n_z), and about x by pi for n = -z.
+    Any smooth section would give the same fidelities; this one makes outputs
     reproducible.
     """
     j = as_half_integer(j)
     if j.doubled < 1:
         raise ValueError("spin_coherent_state needs j >= 1/2")
+    if not isinstance(n, Direction):
+        n = Direction(*n)
     ops = make_spin_operators(j)
     highest = np.zeros(ops.dim, dtype=complex)
     highest[0] = 1.0
-    rotation = rotation_from_z(ops, n)
-    return highest if rotation is None else rotation @ highest
+    if n.nx * n.nx + n.ny * n.ny < 1e-30:
+        return highest if n.nz > 0 else rotation_unitary(ops, X_AXIS, np.pi) @ highest
+    axis = Direction.normalized(-n.ny, n.nx, 0.0)  # z x n
+    polar = np.arccos(np.clip(n.nz, -1.0, 1.0))
+    return rotation_unitary(ops, axis, polar) @ highest
 
 
 def _exchange_block(doubled_j, doubled_k, drop):

@@ -37,6 +37,7 @@ from spinbench.spin_algebra import (
     Direction,
     HalfInteger,
     make_spin_operators,
+    rotation_unitary,
     spin_coherent_state,
 )
 
@@ -128,7 +129,7 @@ def test_criterion_7_spin_k_slopes():
     t0 = time.perf_counter()
     j, theta = 150.0, PI
     drop = 1.0 - math.cos(theta)
-    sim = simulate_spin_k(j, 1.0, theta, grid=16)
+    sim = simulate_spin_k(j, 1.0, theta)
     avg_slope = (1.0 - sim.average) * 3.0 * j / drop
     worst_slope = (1.0 - sim.worst_case) * j / drop
     mo = simulate_spin_k_mo(j, 1.0, theta)
@@ -171,11 +172,15 @@ def test_criterion_8_property_suites(tmp_path):
     checks.append(abs(np.trace(out.matrix).real - 1.0) < 1e-12)
     checks.append(np.linalg.eigvalsh(out.matrix).min() > -1e-12)
 
-    # covariance: the strategy fidelity is independent of the rotation axis
+    # covariance: with the program and the target rotation along any axis n,
+    # the dense channel has the entanglement fidelity of the z-frame strategy
     base = simulate_optimal_qubit_strategy(2.0, 2.1).entanglement
+    j2 = HalfInteger(4)
+    u2 = heisenberg_gate(j2, 0.5, coupling_angle(2.0, 2.1))
     for _ in range(6):
         n = Direction.normalized(*rng.standard_normal(3))
-        got = simulate_optimal_qubit_strategy(2.0, 2.1, n=n).entanglement
+        ch2 = ProgramChannel(u2, spin_coherent_state(j2, n), j2, HalfInteger(1))
+        got = entanglement_fidelity(ch2, rotation_unitary(make_spin_operators(0.5), n, 2.1))
         checks.append(abs(got - base) < 1e-10)
 
     # Markov kernel stochasticity

@@ -321,7 +321,7 @@ def test_longevity_rejects_zero_horizon():
 
 def test_threads_must_be_positive():
     with pytest.raises(SystemExit) as exc:
-        main(["fidelity", "--two-j", "3", "--theta", "pi", "--threads", "0"])
+        main(["sweep", "--two-j-range", "3", "--thetas", "pi", "--threads", "0"])
     assert exc.value.code == 1
 
 
@@ -337,11 +337,14 @@ def test_spin_k_command_matches_qubit_path(capsys):
 
 
 def test_spin_k_refuses_oversized_worst_case_search(capsys):
-    # a spin-2 target's chart has 8^4 * 16^4 points: refused before allocating
-    t0 = time.perf_counter()
-    assert main(["spin-k", "--two-j", "6", "--two-k", "4", "--theta", "pi"]) == 2
-    assert time.perf_counter() - t0 < 5.0
-    assert "exceeds the budget" in capsys.readouterr().err
+    # a spin-2 target's chart has 8^4 * 16^3 points even with the redundant phase
+    # fixed: refused before allocating, also at 2j = 1, whose 2 Kraus operators
+    # would fit the budget but whose 5-amplitude states would not
+    for two_j in ("6", "1"):
+        t0 = time.perf_counter()
+        assert main(["spin-k", "--two-j", two_j, "--two-k", "4", "--theta", "pi"]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "exceeds the budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [

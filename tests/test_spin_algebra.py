@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ def test_half_integer_basics():
 
 
 def test_half_integer_rejects_non_half_integers():
-    with pytest.raises(ValueError):
-        as_half_integer(0.3)
+    for value in (0.3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            as_half_integer(value)
     with pytest.raises(TypeError):
         HalfInteger(1.5)
     # beyond 2**53 a doubled spin is no longer a float
@@ -57,8 +59,13 @@ def test_direction_normalizes_and_validates():
     assert abs(d.nx - 0.6) < 1e-15 and abs(d.nz - 0.8) < 1e-15
     with pytest.raises(ValueError):
         Direction(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Direction.normalized(0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any NaN arithmetic
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                Direction(bad, 0.0, 0.0)
+            with pytest.raises(ValueError):
+                Direction.normalized(bad, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("j", SPINS)
