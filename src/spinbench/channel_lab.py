@@ -18,9 +18,9 @@ from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_oper
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_FLOOR = -1e-10
-# largest chart points x complex values per point (d amplitudes of the state or
-# one overlap per Kraus operator, whichever is more) the worst-case grid search
-# holds at once (2**25 complex values are 512 MiB); larger searches are refused
+# largest chart points x max(Kraus operators, d) the worst-case grid search
+# admits; a point needs d complex amplitudes for its state and one complex
+# overlap per Kraus operator; larger searches are refused
 WORST_CASE_BUDGET = 2**25
 # I, sigma_x, sigma_y, sigma_z
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -262,8 +262,7 @@ def _chart_search(mats, grid):
     if n_points * max(len(mats), d) > WORST_CASE_BUDGET:
         raise ValueError("worst-case search over %d chart points x %d Kraus operators, d = %d, "
                          "exceeds the budget of %d" % (n_points, len(mats), d, WORST_CASE_BUDGET))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=1)
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     values = _fidelity_batch(mats, _chart_states(points, d))
 
     order = np.argsort(values)

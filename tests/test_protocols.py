@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from spinbench import channel_lab, protocols
+from spinbench import channel_lab, protocols, spin_algebra
 from spinbench.channel_lab import (
     KrausChannel,
     ProgramChannel,
@@ -143,7 +143,8 @@ def test_strategy_builds_no_dense_operator(monkeypatch):
 
     monkeypatch.setattr(protocols, "heisenberg_gate", refuse)
     monkeypatch.setattr(protocols, "ProgramChannel", refuse, raising=False)
-    monkeypatch.setattr(protocols, "make_spin_operators", spin_operators)
+    for module in (protocols, spin_algebra):
+        monkeypatch.setattr(module, "make_spin_operators", spin_operators)
     for k in (0.5, 1.0):
         got = simulate_spin_k(j, k, 2.0)
         assert 0.0 < got.worst_case <= got.average < 1.0
