@@ -248,20 +248,29 @@ def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: in
     return _qubit_minimum(mats) if d == 2 else _chart_search(mats, grid)
 
 
-def _chart_search(mats, grid):
-    """worst_case_fidelity's search for d >= 3; it covers d = 2 as well."""
+def _chart_axes(d, count, one_diagonal, grid=16):
+    """The axes of the chart grid that `worst_case_fidelity` searches for d
+    amplitudes and `count` Kraus operators, with the phase of psi_1 held at 0
+    when `one_diagonal`; a grid over the WORST_CASE_BUDGET is refused."""
     if grid < 8:
         raise ValueError("grid must be >= 8")
-    d = mats.shape[-1]
     nmag = max(6, grid // 2)
     phases = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     axes = [np.linspace(0.0, np.pi / 2, nmag)] * (d - 1) + [phases] * (d - 1)
-    if _on_one_diagonal(mats):
+    if one_diagonal:
         axes[d - 1] = phases[:1]
     n_points = math.prod(len(a) for a in axes)
-    if n_points * max(len(mats), d) > WORST_CASE_BUDGET:
-        raise ValueError("worst-case search over %d chart points x %d Kraus operators, d = %d, "
-                         "exceeds the budget of %d" % (n_points, len(mats), d, WORST_CASE_BUDGET))
+    if n_points * max(count, d) > WORST_CASE_BUDGET:
+        raise ValueError("worst-case search over 10^%.1f chart points (d = %d, %d Kraus "
+                         "operators) exceeds the budget of %d"
+                         % (math.log10(n_points), d, count, WORST_CASE_BUDGET))
+    return axes
+
+
+def _chart_search(mats, grid):
+    """worst_case_fidelity's search for d >= 3; it covers d = 2 as well."""
+    d = mats.shape[-1]
+    axes = _chart_axes(d, len(mats), _on_one_diagonal(mats), grid)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     values = _fidelity_batch(mats, _chart_states(points, d))
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel_lab import (
     KrausChannel,
+    _chart_axes,
     average_fidelity_from_entanglement,
     entanglement_fidelity,
     worst_case_fidelity,
@@ -164,7 +165,10 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
         raise ValueError("target spin must be >= 1/2")
     if f is None:
         f = theta
-    v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)  # refuses 2k+1 > DIM_CAP
+    ops = make_spin_operators(k)  # refuses 2k+1 > DIM_CAP
+    if k.doubled > 1:  # the worst case searches a chart; refuse one over budget before any work
+        _chart_axes(k.doubled + 1, min(k.doubled, j.doubled) + 1, True)
+    v = rotation_unitary(ops, Z_AXIS, theta)
     ch = KrausChannel(_strategy_kraus(j, k, f))
     fe = entanglement_fidelity(ch, v)
     favg = average_fidelity_from_entanglement(fe, k.doubled + 1)

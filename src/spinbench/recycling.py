@@ -2,27 +2,25 @@
 
 Each use of the program spin leaves it slightly rotated away from |j,j>; the
 back-action is a classical birth-death (tridiagonal) Markov chain on the
-magnetic quantum number m.  This module iterates that chain, evaluates the
-fidelity of a degraded program, and finds how many uses the quantum advantage
-over measure-and-operate survives.
+magnetic quantum number m.  This module steps that chain, follows its first
+two moments, evaluates the fidelity of a degraded program, and finds how many
+uses the quantum advantage over measure-and-operate survives.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .closed_forms import coupling_angle, mo_benchmark
-from .spin_algebra import HalfInteger, _exchange_sectors, as_half_integer
+from .spin_algebra import as_half_integer
 
-# uses of one program a curve or a longevity search steps through at most
-# (~30-120 us per use); a longer horizon is refused before the chain starts
+# uses of one program a curve or a longevity search covers at most (one output
+# row each); a longer horizon is refused
 N_MAX_CAP = 100_000
 
 
@@ -106,27 +104,26 @@ def complementary_step(j, theta, dist: ProgramDistribution,
     return ProgramDistribution(j, out)
 
 
-@lru_cache(maxsize=64)
-def _per_m_exact_all(doubled_j, theta):
-    """Exact average fidelity for every program basis state |j,m> at once.
+def _drop_polynomial(j, theta, mode):
+    """(c0, c1, c2): the average fidelity of the program |j, j-D> is c0 + c1 D + c2 D^2.
 
-    The gate conserves total M and the target rotation V is about z, so
-    Tr[V^dag K_a] vanishes unless the program leaves in its input state a = m,
-    and then only two diagonal entries of the gate enter:
-    Tr[V^dag K_m] = e^{i theta/2} <m,up|U|m,up> + e^{-i theta/2} <m,down|U|m,down>.
-    Each diagonal entry comes from one total-M block of size <= 2.
+    On |m,up> and |m,down> the gate acts through l = j +- 1/2 only, where 2 J.K
+    is j and -(j+1), with Clebsch-Gordan weights affine in m, e.g.
+    <m,up|U|m,up> = [(j+m+1) e^{-i f j/(2j+1)} + (j-m) e^{i f (j+1)/(2j+1)}]/(2j+1).
+    V is about z, so Tr[V^dag K_m] = e^{i theta/2} <m,up|U|m,up> +
+    e^{-i theta/2} <m,down|U|m,down> = p + q D, and F_avg = 1/3 + |p + q D|^2/6.
     """
-    scale = -1j * coupling_angle(HalfInteger(doubled_j), theta) / (doubled_j + 1.0)
-    sectors = _exchange_sectors(doubled_j, 1)  # refuses an oversized j before allocating
-    diag = np.empty(2 * (doubled_j + 1), dtype=complex)
-    for indices, w, v in sectors:
-        diag[indices] = (v * v) @ np.exp(scale * w)
-    up, down = diag[0::2], diag[1::2]
-    overlaps = cmath.exp(0.5j * theta) * up + cmath.exp(-0.5j * theta) * down
-    fe = np.abs(overlaps) ** 2 / 4.0
-    favg = (2.0 * fe + 1.0) / 3.0
-    favg.setflags(write=False)
-    return favg
+    if mode == "exact":
+        f, width = coupling_angle(j, theta), j.doubled + 1.0
+        a, b = cmath.exp(-1j * f * j.value / width), cmath.exp(1j * f * (j.value + 1.0) / width)
+        up, down = cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta)
+        p = up * a + down * (a + j.doubled * b) / width
+        q = (up - down) * (b - a) / width
+        return 1.0 / 3.0 + abs(p) ** 2 / 6.0, (p.conjugate() * q).real / 3.0, abs(q) ** 2 / 6.0
+    if mode == "asymptotic":
+        loss = (1.0 - math.cos(theta)) / (3.0 * j.value)
+        return 1.0 - loss, -2.0 * loss, 0.0
+    raise ValueError("mode must be 'exact' or 'asymptotic'")
 
 
 def per_m_fidelity(j, theta, m) -> float:
@@ -135,8 +132,9 @@ def per_m_fidelity(j, theta, m) -> float:
     m = as_half_integer(m)
     if abs(m.doubled) > j.doubled or (j.doubled - m.doubled) % 2:
         raise ValueError("m = %s is not a magnetic quantum number for j = %s" % (m, j))
-    idx = (j.doubled - m.doubled) // 2
-    return float(_per_m_exact_all(j.doubled, float(theta))[idx])
+    c0, c1, c2 = _drop_polynomial(j, theta, "exact")
+    drop = (j.doubled - m.doubled) // 2
+    return c0 + c1 * drop + c2 * drop * drop
 
 
 def per_m_fidelity_asymptotic(j, theta, m) -> float:
@@ -146,24 +144,11 @@ def per_m_fidelity_asymptotic(j, theta, m) -> float:
     return 1.0 - (1.0 + 2.0 * (jv - mv)) * (1.0 - math.cos(theta)) / (3.0 * jv)
 
 
-def _per_m_vector(j, theta, mode):
-    j = as_half_integer(j)
-    if mode == "exact":
-        return np.asarray(_per_m_exact_all(j.doubled, float(theta)))
-    if mode == "asymptotic":
-        drops = np.arange(j.doubled + 1)
-        return 1.0 - (1.0 + 2.0 * drops) * (1.0 - math.cos(theta)) / (3.0 * j.value)
-    raise ValueError("mode must be 'exact' or 'asymptotic'")
-
-
-def _use_fidelities(j, theta, mode, kernel):
-    """(n, average fidelity of the n-th use), n = 1, 2, ...; the program
-    starts in |j,j> and is stepped only when the next use is asked for."""
-    fm = _per_m_vector(j, theta, mode)
-    dist = fresh_program(j)
-    for n in itertools.count(1):
-        yield n, float(fm @ dist.probs)
-        dist = complementary_step(j, theta, dist, kernel)
+def _powm1(x, n):
+    """(1 - x)^n - 1 for integers n >= 0, without cancellation at small x."""
+    if x < 1.0:
+        return np.expm1(n * math.log1p(-x))
+    return (1.0 - x) ** n - 1.0  # 1 - x in [-1/3, 0], reached only at j <= 1
 
 
 class RecyclingCurve(NamedTuple):
@@ -171,23 +156,33 @@ class RecyclingCurve(NamedTuple):
     mode: str             # per-use fidelity mode: "exact" or "asymptotic"
 
 
-def _check_horizon(n_max):
-    if not 1 <= n_max <= N_MAX_CAP:
-        raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
-
-
 def recycling_curve(j, theta, n_max, mode: str = "exact",
                     kernel: str = "exact") -> RecyclingCurve:
     """Average fidelity of the n-th use, n = 1 .. n_max.
 
-    The program starts in |j,j>; the value at use n mixes the per-m fidelities
-    with the m-distribution after n-1 back-actions.  Per-m fidelities are
-    exact at every j (O(j) work per angle); mode="asymptotic" uses the
-    labelled large-j form 1 - (1 + 2(j-m))(1 - cos theta)/(3j) instead.
+    The program starts in |j,j>; use n sees the drop D = j - m after n-1
+    back-actions.  Each maps E[m] -> (1-2c) E[m] and E[m^2] -> (1-6c) E[m^2] +
+    2c j(j+1), c = kernel_factor/(2j+1)^2, so E[D] = -j A and E[D^2] =
+    j((2j-1) B/3 - 2j A) with A = (1-2c)^(n-1) - 1 and B = (1-6c)^(n-1) - 1,
+    and the per-use fidelity is quadratic in D: exact at every j, or with
+    mode="asymptotic" the labelled large-j form 1 - (1 + 2D)(1 - cos theta)/(3j).
     """
-    _check_horizon(n_max)
-    uses = _use_fidelities(as_half_integer(j), theta, mode, kernel)
-    return RecyclingCurve(list(itertools.islice(uses, n_max)), mode)
+    if not 1 <= n_max <= N_MAX_CAP:
+        raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
+    j = as_half_integer(j)
+    c0, c1, c2 = _drop_polynomial(j, theta, mode)
+    g = kernel_factor(j, theta, kernel)
+    if g < 0.0:
+        raise ValueError("negative %s kernel factor %g at j = %s" % (kernel, g, j))
+    c = g / (j.doubled + 1.0) ** 2
+    steps = np.arange(n_max)  # back-actions before use n = 1 .. n_max
+    a = _powm1(2.0 * c, steps)
+    # at j = 1/2, D^2 = D: the second mode is absent, and 1 - 6c reaches -2 there
+    b = _powm1(6.0 * c, steps) if j.doubled > 1 else 0.0
+    drop = -j.value * a
+    drop_sq = j.value * ((j.doubled - 1.0) * b / 3.0 - j.doubled * a)
+    values = c0 + c1 * drop + c2 * drop_sq
+    return RecyclingCurve(list(zip(range(1, n_max + 1), values.tolist())), mode)
 
 
 class Longevity(NamedTuple):
@@ -196,36 +191,31 @@ class Longevity(NamedTuple):
     n_max: int            # horizon actually searched
 
 
+def _asymptotic_longevity(j, theta):
+    one_minus_c = 1.0 - math.cos(theta)
+    return as_half_integer(j).value / one_minus_c if one_minus_c > 1e-300 else math.inf
+
+
 def advantage_longevity(j, theta, n_max=None, mode: str = "exact",
                         kernel: str = "exact") -> Longevity:
-    """How many uses beat measure-and-operate.
-
-    Streams the recycling curve until it first drops below mo_benchmark(j,
-    theta); steps=None means no loss within the horizon (e.g. theta -> 0,
-    where the program never degrades).  "Below" carries a 1e-12 margin so that
-    rounding noise cannot manufacture a crossing when both values sit at 1.
-    """
-    j = as_half_integer(j)
-    if n_max is not None:
-        _check_horizon(n_max)
-    return _longevity(j, theta, _use_fidelities(j, theta, mode, kernel), n_max)
+    """How many uses beat measure-and-operate: `curve_longevity` of the recycling
+    curve, by default over 3 j/(1 - cos theta) + 20 uses, at most 2000."""
+    if n_max is None:
+        n_max = int(min(3 * _asymptotic_longevity(j, theta), 1980)) + 20
+    return curve_longevity(j, theta, recycling_curve(j, theta, n_max, mode, kernel))
 
 
 def curve_longevity(j, theta, curve: RecyclingCurve) -> Longevity:
-    """advantage_longevity read off a computed curve, with its length as the
-    horizon; the chain is not stepped again."""
-    return _longevity(as_half_integer(j), theta, curve.points, len(curve.points))
+    """The first use of a computed curve that drops below mo_benchmark(j, theta),
+    with the curve's length as the horizon.
 
-
-def _longevity(j, theta, uses, n_max) -> Longevity:
-    # reads the (n, fidelity) pairs `uses` only up to the first loss
-    one_minus_c = 1.0 - math.cos(theta)
-    asym = j.value / one_minus_c if one_minus_c > 1e-300 else math.inf
-    if n_max is None:
-        n_max = 2000 if not math.isfinite(asym) else min(int(3 * asym) + 20, 2000)
+    steps=None means no loss within the horizon (e.g. theta -> 0, where the
+    program never degrades).  "Below" carries a 1e-12 margin so that rounding
+    noise cannot manufacture a crossing when both values sit at 1.
+    """
     bench = mo_benchmark(j, theta).value
-    losses = (n for n, value in itertools.islice(uses, n_max) if value < bench - 1e-12)
-    return Longevity(next(losses, None), asym, n_max)
+    losses = (n for n, value in curve.points if value < bench - 1e-12)
+    return Longevity(next(losses, None), _asymptotic_longevity(j, theta), len(curve.points))
 
 
 def asymptotic_distribution(j, theta, n) -> ProgramDistribution:

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbench import cli, optimal_fidelity, recycling
+from spinbench import cli, optimal_fidelity, protocols, recycling
 from spinbench.cli import (
     CERTIFY_FIELDS,
     CSV_FIELDS,
@@ -283,15 +283,19 @@ def test_longevity_command(capsys):
 
 
 def test_longevity_is_exact_beyond_dense_cap(capsys):
-    # the joint program (x) qubit space has 2004 > DIM_CAP states here; the
-    # per-use fidelities never build it
-    rows = _run_csv(capsys, ["longevity", "--two-j", "1001", "--theta", "pi", "--n-max", "3"])
-    assert [r.mode_notes for r in rows[:-1]] == ["exact"] * 3
-    assert abs(rows[0].value - optimal_fidelity(500.5, PI).value) < 1e-12
+    # the joint program (x) qubit space has 2004 > DIM_CAP states at 2j = 1001;
+    # the curve builds no operator, sector or per-m state at any spin
+    for two_j in (1001, 99999999999):
+        t0 = time.perf_counter()
+        rows = _run_csv(capsys, ["longevity", "--two-j", str(two_j), "--theta", "pi",
+                                 "--n-max", "3"])
+        assert time.perf_counter() - t0 < 1.0
+        assert [r.mode_notes for r in rows[:-1]] == ["exact"] * 3
+        assert abs(rows[0].value - optimal_fidelity(two_j / 2, PI).value) < 1e-12
 
 
-def test_longevity_steps_the_chain_once(capsys, monkeypatch):
-    # the crossing is read off the curve; the chain is not stepped a second time
+def test_longevity_never_steps_the_chain(capsys, monkeypatch):
+    # the curve comes from the moment recursions and the crossing is read off it
     calls = []
     step = recycling.complementary_step
 
@@ -305,7 +309,7 @@ def test_longevity_steps_the_chain_once(capsys, monkeypatch):
         rows = _run_csv(capsys, ["longevity", "--two-j", str(two_j), "--theta", "pi",
                                  "--n-max", str(n_max)])
         assert len(rows) == n_max + 1
-        assert len(calls) == n_max - 1
+        assert calls == []
 
 
 def test_longevity_no_crossing_flag(capsys):
@@ -336,25 +340,30 @@ def test_spin_k_command_matches_qubit_path(capsys):
     assert "asymptotic" in worst[1].mode_notes
 
 
-def test_spin_k_refuses_oversized_worst_case_search(capsys):
+def test_spin_k_refuses_oversized_worst_case_search(capsys, monkeypatch):
     # a spin-2 target's chart has 8^4 * 16^3 points even with the redundant phase
     # fixed: refused before allocating, also at 2j = 1, whose 2 Kraus operators
-    # would fit the budget but whose 5-amplitude states would not
-    for two_j in ("6", "1"):
+    # would fit the budget but whose 5-amplitude states would not.  The size
+    # depends only on d and the Kraus count, so no Kraus family is built, and
+    # the message names them instead of a 1264-digit count at 2k = 600
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the strategy's channel was built")
+
+    monkeypatch.setattr(protocols, "_strategy_kraus", unreachable)
+    for two_j, two_k in (("6", "4"), ("1", "4"), ("3", "600")):
         t0 = time.perf_counter()
-        assert main(["spin-k", "--two-j", two_j, "--two-k", "4", "--theta", "pi"]) == 2
-        assert time.perf_counter() - t0 < 5.0
-        assert "exceeds the budget" in capsys.readouterr().err
+        assert main(["spin-k", "--two-j", two_j, "--two-k", two_k, "--theta", "pi"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "exceeds the budget" in err and "d = %d" % (int(two_k) + 1) in err
+        assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv,message", [
     # spin matrices and a chart over the states of a 2002-dimensional target
     (["spin-k", "--two-j", "3", "--two-k", "2001", "--theta", "pi"],
      "dimension 2002 exceeds cap 2001"),
-    # one block eigh for each of 1e11 total-M sectors
-    (["longevity", "--two-j", "99999999999", "--theta", "pi", "--n-max", "2"],
-     "total-M sectors exceed cap 2001"),
-    # one Markov step per use, ~50 us each
+    # one output row per use
     (["longevity", "--two-j", "41", "--theta", "pi", "--n-max", "99999999999"],
      "n_max must be in [1, 100000]"),
 ])
@@ -523,7 +532,7 @@ def test_csv_header_constant_matches_docs():
 
 
 # (admitted values, other values) per flag; "99999999999" spins pass the
-# parser and run, except in longevity, which refuses their total-M sectors
+# parser and run in every command
 _FLAG_VALUES = {
     "--two-j": (["1", "3", "41", "99999999999"], ["0", "-2", "1.5", "x", _TOO_BIG]),
     "--two-k": (["1", "2", "4"], ["0", "x"]),

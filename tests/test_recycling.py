@@ -143,8 +143,6 @@ def test_per_m_exact_vs_asymptotic_frozen():
 def test_per_m_matches_dense_gate_contraction():
     # second route: reshape the dense gate into the Kraus family of every
     # program state |j,m> and contract with the target rotation
-    from spinbench.recycling import _per_m_exact_all
-
     for two_j in (1, 2, 3, 7, 20, 40, 41):
         jh = as_half_integer(two_j / 2)
         dc = two_j + 1
@@ -154,14 +152,13 @@ def test_per_m_matches_dense_gate_contraction():
             overlaps = np.einsum("il,aiml->am", v.conj(), t)  # Tr[V^dag K_a] per program m
             fe = np.sum(np.abs(overlaps) ** 2, axis=0) / 4.0
             dense = (2.0 * fe + 1.0) / 3.0
-            assert np.abs(np.asarray(_per_m_exact_all(two_j, theta)) - dense).max() < 1e-12
+            closed = [per_m_fidelity(jh, theta, (two_j - 2 * drop) / 2) for drop in range(dc)]
+            assert np.abs(np.array(closed) - dense).max() < 1e-12
 
 
 def test_per_m_decreases_with_drop_near_top():
-    from spinbench.recycling import _per_m_exact_all
-
-    v = np.asarray(_per_m_exact_all(40, 2.0))  # j = 20
-    assert np.all(np.diff(v[:10]) < 0.0)
+    v = [per_m_fidelity(20.0, 2.0, 20.0 - drop) for drop in range(10)]
+    assert np.all(np.diff(v) < 0.0)
 
 
 def test_recycling_curve_basics():
@@ -184,6 +181,84 @@ def test_recycling_curve_basics():
     for bad in ("sideways", "auto"):
         with pytest.raises(ValueError):
             recycling_curve(10.0, 2.4, 5, mode=bad)
+
+
+def _stepped_chain(j, theta, n_max, kernel):
+    # the oracle: the distribution each use n = 1 .. n_max sees, stepped use by use
+    dist, history = fresh_program(j), []
+    for _ in range(n_max):
+        history.append(dist.probs)
+        dist = complementary_step(j, theta, dist, kernel)
+    return np.array(history)
+
+
+def test_curve_matches_the_stepped_chain():
+    n_max = 600
+    for two_j in (1, 2, 3, 7, 41, 120, 501, 1999):
+        j = as_half_integer(two_j / 2)
+        ms = fresh_program(j).m_values()
+        for theta in (0.3, 1.0, 2.0, 2.9, PI):
+            per_m = {"exact": np.array([per_m_fidelity(j, theta, m) for m in ms]),
+                     "asymptotic": np.array([per_m_fidelity_asymptotic(j, theta, m) for m in ms])}
+            for kernel in ("exact", "asymptotic"):
+                if kernel_factor(j, theta, kernel) < 0.0:
+                    continue
+                history = _stepped_chain(j, theta, n_max, kernel)
+                for mode, fm in per_m.items():
+                    stepped = history @ fm
+                    curve = recycling_curve(j, theta, n_max, mode, kernel)
+                    assert [n for n, _ in curve.points] == list(range(1, n_max + 1))
+                    got = np.array([v for _, v in curve.points])
+                    assert np.abs(got - stepped).max() < 1e-12, (two_j, theta, kernel, mode)
+
+
+def test_chain_moments_follow_the_recursions():
+    # E[m] -> (1 - 2c) E[m] and E[m^2] -> (1 - 6c) E[m^2] + 2c j(j+1), c = g/(2j+1)^2
+    rng = np.random.default_rng(3)
+    for j in (0.5, 1.0, 2.5, 20.0, 150.5):
+        for theta in (0.4, 2.0, PI):
+            for kernel in ("exact", "asymptotic"):
+                g = kernel_factor(j, theta, kernel)
+                if g < 0.0:
+                    continue
+                c = g / (2.0 * j + 1.0) ** 2
+                dist = ProgramDistribution(j, rng.dirichlet(np.ones(int(2 * j) + 1)))
+                m = dist.m_values()
+                out = complementary_step(j, theta, dist, kernel)
+                assert abs(m @ out.probs - (1.0 - 2.0 * c) * (m @ dist.probs)) < 1e-12
+                second = (1.0 - 6.0 * c) * (m * m @ dist.probs) + 2.0 * c * j * (j + 1.0)
+                assert abs(m * m @ out.probs - second) < 1e-12 * max(1.0, j * j)
+
+
+def test_spin_half_curve_is_finite_over_the_whole_horizon():
+    # at j = 1/2 the factor 1 - 6c reaches -2 and 1 - 2c reaches 0 at theta = pi
+    for theta in (PI, 2.5):
+        curve = recycling_curve(0.5, theta, N_MAX_CAP)
+        got = np.array([v for _, v in curve.points])
+        assert np.all(np.isfinite(got))
+        # the two-state chain, with its transition matrix read off complementary_step
+        columns = [complementary_step(0.5, theta, ProgramDistribution(0.5, e)).probs
+                   for e in np.eye(2)]
+        step, probs = np.column_stack(columns), fresh_program(0.5).probs
+        per_m = np.array([per_m_fidelity(0.5, theta, m) for m in (0.5, -0.5)])
+        stepped = np.empty(N_MAX_CAP)
+        for n in range(N_MAX_CAP):
+            stepped[n] = per_m @ probs
+            probs = step @ probs
+        assert np.abs(got - stepped).max() < 1e-12
+
+
+def test_negative_asymptotic_kernel_is_refused():
+    # small j and theta: the expansion turns negative and the chain would
+    # leave the probabilities, at any horizon
+    assert kernel_factor(0.5, 0.3, "asymptotic") < 0.0
+    with pytest.raises(ValueError):
+        complementary_step(0.5, 0.3, fresh_program(0.5), kernel="asymptotic")
+    for n_max in (1, 5):
+        with pytest.raises(ValueError, match="negative asymptotic kernel"):
+            recycling_curve(0.5, 0.3, n_max, kernel="asymptotic")
+        with pytest.raises(ValueError, match="negative asymptotic kernel"):
+            advantage_longevity(0.5, 0.3, n_max=n_max, kernel="asymptotic")
 
 
 def test_degraded_fidelity_tracks_linear_growth_model():
