@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_operators, rotation_unitary
 
@@ -24,6 +23,19 @@ EIG_FLOOR = -1e-10
 WORST_CASE_BUDGET = 2**25
 # I, sigma_x, sigma_y, sigma_z
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+# scipy.optimize costs ~0.6 s to import, so it loads on the first call that
+# needs it; these stay module names because tests and perfbench/tracing.py
+# patch them, and the call sites read them as globals
+def brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

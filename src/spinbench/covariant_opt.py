@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-from scipy.optimize import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
-
+from .channel_lab import brentq
+from .channel_lab import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
 from .spin_algebra import HalfInteger, ToleranceError, as_half_integer
 
 PSD_TOL = 1e-9

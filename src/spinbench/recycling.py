@@ -96,11 +96,13 @@ def complementary_step(j, theta, dist: ProgramDistribution,
     denom = (1.0 + 2.0 * jv) ** 2
     down = (jv + m) * (1.0 + jv - m) / denom * g   # m -> m-1
     up = (jv - m) * (1.0 + jv + m) / denom * g     # m -> m+1
-    stay = 1.0 - down - up
     p = dist.probs
-    out = stay * p
-    out[1:] += down[:-1] * p[:-1]   # arrivals from m+1 (index i-1)
-    out[:-1] += up[1:] * p[1:]      # arrivals from m-1 (index i+1)
+    # each flow is taken from one entry and added to another, so rounding
+    # does not drift the total
+    fall, rise = down * p, up * p
+    out = p - fall - rise
+    out[1:] += fall[:-1]    # arrivals from m+1 (index i-1)
+    out[:-1] += rise[1:]    # arrivals from m-1 (index i+1)
     return ProgramDistribution(j, out)
 
 
