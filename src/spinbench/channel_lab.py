@@ -245,19 +245,24 @@ def _fidelity_batch(mats, states):
 def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = 16):
     """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs.
 
-    Exact for a qubit target.  For d >= 3 the value is an upper bound on the
+    Exact for a qubit target, and for a spin-1 target (d = 3) when each
+    V^dag K_a has its nonzero entries on one diagonal, as those of a program
+    along the rotation axis do.  Otherwise the value is an upper bound on the
     minimum: the best point of a grid over the state chart, refined by
-    Nelder-Mead from the three best grid cells; `grid` (>= 8) applies there only.
-    When each V^dag K_a has its nonzero entries on one diagonal, as those of a
-    program along the rotation axis do, psi_n -> e^{i n phi} psi_n leaves the
-    fidelity unchanged, and the grid holds the phase of psi_1 at 0.
+    Nelder-Mead from the three best grid cells; `grid` (>= 8) applies there
+    only.  On a one-diagonal family psi_n -> e^{i n phi} psi_n leaves the
+    fidelity unchanged, so that grid holds the phase of psi_1 at 0.
 
     Returns (value, argmin_state), with value the fidelity of that state.
     """
     d = ch.target_dim
     v = _check_unitary(target_gate, d)
     mats = v.conj().T @ ch.kraus_operators()  # broadcast over the Kraus index
-    return _qubit_minimum(mats) if d == 2 else _chart_search(mats, grid)
+    if d == 2:
+        return _qubit_minimum(mats)
+    if d == 3 and _on_one_diagonal(mats):
+        return _spin_one_minimum(mats)
+    return _chart_search(mats, grid)
 
 
 def _chart_axes(d, count, one_diagonal, grid=16):
@@ -349,4 +354,91 @@ def _qubit_minimum(mats):
     if abs(v @ gram @ v - value) > 1e-12:
         raise ToleranceError("Bloch quadratic %r differs from F = %r on its state"
                              % (v @ gram @ v, value))
+    return value, state
+
+
+# cos^2(psi/2), sin^2(psi/2) and sin(psi) as coefficients of z^-1, z^0, z^1, z = e^{i psi}
+_COS2 = np.array([0.25, 0.5, 0.25])
+_SIN2 = np.array([-0.25, 0.5, -0.25])
+_SIN = np.array([0.5j, 0.0, -0.5j])
+
+
+def _derivative(c):
+    """d/dpsi of sum_k c_k e^{i k psi}, k = -n .. n."""
+    n = len(c) // 2
+    return 1j * np.arange(-n, n + 1) * c
+
+
+def _angles(c):
+    """Angles in [0, pi] of the roots of sum_k c_k z^k, clipped from the
+    roots' arguments whatever their moduli."""
+    return np.clip(np.angle(np.roots(c[::-1])), 0.0, np.pi)
+
+
+def _value_at(c, psi):
+    """sum_k c_k e^{i k psi} at each angle, a real trigonometric polynomial."""
+    n = len(c) // 2
+    return (np.exp(1j * np.outer(psi, np.arange(-n, n + 1))) @ c).real
+
+
+def _spin_one_minimum(mats):
+    """Exact minimum over pure spin-1 states of F = sum_a |<psi|M_a|psi>|^2
+    when each M_a has its nonzero entries on one diagonal.
+
+    With psi_n = r_n e^{i phi_n} and w = (r_0^2, r_1^2, r_2^2),
+    F = w.H.w + r_1^2 (P r_0^2 + Q r_2^2 + 2 r_0 r_2 Re(T e^{i delta})),
+    delta = phi_2 - 2 phi_1 + phi_0: the diagonal operators and those of
+    offset +-2 make the real matrix H, those of offset +-1 make P, Q and T.
+    delta = pi - arg T gives the last term -2|T| r_0 r_2.  With
+    r_0 = sqrt(s) cos(psi/2), r_2 = sqrt(s) sin(psi/2), r_1 = sqrt(1 - s),
+    s in [0, 1] and psi in [0, pi], F = alpha s^2 + beta s (1 - s) + gamma (1 - s)^2
+    with trigonometric polynomials alpha (degree 2), beta (degree 1) and the
+    constant gamma = H_11.  The minimum is at s = 0; at s = 1 where alpha' = 0
+    or psi is 0 or pi; or, where A = alpha - beta + gamma > 0, at
+    s = (2 gamma - beta) / 2A and a psi in {0, pi} or one where the minimum
+    over s, (4 alpha gamma - beta^2) / 4A, is stationary: a root of a
+    trigonometric polynomial of degree 4, found with np.roots in z = e^{i psi}.
+
+    Returns (value, state) with value = F(state).
+    """
+    # one diagonal per operator: its entries off that diagonal are zero, so
+    # summing every offset's terms over all operators groups them by offset
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    h = (diag.T @ diag.conj()).real
+    corner = np.sum(np.abs(mats[:, 0, 2]) ** 2 + np.abs(mats[:, 2, 0]) ** 2) / 2
+    h[0, 2] += corner
+    h[2, 0] += corner
+    up, down = mats[:, [0, 1], [1, 2]], mats[:, [1, 2], [0, 1]]
+    p, q = np.sum(np.abs(up) ** 2 + np.abs(down) ** 2, axis=0)
+    t = np.sum(up[:, 0].conj() * up[:, 1] + down[:, 0] * down[:, 1].conj())
+
+    alpha = (h[0, 0] * np.convolve(_COS2, _COS2) + 2 * h[0, 2] * np.convolve(_COS2, _SIN2)
+             + h[2, 2] * np.convolve(_SIN2, _SIN2))
+    beta = (2 * h[0, 1] + p) * _COS2 + (2 * h[2, 1] + q) * _SIN2 - abs(t) * _SIN
+    gamma = h[1, 1]
+    curvature = alpha - np.pad(beta, 1) + np.pad([gamma], 2)
+    d_alpha, d_beta = _derivative(alpha), _derivative(beta)
+    stationary = (np.convolve(4 * gamma * d_alpha - 2 * np.convolve(beta, d_beta), curvature)
+                  - np.convolve(4 * gamma * alpha - np.convolve(beta, beta),
+                                d_alpha - np.pad(d_beta, 1)))
+
+    ends = np.array([0.0, np.pi])
+    psi_edge = np.r_[ends, _angles(d_alpha)]
+    psi_in = np.r_[ends, _angles(stationary)]
+    a_in = _value_at(curvature, psi_in)
+    psi_in, a_in = psi_in[a_in > 0], a_in[a_in > 0]
+    s_in = np.clip((2 * gamma - _value_at(beta, psi_in)) / (2 * a_in), 0.0, 1.0)
+    s = np.r_[0.0, np.ones(len(psi_edge)), s_in]
+    psi = np.r_[0.0, psi_edge, psi_in]
+
+    r = np.stack([np.sqrt(s) * np.cos(psi / 2), np.sqrt(1 - s), np.sqrt(s) * np.sin(psi / 2)], axis=1)
+    w = r**2
+    quartic = (np.einsum("ni,ij,nj->n", w, h, w)
+               + w[:, 1] * (p * w[:, 0] + q * w[:, 2] - 2 * abs(t) * r[:, 0] * r[:, 2]))
+    best = np.argmin(quartic)
+    state = r[best] * np.array([1.0, 1.0, np.exp(1j * (np.pi - np.angle(t)))])
+    value = float(_fidelity_batch(mats, state[None, :])[0])
+    if abs(quartic[best] - value) > 1e-12:
+        raise ToleranceError("spin-1 quartic %r differs from F = %r on its state"
+                             % (quartic[best], value))
     return value, state

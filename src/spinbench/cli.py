@@ -263,7 +263,8 @@ def spin_k_rows(two_j, two_k, theta):
                        abs(sim.average - asym_avg),
                        "entanglement=%s" % format_float(sim.entanglement)),
         FidelityReport(two_j, two_k, theta, "worst_case", sim.worst_case,
-                       abs(sim.worst_case - asym_w), "", step=0),
+                       abs(sim.worst_case - asym_w), "chart_upper_bound" if two_k >= 3 else "",
+                       step=0),
         FidelityReport(two_j, two_k, theta, "mo_sim", mo_val, abs(mo_val - asym_mo),
                        "gauss_jacobi_nodes=%d" % (two_k + 1)),
         FidelityReport(two_j, two_k, theta, "opt_asymptotic", asym_avg),

@@ -156,6 +156,9 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     program |j,j> reaches, in O(k^3) work at any j.  The gate commutes with
     every collective rotation R (x) R, so a program along any axis n gives the
     same fidelities for the rotation about n; they are computed along z.
+    There each V^dag K_a lies on one diagonal, so the worst case is exact for
+    2k <= 2; for 2k >= 3 it is a chart search's upper bound, and a chart over
+    the budget is refused before the channel is built.
     """
     j = as_half_integer(j)
     k = as_half_integer(k)
@@ -166,7 +169,7 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     if f is None:
         f = theta
     ops = make_spin_operators(k)  # refuses 2k+1 > DIM_CAP
-    if k.doubled > 1:  # the worst case searches a chart; refuse one over budget before any work
+    if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
         _chart_axes(k.doubled + 1, min(k.doubled, j.doubled) + 1, True)
     v = rotation_unitary(ops, Z_AXIS, theta)
     ch = KrausChannel(_strategy_kraus(j, k, f))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from spinbench.channel_lab import (
     worst_case_fidelity,
 )
 from spinbench.closed_forms import coupling_angle, optimal_fidelity
-from spinbench.protocols import heisenberg_gate
+from spinbench.protocols import _strategy_kraus, heisenberg_gate
 from spinbench.spin_algebra import (
     Direction,
     HalfInteger,
@@ -225,6 +226,137 @@ def test_qubit_minimum_checks_its_value(monkeypatch):
                         lambda mats, states: batch(mats, states) + 1e-9)
     with pytest.raises(ToleranceError):
         channel_lab._qubit_minimum(_programmed_mats(6, 2.0, X_AXIS))
+
+
+def _spin_one_mats(two_j, theta, f):
+    # V^dag K_a of the exchange strategy on a spin-1 target in the program's frame
+    k = HalfInteger(2)
+    v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
+    return v.conj().T @ _strategy_kraus(HalfInteger(two_j), k, f)
+
+
+def _random_one_diagonal(rng):
+    # a diagonal operator and one to four on random diagonals; sum_a K_a^dag K_a
+    # is then diagonal, so scaling the columns completes the family
+    ops = [np.diag(rng.standard_normal(3) + 1j * rng.standard_normal(3))]
+    for offset in rng.integers(-2, 3, size=rng.integers(1, 5)):
+        size = 3 - abs(offset)
+        ops.append(np.diag(rng.standard_normal(size) + 1j * rng.standard_normal(size), k=offset))
+    k = np.array(ops)
+    return KrausChannel(k / np.sqrt(np.einsum("aji,aji->i", k.conj(), k).real))
+
+
+def _haar_states(rng, count, dim):
+    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def test_spin_one_minimum_never_above_chart_search():
+    cases = [(two_j, theta, f) for two_j in (1, 2, 3, 7, 40, 300, 999)
+             for theta, f in ((0.7, 0.7), (2.0, 2.0), (math.pi, math.pi), (2.0, 0.4))]
+    for two_j, theta, f in cases:
+        mats = _spin_one_mats(two_j, theta, f)
+        value, state = channel_lab._spin_one_minimum(mats)
+        _assert_real_state(mats, value, state)
+        assert value <= channel_lab._chart_search(mats, 16)[0] + 1e-12
+
+
+def test_spin_one_minimum_below_every_sampled_state():
+    rng = np.random.default_rng(13)
+    families = [_random_one_diagonal(rng) for _ in range(59)]
+    gaps = []
+    # the chart search misses the last family's minimum by 1.1e-3; such a
+    # miss is rare, about one family in 40
+    for ch in families[:11] + families[-1:]:
+        mats = ch.kraus_operators()
+        value, state = worst_case_fidelity(ch, np.eye(3))
+        _assert_real_state(mats, value, state)
+        assert value <= channel_lab._fidelity_batch(mats, _haar_states(rng, 10**5, 3)).min() + 1e-12
+        gaps.append(channel_lab._chart_search(mats, 16)[0] - value)
+    assert min(gaps) >= -1e-12
+    assert max(gaps) > 1e-6
+
+
+def test_spin_one_minimum_degenerate_families():
+    e = np.eye(3)
+    omega = np.exp(2j * math.pi / 3)
+    cases = [
+        # identity channel: T = 0 and F = 1 everywhere
+        ([e], 1.0),
+        # diagonal only: F = |w.m|^2 vanishes inside the simplex at w = 1/3
+        ([np.diag([1.0, omega, omega**2])], 0.0),
+        # diagonal only, F = (w_0 - w_1)^2 + w_2^2
+        ([np.diag([1.0, -1.0, 1j])], 0.0),
+        # offset +-2 only, F = 2 w_0 w_2
+        ([np.outer(e[0], e[2]), np.outer(e[2], e[0])], 0.0),
+        # offset +-2 with a diagonal, F = 2 w_0 w_2 + 1
+        ([np.outer(e[0], e[2]), np.outer(e[2], e[0]), e], 1.0),
+        # offset +1 only: P > 0 and T = 0, F = w_0 w_1
+        ([np.outer(e[0], e[1])], 0.0),
+    ]
+    for mats, want in cases:
+        mats = np.array(mats, dtype=complex)
+        assert channel_lab._on_one_diagonal(mats)
+        value, state = channel_lab._spin_one_minimum(mats)
+        _assert_real_state(mats, value, state)
+        assert abs(value - want) < 1e-12
+    value, state = worst_case_fidelity(KrausChannel(np.eye(3)[None]), np.eye(3))
+    assert value == 1.0 and abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+
+def test_spin_one_worst_case_needs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the spin-1 worst case must not search")
+
+    monkeypatch.setattr(channel_lab, "minimize", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    j, k = HalfInteger(4), HalfInteger(2)
+    ch = ProgramChannel(heisenberg_gate(j, k, 2.0), spin_coherent_state(j, Z_AXIS), j, k)
+    v = rotation_unitary(make_spin_operators(k), Z_AXIS, 2.0)
+    value, state = worst_case_fidelity(ch, v, grid=4)  # the grid is the chart search's only
+    _assert_real_state(v.conj().T @ ch.kraus_operators(), value, state)
+
+
+def test_spin_one_minimum_checks_its_value(monkeypatch):
+    batch = channel_lab._fidelity_batch
+    monkeypatch.setattr(channel_lab, "_fidelity_batch",
+                        lambda mats, states: batch(mats, states) + 1e-9)
+    with pytest.raises(ToleranceError):
+        channel_lab._spin_one_minimum(_spin_one_mats(6, 2.0, 2.0))
+
+
+def _symmetric_isometry(n):
+    # columns: the normalized symmetric states of n spin-1 copies, one per
+    # occupation (n_0, n_1, n_2)
+    words = np.array(list(itertools.product(range(3), repeat=n)))
+    counts = np.stack([np.sum(words == i, axis=1) for i in range(3)], axis=1)
+    column = np.unique(counts, axis=0, return_inverse=True)[1].ravel()
+    iso = np.zeros((3**n, column.max() + 1))
+    iso[np.arange(3**n), column] = 1.0
+    return iso / np.sqrt(iso.sum(axis=0))
+
+
+def _doherty_wehner_bound(mats, n):
+    # F(psi) = <psi psi|X|psi psi> with X = sum_a M_a (x) M_a^dag, so F is at
+    # least the lowest eigenvalue of the Hermitian part of X (x) I on the
+    # symmetric subspace of n copies, which holds psi^(x)n; the bound rises
+    # with n (Doherty & Wehner 2012, arXiv:1210.5048)
+    x = sum(np.kron(m, m.conj().T) for m in mats)
+    herm = (x + x.conj().T) / 2
+    iso = _symmetric_isometry(n)
+    lifted = (herm @ iso.reshape(9, -1)).reshape(iso.shape)
+    return np.linalg.eigvalsh(iso.T @ lifted).min()
+
+
+def test_spin_one_minimum_above_the_doherty_wehner_bound():
+    rng = np.random.default_rng(17)
+    families = [_spin_one_mats(41, math.pi, math.pi)]
+    families += [_random_one_diagonal(rng).kraus_operators() for _ in range(3)]
+    for mats in families:
+        exact = channel_lab._spin_one_minimum(mats)[0]
+        bounds = [_doherty_wehner_bound(mats, n) for n in range(2, 7)]
+        assert max(bounds) <= exact + 1e-12
+        assert np.all(np.diff(bounds) >= -1e-12)
 
 
 def _chart_state_loop(x, dim):

@@ -340,6 +340,13 @@ def test_spin_k_command_matches_qubit_path(capsys):
     assert "asymptotic" in worst[1].mode_notes
 
 
+def test_spin_k_labels_the_chart_bound(capsys):
+    # the worst case is exact for 2k <= 2 and a chart search's upper bound above
+    for two_k, note in (("1", ""), ("2", ""), ("3", "chart_upper_bound")):
+        rows = _run_csv(capsys, ["spin-k", "--two-j", "3", "--two-k", two_k, "--theta", "2.0"])
+        assert [r.mode_notes for r in rows if r.method == "worst_case"] == [note, "asymptotic"]
+
+
 def test_spin_k_refuses_oversized_worst_case_search(capsys, monkeypatch):
     # a spin-2 target's chart has 8^4 * 16^3 points even with the redundant phase
     # fixed: refused before allocating, also at 2j = 1, whose 2 Kraus operators

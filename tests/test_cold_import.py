@@ -49,6 +49,7 @@ def test_numpy_only_calls_leave_scipy_unloaded(tmp_path):
          "opt_exact,opt_asymptotic,mo_exact,mo_asymptotic,heisenberg_sim,mo_sim,worst_case"],
         ["longevity", "--two-j", "41", "--theta", "pi", "--n-max", "50"],
         ["spin-k", "--two-j", "3", "--two-k", "1", "--theta", "2.0"],
+        ["spin-k", "--two-j", "3", "--two-k", "2", "--theta", "2.0"],
         ["certify", "--input", str(data)],
     ]
     report = _scipy_after_each(steps)
@@ -57,7 +58,8 @@ def test_numpy_only_calls_leave_scipy_unloaded(tmp_path):
 
 
 def test_calls_that_need_scipy_load_it():
-    report = _scipy_after_each([["spin-k", "--two-j", "3", "--two-k", "2", "--theta", "2.0"],
+    # a spin-3/2 target's worst case is a chart search refined by Nelder-Mead
+    report = _scipy_after_each([["spin-k", "--two-j", "3", "--two-k", "3", "--theta", "2.0"],
                                 "locate_transition"])
     (_, _, at_import), (_, code, after_chart), (_, transition, after_locate) = report
     assert (at_import, code, after_chart, after_locate) == (False, 0, True, True)

@@ -214,12 +214,21 @@ def test_strategy_chart_search_drops_the_redundant_phase(monkeypatch):
         return batch(mats, states)
 
     monkeypatch.setattr(channel_lab, "_fidelity_batch", counted)
+
+    # a spin-1 target is solved exactly: no grid, no Nelder-Mead, and only
+    # the returned state is evaluated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spin-1 strategy's worst case searched")
+
+    with monkeypatch.context() as m:
+        m.setattr(channel_lab, "minimize", refuse)
+        simulate_spin_k(HalfInteger(7), HalfInteger(2), 2.0)
+    assert sizes and max(sizes) == 1
     # the first batch is the grid: 8 magnitudes and 16 phases a coordinate,
     # with the phase of psi_1 held at 0 on the strategy's covariant families
-    for two_k, points in ((2, 8**2 * 16), (3, 8**3 * 16**2)):
-        sizes.clear()
-        simulate_spin_k(HalfInteger(7), HalfInteger(two_k), 2.0)
-        assert sizes[0] == points
+    sizes.clear()
+    simulate_spin_k(HalfInteger(7), HalfInteger(3), 2.0)
+    assert sizes[0] == 8**3 * 16**2
     z = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     sizes.clear()
     worst_case_fidelity(KrausChannel(np.linalg.qr(z)[0].reshape(2, 3, 3)), np.eye(3))
