@@ -8,14 +8,11 @@ certifies experimental data against the classical benchmark.
 """
 
 from .channel_lab import (
-    DensityMatrix,
     KrausChannel,
     ProgramChannel,
-    apply_program_channel,
     average_fidelity_from_entanglement,
     average_fidelity_mc,
     entanglement_fidelity,
-    pure_density,
     worst_case_fidelity,
 )
 from .closed_forms import (

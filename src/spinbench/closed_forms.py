@@ -126,11 +126,8 @@ def worst_case_asymptotic(j, theta: float) -> FidelityValue:
 
 
 def _c_of_k(k) -> float:
-    """Parity constant in the spin-k worst case: 0 for even integer k, else 1/4."""
-    k = as_half_integer(k)
-    if k.is_integer and (k.doubled // 2) % 2 == 0:
-        return 0.0
-    return 0.25
+    """Constant in the spin-k worst case: 0 for integer k, 1/4 for half-integer k."""
+    return 0.0 if as_half_integer(k).is_integer else 0.25
 
 
 def spin_k_fidelity_asymptotic(j, k, theta: float) -> FidelityValue:
@@ -152,6 +149,13 @@ def spin_k_entanglement_asymptotic(j, k, theta: float) -> FidelityValue:
 
 
 def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
+    """Large-j worst-case fidelity of the Heisenberg strategy on a spin-k target.
+
+    To first order in 1/j the target state |k, m> loses
+    (1 - cos theta)(k - m)(k + m + 1)/j, its squared ladder element over j.
+    The maximum over m is k(k+1) at m = 0 or -1 for integer k, and
+    k(k+1) + 1/4 at m = -1/2 for half-integer k.
+    """
     jv = as_half_integer(j).value
     kv = as_half_integer(k).value
     coeff = kv * (kv + 1.0) + _c_of_k(k)

@@ -128,11 +128,6 @@ class Direction:
             raise ValueError("cannot normalize (%g, %g, %g) to unit length" % (nx, ny, nz))
         return cls(nx / r, ny / r, nz / r)
 
-    @classmethod
-    def from_polar(cls, polar, azimuth):
-        s = np.sin(polar)
-        return cls.normalized(s * np.cos(azimuth), s * np.sin(azimuth), np.cos(polar))
-
     def as_array(self):
         return np.array([self.nx, self.ny, self.nz])
 

@@ -12,11 +12,9 @@ import numpy as np
 
 from spinbench.channel_lab import (
     ProgramChannel,
-    apply_program_channel,
     average_fidelity_mc,
     entanglement_fidelity,
     haar_state,
-    pure_density,
 )
 from spinbench.closed_forms import (
     coupling_angle,
@@ -136,9 +134,9 @@ def test_criterion_7_spin_k_slopes():
     mo_slope = (1.0 - mo) * 3.0 * j / drop
     ok = abs(avg_slope - 3.0) < 0.3
     ok &= abs(mo_slope - 6.0) < 0.6
-    ok &= abs(worst_slope - 2.25) < 0.34
+    ok &= abs(worst_slope - 2.0) < 0.2
     _check(7, "spin-1 target slopes at j=150: avg %.3f/3, MO %.3f/6, worst "
-              "%.3f/2.25" % (avg_slope, mo_slope, worst_slope), ok, t0)
+              "%.3f/2" % (avg_slope, mo_slope, worst_slope), ok, t0)
 
 
 def test_criterion_8_property_suites(tmp_path):
@@ -168,9 +166,10 @@ def test_criterion_8_property_suites(tmp_path):
     ch = ProgramChannel(u, spin_coherent_state(j3, Direction.normalized(0, 0, 1)), j3, HalfInteger(1))
     k = ch.kraus_operators()
     checks.append(np.abs(np.einsum("aji,ajl->il", k.conj(), k) - np.eye(2)).max() < 1e-12)
-    out = apply_program_channel(ch, pure_density(haar_state(rng, 2)))
-    checks.append(abs(np.trace(out.matrix).real - 1.0) < 1e-12)
-    checks.append(np.linalg.eigvalsh(out.matrix).min() > -1e-12)
+    psi = haar_state(rng, 2)
+    out = np.einsum("aij,j,akl,l->ik", k, psi, k.conj(), psi.conj())  # sum_a K_a psi psi^dag K_a^dag
+    checks.append(abs(np.trace(out).real - 1.0) < 1e-12)
+    checks.append(np.linalg.eigvalsh(out).min() > -1e-12)
 
     # covariance: with the program and the target rotation along any axis n,
     # the dense channel has the entanglement fidelity of the z-frame strategy

@@ -6,14 +6,13 @@ import pytest
 
 from spinbench import channel_lab, covariant_opt
 from spinbench.channel_lab import (
-    DensityMatrix,
     KrausChannel,
     ProgramChannel,
-    apply_program_channel,
     average_fidelity_from_entanglement,
     average_fidelity_mc,
     entanglement_fidelity,
-    pure_density,
+    haar_direction,
+    haar_state,
     worst_case_fidelity,
 )
 from spinbench.closed_forms import coupling_angle, optimal_fidelity
@@ -35,15 +34,29 @@ def _qubit_channel(j=HalfInteger(3), theta=2.0):
     return ProgramChannel(u, spin_coherent_state(j, Z_AXIS), j, HalfInteger(1))
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.0, 0.5], [0.2, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    rho = pure_density(np.array([1.0, 1.0]) / math.sqrt(2))
-    assert rho.dim == 2
+def _kraus_sum(ch, psi):
+    """The channel's output sum_a K_a psi psi^dag K_a^dag on a pure input."""
+    k = ch.kraus_operators()
+    return np.einsum("aij,j,akl,l->ik", k, psi, k.conj(), psi.conj())
+
+
+def test_channel_boundary_rejects_nan():
+    j, half = HalfInteger(2), HalfInteger(1)
+    u = np.eye(6, dtype=complex)
+    u[2, 3] = math.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        ProgramChannel(u, np.array([1.0, 0, 0]), j, half)
+    with pytest.raises(ValueError, match="not normalized"):
+        ProgramChannel(np.eye(6), np.array([1.0, math.nan, 0]), j, half)
+    for k in (HalfInteger(1), HalfInteger(2)):
+        d = k.doubled + 1
+        ch = ProgramChannel(np.eye(3 * d), np.array([1.0, 0, 0]), HalfInteger(2), k)
+        gate = np.eye(d, dtype=complex)
+        gate[0, 1] = math.nan
+        with pytest.raises(ValueError, match="unitary"):
+            worst_case_fidelity(ch, gate)
+        with pytest.raises(ValueError, match="unitary"):
+            entanglement_fidelity(ch, gate)
 
 
 def test_program_channel_rejects_bad_shapes():
@@ -82,9 +95,9 @@ def test_apply_preserves_trace_and_positivity():
     ch = _qubit_channel()
     rng = np.random.default_rng(3)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    out = apply_program_channel(ch, pure_density(z / np.linalg.norm(z)))
-    assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(out.matrix).min() > -1e-12
+    out = _kraus_sum(ch, z / np.linalg.norm(z))
+    assert abs(np.trace(out).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(out).min() > -1e-12
 
 
 def test_identity_channel_fidelities():
@@ -381,9 +394,9 @@ def test_chart_states_match_point_by_point_loop(dim):
 
 def test_monte_carlo_matches_closed_form():
     j, theta = HalfInteger(3), 2.0
+    u = heisenberg_gate(j, 0.5, coupling_angle(j.value, theta))
 
     def builder(n):
-        u = heisenberg_gate(j, 0.5, coupling_angle(j.value, theta))
         return ProgramChannel(u, spin_coherent_state(j, n), j, HalfInteger(1))
 
     mean, stderr = average_fidelity_mc(builder, theta, 20000, seed=7)
@@ -400,8 +413,8 @@ def test_swap_replaces_target_with_program():
     rng = np.random.default_rng(9)
     for _ in range(5):
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        out = apply_program_channel(ch, pure_density(z / np.linalg.norm(z)))
-        assert np.abs(out.matrix - np.diag([1.0, 0.0])).max() < 1e-14
+        out = _kraus_sum(ch, z / np.linalg.norm(z))
+        assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-14
 
 
 def test_depolarizing_channel_entanglement_fidelity():
@@ -413,18 +426,39 @@ def test_depolarizing_channel_entanglement_fidelity():
     for a, sigma in enumerate(paulis):
         u[2 * a:2 * a + 2, 2 * a:2 * a + 2] = sigma
     ch = ProgramChannel(u, np.full(4, 0.5), HalfInteger(3), HalfInteger(1))
-    out = apply_program_channel(ch, pure_density(np.array([1.0, 0.0])))
-    assert np.abs(out.matrix - np.eye(2) / 2.0).max() < 1e-14
+    out = _kraus_sum(ch, np.array([1.0, 0.0]))
+    assert np.abs(out - np.eye(2) / 2.0).max() < 1e-14
     for gate in (np.eye(2), rotation_unitary(make_spin_operators(0.5), Z_AXIS, 1.2)):
         assert abs(entanglement_fidelity(ch, gate) - 0.25) < 1e-13
     assert abs(average_fidelity_from_entanglement(0.25, 2) - 0.5) < 1e-15
 
 
+def test_monte_carlo_sample_is_the_worst_case_objective():
+    # a sample's <V psi| sum_a K_a psi psi^dag K_a^dag |V psi> is F(psi) of
+    # the worst-case objective with M_a = V^dag K_a
+    rng = np.random.default_rng(5)
+    j = HalfInteger(3)
+    for two_k in (1, 2, 3):
+        k = HalfInteger(two_k)
+        d = two_k + 1
+        for _ in range(20):
+            n = Direction.normalized(*haar_direction(rng))
+            z = rng.standard_normal((4 * d, 4 * d)) + 1j * rng.standard_normal((4 * d, 4 * d))
+            for u in (heisenberg_gate(j, k, rng.uniform(0, 2 * math.pi)), np.linalg.qr(z)[0]):
+                ch = ProgramChannel(u, spin_coherent_state(j, n), j, k)
+                v = rotation_unitary(make_spin_operators(k), n, rng.uniform(0, 2 * math.pi))
+                psi = haar_state(rng, d)
+                ideal = v @ psi
+                oracle = (ideal.conj() @ _kraus_sum(ch, psi) @ ideal).real
+                got = channel_lab._fidelity_batch(v.conj().T @ ch.kraus_operators(), psi[None, :])[0]
+                assert abs(got - oracle) < 1e-14
+
+
 def test_monte_carlo_is_seed_deterministic():
     j, theta = HalfInteger(2), 1.3
+    u = heisenberg_gate(j, 0.5, coupling_angle(j.value, theta))
 
     def builder(n):
-        u = heisenberg_gate(j, 0.5, coupling_angle(j.value, theta))
         return ProgramChannel(u, spin_coherent_state(j, n), j, HalfInteger(1))
 
     a = average_fidelity_mc(builder, theta, 500, seed=42)

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spinbench.channel_lab import KrausChannel, average_fidelity_from_entanglement, entanglement_fidelity
 from spinbench.closed_forms import (
     FidelityValue,
     coupling_angle,
@@ -18,7 +20,8 @@ from spinbench.closed_forms import (
     spin_k_worst_case_asymptotic,
     worst_case_asymptotic,
 )
-from spinbench.spin_algebra import ToleranceError
+from spinbench.protocols import _strategy_kraus, simulate_spin_k, simulate_spin_k_mo
+from spinbench.spin_algebra import Z_AXIS, HalfInteger, ToleranceError, make_spin_operators, rotation_unitary
 
 PI = math.pi
 
@@ -179,13 +182,39 @@ def test_spin_k_coefficients():
     j, theta = 100.0, PI
     drop = 2.0  # 1 - cos(pi)
     # k = 1: average 1 - 3*drop/(3j), entanglement 1 - 4*drop/(3j),
-    # worst case 1 - 2.25*drop/j, MO 1 - 6*drop/(3j)
+    # worst case 1 - 2*drop/j, MO 1 - 6*drop/(3j)
     assert abs(spin_k_fidelity_asymptotic(j, 1.0, theta).value - (1.0 - 3.0 * drop / (3 * j))) < 1e-15
     assert abs(spin_k_entanglement_asymptotic(j, 1.0, theta).value - (1.0 - 4.0 * drop / (3 * j))) < 1e-15
-    assert abs(spin_k_worst_case_asymptotic(j, 1.0, theta).value - 0.955) < 1e-15
+    assert abs(spin_k_worst_case_asymptotic(j, 1.0, theta).value - 0.96) < 1e-15
     assert abs(spin_k_mo_asymptotic(j, 1.0, theta).value - (1.0 - 6.0 * drop / (3 * j))) < 1e-15
-    # parity constant: even integer k -> 0, otherwise 1/4
+    # constant: integer k -> 0, half-integer k -> 1/4
     even = spin_k_worst_case_asymptotic(j, 2.0, theta).value
     assert abs(even - (1.0 - 6.0 * drop / j)) < 1e-15
+    odd = spin_k_worst_case_asymptotic(j, 3.0, theta).value
+    assert abs(odd - (1.0 - 12.0 * drop / j)) < 1e-15
     half = spin_k_worst_case_asymptotic(j, 1.5, theta).value
     assert abs(half - (1.0 - 4.0 * drop / j)) < 1e-15
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.0])
+@pytest.mark.parametrize("two_k", range(1, 11))
+def test_spin_k_slopes_match_the_exact_strategy(two_k, theta):
+    # slope = infidelity * j / (1 - cos theta), from the exact strategy at f = theta
+    two_j = 2 * 10**6
+    j, k = HalfInteger(two_j), HalfInteger(two_k)
+    scale = j.value / (1.0 - math.cos(theta))
+
+    def slope(value):
+        return (1.0 - value) * scale
+
+    v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
+    fe = entanglement_fidelity(KrausChannel(_strategy_kraus(j, k, theta)), v)
+    favg = average_fidelity_from_entanglement(fe, two_k + 1)
+    pairs = [(slope(fe), slope(spin_k_entanglement_asymptotic(j, k, theta).value)),
+             (slope(favg), slope(spin_k_fidelity_asymptotic(j, k, theta).value)),
+             (slope(simulate_spin_k_mo(j, k, theta)), slope(spin_k_mo_asymptotic(j, k, theta).value))]
+    if two_k <= 2:  # where the worst case has an exact route
+        pairs.append((slope(simulate_spin_k(j, k, theta).worst_case),
+                      slope(spin_k_worst_case_asymptotic(j, k, theta).value)))
+    for exact, asymptotic in pairs:
+        assert abs(exact - asymptotic) <= 1e-3 * asymptotic
