@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_operators, rotation_unitary
+from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_operators
 
 # largest chart points x max(Kraus operators, d) the worst-case grid search
 # admits; a point needs d complex amplitudes for its state and one complex
 # overlap per Kraus operator; larger searches are refused
 WORST_CASE_BUDGET = 2**25
+# largest samples x Kraus operators x d^2 complex entries the Monte-Carlo stack
+# admits (128 MiB, and V^dag K takes as much again); larger runs are refused
+MC_BUDGET = 2**23
 # I, sigma_x, sigma_y, sigma_z
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
@@ -131,18 +134,20 @@ def average_fidelity_from_entanglement(fe: float, d: int) -> float:
     return (d * fe + 1.0) / (d + 1.0)
 
 
-def haar_direction(rng) -> np.ndarray:
-    """Uniform point on the sphere: uniform cos(polar), uniform azimuth."""
-    u = rng.uniform(-1.0, 1.0)
-    az = rng.uniform(0.0, 2.0 * np.pi)
+def haar_direction(rng, size=()) -> np.ndarray:
+    """Uniform points on the sphere, shape size + (3,): for each point a
+    uniform cos(polar), then a uniform azimuth, from the stream."""
+    u, az = np.moveaxis(rng.uniform((-1.0, 0.0), (1.0, 2.0 * np.pi), size + (2,)), -1, 0)
     s = np.sqrt(1.0 - u * u)
-    return np.array([s * np.cos(az), s * np.sin(az), u])
+    return np.stack([s * np.cos(az), s * np.sin(az), u], axis=-1)
 
 
-def haar_state(rng, dim) -> np.ndarray:
-    """Haar-uniform pure state: normalized vector of complex Gaussians."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+def haar_state(rng, dim, size=()) -> np.ndarray:
+    """Haar-uniform pure states, shape size + (dim,): normalized vectors of
+    complex Gaussians, for each state dim real parts, then dim imaginary parts."""
+    z = rng.standard_normal(size + (2, dim))
+    z = z[..., 0, :] + 1j * z[..., 1, :]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def average_fidelity_mc(ch_builder, theta, samples, seed):
@@ -151,22 +156,49 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     ch_builder maps a Direction to a ProgramChannel; the ideal gate V for axis
     n is the target-spin rotation by theta about n.  A sample is the
     worst-case objective at a Haar state psi: <V psi| C(psi psi^dag) |V psi>
-    = sum_a |<psi| V^dag K_a |psi>|^2.  The sample stream is fully determined
-    by the seed (numpy default_rng; per sample: cos-polar, azimuth, then the
-    state components), so identical calls give identical results.
+    = sum_a |<psi| V^dag K_a |psi>|^2.
+
+    The seed (numpy default_rng) fixes the stream, so identical calls give
+    identical results.  It is drawn in this order: every sample's direction
+    (cos-polar, then azimuth), then every sample's state (2k+1 real parts,
+    then 2k+1 imaginary parts).  ch_builder is called once per sample, in
+    draw order, and each channel's Kraus operators are copied into one stack.
+    All samples are then evaluated at once: V from one stacked eigh of n.J,
+    V^dag K from one batched matmul.
+
+    Memory: a sample holds 2 x count x d^2 complex entries (its Kraus
+    operators and V^dag K), with count and d taken from the first channel.
+    A run whose stack of samples x count x d^2 entries exceeds MC_BUDGET is
+    refused before the stack is allocated.  A later channel of another shape
+    is refused with its sample number.
 
     Returns (mean, stderr).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
+    samples = int(samples)
     rng = np.random.default_rng(seed)
-    values = np.empty(samples)
-    for i in range(samples):
-        n = Direction.normalized(*haar_direction(rng))
-        ch = ch_builder(n)
-        psi = haar_state(rng, ch.target_dim)
-        v = rotation_unitary(make_spin_operators(ch.k), n, theta)
-        values[i] = _fidelity_batch(v.conj().T @ ch.kraus_operators(), psi[None, :])[0]
+    axes = haar_direction(rng, (1,))
+    kraus = ch_builder(Direction(*axes[0])).kraus_operators()
+    if samples * kraus.size > MC_BUDGET:
+        raise ValueError("Monte-Carlo stack of %d samples x %d Kraus operators x %d^2 entries "
+                         "exceeds the budget of %d" % (samples, len(kraus), kraus.shape[-1], MC_BUDGET))
+    axes = np.concatenate([axes, haar_direction(rng, (samples - 1,))])
+    stack = np.empty((samples,) + kraus.shape, dtype=complex)
+    stack[0] = kraus
+    for i, n in enumerate(axes[1:].tolist(), 1):
+        kraus = ch_builder(Direction(*n)).kraus_operators()
+        if kraus.shape != stack.shape[1:]:
+            raise ValueError("sample %d: the channel's Kraus operators have shape %s, "
+                             "sample 0's %s" % (i, kraus.shape, stack.shape[1:]))
+        stack[i] = kraus
+    d = stack.shape[-1]
+    psi = haar_state(rng, d, (samples,))
+    ops = make_spin_operators(HalfInteger(d - 1))
+    w, v = np.linalg.eigh(np.einsum("nc,cij->nij", axes, np.array([ops.jx, ops.jy, ops.jz])))
+    v_dag = (v * np.exp(1j * theta * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    inner = np.einsum("ni,naij,nj->na", psi.conj(), v_dag[:, None] @ stack, psi)
+    values = np.sum(np.abs(inner) ** 2, axis=1)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr

@@ -193,23 +193,53 @@ def spin_coherent_state(j, n: Direction) -> np.ndarray:
     """The state |j, j> rotated so that its spin points along n.
 
     The rotation taking z to n is fixed once and for all: about z x n
-    (normalized) by the polar angle arccos(n_z), and about x by pi for n = -z.
-    Any smooth section would give the same fidelities; this one makes outputs
-    reproducible.
+    (normalized) by the polar angle beta = arccos(n_z), and about x by pi for
+    n = -z.  Any smooth section would give the same fidelities; this one makes
+    outputs reproducible.  Off the poles the amplitudes are the closed form
+    psi_{j-k} = sqrt(C(2j, k)) cos^{2j-k}(beta/2) sin^k(beta/2) e^{i k phi},
+    phi the azimuth of n.  Their moduli are a running product from the end
+    nearer n, psi_j = cos^{2j}(beta/2) (psi_{-j} = sin^{2j}(beta/2) past the
+    equator), of ratios sqrt((2j - k)/(k + 1)) tan(beta/2) <= sqrt(2j): every
+    partial product is an amplitude, so none over- or underflows at 2j + 1 <=
+    DIM_CAP, and no binomial is formed.
     """
     j = as_half_integer(j)
     if j.doubled < 1:
         raise ValueError("spin_coherent_state needs j >= 1/2")
     if not isinstance(n, Direction):
         n = Direction(*n)
-    ops = make_spin_operators(j)
-    highest = np.zeros(ops.dim, dtype=complex)
-    highest[0] = 1.0
+    make_spin_operators(j)  # refuses 2j + 1 > DIM_CAP
+    two_j = j.doubled
     if n.nx * n.nx + n.ny * n.ny < 1e-30:
-        return highest if n.nz > 0 else rotation_unitary(ops, X_AXIS, np.pi) @ highest
-    axis = Direction.normalized(-n.ny, n.nx, 0.0)  # z x n
-    polar = np.arccos(np.clip(n.nz, -1.0, 1.0))
-    return rotation_unitary(ops, axis, polar) @ highest
+        psi = np.zeros(two_j + 1, dtype=complex)
+        if n.nz > 0:
+            psi[0] = 1.0
+        else:  # exp(-i pi J_x) |j, j> = (-i)^(2j) |j, -j>
+            psi[-1] = (1.0, -1j, -1.0, 1j)[two_j % 4]
+        return psi
+    # tan(beta/2) in the form without cancellation, then mirrored to <= 1
+    rho = math.hypot(n.nx, n.ny)
+    tan_half = rho / (1.0 + n.nz) if n.nz >= 0.0 else rho / (1.0 - n.nz)
+    ladder, ik = _coherent_ladder(two_j)
+    steps = ladder * tan_half
+    steps[0] = (1.0 + tan_half * tan_half) ** (-two_j / 2)
+    mags = np.cumprod(steps) if n.nz >= 0.0 else np.cumprod(steps)[::-1]
+    psi = np.exp(ik * math.atan2(n.ny, n.nx))
+    psi *= mags / math.sqrt(mags @ mags)
+    return psi
+
+
+@lru_cache(maxsize=64)
+def _coherent_ladder(two_j):
+    """The moduli ratios |psi_{j-k} / psi_{j-k+1}| = sqrt((2j + 1 - k)/k) of a
+    coherent state at tan(beta/2) = 1 for k = 1 .. 2j, after a 1 at k = 0, and
+    the phase exponents i k for k = 0 .. 2j; both read-only."""
+    k = np.arange(1, two_j + 1)
+    ladder = np.r_[1.0, np.sqrt((two_j + 1 - k) / k)]
+    ik = 1j * np.arange(two_j + 1)
+    for a in (ladder, ik):
+        a.setflags(write=False)
+    return ladder, ik
 
 
 def _exchange_block(doubled_j, doubled_k, drop):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -466,3 +467,99 @@ def test_monte_carlo_is_seed_deterministic():
     c = average_fidelity_mc(builder, theta, 500, seed=43)
     assert a == b
     assert a != c
+
+
+def _mc_by_sample(ch_builder, theta, samples, seed):
+    """average_fidelity_mc one sample at a time, in its draw order: every
+    direction, then every state; one channel is held at a time."""
+    rng = np.random.default_rng(seed)
+    axes = [Direction(*haar_direction(rng)) for _ in range(samples)]
+    values = []
+    for n in axes:
+        ch = ch_builder(n)
+        psi = haar_state(rng, ch.target_dim)
+        v = rotation_unitary(make_spin_operators(ch.k), n, theta)
+        values.append(channel_lab._fidelity_batch(v.conj().T @ ch.kraus_operators(), psi[None, :])[0])
+    values = np.array(values)
+    return values.mean(), (values.std(ddof=1) / math.sqrt(samples) if samples > 1 else 0.0)
+
+
+@pytest.mark.parametrize("two_k", [1, 2, 3])
+@pytest.mark.parametrize("gate", ["exchange", "random"])
+@pytest.mark.parametrize("samples", [1, 7])
+def test_monte_carlo_matches_sample_by_sample_loop(two_k, gate, samples):
+    j, k, theta = HalfInteger(3), HalfInteger(two_k), 2.0
+    rng = np.random.default_rng(10 * two_k + samples)
+    dim = 4 * (two_k + 1)
+    if gate == "exchange":
+        u = heisenberg_gate(j, k, rng.uniform(0, 2 * math.pi))
+    else:
+        u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+    def builder(n):
+        return ProgramChannel(u, spin_coherent_state(j, n), j, k)
+
+    mean, stderr = average_fidelity_mc(builder, theta, samples, seed=samples)
+    want_mean, want_stderr = _mc_by_sample(builder, theta, samples, seed=samples)
+    assert abs(mean - want_mean) <= 1e-14 and abs(stderr - want_stderr) <= 1e-14
+    if samples == 1:
+        assert stderr == 0.0
+
+
+@pytest.mark.parametrize("later", [(HalfInteger(3), HalfInteger(2)),   # another target dimension
+                                   (HalfInteger(2), HalfInteger(1))])  # another Kraus count
+def test_monte_carlo_refuses_a_channel_of_another_shape(later):
+    built = []
+
+    def builder(n):
+        j, k = (HalfInteger(3), HalfInteger(1)) if not built else later
+        built.append(n)
+        u = heisenberg_gate(j, k, 1.0)
+        return ProgramChannel(u, spin_coherent_state(j, n), j, k)
+
+    with pytest.raises(ValueError, match="^sample 1: "):
+        average_fidelity_mc(builder, 2.0, 5, seed=1)
+    assert len(built) == 2
+
+
+def test_monte_carlo_refuses_an_over_budget_run_before_it_starts():
+    built = []
+
+    def builder(n):
+        built.append(n)
+        return _qubit_channel()
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        average_fidelity_mc(builder, 2.0, 10**12, seed=1)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(built) <= 1
+    for samples in (2.5, 20000.0, "20000", None, 0, -3):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+            average_fidelity_mc(builder, 2.0, samples, seed=1)
+    # criterion 8's run, 1e5 samples x 4 Kraus operators x 2^2 entries, fits
+    assert 10**5 * 4 * 2**2 <= channel_lab.MC_BUDGET
+
+
+def test_monte_carlo_is_batched(monkeypatch):
+    j, theta = HalfInteger(3), 2.0
+    u = heisenberg_gate(j, 0.5, coupling_angle(j.value, theta))
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    def builder(n):
+        return ProgramChannel(u, spin_coherent_state(j, n), j, HalfInteger(1))
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    spin_coherent_state(j, Direction.normalized(0.3, -0.4, 0.86))
+    spin_coherent_state(HalfInteger(41), Direction.normalized(-0.3, 0.4, -0.86))
+    assert calls == []
+    counts = []
+    for samples in (50, 500):
+        calls.clear()
+        average_fidelity_mc(builder, theta, samples, seed=3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2

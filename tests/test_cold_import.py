@@ -19,10 +19,17 @@ import contextlib, io, json, sys
 import spinbench, spinbench.cli
 from spinbench.covariant_opt import locate_transition
 
+def coherent_program(n):
+    j, k = spinbench.HalfInteger(3), spinbench.HalfInteger(1)
+    return spinbench.ProgramChannel(spinbench.heisenberg_gate(j, k, 1.0),
+                                    spinbench.spin_coherent_state(j, n), j, k)
+
 report = [["import", None, "scipy" in sys.modules]]
 for step in json.loads(sys.argv[1]):
     if step == "locate_transition":
         result = locate_transition(0.5)
+    elif step == "average_fidelity_mc":
+        result = spinbench.average_fidelity_mc(coherent_program, 2.0, 50, 5)[0]
     else:
         with contextlib.redirect_stdout(io.StringIO()):
             result = spinbench.cli.main(step)
@@ -51,9 +58,11 @@ def test_numpy_only_calls_leave_scipy_unloaded(tmp_path):
         ["spin-k", "--two-j", "3", "--two-k", "1", "--theta", "2.0"],
         ["spin-k", "--two-j", "3", "--two-k", "2", "--theta", "2.0"],
         ["certify", "--input", str(data)],
+        "average_fidelity_mc",  # coherent states take no binomial from scipy.special
     ]
     report = _scipy_after_each(steps)
-    assert [code for _, code, _ in report[1:]] == [0] * len(steps)
+    assert [code for _, code, _ in report[1:-1]] == [0] * (len(steps) - 1)
+    assert 0.0 < report[-1][1] <= 1.0
     assert [loaded for _, _, loaded in report] == [False] * (len(steps) + 1)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -112,13 +113,90 @@ def test_coherent_state_points_along_n():
         assert abs((psi.conj() @ op @ psi).real - j.value * comp) < 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _jx_spectrum(two_j):
+    # J_x is real in the |j, m> basis
+    return np.linalg.eigh(make_spin_operators(HalfInteger(two_j)).jx.real)
+
+
+def _coherent_by_rotation(j, n):
+    """The rotation route that spin_coherent_state replaced: |j, j> turned
+    about z x n by the polar angle, or about x by pi for n = -z, through a
+    spectral decomposition.  (z x n).J is J_x turned about z by alpha =
+    phi + pi/2, so one real eigh of J_x serves every direction (a dense eigh
+    of n.J takes seconds at 2j = 2000).  The polar angle is atan2(rho, n_z):
+    arccos(n_z) loses half its digits near the poles, and gives 2.98e-8 for
+    the 3e-8 of (3e-8, 0, 1)."""
+    w, p = _jx_spectrum(j.doubled)
+    m = j.value - np.arange(j.doubled + 1)
+    if n.nx * n.nx + n.ny * n.ny < 1e-30:
+        if n.nz > 0:
+            return np.eye(j.doubled + 1)[0].astype(complex)
+        alpha, beta = 0.0, math.pi
+    else:
+        alpha = math.atan2(n.ny, n.nx) + math.pi / 2
+        beta = math.atan2(math.hypot(n.nx, n.ny), n.nz)
+    # exp(-i alpha J_z) exp(-i beta J_x) exp(i alpha J_z) |j, j>
+    return np.exp(1j * alpha * (j.value - m)) * (p @ (np.exp(-1j * beta * w) * p[0]))
+
+
+def test_rotation_oracle_is_the_dense_rotation():
+    rng = np.random.default_rng(2)
+    for two_j in (1, 2, 5):
+        j = HalfInteger(two_j)
+        ops = make_spin_operators(j)
+        for n in [Direction.normalized(*rng.normal(size=3)) for _ in range(5)] + [Z_AXIS]:
+            axis = Direction.normalized(-n.ny, n.nx, 0.0) if n is not Z_AXIS else X_AXIS
+            polar = math.atan2(math.hypot(n.nx, n.ny), n.nz) if n is not Z_AXIS else 0.0
+            dense = rotation_unitary(ops, axis, polar)[:, 0]
+            assert np.abs(_coherent_by_rotation(j, n) - dense).max() < 1e-14
+        south = rotation_unitary(ops, X_AXIS, math.pi)[:, 0]
+        assert np.abs(_coherent_by_rotation(j, Direction(0.0, 0.0, -1.0)) - south).max() < 1e-14
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 6, 41, 300, 2000])
+def test_coherent_state_closed_form_matches_rotation(two_j):
+    j = HalfInteger(two_j)
+    rng = np.random.default_rng(two_j)
+    for _ in range(20):
+        n = Direction.normalized(*rng.normal(size=3))
+        assert np.abs(spin_coherent_state(j, n) - _coherent_by_rotation(j, n)).max() <= 1e-12
+
+
 def test_coherent_state_poles():
-    j = HalfInteger(3)
-    up = spin_coherent_state(j, Z_AXIS)
-    assert abs(up[0] - 1.0) < 1e-15 and np.abs(up[1:]).max() < 1e-15
-    down = spin_coherent_state(j, Direction(0.0, 0.0, -1.0))
-    # rotation about x by pi sends |j,j> to (-i)^(2j) |j,-j>
-    assert abs(abs(down[-1]) - 1.0) < 1e-12
+    # rotation about x by pi sends |j,j> to (-i)^(2j) |j,-j>; both poles are exact
+    for two_j in (1, 2, 3, 4, 5, 41):
+        j = HalfInteger(two_j)
+        up = np.zeros(two_j + 1, dtype=complex)
+        up[0] = 1.0
+        down = np.zeros(two_j + 1, dtype=complex)
+        down[-1] = (-1j) ** two_j
+        assert np.array_equal(spin_coherent_state(j, Z_AXIS), up)
+        assert np.array_equal(spin_coherent_state(j, Direction(0.0, 0.0, -1.0)), down)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 3, 6, 41, 300, 2000])
+def test_coherent_state_near_the_poles(two_j):
+    j = HalfInteger(two_j)
+    near = [Direction.normalized(1e-15, 0.0, 1.0), Direction.normalized(1e-15, 0.0, -1.0),
+            Direction.normalized(3e-8, 0.0, 1.0)]
+    for n in near:
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            psi = spin_coherent_state(j, n)
+        assert np.isfinite(psi).all()
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
+        assert np.abs(psi - _coherent_by_rotation(j, n)).max() <= 1e-12
+    # the spin points along (3e-8, 0, 1) to full relative precision
+    ops = make_spin_operators(j)
+    psi = spin_coherent_state(j, near[2])
+    assert abs((psi.conj() @ ops.jx @ psi).real / (j.value * near[2].nx) - 1.0) < 1e-12
+
+
+def test_coherent_state_cap():
+    spin_coherent_state(HalfInteger(DIM_CAP - 1), X_AXIS)
+    with pytest.raises(ValueError, match="dimension 2002 exceeds cap 2001"):
+        spin_coherent_state(HalfInteger(DIM_CAP), X_AXIS)
 
 
 @pytest.mark.parametrize("j", SPINS)
