@@ -4,8 +4,8 @@ spin-k reports, and certification of experimental data.
 All spins cross the interface as doubled integers (``--two-j 3`` means
 j = 3/2), angles in radians with ``pi`` literals (``pi``, ``0.5*pi``,
 ``pi/3``, ``3/4*pi``).  Output is CSV (default) or JSON with schema tag
-"spinbench/1"; identical invocations produce identical bytes, independent of a
-sweep's --threads.
+"spinbench/1"; identical invocations produce identical bytes.  A sweep runs on
+one thread: its --threads is checked (>= 1), echoed in the JSON, and ignored.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -20,7 +20,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -289,15 +288,9 @@ def longevity_rows(two_j, theta, n_max):
     return rows
 
 
-def sweep_rows(two_j_values, thetas, methods, threads):
-    points = [(tj, th) for tj in two_j_values for th in thetas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_point_rows, tj, th, methods) for tj, th in points]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [_point_rows(tj, th, methods) for tj, th in points]
-    return [row for chunk in chunks for row in chunk]
+def sweep_rows(two_j_values, thetas, methods):
+    """Rows of every (2j, theta) point, 2j major, theta minor."""
+    return [row for tj in two_j_values for th in thetas for row in _point_rows(tj, th, methods)]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +435,7 @@ def cmd_fidelity(args):
 
 
 def cmd_sweep(args):
-    rows = sweep_rows(args.two_j_range, args.thetas, args.methods, args.threads)
+    rows = sweep_rows(args.two_j_range, args.thetas, args.methods)
     _emit(rows, "sweep", args.format, args.out,
           extra={"threads": args.threads})
     return EXIT_OK
@@ -513,7 +506,7 @@ def build_parser():
     p.add_argument("--two-j-range", type=parse_two_j_range, required=True, dest="two_j_range")
     p.add_argument("--thetas", type=parse_theta_list, required=True)
     p.add_argument("--methods", type=parse_methods, default=["opt_exact", "mo_exact"])
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="ignored: a sweep runs on one thread")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -28,6 +28,7 @@ from .spin_algebra import (
     Z_AXIS,
     HalfInteger,
     ToleranceError,
+    _check_dimension,
     _exchange_block,
     _exchange_sectors,
     as_half_integer,
@@ -168,10 +169,10 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
         raise ValueError("target spin must be >= 1/2")
     if f is None:
         f = theta
-    ops = make_spin_operators(k)  # refuses 2k+1 > DIM_CAP
+    _check_dimension(k.doubled + 1)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
         _chart_axes(k.doubled + 1, min(k.doubled, j.doubled) + 1, True)
-    v = rotation_unitary(ops, Z_AXIS, theta)
+    v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
     ch = KrausChannel(_strategy_kraus(j, k, f))
     fe = entanglement_fidelity(ch, v)
     favg = average_fidelity_from_entanglement(fe, k.doubled + 1)

@@ -147,12 +147,16 @@ class SpinOperators(NamedTuple):
         return self.j.doubled + 1
 
 
-@lru_cache(maxsize=None)
+def _check_dimension(dim):
+    if dim > DIM_CAP:
+        raise ValueError("dimension %d exceeds cap %d" % (dim, DIM_CAP))
+
+
+@lru_cache(maxsize=64)
 def _spin_matrices(doubled_j):
     j = doubled_j / 2
     dim = doubled_j + 1
-    if dim > DIM_CAP:
-        raise ValueError("dimension %d exceeds cap %d" % (dim, DIM_CAP))
+    _check_dimension(dim)
     m = j - np.arange(dim)  # descending j .. -j
     # ladder elements <m+1| J_+ |m> = sqrt(j(j+1) - m(m+1))
     raise_elems = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
@@ -208,8 +212,8 @@ def spin_coherent_state(j, n: Direction) -> np.ndarray:
         raise ValueError("spin_coherent_state needs j >= 1/2")
     if not isinstance(n, Direction):
         n = Direction(*n)
-    make_spin_operators(j)  # refuses 2j + 1 > DIM_CAP
     two_j = j.doubled
+    _check_dimension(two_j + 1)
     if n.nx * n.nx + n.ny * n.ny < 1e-30:
         psi = np.zeros(two_j + 1, dtype=complex)
         if n.nz > 0:
@@ -283,8 +287,9 @@ def total_spin_projectors(j1, j2):
     j1 = as_half_integer(j1)
     j2 = as_half_integer(j2)
     dim = (j1.doubled + 1) * (j2.doubled + 1)
-    if dim > DIM_CAP * 2:
-        raise ValueError("coupled dimension %d too large" % dim)
+    count = min(j1.doubled, j2.doubled) + 1
+    if count * dim * dim > 2 ** 25:  # complex entries in all: 512 MiB
+        raise ValueError("coupled dimension %d too large for %d projectors" % (dim, count))
     sectors = _exchange_sectors(j1.doubled, j2.doubled)
     top = j1.doubled + j2.doubled
     projectors = {two_l: np.zeros((dim, dim), dtype=complex)

@@ -202,13 +202,15 @@ def test_criterion_8_property_suites(tmp_path):
     mean, stderr = average_fidelity_mc(builder, 2.0, 100_000, seed=11)
     checks.append(abs(mean - optimal_fidelity(1.5, 2.0).value) < 4 * stderr)
 
-    # byte-deterministic sweeps across thread counts
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    # byte-deterministic sweeps: one argv run twice, and --threads changes no byte
     args = ["sweep", "--two-j-range", "3:6", "--thetas", "pi/2,pi",
             "--methods", "opt_exact,heisenberg_sim"]
-    main(args + ["--threads", "1", "--out", str(a)])
-    main(args + ["--threads", "4", "--out", str(b)])
-    checks.append(a.read_bytes() == b.read_bytes())
+    outputs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        path = tmp_path / (name + ".csv")
+        main(args + ["--threads", threads, "--out", str(path)])
+        outputs.append(path.read_bytes())
+    checks.append(outputs[0] == outputs[1] == outputs[2])
 
     ok = all(checks)
     _check(8, "property suites: algebra, CPTP, covariance, kernel, Monte Carlo, "

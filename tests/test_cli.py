@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import math
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbench import cli, optimal_fidelity, protocols, recycling
+from spinbench import cli, optimal_fidelity, protocols, recycling, spin_algebra
 from spinbench.cli import (
     CERTIFY_FIELDS,
     CSV_FIELDS,
@@ -248,12 +249,25 @@ def test_sweep_json_header_has_no_seed(capsys):
 
 
 def test_sweep_byte_determinism(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    # one argv run twice gives the same bytes, and --threads changes none of them
     args = ["sweep", "--two-j-range", "3:5", "--thetas", "pi/2,2.0,pi",
             "--methods", "opt_exact,mo_sim,heisenberg_sim"]
-    assert main(args + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(args + ["--threads", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    outputs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        path = tmp_path / (name + ".csv")
+        assert main(args + ["--threads", threads, "--out", str(path)]) == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_runs_on_the_calling_thread(capsys, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("the sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(["sweep", "--two-j-range", "3:5", "--thetas", "pi/2,2.0,pi",
+                 "--methods", "opt_exact,heisenberg_sim,worst_case", "--threads", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9 * 3
 
 
 def test_sweep_empty_grid_writes_nothing(tmp_path):
@@ -364,6 +378,20 @@ def test_spin_k_refuses_oversized_worst_case_search(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "exceeds the budget" in err and "d = %d" % (int(two_k) + 1) in err
         assert len(err) < 200
+
+
+def test_spin_k_refusals_build_no_spin_matrices(capsys, monkeypatch):
+    # the dimension cap and the chart budget are checked on 2k + 1 alone, before
+    # the target's dense (2k+1)^2 spin matrices are built
+    def unreachable(doubled_j):
+        raise AssertionError("spin matrices built at 2j = %d" % doubled_j)
+
+    monkeypatch.setattr(spin_algebra, "_spin_matrices", unreachable)
+    for two_k, message in (("2001", "dimension 2002 exceeds cap 2001"),
+                           ("2000", "exceeds the budget")):
+        assert main(["spin-k", "--two-j", "3", "--two-k", two_k, "--theta", "pi"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -551,7 +579,7 @@ _FLAG_VALUES = {
     "--thetas": (["pi", "pi/2,pi"], ["", "nan"]),
     "--methods": (["opt_exact", "heisenberg_sim,worst_case", "mo_sim"], ["recycling", ""]),
     "--format": (["csv", "json"], ["xml"]),
-    "--threads": (["1", "2"], ["0"]),
+    "--threads": (["1", "2", "64"], ["0"]),
     "--input": (["good.csv"], ["bad.csv", "missing.csv"]),
 }
 _COMMAND_FLAGS = {

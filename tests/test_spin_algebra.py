@@ -193,7 +193,14 @@ def test_coherent_state_near_the_poles(two_j):
     assert abs((psi.conj() @ ops.jx @ psi).real / (j.value * near[2].nx) - 1.0) < 1e-12
 
 
-def test_coherent_state_cap():
+def test_coherent_state_cap(monkeypatch):
+    # the cap is checked on 2j + 1: no dense spin matrix is built for it
+    def unreachable(doubled_j):
+        raise AssertionError("spin matrices built at 2j = %d" % doubled_j)
+
+    monkeypatch.setattr(spin_algebra, "_spin_matrices", unreachable)
+    for two_j in range(1, 401):
+        spin_coherent_state(HalfInteger(two_j), X_AXIS)
     spin_coherent_state(HalfInteger(DIM_CAP - 1), X_AXIS)
     with pytest.raises(ValueError, match="dimension 2002 exceeds cap 2001"):
         spin_coherent_state(HalfInteger(DIM_CAP), X_AXIS)
@@ -252,12 +259,25 @@ def test_dimension_cap(monkeypatch):
     with pytest.raises(ValueError, match="sectors exceed cap"):
         spin_algebra._exchange_sectors(DIM_CAP - 1, 1)
 
-    def unreachable(*args):
-        raise RuntimeError("sectors built before the dimension check")
+    # the projectors hold min(2j1, 2j2) + 1 matrices of dim^2 entries, at most
+    # 2**25 in all; the sectors are built only after the bound admits a pair
+    def admitted(*args):
+        raise RuntimeError("sectors built after the bound admitted the pair")
 
-    monkeypatch.setattr(spin_algebra, "_exchange_sectors", unreachable)
+    monkeypatch.setattr(spin_algebra, "_exchange_sectors", admitted)
     with pytest.raises(ValueError, match="coupled dimension"):
         total_spin_projectors(50, 50)
+    # 63 projectors of 3969^2 entries would take 14.8 GiB
+    with pytest.raises(ValueError, match="coupled dimension 3969 too large"):
+        total_spin_projectors(31, 31)
+    for two_j1, two_j2 in ((2, 1114), (1114, 2), (6, 312)):
+        with pytest.raises(ValueError, match="coupled dimension"):
+            total_spin_projectors(HalfInteger(two_j1), HalfInteger(two_j2))
+    # a qubit and a partner of dimension DIM_CAP (2 projectors of 4002^2 entries),
+    # and a spin 1 and its largest admitted partner
+    for two_j1, two_j2 in ((DIM_CAP - 1, 1), (1, DIM_CAP - 1), (2, 1113), (1113, 2)):
+        with pytest.raises(RuntimeError, match="admitted"):
+            total_spin_projectors(HalfInteger(two_j1), HalfInteger(two_j2))
 
 
 def test_ladder_matrix_elements():
