@@ -155,6 +155,41 @@ def _assert_real_state(mats, value, state):
     assert abs(_fidelity_of(mats, state) - value) < 1e-12
 
 
+_COMPASS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _qubit_chart_minima(families):
+    """Upper bounds on min F over qubit states, for a stack of same-shape
+    families M_a: the three best points of the chart grid `_chart_search(mats,
+    24)` starts from, each refined by a compass search on the chart until its
+    step is below that search's Nelder-Mead xatol of 1e-10.  Every bound is F
+    at a real state, and all families are searched at once."""
+    flat = families.reshape(len(families), -1, 4).swapaxes(1, 2)
+
+    def fidelity(x):  # F at the chart points x[n, ..., :] of family n
+        psi = channel_lab._chart_states(x.reshape(-1, 2), 2).reshape(len(x), -1, 2)
+        rho = (psi.conj()[..., :, None] * psi[..., None, :]).reshape(len(x), -1, 4)
+        return np.sum(np.abs(rho @ flat) ** 2, axis=-1).reshape(x.shape[:-1])
+
+    axes = np.meshgrid(*channel_lab._chart_axes(2, 1, False, 24), indexing="ij")
+    grid = np.stack([a.ravel() for a in axes], axis=1)
+    values = fidelity(np.broadcast_to(grid, (len(families),) + grid.shape))
+    best = np.argsort(values, axis=1)[:, :3]
+    x, f = grid[best], np.take_along_axis(values, best, axis=1)
+    step = np.full(f.shape, np.pi / 24)
+    while (step > 1e-10).any():
+        trials = x[..., None, :] + step[..., None, None] * _COMPASS
+        values = fidelity(trials)
+        k = values.argmin(axis=-1)[..., None]
+        moved = np.take_along_axis(values, k, axis=-1)[..., 0]
+        better = moved < f
+        to = np.take_along_axis(trials, k[..., None], axis=-2)[..., 0, :]
+        x = np.where(better[..., None], to, x)
+        f = np.where(better, moved, f)
+        step = np.where(better, step, step / 2)
+    return f.min(axis=1)
+
+
 def test_qubit_minimum_never_above_chart_search():
     # the chart search evaluates real states, so it bounds the minimum from
     # above; the programmed channels are covariant, which makes Q degenerate
@@ -165,10 +200,15 @@ def test_qubit_minimum_never_above_chart_search():
               for two_j in (1, 2, 3, 4, 7, 40, 300)
               for theta in (0.3, 0.7, 1.2, 2.0, 2.6, 3.0, math.pi)
               for n in (Z_AXIS, X_AXIS, tilted)]
-    for mats in cases:
-        value, state = channel_lab._qubit_minimum(mats)
-        _assert_real_state(mats, value, state)
-        assert value <= channel_lab._chart_search(mats, 24)[0] + 1e-12
+    assert len(cases) == 347
+    for count in sorted({len(mats) for mats in cases}):
+        families = np.stack([mats for mats in cases if len(mats) == count])
+        values = np.empty(len(families))
+        for i, mats in enumerate(families):
+            values[i], state = channel_lab._qubit_minimum(mats)
+            _assert_real_state(mats, values[i], state)
+        gaps = values - _qubit_chart_minima(families)
+        assert np.all(gaps <= 1e-12), gaps.max()
 
 
 def test_qubit_minimum_hard_cases():

@@ -112,6 +112,14 @@ def test_report_validation():
         FidelityReport(3, 1, PI, "opt_exact", 0.5, uncertainty=-0.1)
     with pytest.raises(ToleranceError):
         FidelityReport(3, 1, PI, "opt_exact", 1.7)
+    # an uncertainty does not widen [0, 1], and only the note "asymptotic"
+    # (not a note that contains the word) lets a row leave it
+    with pytest.raises(ToleranceError, match=r"escapes \[0, 1\]"):
+        FidelityReport(1, 4, 1.0, "spin_k_sim", 1.7, 1.0)
+    with pytest.raises(ToleranceError):
+        FidelityReport(3, 1, PI, "worst_case", 1.7, 1.0, "vs_asymptotic")
+    with pytest.raises(ToleranceError):
+        FidelityReport(3, 1, PI, "recycling", -0.5, 0.0, "exact;crossing;asymptotic_L=2.0", step=1)
     # asymptotic companions may leave [0, 1] when tagged
     FidelityReport(1, 1, PI, "worst_case", -3.0, mode_notes="asymptotic", step=1)
     FidelityReport(3, 1, PI, "opt_asymptotic", 1.7)
@@ -246,6 +254,44 @@ def test_sweep_json_header_has_no_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--two-j-range", "3", "--thetas", "pi", "--seed", "1"])
     assert exc.value.code == 1
+
+
+def test_report_commands_share_one_cached_parser_and_row_schema(capsys, monkeypatch, request):
+    # main builds its parser once, each report command writes JSON rows keyed
+    # by CSV_FIELDS, and a row builder patched after the parser was built is
+    # still the one called
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            if self.prog == "spinbench":  # not a subcommand's parser
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    for argv in (["fidelity", "--two-j", "3", "--theta", "pi"],
+                 ["sweep", "--two-j-range", "3:4", "--thetas", "pi", "--methods", "worst_case"],
+                 ["longevity", "--two-j", "3", "--theta", "pi", "--n-max", "2"],
+                 ["spin-k", "--two-j", "3", "--two-k", "2", "--theta", "pi"]):
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["command"] == argv[0]
+        assert doc["rows"] and all(tuple(row) == CSV_FIELDS for row in doc["rows"])
+    assert len(built) == 1
+
+    calls = []
+
+    def patched(two_j_values, thetas, methods):
+        calls.append((two_j_values, thetas, methods))
+        return []
+
+    monkeypatch.setattr(cli, "sweep_rows", patched)
+    assert main(["sweep", "--two-j-range", "3", "--thetas", "pi"]) == 0
+    assert capsys.readouterr().out == ",".join(CSV_FIELDS) + "\n"
+    assert calls == [([3], [PI], ["opt_exact", "mo_exact"])]
+    assert len(built) == 1
 
 
 def test_sweep_byte_determinism(tmp_path):
