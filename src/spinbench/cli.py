@@ -66,6 +66,12 @@ class FidelityReport:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError("unknown method %r" % (self.method,))
+        # the writers print floats with repr, which JSON has no token for
+        # when the float is not finite
+        for field in ("theta_rad", "value", "uncertainty"):
+            x = getattr(self, field)
+            if not math.isfinite(x):
+                raise ToleranceError("%s %s %r is not finite" % (self.method, field, x))
         if self.uncertainty < 0:
             raise ValueError("uncertainty must be >= 0")
         # asymptotic rows (an *_asymptotic method, or the note "asymptotic" in
@@ -322,14 +328,37 @@ def _rows_to_json(command, rows, extra=None):
     return doc
 
 
+# one report row as json.dumps(..., indent=2) lays it out inside "rows"
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join('      "%s": %%s' % field for field in CSV_FIELDS)
+
+
+def write_reports_json(rows, command, extra, fh):
+    """The bytes of json.dumps(_rows_to_json(command, rows, extra), indent=2)
+    and a newline, with each row written by one format instead of the
+    pure-Python encoder that `indent` selects.  Floats are finite (see
+    `FidelityReport`), so their repr is JSON's; strings go through json's own
+    ASCII escaper."""
+    header = json.dumps(_rows_to_json(command, [], extra), indent=2)
+    if not rows:
+        fh.write(header + "\n")
+        return
+    quote = json.encoder.encode_basestring_ascii
+    fh.write(header[:-len("[]\n}")] + "[\n")
+    fh.write(",\n".join([_JSON_ROW % (
+        r.two_j, r.two_k, format_float(r.theta_rad), quote(r.method),
+        "null" if r.step is None else r.step,
+        format_float(r.value), format_float(r.uncertainty), quote(r.mode_notes),
+    ) for r in rows]))
+    fh.write("\n  ]\n}\n")
+
+
 def _emit(rows, command, fmt, out_path, extra=None):
+    buf = io.StringIO()
     if fmt == "json":
-        payload = json.dumps(_rows_to_json(command, rows, extra), indent=2) + "\n"
+        write_reports_json(rows, command, extra, buf)
     else:
-        buf = io.StringIO()
         write_reports_csv(rows, buf)
-        payload = buf.getvalue()
-    _write(payload, out_path)
+    _write(buf.getvalue(), out_path)
 
 
 def _write(payload, out_path):

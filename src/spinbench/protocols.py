@@ -11,6 +11,7 @@ generalization.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,7 @@ def simulate_optimal_qubit_strategy(j, theta) -> StrategyFidelities:
     return simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta))
 
 
+@lru_cache(maxsize=64)
 def _pole_rule(doubled_j, nodes):
     """Gauss-Jacobi rule for the misalignment t = (1 - cos phi')/2 of the estimate.
 
@@ -77,7 +79,9 @@ def _pole_rule(doubled_j, nodes):
     Jacobi weight with beta = 2j.  The nodes are the eigenvalues of its Jacobi
     matrix and the weights the squared first eigenvector components (Golub &
     Welsch 1969), so they sum to 1 at every j and `nodes` points integrate
-    polynomials of degree < 2 * nodes exactly.
+    polynomials of degree < 2 * nodes exactly.  The rule does not depend on
+    the angle, so it is computed once per spin and kept in a bounded cache;
+    both arrays are read-only.
     """
     beta = float(doubled_j)
     i = np.arange(nodes, dtype=float)
@@ -85,7 +89,10 @@ def _pole_rule(doubled_j, nodes):
     diagonal = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
     off = i[1:] * (i[1:] + beta) / (d[1:] * np.sqrt(d[1:] * d[1:] - 1.0))
     t, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    return t, vectors[0] ** 2
+    weights = vectors[0] ** 2
+    for a in (t, weights):
+        a.setflags(write=False)
+    return t, weights
 
 
 def _mo_entanglement_fidelity(j, k, theta, tau):
@@ -131,7 +138,10 @@ def _strategy_kraus(j, k, f):
     drop d = j + k - M = 0 .. 2k act, each reached from the target state of
     index d.  Each block B_d is exponentiated as in `heisenberg_gate`, and
     K_a[d-a, d] = B_d[a, 0] for a = 0 .. min(d, 2j); the operators of higher a
-    vanish, so min(2k, 2j) + 1 are returned.  Each block is checked unitary.
+    vanish, so min(2k, 2j) + 1 are returned.  The eigendecompositions come
+    from the bounded per-spin cache of `_exchange_block`, so the points of a
+    sweep that share a spin compute them once; the exponential depends on f,
+    so each call forms it and checks each block unitary.
     """
     dt = k.doubled + 1
     kraus = np.zeros((min(k.doubled, j.doubled) + 1, dt, dt), dtype=complex)

@@ -246,9 +246,12 @@ def _coherent_ladder(two_j):
     return ladder, ik
 
 
+@lru_cache(maxsize=64)
 def _exchange_block(doubled_j, doubled_k, drop):
     """The total-M block of 2 J.K on j (x) k with M = j + k - drop, as an entry
-    (indices, w, v) of `_exchange_sectors`."""
+    (indices, w, v) of `_exchange_sectors`; all three read-only.  The block
+    does not depend on the coupling angle, so the points of a sweep that share
+    a spin compute it once."""
     j, k = doubled_j / 2, doubled_k / 2
     a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
     mj, mk = j - a, k - (drop - a)
@@ -257,7 +260,10 @@ def _exchange_block(doubled_j, doubled_k, drop):
         k * (k + 1) - mk[1:] * (mk[1:] - 1))
     block = np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1)
     w, v = np.linalg.eigh(block)
-    return a * (doubled_k + 1) + drop - a, w, v
+    indices = a * (doubled_k + 1) + drop - a
+    for x in (indices, w, v):
+        x.setflags(write=False)
+    return indices, w, v
 
 
 @lru_cache(maxsize=64)
@@ -275,7 +281,9 @@ def _exchange_sectors(doubled_j, doubled_k):
         raise ValueError("spins must be non-negative")
     if doubled_j + doubled_k + 1 > DIM_CAP:
         raise ValueError("%d total-M sectors exceed cap %d" % (doubled_j + doubled_k + 1, DIM_CAP))
-    return tuple(_exchange_block(doubled_j, doubled_k, drop)
+    # the sectors are cached whole, so they bypass the per-block cache rather
+    # than flush it with up to DIM_CAP entries
+    return tuple(_exchange_block.__wrapped__(doubled_j, doubled_k, drop)
                  for drop in range(doubled_j + doubled_k + 1))  # drop = j + k - M
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from spinbench.cli import (
     parse_two_j_range,
     read_reports_csv,
     write_reports_csv,
+    write_reports_json,
 )
 
 PI = math.pi
@@ -123,6 +125,19 @@ def test_report_validation():
     # asymptotic companions may leave [0, 1] when tagged
     FidelityReport(1, 1, PI, "worst_case", -3.0, mode_notes="asymptotic", step=1)
     FidelityReport(3, 1, PI, "opt_asymptotic", 1.7)
+    # but no row holds a non-finite number, which JSON could not print
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ToleranceError, match="not finite"):
+            FidelityReport(3, 1, PI, "mo_asymptotic", bad)
+        with pytest.raises(ToleranceError, match="not finite"):
+            FidelityReport(1, 1, PI, "worst_case", bad, mode_notes="asymptotic", step=1)
+        with pytest.raises(ToleranceError, match="not finite"):
+            FidelityReport(3, 1, PI, "opt_exact", 0.5, uncertainty=bad)
+        with pytest.raises(ToleranceError, match="not finite"):
+            FidelityReport(3, 1, bad, "opt_exact", 0.5)
+    header = ",".join(CSV_FIELDS) + "\n"
+    with pytest.raises(ToleranceError, match="not finite"):
+        read_reports_csv(io.StringIO(header + "3,1,1.0,mo_asymptotic,,nan,inf,\n"))
 
 
 def test_experiment_record_validation():
@@ -185,6 +200,23 @@ _unbounded = st.builds(
 @given(st.lists(st.one_of(_bounded, _unbounded), max_size=8))
 def test_csv_round_trip_property(rows):
     assert _roundtrip(rows) == rows
+
+
+# quotes, backslash, control characters and non-ASCII, which JSON escapes
+_json_notes = st.text(alphabet=st.one_of(
+    st.sampled_from(list('abc;=_ ,."\\/\x00\x07\x1f\n\t\u00e9\u2028\U0001f600')),
+    st.characters()), max_size=12)
+
+
+@given(st.lists(st.one_of(_bounded, _unbounded), max_size=8), _json_notes,
+       st.sampled_from(["sweep", "fidelity"]),
+       st.one_of(st.none(), st.builds(dict, threads=st.integers(1, 64))))
+def test_json_writer_matches_json_dumps(rows, notes, command, extra):
+    # covers the empty row list, step None and int, extra with and without threads
+    rows = [dataclasses.replace(r, mode_notes=r.mode_notes + notes) for r in rows]
+    buf = io.StringIO()
+    write_reports_json(rows, command, extra, buf)
+    assert buf.getvalue() == json.dumps(cli._rows_to_json(command, rows, extra), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from spinbench import channel_lab, protocols, spin_algebra
+from spinbench import channel_lab, cli, protocols, spin_algebra
 from spinbench.channel_lab import (
     KrausChannel,
     ProgramChannel,
@@ -159,9 +159,31 @@ def test_strategy_checks_each_sector_block(monkeypatch):
 
     with pytest.raises(ToleranceError, match="not unitary"):
         simulate_spin_k(3.0, 1.0, 2.0, f=math.nan)
+    # the blocks are cached, but the exponential and its check are not
+    simulate_spin_k(3.0, 1.0, 2.0)
+    with pytest.raises(ToleranceError, match="not unitary"):
+        simulate_spin_k(3.0, 1.0, 2.0, f=math.nan)
     monkeypatch.setattr(protocols, "_exchange_block", skewed)
     with pytest.raises(ToleranceError, match="not unitary"):
         simulate_spin_k(3.0, 1.0, 2.0)
+
+
+def test_per_spin_caches_are_bounded_and_read_only():
+    for cached in (_pole_rule, spin_algebra._exchange_block):
+        assert cached.cache_info().maxsize == 64
+    for a in _pole_rule(7, 3) + spin_algebra._exchange_block(7, 2, 1):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_sweep_builds_each_exchange_block_once_per_spin(capsys):
+    # six angles at one 2j: the strategy's 2k+1 = 2 blocks are built once
+    spin_algebra._exchange_block.cache_clear()
+    assert cli.main(["sweep", "--two-j-range", "37", "--thetas", "0.7,1.3,2.0,2.6,2.9,pi",
+                     "--methods", "heisenberg_sim,worst_case"]) == 0
+    capsys.readouterr()
+    info = spin_algebra._exchange_block.cache_info()
+    assert (info.misses, info.hits) == (2, 10)
 
 
 @pytest.mark.parametrize("j", [1.5, 2.0, 3.0, 4.5, 1500.5, 500000.0])
