@@ -1,0 +1,126 @@
+"""The CLI against its checked-in corpus (tests/data/cli_corpus.json).
+
+Exit codes, stderr, the row set and every closed-form or asymptotic value must
+match exactly.  A value from numpy linear algebra (a simulation, a quadrature,
+a worst-case search, a recycling curve) may move by up to ULP_TOLERANCE ulp
+(see `_ulps`), because numpy and LAPACK builds differ in the last bits; each
+such move is counted and printed, so that one on the machine that wrote the
+corpus still shows.  ``make_cli_corpus.py`` regenerates the file.
+"""
+
+import csv
+import io
+import json
+import math
+import warnings
+
+from make_cli_corpus import CORPUS, run_cli
+
+ULP_TOLERANCE = 4
+# rows whose value comes through numpy linear algebra, unless labelled asymptotic
+NUMERICAL_METHODS = {"heisenberg_sim", "mo_sim", "worst_case", "spin_k_sim", "recycling"}
+# mode_notes items "key=<float>" that carry a numerical value
+NUMERICAL_NOTES = {"entanglement"}
+
+
+def _rows(text):
+    """(header and other non-row fields, rows as {field: str}) of CSV or JSON report output."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        rows = doc.pop("rows")
+        return doc, [{field: "" if v is None else repr(v) if isinstance(v, float) else str(v)
+                      for field, v in row.items()} for row in rows]
+    lines = list(csv.reader(io.StringIO(text)))
+    return lines[0], [dict(zip(lines[0], line)) for line in lines[1:]]
+
+
+def _within(got, want, bound, where, moves):
+    """Whether the float text `got` is within `bound` of `want`; a move within it is recorded."""
+    a, b = float(got), float(want)
+    if a == b:
+        return True
+    if abs(a - b) <= bound:
+        moves.append("%s: %r -> %r (by %.3g, within %.3g)" % (where, b, a, abs(a - b), bound))
+        return True
+    return False
+
+
+def _ulps(text):
+    """ULP_TOLERANCE ulp of a value, taken at no less than 1/2: a fidelity is
+    formed from terms up to 1, so one near 0 carries their absolute rounding."""
+    return ULP_TOLERANCE * math.ulp(max(abs(float(text)), 0.5))
+
+
+def _notes_match(got, want, where, moves):
+    items_got, items_want = got.split(";"), want.split(";")
+    if len(items_got) != len(items_want):
+        return False
+    for g, w in zip(items_got, items_want):
+        key, _, value = w.partition("=")
+        if key in NUMERICAL_NOTES and g.startswith(key + "="):
+            if not _within(g[len(key) + 1:], value, _ulps(value), where + " " + key, moves):
+                return False
+        elif g != w:
+            return False
+    return True
+
+
+def _row_mismatch(got, want, where, moves):
+    """The first field of a report row that moved beyond its tolerance, or None."""
+    numerical = (want["method"] in NUMERICAL_METHODS
+                 and "asymptotic" not in want["mode_notes"].split(";"))
+    for field, value in want.items():
+        if got[field] == value:
+            continue
+        if not numerical:
+            return field
+        if field == "value" and _within(got[field], value, _ulps(value), where + " value", moves):
+            continue
+        # |value - reference| moves with the value, plus its own rounding
+        if field == "uncertainty" and _within(got[field], value,
+                                              _ulps(want["value"]) + math.ulp(float(value)),
+                                              where + " uncertainty", moves):
+            continue
+        if field == "mode_notes" and _notes_match(got[field], value, where, moves):
+            continue
+        return field
+    return None
+
+
+def test_cli_matches_corpus():
+    cases = json.loads(CORPUS.read_text())
+    moves, failures = [], []
+    for case in cases:
+        argv = " ".join(case["argv"])
+        code, out, err = run_cli(case["argv"])
+        if (code, err) != (case["exit"], case["stderr"]):
+            failures.append("%s: exit %r, stderr %r; corpus has exit %r, stderr %r"
+                            % (argv, code, err, case["exit"], case["stderr"]))
+            continue
+        if out == case["stdout"]:
+            continue
+        if not case["stdout"]:
+            failures.append("%s: printed %r, corpus has nothing" % (argv, out[:200]))
+            continue
+        head, rows = _rows(out)
+        want_head, want_rows = _rows(case["stdout"])
+        if head != want_head or len(rows) != len(want_rows):
+            failures.append("%s: header or row count differs" % argv)
+            continue
+        for i, (row, want) in enumerate(zip(rows, want_rows)):
+            if row.keys() != want.keys():
+                failures.append("%s row %d: fields differ" % (argv, i))
+                break
+            field = _row_mismatch(row, want, "%s row %d" % (argv, i), moves)
+            if field is not None:
+                failures.append("%s row %d: %s is %r, corpus has %r"
+                                % (argv, i, field, row[field], want[field]))
+                break
+    print("cli corpus: %d argv, %d values within %d ulp of the corpus"
+          % (len(cases), len(moves), ULP_TOLERANCE))
+    for move in moves:
+        print("  " + move)
+    if moves:
+        warnings.warn("%d CLI corpus values moved within %d ulp (see the test's output)"
+                      % (len(moves), ULP_TOLERANCE))
+    assert not failures, "\n".join(failures[:20])
