@@ -26,15 +26,11 @@ from .channel_lab import (
 from .closed_forms import coupling_angle, mo_optimal_angle
 from .spin_algebra import (
     DIM_CAP,
-    Z_AXIS,
     HalfInteger,
     ToleranceError,
     _check_dimension,
     _exchange_block,
-    _exchange_sectors,
     as_half_integer,
-    make_spin_operators,
-    rotation_unitary,
 )
 
 
@@ -53,11 +49,14 @@ def heisenberg_gate(j, k, f):
     """
     j = as_half_integer(j)
     k = as_half_integer(k)
+    if j.doubled < 0 or k.doubled < 0:
+        raise ValueError("spins must be non-negative")
     dim = (j.doubled + 1) * (k.doubled + 1)
     if dim > DIM_CAP:
         raise ValueError("joint dimension %d exceeds cap %d" % (dim, DIM_CAP))
     u = np.zeros((dim, dim), dtype=complex)
-    for indices, w, v in _exchange_sectors(j.doubled, k.doubled):
+    for drop in range(j.doubled + k.doubled + 1):
+        indices, w, v = _exchange_block(j.doubled, k.doubled, drop)
         u[np.ix_(indices, indices)] = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
     return u
 
@@ -182,7 +181,7 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     _check_dimension(k.doubled + 1)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
         _chart_axes(k.doubled + 1, min(k.doubled, j.doubled) + 1, True)
-    v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
+    v = np.diag(np.exp(-1j * theta * (k.value - np.arange(k.doubled + 1))))
     ch = KrausChannel(_strategy_kraus(j, k, f))
     fe = entanglement_fidelity(ch, v)
     favg = average_fidelity_from_entanglement(fe, k.doubled + 1)

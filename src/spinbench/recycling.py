@@ -61,30 +61,17 @@ def fresh_program(j) -> ProgramDistribution:
     return ProgramDistribution(j, p)
 
 
-def kernel_factor(j, theta, kernel: str = "exact") -> float:
-    """The common factor multiplying both hop rates of the Markov chain.
-
-    "exact" uses 1 - cos(f(theta)) with f the tuned interaction angle; this
-    reproduces the brute-force back-action channel to machine precision at
-    every (j, theta).  "asymptotic" uses the large-j expansion
-    1 - cos(theta) - sin^2(theta)/(2j), which coincides with the exact factor
-    at theta ∈ {0, pi} and differs by O(1/j^2) in between (it can even turn
-    negative for small j and theta, where the expansion is meaningless).
-    """
-    jv = as_half_integer(j).value
-    if kernel == "exact":
-        return 1.0 - math.cos(coupling_angle(j, theta))
-    if kernel == "asymptotic":
-        return 1.0 - math.cos(theta) - math.sin(theta) ** 2 / (2.0 * jv)
-    raise ValueError("kernel must be 'exact' or 'asymptotic'")
+def kernel_factor(j, theta) -> float:
+    """1 - cos f, f the tuned interaction angle: the factor of both hop rates of
+    the chain, exact against the brute-force back-action at every (j, theta)."""
+    return 1.0 - math.cos(coupling_angle(j, theta))
 
 
-def complementary_step(j, theta, dist: ProgramDistribution,
-                       kernel: str = "exact") -> ProgramDistribution:
+def complementary_step(j, theta, dist: ProgramDistribution) -> ProgramDistribution:
     """One use of the program: push the m-distribution through the back-action.
 
     Hop rates out of m are (j+m)(1+j-m)/(1+2j)^2 * g downward and
-    (j-m)(1+j+m)/(1+2j)^2 * g upward, g = kernel_factor(j, theta, kernel);
+    (j-m)(1+j+m)/(1+2j)^2 * g upward, g = kernel_factor(j, theta);
     the (j -+ m) factors kill hops past the band edges on their own.
     """
     j = as_half_integer(j)
@@ -92,7 +79,7 @@ def complementary_step(j, theta, dist: ProgramDistribution,
         raise ValueError("distribution is for a different spin")
     jv = j.value
     m = dist.m_values()
-    g = kernel_factor(j, theta, kernel)
+    g = kernel_factor(j, theta)
     denom = (1.0 + 2.0 * jv) ** 2
     down = (jv + m) * (1.0 + jv - m) / denom * g   # m -> m-1
     up = (jv - m) * (1.0 + jv + m) / denom * g     # m -> m+1
@@ -158,8 +145,7 @@ class RecyclingCurve(NamedTuple):
     mode: str             # per-use fidelity mode: "exact" or "asymptotic"
 
 
-def recycling_curve(j, theta, n_max, mode: str = "exact",
-                    kernel: str = "exact") -> RecyclingCurve:
+def recycling_curve(j, theta, n_max, mode: str = "exact") -> RecyclingCurve:
     """Average fidelity of the n-th use, n = 1 .. n_max.
 
     The program starts in |j,j>; use n sees the drop D = j - m after n-1
@@ -173,10 +159,7 @@ def recycling_curve(j, theta, n_max, mode: str = "exact",
         raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
     j = as_half_integer(j)
     c0, c1, c2 = _drop_polynomial(j, theta, mode)
-    g = kernel_factor(j, theta, kernel)
-    if g < 0.0:
-        raise ValueError("negative %s kernel factor %g at j = %s" % (kernel, g, j))
-    c = g / (j.doubled + 1.0) ** 2
+    c = kernel_factor(j, theta) / (j.doubled + 1.0) ** 2
     steps = np.arange(n_max)  # back-actions before use n = 1 .. n_max
     a = _powm1(2.0 * c, steps)
     # at j = 1/2, D^2 = D: the second mode is absent, and 1 - 6c reaches -2 there
@@ -198,13 +181,12 @@ def _asymptotic_longevity(j, theta):
     return as_half_integer(j).value / one_minus_c if one_minus_c > 1e-300 else math.inf
 
 
-def advantage_longevity(j, theta, n_max=None, mode: str = "exact",
-                        kernel: str = "exact") -> Longevity:
+def advantage_longevity(j, theta, n_max=None, mode: str = "exact") -> Longevity:
     """How many uses beat measure-and-operate: `curve_longevity` of the recycling
     curve, by default over 3 j/(1 - cos theta) + 20 uses, at most 2000."""
     if n_max is None:
         n_max = int(min(3 * _asymptotic_longevity(j, theta), 1980)) + 20
-    return curve_longevity(j, theta, recycling_curve(j, theta, n_max, mode, kernel))
+    return curve_longevity(j, theta, recycling_curve(j, theta, n_max, mode))
 
 
 def curve_longevity(j, theta, curve: RecyclingCurve) -> Longevity:

@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Matrices are never exponentiated beyond this dimension (2j+1 <= DIM_CAP),
-# and no coupling is split into more than DIM_CAP total-M sectors.
+# Matrices are never exponentiated beyond this dimension (2j+1 <= DIM_CAP).
 DIM_CAP = 2001
 
 # every spin meets a float, and 2**53 is the largest doubled spin it holds exactly
@@ -248,10 +247,17 @@ def _coherent_ladder(two_j):
 
 @lru_cache(maxsize=64)
 def _exchange_block(doubled_j, doubled_k, drop):
-    """The total-M block of 2 J.K on j (x) k with M = j + k - drop, as an entry
-    (indices, w, v) of `_exchange_sectors`; all three read-only.  The block
-    does not depend on the coupling angle, so the points of a sweep that share
-    a spin compute it once."""
+    """The total-M block of 2 J.K on the product space j (x) k with M = j + k - drop.
+
+    2 J.K = 2 J_z K_z + J_+ K_- + J_- K_+ conserves M = m_j + m_k, so it splits
+    into tridiagonal blocks of size <= 2 min(j, k) + 1, one per drop = 0 ..
+    2j + 2k.  The entry is (indices, w, v), all three read-only: the
+    product-basis positions of the block (m_j descending within it) and the
+    eigh of the block.  The eigenvalues are l(l+1) - j(j+1) - k(k+1), so in a
+    block of size s the i-th eigenvector (ascending) is the |l, M> state with
+    l = j + k - s + 1 + i.  The block does not depend on the coupling angle,
+    so the points of a sweep that share a spin compute it once.
+    """
     j, k = doubled_j / 2, doubled_k / 2
     a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
     mj, mk = j - a, k - (drop - a)
@@ -266,27 +272,6 @@ def _exchange_block(doubled_j, doubled_k, drop):
     return indices, w, v
 
 
-@lru_cache(maxsize=64)
-def _exchange_sectors(doubled_j, doubled_k):
-    """The total-M blocks of 2 J.K on the product space j (x) k.
-
-    2 J.K = 2 J_z K_z + J_+ K_- + J_- K_+ conserves M = m_j + m_k, so it splits
-    into tridiagonal blocks of size <= 2 min(j, k) + 1, one per M from j+k down
-    to -(j+k).  Each entry is (indices, w, v): the product-basis positions of
-    the block (m_j descending within it) and the eigh of the block.  The
-    eigenvalues are l(l+1) - j(j+1) - k(k+1), so in a block of size s the i-th
-    eigenvector (ascending) is the |l, M> state with l = j + k - s + 1 + i.
-    """
-    if doubled_j < 0 or doubled_k < 0:
-        raise ValueError("spins must be non-negative")
-    if doubled_j + doubled_k + 1 > DIM_CAP:
-        raise ValueError("%d total-M sectors exceed cap %d" % (doubled_j + doubled_k + 1, DIM_CAP))
-    # the sectors are cached whole, so they bypass the per-block cache rather
-    # than flush it with up to DIM_CAP entries
-    return tuple(_exchange_block.__wrapped__(doubled_j, doubled_k, drop)
-                 for drop in range(doubled_j + doubled_k + 1))  # drop = j + k - M
-
-
 def total_spin_projectors(j1, j2):
     """Projectors onto the total-spin-l blocks of j1 (x) j2, l = j1+j2 .. |j1-j2|.
 
@@ -294,15 +279,17 @@ def total_spin_projectors(j1, j2):
     """
     j1 = as_half_integer(j1)
     j2 = as_half_integer(j2)
+    if j1.doubled < 0 or j2.doubled < 0:
+        raise ValueError("spins must be non-negative")
     dim = (j1.doubled + 1) * (j2.doubled + 1)
     count = min(j1.doubled, j2.doubled) + 1
     if count * dim * dim > 2 ** 25:  # complex entries in all: 512 MiB
         raise ValueError("coupled dimension %d too large for %d projectors" % (dim, count))
-    sectors = _exchange_sectors(j1.doubled, j2.doubled)
     top = j1.doubled + j2.doubled
     projectors = {two_l: np.zeros((dim, dim), dtype=complex)
                   for two_l in range(top, abs(j1.doubled - j2.doubled) - 2, -2)}
-    for indices, _, v in sectors:
+    for drop in range(top + 1):
+        indices, _, v = _exchange_block(j1.doubled, j2.doubled, drop)
         block, size = np.ix_(indices, indices), len(indices)
         for i in range(size):
             projectors[top - 2 * (size - 1 - i)][block] += np.outer(v[:, i], v[:, i])

@@ -68,6 +68,14 @@ def test_heisenberg_gate_zero_angle_is_identity():
     assert np.abs(u - np.eye(14)).max() < 1e-13
 
 
+def test_heisenberg_gate_refuses_before_it_allocates():
+    for j, k in ((-0.5, 0.5), (0.5, -0.5), (-1.0, 0.5)):
+        with pytest.raises(ValueError, match="non-negative"):
+            heisenberg_gate(j, k, 1.0)
+    with pytest.raises(ValueError, match="joint dimension 2002 exceeds cap 2001"):
+        heisenberg_gate(HalfInteger(1000), 0.5, 1.0)
+
+
 def test_heisenberg_gate_commutes_with_collective_rotations():
     j, k = HalfInteger(3), HalfInteger(1)
     u = heisenberg_gate(j, k, 1.3)
@@ -131,22 +139,15 @@ def test_strategy_matches_dense_route_on_any_axis():
 
 
 def test_strategy_builds_no_dense_operator(monkeypatch):
-    j = HalfInteger(40)
-
     def refuse(*args, **kwargs):
         raise AssertionError("dense operator built on the strategy path")
 
-    def spin_operators(spin):
-        if as_half_integer(spin) == j:
-            raise AssertionError("spin-j matrices built on the strategy path")
-        return make_spin_operators(spin)
-
     monkeypatch.setattr(protocols, "heisenberg_gate", refuse)
     monkeypatch.setattr(protocols, "ProgramChannel", refuse, raising=False)
-    for module in (protocols, spin_algebra):
-        monkeypatch.setattr(module, "make_spin_operators", spin_operators)
+    # no spin matrix at any spin, program or target
+    monkeypatch.setattr(spin_algebra, "_spin_matrices", refuse)
     for k in (0.5, 1.0):
-        got = simulate_spin_k(j, k, 2.0)
+        got = simulate_spin_k(HalfInteger(40), k, 2.0)
         assert 0.0 < got.worst_case <= got.average < 1.0
 
 

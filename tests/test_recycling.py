@@ -71,30 +71,10 @@ def test_chain_matches_brute_force_at_any_angle():
 
 
 def test_kernel_factor_variants():
-    # at theta = pi the tuned angle is pi for every j: both kernels give 2
+    # at theta = pi the tuned angle is pi for every j: the factor is 2
     for j in (0.5, 3.0, 41.0):
-        assert abs(kernel_factor(j, PI, "exact") - 2.0) < 1e-12
-        assert abs(kernel_factor(j, PI, "asymptotic") - 2.0) < 1e-12
-    # large-j agreement is O(1/j^2)
-    for j in (5.0, 20.0, 60.0):
-        for theta in np.linspace(0.1, PI, 25):
-            diff = kernel_factor(j, theta, "exact") - kernel_factor(j, theta, "asymptotic")
-            assert abs(diff) * j * j < 0.5
-    # the expansion breaks down at small j and theta
-    assert kernel_factor(0.5, 0.3, "asymptotic") < 0.0
-    assert kernel_factor(0.5, 0.3, "exact") > 0.0
-    with pytest.raises(ValueError):
-        kernel_factor(2.0, 1.0, "bogus")
-
-
-def test_asymptotic_kernel_step_from_fresh():
-    # one step from |j,j>: only the down hop fires, rate 2j/(2j+1)^2 * g
-    j, theta = 6.0, 2.0
-    g = kernel_factor(j, theta, "asymptotic")
-    out = complementary_step(j, theta, fresh_program(j), kernel="asymptotic")
-    assert abs(out.probs[1] - 12.0 / 169.0 * g) < 1e-15
-    assert abs(out.probs[0] - (1.0 - 12.0 / 169.0 * g)) < 1e-15
-    assert np.abs(out.probs[2:]).max() == 0.0
+        assert abs(kernel_factor(j, PI) - 2.0) < 1e-12
+    assert kernel_factor(0.5, 0.3) > 0.0
 
 
 def test_distribution_validation():
@@ -185,12 +165,12 @@ def test_recycling_curve_basics():
             recycling_curve(10.0, 2.4, 5, mode=bad)
 
 
-def _stepped_chain(j, theta, n_max, kernel):
+def _stepped_chain(j, theta, n_max):
     # the oracle: the distribution each use n = 1 .. n_max sees, stepped use by use
     dist, history = fresh_program(j), []
     for _ in range(n_max):
         history.append(dist.probs)
-        dist = complementary_step(j, theta, dist, kernel)
+        dist = complementary_step(j, theta, dist)
     return np.array(history)
 
 
@@ -202,16 +182,13 @@ def test_curve_matches_the_stepped_chain():
         for theta in (0.3, 1.0, 2.0, 2.9, PI):
             per_m = {"exact": np.array([per_m_fidelity(j, theta, m) for m in ms]),
                      "asymptotic": np.array([per_m_fidelity_asymptotic(j, theta, m) for m in ms])}
-            for kernel in ("exact", "asymptotic"):
-                if kernel_factor(j, theta, kernel) < 0.0:
-                    continue
-                history = _stepped_chain(j, theta, n_max, kernel)
-                for mode, fm in per_m.items():
-                    stepped = history @ fm
-                    curve = recycling_curve(j, theta, n_max, mode, kernel)
-                    assert [n for n, _ in curve.points] == list(range(1, n_max + 1))
-                    got = np.array([v for _, v in curve.points])
-                    assert np.abs(got - stepped).max() < 1e-12, (two_j, theta, kernel, mode)
+            history = _stepped_chain(j, theta, n_max)
+            for mode, fm in per_m.items():
+                stepped = history @ fm
+                curve = recycling_curve(j, theta, n_max, mode)
+                assert [n for n, _ in curve.points] == list(range(1, n_max + 1))
+                got = np.array([v for _, v in curve.points])
+                assert np.abs(got - stepped).max() < 1e-12, (two_j, theta, mode)
 
 
 def test_chain_moments_follow_the_recursions():
@@ -219,17 +196,13 @@ def test_chain_moments_follow_the_recursions():
     rng = np.random.default_rng(3)
     for j in (0.5, 1.0, 2.5, 20.0, 150.5):
         for theta in (0.4, 2.0, PI):
-            for kernel in ("exact", "asymptotic"):
-                g = kernel_factor(j, theta, kernel)
-                if g < 0.0:
-                    continue
-                c = g / (2.0 * j + 1.0) ** 2
-                dist = ProgramDistribution(j, rng.dirichlet(np.ones(int(2 * j) + 1)))
-                m = dist.m_values()
-                out = complementary_step(j, theta, dist, kernel)
-                assert abs(m @ out.probs - (1.0 - 2.0 * c) * (m @ dist.probs)) < 1e-12
-                second = (1.0 - 6.0 * c) * (m * m @ dist.probs) + 2.0 * c * j * (j + 1.0)
-                assert abs(m * m @ out.probs - second) < 1e-12 * max(1.0, j * j)
+            c = kernel_factor(j, theta) / (2.0 * j + 1.0) ** 2
+            dist = ProgramDistribution(j, rng.dirichlet(np.ones(int(2 * j) + 1)))
+            m = dist.m_values()
+            out = complementary_step(j, theta, dist)
+            assert abs(m @ out.probs - (1.0 - 2.0 * c) * (m @ dist.probs)) < 1e-12
+            second = (1.0 - 6.0 * c) * (m * m @ dist.probs) + 2.0 * c * j * (j + 1.0)
+            assert abs(m * m @ out.probs - second) < 1e-12 * max(1.0, j * j)
 
 
 def test_spin_half_curve_is_finite_over_the_whole_horizon():
@@ -248,19 +221,6 @@ def test_spin_half_curve_is_finite_over_the_whole_horizon():
             stepped[n] = per_m @ probs
             probs = step @ probs
         assert np.abs(got - stepped).max() < 1e-12
-
-
-def test_negative_asymptotic_kernel_is_refused():
-    # small j and theta: the expansion turns negative and the chain would
-    # leave the probabilities, at any horizon
-    assert kernel_factor(0.5, 0.3, "asymptotic") < 0.0
-    with pytest.raises(ValueError):
-        complementary_step(0.5, 0.3, fresh_program(0.5), kernel="asymptotic")
-    for n_max in (1, 5):
-        with pytest.raises(ValueError, match="negative asymptotic kernel"):
-            recycling_curve(0.5, 0.3, n_max, kernel="asymptotic")
-        with pytest.raises(ValueError, match="negative asymptotic kernel"):
-            advantage_longevity(0.5, 0.3, n_max=n_max, kernel="asymptotic")
 
 
 def test_degraded_fidelity_tracks_linear_growth_model():

@@ -254,17 +254,16 @@ def test_projectors_commute_with_collective_rotations():
 def test_dimension_cap(monkeypatch):
     with pytest.raises(ValueError):
         make_spin_operators(HalfInteger(2 * DIM_CAP))
-    # the sector cap admits every program up to 2j = 1999 against a qubit
-    assert len(spin_algebra._exchange_sectors(DIM_CAP - 2, 1)) == DIM_CAP
-    with pytest.raises(ValueError, match="sectors exceed cap"):
-        spin_algebra._exchange_sectors(DIM_CAP - 1, 1)
+    for spins in ((-1, 1), (1, -0.5), (-0.5, -0.5)):
+        with pytest.raises(ValueError, match="non-negative"):
+            total_spin_projectors(*spins)
 
     # the projectors hold min(2j1, 2j2) + 1 matrices of dim^2 entries, at most
-    # 2**25 in all; the sectors are built only after the bound admits a pair
+    # 2**25 in all; the blocks are built only after the bound admits a pair
     def admitted(*args):
-        raise RuntimeError("sectors built after the bound admitted the pair")
+        raise RuntimeError("blocks built after the bound admitted the pair")
 
-    monkeypatch.setattr(spin_algebra, "_exchange_sectors", admitted)
+    monkeypatch.setattr(spin_algebra, "_exchange_block", admitted)
     with pytest.raises(ValueError, match="coupled dimension"):
         total_spin_projectors(50, 50)
     # 63 projectors of 3969^2 entries would take 14.8 GiB
