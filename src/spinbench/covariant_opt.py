@@ -21,6 +21,7 @@ from .spin_algebra import HalfInteger, ToleranceError, as_half_integer
 
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
+MOMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,13 @@ def _alpha_beta(j: HalfInteger, gamma_a, gamma_d):
     return alpha, (2.0 * jv - (2.0 * jv + 1.0) * gamma_d) / (2.0 * jv - 1.0)
 
 
-def check_params(j, params: CovariantChannelParams, tol=PSD_TOL):
+def check_params(j, params: CovariantChannelParams):
     """Raise ValueError unless params is a feasible covariant channel."""
     j = as_half_integer(j)
     jv = j.value
-    if params.alpha < -tol or params.beta < -tol or params.gamma_a < -tol or params.gamma_d < -tol:
+    if any(w < -PSD_TOL for w in (params.alpha, params.beta, params.gamma_a, params.gamma_d)):
         raise ValueError("negative block weight in %r" % (params,))
-    if params.gamma_a * params.gamma_d - abs(params.gamma_b) ** 2 < -tol:
+    if params.gamma_a * params.gamma_d - abs(params.gamma_b) ** 2 < -PSD_TOL:
         raise ValueError("gamma block is not PSD: gamma_a*gamma_d < |gamma_b|^2")
     c1 = (2 * jv + 3) / (2 * jv + 2) * params.alpha + (2 * jv + 1) / (2 * jv + 2) * params.gamma_a
     if abs(c1 - 1.0) > TRACE_TOL:
@@ -118,11 +119,11 @@ def moments_lower_bound(j, x: float) -> float:
     return (m_lo + m_hi) * x - m_lo * m_hi
 
 
-def check_moments(j, moments: ProgramMoments, tol=1e-9):
+def check_moments(j, moments: ProgramMoments):
     jv = as_half_integer(j).value
     x, y = moments.jz_mean, moments.jz2_mean
-    if (abs(x) > jv + tol or y > jv * jv + tol or y < moments_lower_bound(j, x) - tol
-            or y < x * x - tol):
+    if (abs(x) > jv + MOMENT_TOL or y > jv * jv + MOMENT_TOL
+            or y < moments_lower_bound(j, x) - MOMENT_TOL or y < x * x - MOMENT_TOL):
         raise ValueError("moments %r are not realizable by any program distribution" % (moments,))
 
 

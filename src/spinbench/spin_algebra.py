@@ -80,7 +80,7 @@ class HalfInteger:
         return self.value >= _as_number(other)
 
     def __hash__(self):
-        return hash(self.doubled)
+        return hash(self.value)
 
     def __repr__(self):
         if self.doubled % 2 == 0:

@@ -53,6 +53,14 @@ def test_half_integer_roundtrip(doubled):
     h = HalfInteger(doubled)
     assert HalfInteger.from_value(h.value) == h
     assert hash(HalfInteger(doubled)) == hash(h)
+    assert hash(h) == hash(h.value)
+
+
+def test_half_integer_is_found_under_the_equal_number():
+    # equal numbers hash equal, for an integer and for a half-integer value
+    assert HalfInteger(2) == 1 and HalfInteger(2) in {1: 0}
+    assert HalfInteger(3) == 1.5 and HalfInteger(3) in {1.5}
+    assert len({HalfInteger(-4), -2}) == 1
 
 
 def test_direction_normalizes_and_validates():
