@@ -17,6 +17,8 @@ import io
 import json
 import pathlib
 
+from spinbench import cli
+
 CORPUS = pathlib.Path(__file__).with_name("data") / "cli_corpus.json"
 
 ALL_METHODS = "opt_exact,opt_asymptotic,mo_exact,mo_asymptotic,heisenberg_sim,mo_sim,worst_case"
@@ -48,8 +50,6 @@ def corpus_argv():
 
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
-    from spinbench import cli
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
