@@ -38,9 +38,28 @@ def minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
+# the (shape, digest) of the last joint unitary that passed ProgramChannel's
+# unitarity check, as the one item of a list that is updated in place; it is
+# written only after a gate passes, so a race between threads can cost one
+# more check but never skip one
+_verified_unitary = [None]
+
+
+def _unitarity_error(u):
+    """max |U U^dag - I|, the O(D^3) product that ProgramChannel checks."""
+    return np.abs(u @ u.conj().T - np.eye(len(u))).max()
+
+
 @dataclass(frozen=True)
 class ProgramChannel:
-    """A joint unitary on control (x) target together with a fixed program state."""
+    """A joint unitary on control (x) target together with a fixed program state.
+
+    The shape, the program state's norm and the Kraus operators are checked
+    and built on every construction.  The unitarity product runs once per
+    distinct gate content: a gate whose shape and bytes equal those of the
+    last gate that passed it (a Monte-Carlo builder reusing one gate, or a
+    copy of it) is not multiplied out again.
+    """
 
     joint_unitary: np.ndarray
     program_state: np.ndarray
@@ -59,9 +78,14 @@ class ProgramChannel:
             raise ValueError("joint unitary has shape %s, expected %d" % (u.shape, dc * dt))
         if phi.shape != (dc,):
             raise ValueError("program state dimension %d != 2j+1 = %d" % (phi.size, dc))
-        if not np.abs(u @ u.conj().T - np.eye(dc * dt)).max() <= 1e-12:  # a NaN fails too
-            raise ValueError("joint evolution is not unitary")
-        if not abs(np.linalg.norm(phi) - 1.0) < 1e-12:
+        # hashlib loads here, not at import, to keep it off the start-up path
+        import hashlib
+        key = (u.shape, hashlib.blake2b(np.ascontiguousarray(u), digest_size=16).digest())
+        if key != _verified_unitary[0]:
+            if not _unitarity_error(u) <= 1e-12:  # a NaN fails too
+                raise ValueError("joint evolution is not unitary")
+            _verified_unitary[0] = key
+        if not abs(math.sqrt(np.vdot(phi, phi).real) - 1.0) < 1e-12:
             raise ValueError("program state is not normalized")
         # Kraus operators K_a = (<a| (x) I) U (|phi> (x) I), one per control
         # basis state; these realize the partial trace over the control.
@@ -107,7 +131,7 @@ class KrausChannel:
 
 def _check_unitary(v, dim):
     v = np.asarray(v, dtype=complex)
-    if v.shape != (dim, dim) or not np.abs(v @ v.conj().T - np.eye(dim)).max() <= 1e-10:
+    if v.shape != (dim, dim) or not _unitarity_error(v) <= 1e-10:
         raise ValueError("target gate is not a %dx%d unitary" % (dim, dim))
     return v
 
@@ -163,8 +187,11 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     (cos-polar, then azimuth), then every sample's state (2k+1 real parts,
     then 2k+1 imaginary parts).  ch_builder is called once per sample, in
     draw order, and each channel's Kraus operators are copied into one stack.
-    All samples are then evaluated at once: V from one stacked eigh of n.J,
-    V^dag K from one batched matmul.
+    A builder that wraps one gate pays for its unitarity product once, as
+    ProgramChannel runs it once per distinct gate content.  All samples are
+    then evaluated at once: V from one stacked eigh of n.J, V^dag K from one
+    batched matmul.  A non-finite theta is refused before the builder is
+    first called.
 
     Memory: a sample holds 2 x count x d^2 complex entries (its Kraus
     operators and V^dag K), with count and d taken from the first channel.
@@ -176,6 +203,8 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     """
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
+    if not -math.inf < theta < math.inf:  # a NaN fails too
+        raise ValueError("theta must be finite, got %r" % (theta,))
     samples = int(samples)
     rng = np.random.default_rng(seed)
     axes = haar_direction(rng, (1,))
@@ -292,11 +321,9 @@ def _chart_search(mats, grid):
 
 def _on_one_diagonal(mats):
     """Whether each M_a has all its nonzero entries on one diagonal M_a[i, i + s_a]."""
-    for m in mats:
-        rows, cols = np.nonzero(m)
-        if np.unique(cols - rows).size > 1:
-            return False
-    return True
+    d = mats.shape[-1]
+    offset = np.arange(d) - np.arange(d)[:, None]  # s of entry (i, j) = j - i
+    return all(len(set(offset[m != 0].tolist())) <= 1 for m in mats)
 
 
 def _qubit_minimum(mats):
@@ -344,6 +371,12 @@ def _qubit_minimum(mats):
 _COS2 = np.array([0.25, 0.5, 0.25])
 _SIN2 = np.array([-0.25, 0.5, -0.25])
 _SIN = np.array([0.5j, 0.0, -0.5j])
+
+
+def _pad(c, n=1):
+    """c with n zero coefficients on each side, as np.pad(c, n) at a fraction of its cost."""
+    zeros = np.zeros(n)
+    return np.concatenate((zeros, c, zeros))
 
 
 def _derivative(c):
@@ -399,11 +432,11 @@ def _spin_one_minimum(mats):
              + h[2, 2] * np.convolve(_SIN2, _SIN2))
     beta = (2 * h[0, 1] + p) * _COS2 + (2 * h[2, 1] + q) * _SIN2 - abs(t) * _SIN
     gamma = h[1, 1]
-    curvature = alpha - np.pad(beta, 1) + np.pad([gamma], 2)
+    curvature = alpha - _pad(beta) + _pad([gamma], 2)
     d_alpha, d_beta = _derivative(alpha), _derivative(beta)
     stationary = (np.convolve(4 * gamma * d_alpha - 2 * np.convolve(beta, d_beta), curvature)
                   - np.convolve(4 * gamma * alpha - np.convolve(beta, beta),
-                                d_alpha - np.pad(d_beta, 1)))
+                                d_alpha - _pad(d_beta)))
 
     ends = np.array([0.0, np.pi])
     psi_edge = np.r_[ends, _angles(d_alpha)]

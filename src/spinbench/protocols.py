@@ -46,7 +46,10 @@ def heisenberg_gate(j, k, f):
     2 J.K commutes with the total J_z, so the gate is block-diagonal with one
     block of size <= 2k+1 per total M = m_j + m_k; each block is exponentiated
     from its eigendecomposition (eigenvalues l(l+1) - j(j+1) - k(k+1)).
+    A non-finite f is refused before any work.
     """
+    if not -math.inf < f < math.inf:  # a NaN fails too
+        raise ValueError("interaction angle f must be finite, got %r" % (f,))
     j = as_half_integer(j)
     k = as_half_integer(k)
     if j.doubled < 0 or k.doubled < 0:
@@ -57,7 +60,7 @@ def heisenberg_gate(j, k, f):
     u = np.zeros((dim, dim), dtype=complex)
     for drop in range(j.doubled + k.doubled + 1):
         indices, w, v = _exchange_block(j.doubled, k.doubled, drop)
-        u[np.ix_(indices, indices)] = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
+        u[indices[:, None], indices] = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
     return u
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -45,8 +47,9 @@ def test_channel_boundary_rejects_nan():
     j, half = HalfInteger(2), HalfInteger(1)
     u = np.eye(6, dtype=complex)
     u[2, 3] = math.nan
-    with pytest.raises(ValueError, match="not unitary"):
-        ProgramChannel(u, np.array([1.0, 0, 0]), j, half)
+    for _ in range(2):  # a refused gate is checked again
+        with pytest.raises(ValueError, match="not unitary"):
+            ProgramChannel(u, np.array([1.0, 0, 0]), j, half)
     with pytest.raises(ValueError, match="not normalized"):
         ProgramChannel(np.eye(6), np.array([1.0, math.nan, 0]), j, half)
     for k in (HalfInteger(1), HalfInteger(2)):
@@ -68,6 +71,79 @@ def test_program_channel_rejects_bad_shapes():
         ProgramChannel(2 * np.eye(6), np.array([1.0, 0, 0]), j, HalfInteger(1))
     with pytest.raises(ValueError):
         ProgramChannel(np.eye(6), np.array([1.0, 1.0, 0]), j, HalfInteger(1))  # not normalized
+
+
+@pytest.fixture
+def unitarity_products(monkeypatch):
+    """The gates ProgramChannel multiplies out from here on, starting from an
+    empty memo of verified gates."""
+    error, products = channel_lab._unitarity_error, []
+
+    def counted(u):
+        products.append(u.shape)
+        return error(u)
+
+    monkeypatch.setattr(channel_lab, "_unitarity_error", counted)
+    monkeypatch.setattr(channel_lab, "_verified_unitary", [None])
+    return products
+
+
+def test_a_verified_gate_changed_in_place_is_refused(unitarity_products):
+    j, k = HalfInteger(3), HalfInteger(1)
+    u, phi = heisenberg_gate(j, k, 1.1), spin_coherent_state(j, Z_AXIS)
+    ProgramChannel(u, phi, j, k)
+    u[0, 0] += 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        ProgramChannel(u, phi, j, k)
+    assert len(unitarity_products) == 2
+
+
+def test_a_copy_of_a_verified_gate_is_not_multiplied_again(unitarity_products):
+    j, k = HalfInteger(3), HalfInteger(1)
+    u, phi = heisenberg_gate(j, k, 1.1), spin_coherent_state(j, Z_AXIS)
+    first = ProgramChannel(u, phi, j, k)
+    for same in (u.copy(), np.asfortranarray(u), u.tolist()):
+        again = ProgramChannel(same, phi, j, k)
+        assert np.array_equal(again.kraus_operators(), first.kraus_operators())
+    assert len(unitarity_products) == 1
+    # the memo holds one gate: another one displaces it
+    ProgramChannel(heisenberg_gate(j, k, 1.2), phi, j, k)
+    ProgramChannel(u, phi, j, k)
+    assert len(unitarity_products) == 3
+
+
+def test_threads_sharing_the_memo_never_accept_a_non_unitary_gate():
+    # each thread alternates its own unitary gate with a non-unitary one of
+    # the same shape, so the memo changes hands while others compare against it
+    j, k = HalfInteger(3), HalfInteger(1)
+    phi = spin_coherent_state(j, Z_AXIS)
+    errors, done = [], []
+
+    def work(i):
+        good = heisenberg_gate(j, k, 0.1 * (i + 1))
+        bad = good.copy()
+        bad[i, i] += 1e-9
+        for _ in range(300):
+            ProgramChannel(good, phi, j, k)
+            try:
+                ProgramChannel(bad, phi, j, k)
+            except ValueError:
+                continue
+            errors.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(6)) and errors == []
 
 
 def test_kraus_channel_validates_and_is_accepted():
@@ -579,6 +655,31 @@ def test_monte_carlo_refuses_an_over_budget_run_before_it_starts():
             average_fidelity_mc(builder, 2.0, samples, seed=1)
     # criterion 8's run, 1e5 samples x 4 Kraus operators x 2^2 entries, fits
     assert 10**5 * 4 * 2**2 <= channel_lab.MC_BUDGET
+
+
+def test_monte_carlo_multiplies_one_gate_out_once_per_call(unitarity_products):
+    j, theta = HalfInteger(3), 2.0
+    a, b = (heisenberg_gate(j, 0.5, coupling_angle(j.value, t)) for t in (theta, 1.0))
+    counts = []
+    for u in (a, b, a):  # each call starts with the other gate in the memo
+        unitarity_products.clear()
+        average_fidelity_mc(lambda n: ProgramChannel(u, spin_coherent_state(j, n), j, HalfInteger(1)),
+                            theta, 200, seed=3)
+        counts.append(len(unitarity_products))
+    assert counts == [1, 1, 1]
+
+
+def test_monte_carlo_refuses_a_non_finite_angle_before_building():
+    built = []
+
+    def builder(n):
+        built.append(n)
+        return _qubit_channel()
+
+    for theta in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            average_fidelity_mc(builder, theta, 200, seed=1)
+    assert built == []
 
 
 def test_monte_carlo_is_batched(monkeypatch):

@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the calls that need it load it.
+"""scipy and hashlib stay off the import path: only the calls that need them load them.
 
 The test process may already hold scipy, so each check runs in a fresh
 interpreter that reports after every step whether ``scipy`` is loaded.
@@ -24,7 +24,8 @@ def coherent_program(n):
     return spinbench.ProgramChannel(spinbench.heisenberg_gate(j, k, 1.0),
                                     spinbench.spin_coherent_state(j, n), j, k)
 
-report = [["import", None, "scipy" in sys.modules]]
+# the import step's result is whether hashlib is loaded
+report = [["import", "hashlib" in sys.modules, "scipy" in sys.modules]]
 for step in json.loads(sys.argv[1]):
     if step == "locate_transition":
         result = locate_transition(0.5)
@@ -61,6 +62,7 @@ def test_numpy_only_calls_leave_scipy_unloaded(tmp_path):
         "average_fidelity_mc",  # coherent states take no binomial from scipy.special
     ]
     report = _scipy_after_each(steps)
+    assert report[0] == ["import", False, False]  # neither is on the start-up path
     assert [code for _, code, _ in report[1:-1]] == [0] * (len(steps) - 1)
     assert 0.0 < report[-1][1] <= 1.0
     assert [loaded for _, _, loaded in report] == [False] * (len(steps) + 1)

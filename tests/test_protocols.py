@@ -74,6 +74,9 @@ def test_heisenberg_gate_refuses_before_it_allocates():
             heisenberg_gate(j, k, 1.0)
     with pytest.raises(ValueError, match="joint dimension 2002 exceeds cap 2001"):
         heisenberg_gate(HalfInteger(1000), 0.5, 1.0)
+    for f in (math.nan, math.inf, -math.inf):  # refused even where the cap would refuse
+        with pytest.raises(ValueError, match="f must be finite"):
+            heisenberg_gate(HalfInteger(1000), 0.5, f)
 
 
 def test_heisenberg_gate_commutes_with_collective_rotations():
