@@ -54,8 +54,9 @@ def _unitarity_error(u):
 class ProgramChannel:
     """A joint unitary on control (x) target together with a fixed program state.
 
-    The shape, the program state's norm and the Kraus operators are checked
-    and built on every construction.  The unitarity product runs once per
+    The gate is kept as a read-only copy of the caller's array.  The shape,
+    the program state's norm and the Kraus operators are checked and built
+    on every construction.  The unitarity product runs once per
     distinct gate content: a gate whose shape and bytes equal those of the
     last gate that passed it (a Monte-Carlo builder reusing one gate, or a
     copy of it) is not multiplied out again.
@@ -68,7 +69,10 @@ class ProgramChannel:
     _kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = np.asarray(self.joint_unitary, dtype=complex)
+        # a read-only copy, so that a later change to the caller's array
+        # reaches neither the channel's gate nor its Kraus operators
+        u = np.array(self.joint_unitary, dtype=complex, order="C")
+        u.setflags(write=False)
         phi = np.asarray(self.program_state, dtype=complex)
         object.__setattr__(self, "joint_unitary", u)
         object.__setattr__(self, "program_state", phi)
@@ -80,7 +84,7 @@ class ProgramChannel:
             raise ValueError("program state dimension %d != 2j+1 = %d" % (phi.size, dc))
         # hashlib loads here, not at import, to keep it off the start-up path
         import hashlib
-        key = (u.shape, hashlib.blake2b(np.ascontiguousarray(u), digest_size=16).digest())
+        key = (u.shape, hashlib.blake2b(u, digest_size=16).digest())
         if key != _verified_unitary[0]:
             if not _unitarity_error(u) <= 1e-12:  # a NaN fails too
                 raise ValueError("joint evolution is not unitary")
@@ -259,20 +263,23 @@ def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: in
 
     Exact for a qubit target, and for a spin-1 target (d = 3) when each
     V^dag K_a has its nonzero entries on one diagonal, as those of a program
-    along the rotation axis do.  Otherwise the value is an upper bound on the
-    minimum: the best point of a grid over the state chart, refined by
-    Nelder-Mead from the three best grid cells; `grid` (>= 8) applies there
-    only.  On a one-diagonal family psi_n -> e^{i n phi} psi_n leaves the
-    fidelity unchanged, so that grid holds the phase of psi_1 at 0.
+    along the rotation axis do.  A qubit family on one diagonal takes the
+    closed-form minimum of a quadratic in |psi_0|^2, any other qubit family
+    the Bloch-sphere trust-region route.  Otherwise the value is an upper
+    bound on the minimum: the best point of a grid over the state chart,
+    refined by Nelder-Mead from the three best grid cells; `grid` (>= 8)
+    applies there only.  On a one-diagonal family psi_n -> e^{i n phi} psi_n
+    leaves the fidelity unchanged, so that grid holds the phase of psi_1 at 0.
 
     Returns (value, argmin_state), with value the fidelity of that state.
     """
     d = ch.target_dim
     v = _check_unitary(target_gate, d)
     mats = v.conj().T @ ch.kraus_operators()  # broadcast over the Kraus index
+    one_diagonal = d <= 3 and _on_one_diagonal(mats)
     if d == 2:
-        return _qubit_minimum(mats)
-    if d == 3 and _on_one_diagonal(mats):
+        return _qubit_one_diagonal_minimum(mats) if one_diagonal else _qubit_minimum(mats)
+    if one_diagonal:
         return _spin_one_minimum(mats)
     return _chart_search(mats, grid)
 
@@ -364,6 +371,35 @@ def _qubit_minimum(mats):
     if abs(v @ gram @ v - value) > 1e-12:
         raise ToleranceError("Bloch quadratic %r differs from F = %r on its state"
                              % (v @ gram @ v, value))
+    return value, state
+
+
+def _qubit_one_diagonal_minimum(mats):
+    """Exact minimum over pure qubit states of F = sum_a |<psi|M_a|psi>|^2
+    when each M_a has its nonzero entries on one diagonal.
+
+    With x = |psi_0|^2 and w = (x, 1 - x), the diagonal operators give w.H.w
+    with H as in `_spin_one_minimum`, and those of offset +-1 give P x (1 - x),
+    P = sum_a |M_a[0, 1]|^2 + |M_a[1, 0]|^2; the phases do not enter.  So
+    F = H_00 x^2 + (2 H_01 + P) x (1 - x) + H_11 (1 - x)^2, a quadratic in x
+    on [0, 1], minimized at x = 0, at x = 1 or, where its x^2 coefficient is
+    positive, at its vertex clipped to [0, 1].
+
+    Returns (value, state) with value = F(state), state = (sqrt x, sqrt(1 - x)).
+    """
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    (h00, h01), (_, h11) = (diag.T @ diag.conj()).real.tolist()
+    cross = 2.0 * h01 + float(np.sum(np.abs(mats[:, 0, 1]) ** 2 + np.abs(mats[:, 1, 0]) ** 2))
+    curvature = h00 - cross + h11
+    xs = [0.0, 1.0]
+    if curvature > 0.0:
+        xs.append(min(max((2.0 * h11 - cross) / (2.0 * curvature), 0.0), 1.0))
+    quadratic, x = min((h00 * x * x + cross * x * (1.0 - x) + h11 * (1.0 - x) ** 2, x) for x in xs)
+    state = np.array([math.sqrt(x), math.sqrt(1.0 - x)], dtype=complex)
+    value = float(_fidelity_batch(mats, state[None, :])[0])
+    if not abs(quadratic - value) <= 1e-12:  # a NaN fails too
+        raise ToleranceError("qubit quadratic %r differs from F = %r on its state"
+                             % (quadratic, value))
     return value, state
 
 

@@ -95,17 +95,31 @@ def mo_optimal_angle(j, theta: float) -> float:
     return math.atan2((2.0 * jv * jv + 3.0 * jv) * s, (2.0 * jv * jv + 3.0 * jv + 2.0) * c + 2.0 * jv + 1.0)
 
 
+def folded_angle(theta: float) -> float:
+    """The rotation angle in [0, pi] with the fidelities of theta.
+
+    A rotation by theta + 2pi differs from one by theta by a phase, and one by
+    -theta about n is one by theta about -n, so the axis-averaged fidelities
+    are even and 2pi-periodic in theta.  theta in [0, pi] is returned as it
+    is; any other theta as |atan2(sin theta, cos theta)|, which keeps the
+    reduced angle exact to rounding at any |theta|, where theta - tau in
+    floating point would lose the conditional angle tau.
+    """
+    if 0.0 <= theta <= math.pi:
+        return theta
+    return abs(math.atan2(math.sin(theta), math.cos(theta)))
+
+
 def mo_benchmark(j, theta: float) -> FidelityValue:
     """Exact maximal fidelity of any measure-and-operate strategy.
 
-    Defined on [0, pi]; values for theta in (pi, 2pi) follow from the symmetry
-    F(2pi - theta) = F(theta).
+    Computed at `folded_angle(theta)`, in [0, pi], by the symmetries
+    F(-theta) = F(theta) = F(theta + 2pi).
     """
     j = as_half_integer(j)
     if j.doubled < 1:
         raise ValueError("mo_benchmark needs j >= 1/2")
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
+    theta = folded_angle(theta)
     jv = j.value
     tau = mo_optimal_angle(j, theta)
     tj = 2.0 * jv

@@ -23,7 +23,7 @@ from .channel_lab import (
     entanglement_fidelity,
     worst_case_fidelity,
 )
-from .closed_forms import coupling_angle, mo_optimal_angle
+from .closed_forms import coupling_angle, folded_angle, mo_optimal_angle
 from .spin_algebra import (
     DIM_CAP,
     HalfInteger,
@@ -126,9 +126,11 @@ def simulate_mo_strategy(j, theta) -> float:
     """Average fidelity of the measure-and-operate strategy.
 
     Measures the program with the coherent-state POVM and rotates the target
-    about the estimated axis by the optimal conditional angle.
+    about the estimated axis by the optimal conditional angle.  Like
+    `mo_benchmark`, it is computed at `folded_angle(theta)`.
     """
     j = as_half_integer(j)
+    theta = folded_angle(theta)
     fe = _mo_entanglement_fidelity(j, HalfInteger(1), theta, mo_optimal_angle(j, theta))
     return average_fidelity_from_entanglement(fe, 2)
 
@@ -170,8 +172,10 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     every collective rotation R (x) R, so a program along any axis n gives the
     same fidelities for the rotation about n; they are computed along z.
     There each V^dag K_a lies on one diagonal, so the worst case is exact for
-    2k <= 2; for 2k >= 3 it is a chart search's upper bound, and a chart over
-    the budget is refused before the channel is built.
+    2k <= 2, in closed form: a quadratic in |psi_0|^2 for a qubit target, a
+    quartic in two real parameters for a spin-1 target.  For 2k >= 3 it is a
+    chart search's upper bound, and a chart over the budget is refused before
+    the channel is built.
     """
     j = as_half_integer(j)
     k = as_half_integer(k)

@@ -7,12 +7,15 @@ and compares.  Run from the repository root:
     PYTHONPATH=src python tests/make_cli_corpus.py
 
 Regenerating the file is a test-data change: the change that does it names
-the rows that moved, and why.
+the rows that moved, and why.  Before it overwrites the file, the script
+prints each case whose output changed, with its argv and the fields of each
+row that differ.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import pathlib
@@ -59,11 +62,58 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def report_rows(text):
+    """(header and other non-row fields, rows as {field: str}) of CSV or JSON report output."""
+    if text.startswith("{"):
+        doc = json.loads(text)
+        rows = doc.pop("rows")
+        return doc, [{field: "" if v is None else repr(v) if isinstance(v, float) else str(v)
+                      for field, v in row.items()} for row in rows]
+    lines = list(csv.reader(io.StringIO(text)))
+    return lines[0], [dict(zip(lines[0], line)) for line in lines[1:]]
+
+
+def changed_rows(old, new):
+    """Lines "row <n>: <field> <old> -> <new>" for each field that differs
+    between two report outputs; anything else that differs is one line."""
+    if not (old and new):
+        return ["stdout %r -> %r" % (old[:200], new[:200])]
+    (old_head, old_rows), (new_head, new_rows) = report_rows(old), report_rows(new)
+    lines = [] if old_head == new_head else ["header %r -> %r" % (old_head, new_head)]
+    if len(old_rows) != len(new_rows):
+        lines.append("%d rows -> %d rows" % (len(old_rows), len(new_rows)))
+    for i, (a, b) in enumerate(zip(old_rows, new_rows)):
+        lines += ["row %d: %s %s -> %s" % (i, field, a.get(field), b.get(field))
+                  for field in dict.fromkeys([*a, *b]) if a.get(field) != b.get(field)]
+    return lines
+
+
+def print_moves(old_cases, cases):
+    """Print each case whose exit code, stdout or stderr differs from the old corpus."""
+    before = {json.dumps(case["argv"]): case for case in old_cases}
+    for case in cases:
+        old = before.get(json.dumps(case["argv"]))
+        if old == case:
+            continue
+        print(" ".join(case["argv"]))
+        if old is None:
+            print("  new case")
+            continue
+        for key in ("exit", "stderr"):
+            if old[key] != case[key]:
+                print("  %s %r -> %r" % (key, old[key], case[key]))
+        if old["stdout"] != case["stdout"]:
+            for line in changed_rows(old["stdout"], case["stdout"]):
+                print("  " + line)
+
+
 def main():
     cases = []
     for argv in corpus_argv():
         code, out, err = run_cli(argv)
         cases.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    if CORPUS.exists():
+        print_moves(json.loads(CORPUS.read_text()), cases)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(cases, indent=1) + "\n")
     print("wrote %d cases, %d bytes, to %s" % (len(cases), CORPUS.stat().st_size, CORPUS))

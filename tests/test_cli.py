@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinbench import cli, optimal_fidelity, protocols, recycling, spin_algebra
+from spinbench import channel_lab, cli, optimal_fidelity, protocols, recycling, spin_algebra
 from spinbench.cli import (
     CERTIFY_FIELDS,
     CSV_FIELDS,
@@ -348,6 +348,22 @@ def test_sweep_runs_on_the_calling_thread(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 9 * 3
 
 
+def test_qubit_targets_never_take_the_bloch_route(capsys, monkeypatch):
+    # every CLI qubit point has its program along the rotation axis, where
+    # each V^dag K_a lies on one diagonal
+    def refuse(mats):
+        raise AssertionError("a CLI qubit point took the Bloch-sphere route")
+
+    monkeypatch.setattr(channel_lab, "_qubit_minimum", refuse)
+    methods = ",".join(cli.SWEEP_METHODS)
+    for argv in (["sweep", "--two-j-range", "1:24", "--thetas", "0,0.3,2.0,pi,4.0,-1",
+                  "--methods", methods],
+                 ["fidelity", "--two-j", "41", "--theta", "2.0"],
+                 ["spin-k", "--two-j", "6", "--two-k", "1", "--theta", "pi"]):
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_empty_grid_writes_nothing(tmp_path):
     out = tmp_path / "nope.csv"
     with pytest.raises(SystemExit) as exc:
@@ -575,6 +591,15 @@ def test_certify_zero_stderr_cases():
     assert sus["z_score"] is None
     flat = classify_experiment(ExperimentRecord("f", 3, PI, 29 / 45, 0.0))
     assert flat["verdict"] == "inconclusive" and flat["z_score"] == 0.0
+
+
+def test_certify_judges_against_the_benchmark_at_any_angle():
+    # mo_benchmark(3/2, 1e16) at 400 digits is 0.690744878934502649; with
+    # theta - tau formed at theta = 1e16 it reads 0.6307, which would make
+    # this row quantum-enhanced
+    row = classify_experiment(ExperimentRecord("far", 3, 1e16, 0.66, 0.005))
+    assert abs(row["mo_benchmark"] - 0.69074487893450264889) <= 1.2e-16
+    assert row["verdict"] == "classical-reachable"
 
 
 def test_certify_bad_rows_counted(tmp_path, capsys):

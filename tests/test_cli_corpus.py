@@ -8,30 +8,17 @@ such move is counted and printed, so that one on the machine that wrote the
 corpus still shows.  ``make_cli_corpus.py`` regenerates the file.
 """
 
-import csv
-import io
 import json
 import math
 import warnings
 
-from make_cli_corpus import CORPUS, run_cli
+from make_cli_corpus import CORPUS, changed_rows, report_rows, run_cli
 
 ULP_TOLERANCE = 4
 # rows whose value comes through numpy linear algebra, unless labelled asymptotic
 NUMERICAL_METHODS = {"heisenberg_sim", "mo_sim", "worst_case", "spin_k_sim", "recycling"}
 # mode_notes items "key=<float>" that carry a numerical value
 NUMERICAL_NOTES = {"entanglement"}
-
-
-def _rows(text):
-    """(header and other non-row fields, rows as {field: str}) of CSV or JSON report output."""
-    if text.startswith("{"):
-        doc = json.loads(text)
-        rows = doc.pop("rows")
-        return doc, [{field: "" if v is None else repr(v) if isinstance(v, float) else str(v)
-                      for field, v in row.items()} for row in rows]
-    lines = list(csv.reader(io.StringIO(text)))
-    return lines[0], [dict(zip(lines[0], line)) for line in lines[1:]]
 
 
 def _within(got, want, bound, where, moves):
@@ -102,8 +89,8 @@ def test_cli_matches_corpus():
         if not case["stdout"]:
             failures.append("%s: printed %r, corpus has nothing" % (argv, out[:200]))
             continue
-        head, rows = _rows(out)
-        want_head, want_rows = _rows(case["stdout"])
+        head, rows = report_rows(out)
+        want_head, want_rows = report_rows(case["stdout"])
         if head != want_head or len(rows) != len(want_rows):
             failures.append("%s: header or row count differs" % argv)
             continue
@@ -124,3 +111,12 @@ def test_cli_matches_corpus():
         warnings.warn("%d CLI corpus values moved within %d ulp (see the test's output)"
                       % (len(moves), ULP_TOLERANCE))
     assert not failures, "\n".join(failures[:20])
+
+
+def test_regeneration_names_the_fields_that_moved():
+    head = "two_j,two_k,theta_rad,method,step,value,uncertainty,mode_notes\n"
+    old = head + "1,1,2.0,worst_case,,0.5,0.25,vs_asymptotic\n1,1,2.0,mo_sim,,0.7,0.0,\n"
+    new = head + "1,1,2.0,worst_case,,0.5000000000000001,0.25,vs_asymptotic\n1,1,2.0,mo_sim,,0.7,0.0,\n"
+    assert changed_rows(old, new) == ["row 0: value 0.5 -> 0.5000000000000001"]
+    assert changed_rows(old, old + "1,1,2.0,mo_sim,,0.7,0.0,\n") == ["2 rows -> 3 rows"]
+    assert changed_rows(old, "") == ["stdout %r -> ''" % old[:200]]

@@ -8,6 +8,7 @@ from spinbench.channel_lab import KrausChannel, average_fidelity_from_entangleme
 from spinbench.closed_forms import (
     FidelityValue,
     coupling_angle,
+    folded_angle,
     interaction_time,
     mo_benchmark,
     mo_benchmark_asymptotic,
@@ -20,7 +21,7 @@ from spinbench.closed_forms import (
     spin_k_worst_case_asymptotic,
     worst_case_asymptotic,
 )
-from spinbench.protocols import _strategy_kraus, simulate_spin_k, simulate_spin_k_mo
+from spinbench.protocols import _strategy_kraus, simulate_mo_strategy, simulate_spin_k, simulate_spin_k_mo
 from spinbench.spin_algebra import Z_AXIS, HalfInteger, ToleranceError, make_spin_operators, rotation_unitary
 
 PI = math.pi
@@ -94,6 +95,36 @@ def test_mo_benchmark_reflection():
     for j in (0.5, 2.0, 6.5):
         for theta in (0.7, 1.9, 2.8):
             assert abs(mo_benchmark(j, 2 * PI - theta).value - mo_benchmark(j, theta).value) < 1e-14
+
+
+# the measure-and-operate optimum at 2j = 3, from its closed form evaluated
+# with mpmath at 400 digits at each angle's exact binary value
+MO_LARGE_ANGLE = [
+    (1e6, 0.98653334050673130536),
+    (1e16, 0.69074487893450264889),
+    (-1e16, 0.69074487893450264889),
+    (1e300, 0.69820285338781657959),
+    (4.0, 0.68681524655380784083),
+    (-1.0, 0.90355901836677533123),
+]
+
+
+@pytest.mark.parametrize("theta, want", MO_LARGE_ANGLE)
+def test_mo_benchmark_and_simulation_at_any_angle(theta, want):
+    # theta - tau in floating point loses tau at large |theta|: formed
+    # unfolded, theta = 1e16 gives 0.6307 and theta = 1e300 gives 0.359
+    exact = mo_benchmark(1.5, theta).value
+    assert abs(exact - want) <= math.ulp(want)
+    assert abs(simulate_mo_strategy(1.5, theta) - exact) <= 2.2e-16
+
+
+def test_folded_angle():
+    for theta in (0.0, 1e-300, 1.0, 2.0, PI):
+        assert folded_angle(theta) == theta
+    for theta in (-1.0, 4.0, 2 * PI - 2.0, 2.0 + 2 * PI, -2.0 - 40 * PI, 1e16, 1e300, -1e300):
+        folded = folded_angle(theta)
+        assert 0.0 <= folded <= PI
+        assert abs(math.cos(folded) - math.cos(theta)) <= 1e-15
 
 
 def test_mo_angle_endpoints_and_range():
