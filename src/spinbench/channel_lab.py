@@ -270,6 +270,8 @@ def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: in
     refined by Nelder-Mead from the three best grid cells; `grid` (>= 8)
     applies there only.  On a one-diagonal family psi_n -> e^{i n phi} psi_n
     leaves the fidelity unchanged, so that grid holds the phase of psi_1 at 0.
+    Each exact route checks its closed-form minimum against the fidelity of
+    the state it returns and raises ToleranceError on a gap over 1e-12.
 
     Returns (value, argmin_state), with value the fidelity of that state.
     """
@@ -333,6 +335,15 @@ def _on_one_diagonal(mats):
     return all(len(set(offset[m != 0].tolist())) <= 1 for m in mats)
 
 
+def _checked_minimum(mats, state, model, name):
+    """(F(state), state) once the closed form `model` of a minimum route
+    equals F on its state to 1e-12; otherwise ToleranceError."""
+    value = float(_fidelity_batch(mats, state[None, :])[0])
+    if not abs(model - value) <= 1e-12:  # a NaN fails too
+        raise ToleranceError("%s %r differs from F = %r on its state" % (name, model, value))
+    return value, state
+
+
 def _qubit_minimum(mats):
     """Exact minimum over pure qubit states of F = sum_a |<psi|M_a|psi>|^2.
 
@@ -367,11 +378,7 @@ def _qubit_minimum(mats):
         r[0] = math.sqrt(max(-excess(0.0), 0.0))
     v = np.r_[1.0, p @ r / np.linalg.norm(r)]
     state = np.linalg.eigh(np.einsum("k,kij->ij", v, PAULI))[1][:, 1]  # top eigenvector of 2 rho
-    value = float(_fidelity_batch(mats, state[None, :])[0])
-    if abs(v @ gram @ v - value) > 1e-12:
-        raise ToleranceError("Bloch quadratic %r differs from F = %r on its state"
-                             % (v @ gram @ v, value))
-    return value, state
+    return _checked_minimum(mats, state, v @ gram @ v, "Bloch quadratic")
 
 
 def _qubit_one_diagonal_minimum(mats):
@@ -396,11 +403,7 @@ def _qubit_one_diagonal_minimum(mats):
         xs.append(min(max((2.0 * h11 - cross) / (2.0 * curvature), 0.0), 1.0))
     quadratic, x = min((h00 * x * x + cross * x * (1.0 - x) + h11 * (1.0 - x) ** 2, x) for x in xs)
     state = np.array([math.sqrt(x), math.sqrt(1.0 - x)], dtype=complex)
-    value = float(_fidelity_batch(mats, state[None, :])[0])
-    if not abs(quadratic - value) <= 1e-12:  # a NaN fails too
-        raise ToleranceError("qubit quadratic %r differs from F = %r on its state"
-                             % (quadratic, value))
-    return value, state
+    return _checked_minimum(mats, state, quadratic, "qubit quadratic")
 
 
 # cos^2(psi/2), sin^2(psi/2) and sin(psi) as coefficients of z^-1, z^0, z^1, z = e^{i psi}
@@ -489,8 +492,4 @@ def _spin_one_minimum(mats):
                + w[:, 1] * (p * w[:, 0] + q * w[:, 2] - 2 * abs(t) * r[:, 0] * r[:, 2]))
     best = np.argmin(quartic)
     state = r[best] * np.array([1.0, 1.0, np.exp(1j * (np.pi - np.angle(t)))])
-    value = float(_fidelity_batch(mats, state[None, :])[0])
-    if abs(quartic[best] - value) > 1e-12:
-        raise ToleranceError("spin-1 quartic %r differs from F = %r on its state"
-                             % (quartic[best], value))
-    return value, state
+    return _checked_minimum(mats, state, quartic[best], "spin-1 quartic")

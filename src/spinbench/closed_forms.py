@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import ToleranceError, as_half_integer
+from .spin_algebra import HalfInteger, ToleranceError, as_half_integer
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
@@ -25,6 +25,9 @@ J_HALF_NOTE = (
     "j=1/2 closed form: interior branch used for cos(theta) <= -(4+sqrt7)/9, "
     "i.e. |theta-pi| <= pi - 2*arctan(sqrt(4+sqrt7)); boundary branch elsewhere"
 )
+
+# the qubit target k = 1/2 of the spin-k forms
+_K_HALF = HalfInteger(1)
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,8 @@ def optimal_fidelity(j, theta: float) -> FidelityValue:
 
 
 def optimal_fidelity_asymptotic(j, theta: float) -> FidelityValue:
-    j = as_half_integer(j)
-    return FidelityValue(1.0 - (1.0 - math.cos(theta)) / (3.0 * j.value), "asymptotic")
+    """Large-j optimum 1 - (1 - cos theta)/(3j): the spin-k form at k = 1/2."""
+    return spin_k_fidelity_asymptotic(j, _K_HALF, theta)
 
 
 def mo_optimal_angle(j, theta: float) -> float:
@@ -130,18 +133,13 @@ def mo_benchmark(j, theta: float) -> FidelityValue:
 
 
 def mo_benchmark_asymptotic(j, theta: float) -> FidelityValue:
-    j = as_half_integer(j)
-    return FidelityValue(1.0 - 2.0 * (1.0 - math.cos(theta)) / (3.0 * j.value), "asymptotic")
+    """Large-j MO benchmark 1 - 2(1 - cos theta)/(3j): the spin-k form at k = 1/2."""
+    return spin_k_mo_asymptotic(j, _K_HALF, theta)
 
 
 def worst_case_asymptotic(j, theta: float) -> FidelityValue:
-    j = as_half_integer(j)
-    return FidelityValue(1.0 - (1.0 - math.cos(theta)) / j.value, "asymptotic")
-
-
-def _c_of_k(k) -> float:
-    """Constant in the spin-k worst case: 0 for integer k, 1/4 for half-integer k."""
-    return 0.0 if as_half_integer(k).is_integer else 0.25
+    """Large-j worst case 1 - (1 - cos theta)/j: the spin-k form at k = 1/2."""
+    return spin_k_worst_case_asymptotic(j, _K_HALF, theta)
 
 
 def spin_k_fidelity_asymptotic(j, k, theta: float) -> FidelityValue:
@@ -171,8 +169,9 @@ def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
     k(k+1) + 1/4 at m = -1/2 for half-integer k.
     """
     jv = as_half_integer(j).value
-    kv = as_half_integer(k).value
-    coeff = kv * (kv + 1.0) + _c_of_k(k)
+    k = as_half_integer(k)
+    kv = k.value
+    coeff = kv * (kv + 1.0) + (0.0 if k.is_integer else 0.25)
     return FidelityValue(1.0 - coeff * (1.0 - math.cos(theta)) / jv, "asymptotic")
 
 

@@ -237,7 +237,7 @@ def maximize_covariant_fidelity(j, theta):
     jv = j.value
     candidates = [(jv - i, (jv - i) ** 2) for i in range(j.doubled + 1)]
     if j.doubled == 1:
-        candidates.append((0.0, 0.25))  # midpoint moments: the central program
+        candidates.append((0.0, moments_lower_bound(j, 0.0)))  # the central program
     best = None
     for x, y in candidates:
         fe, params = _optimum_at_moments(j, theta, x, y)
@@ -246,15 +246,6 @@ def maximize_covariant_fidelity(j, theta):
         elif abs(fe - best[0]) <= 1e-10 and j.doubled == 1 and x == 0.0:
             best = (fe, params, ProgramMoments(x, y))
     return best
-
-
-def _central_moments(j):
-    # midpoint of the moment hull's lower edge: (0, 0) for integer j,
-    # (0, 1/4) for half-integer j
-    j = as_half_integer(j)
-    if j.doubled % 2 == 1:
-        return (0.0, 0.25)
-    return (0.0, 0.0)
 
 
 def locate_transition(j):
@@ -279,7 +270,7 @@ def locate_transition(j):
             return -(pa + abs(z) * math.sqrt(0.5 / cap) / 2.0)
     else:
         def central_gain(theta):
-            f_cen, _ = _optimum_at_moments(j, theta, *_central_moments(j))
+            f_cen, _ = _optimum_at_moments(j, theta, 0.0, moments_lower_bound(j, 0.0))
             f_coh, _ = _optimum_at_moments(j, theta, j.value, j.value**2)
             return f_cen - f_coh
 

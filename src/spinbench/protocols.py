@@ -19,6 +19,7 @@ import numpy as np
 from .channel_lab import (
     KrausChannel,
     _chart_axes,
+    _unitarity_error,
     average_fidelity_from_entanglement,
     entanglement_fidelity,
     worst_case_fidelity,
@@ -46,7 +47,8 @@ def heisenberg_gate(j, k, f):
     2 J.K commutes with the total J_z, so the gate is block-diagonal with one
     block of size <= 2k+1 per total M = m_j + m_k; each block is exponentiated
     from its eigendecomposition (eigenvalues l(l+1) - j(j+1) - k(k+1)).
-    A non-finite f is refused before any work.
+    f is used as given, not reduced: at large |f| the phase f w/(2j+1) keeps
+    few correct digits.  A non-finite f is refused before any work.
     """
     if not -math.inf < f < math.inf:  # a NaN fails too
         raise ValueError("interaction angle f must be finite, got %r" % (f,))
@@ -152,7 +154,7 @@ def _strategy_kraus(j, k, f):
     for drop in range(dt):
         _, w, v = _exchange_block(j.doubled, k.doubled, drop)
         block = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
-        error = np.abs(block @ block.conj().T - np.eye(len(w))).max()
+        error = _unitarity_error(block)
         if not error <= 1e-12:  # a NaN fails too
             raise ToleranceError("exchange block of drop %d is not unitary (error %g)"
                                  % (drop, error))
@@ -164,11 +166,13 @@ def _strategy_kraus(j, k, f):
 def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     """Program a rotation on a spin-k target through the exchange coupling.
 
-    By default the interaction angle equals theta itself, the simple choice
-    whose error vanishes as 1/j; pass f explicitly to study other schedules
-    (with k = 1/2 and f = coupling_angle this reproduces the tuned qubit
-    strategy).  The channel is built from the 2k+1 total-M sectors that the
-    program |j,j> reaches, in O(k^3) work at any j.  The gate commutes with
+    By default theta is replaced by `folded_angle(theta)` and the interaction
+    angle equals it, the simple choice whose error vanishes as 1/j; the
+    fidelities are then even and 2pi-periodic in theta.  An explicit f is used
+    as given, with theta as given, to study other schedules (with k = 1/2 and
+    f = coupling_angle this reproduces the tuned qubit strategy).  The channel
+    is built from the 2k+1 total-M sectors that the program |j,j> reaches, in
+    O(k^3) work at any j.  The gate commutes with
     every collective rotation R (x) R, so a program along any axis n gives the
     same fidelities for the rotation about n; they are computed along z.
     There each V^dag K_a lies on one diagonal, so the worst case is exact for
@@ -184,7 +188,7 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     if k.doubled < 1:
         raise ValueError("target spin must be >= 1/2")
     if f is None:
-        f = theta
+        theta = f = folded_angle(theta)
     _check_dimension(k.doubled + 1)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
         _chart_axes(k.doubled + 1, min(k.doubled, j.doubled) + 1, True)

@@ -93,7 +93,7 @@ def complementary_step(j, theta, dist: ProgramDistribution) -> ProgramDistributi
     return ProgramDistribution(j, out)
 
 
-def _drop_polynomial(j, theta, mode):
+def _drop_polynomial(j, theta):
     """(c0, c1, c2): the average fidelity of the program |j, j-D> is c0 + c1 D + c2 D^2.
 
     On |m,up> and |m,down> the gate acts through l = j +- 1/2 only, where 2 J.K
@@ -102,17 +102,12 @@ def _drop_polynomial(j, theta, mode):
     V is about z, so Tr[V^dag K_m] = e^{i theta/2} <m,up|U|m,up> +
     e^{-i theta/2} <m,down|U|m,down> = p + q D, and F_avg = 1/3 + |p + q D|^2/6.
     """
-    if mode == "exact":
-        f, width = coupling_angle(j, theta), j.doubled + 1.0
-        a, b = cmath.exp(-1j * f * j.value / width), cmath.exp(1j * f * (j.value + 1.0) / width)
-        up, down = cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta)
-        p = up * a + down * (a + j.doubled * b) / width
-        q = (up - down) * (b - a) / width
-        return 1.0 / 3.0 + abs(p) ** 2 / 6.0, (p.conjugate() * q).real / 3.0, abs(q) ** 2 / 6.0
-    if mode == "asymptotic":
-        loss = (1.0 - math.cos(theta)) / (3.0 * j.value)
-        return 1.0 - loss, -2.0 * loss, 0.0
-    raise ValueError("mode must be 'exact' or 'asymptotic'")
+    f, width = coupling_angle(j, theta), j.doubled + 1.0
+    a, b = cmath.exp(-1j * f * j.value / width), cmath.exp(1j * f * (j.value + 1.0) / width)
+    up, down = cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta)
+    p = up * a + down * (a + j.doubled * b) / width
+    q = (up - down) * (b - a) / width
+    return 1.0 / 3.0 + abs(p) ** 2 / 6.0, (p.conjugate() * q).real / 3.0, abs(q) ** 2 / 6.0
 
 
 def per_m_fidelity(j, theta, m) -> float:
@@ -121,7 +116,7 @@ def per_m_fidelity(j, theta, m) -> float:
     m = as_half_integer(m)
     if abs(m.doubled) > j.doubled or (j.doubled - m.doubled) % 2:
         raise ValueError("m = %s is not a magnetic quantum number for j = %s" % (m, j))
-    c0, c1, c2 = _drop_polynomial(j, theta, "exact")
+    c0, c1, c2 = _drop_polynomial(j, theta)
     drop = (j.doubled - m.doubled) // 2
     return c0 + c1 * drop + c2 * drop * drop
 
@@ -142,23 +137,23 @@ def _powm1(x, n):
 
 class RecyclingCurve(NamedTuple):
     points: list          # [(n, average fidelity)], n = 1 .. n_max
-    mode: str             # per-use fidelity mode: "exact" or "asymptotic"
+    mode: str = "exact"   # the per-use fidelity is exact at every j
 
 
-def recycling_curve(j, theta, n_max, mode: str = "exact") -> RecyclingCurve:
+def recycling_curve(j, theta, n_max) -> RecyclingCurve:
     """Average fidelity of the n-th use, n = 1 .. n_max.
 
     The program starts in |j,j>; use n sees the drop D = j - m after n-1
     back-actions.  Each maps E[m] -> (1-2c) E[m] and E[m^2] -> (1-6c) E[m^2] +
     2c j(j+1), c = kernel_factor/(2j+1)^2, so E[D] = -j A and E[D^2] =
     j((2j-1) B/3 - 2j A) with A = (1-2c)^(n-1) - 1 and B = (1-6c)^(n-1) - 1,
-    and the per-use fidelity is quadratic in D: exact at every j, or with
-    mode="asymptotic" the labelled large-j form 1 - (1 + 2D)(1 - cos theta)/(3j).
+    and the per-use fidelity, exact at every j, is quadratic in D (see
+    `per_m_fidelity`; `per_m_fidelity_asymptotic` is its large-j form).
     """
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
     j = as_half_integer(j)
-    c0, c1, c2 = _drop_polynomial(j, theta, mode)
+    c0, c1, c2 = _drop_polynomial(j, theta)
     c = kernel_factor(j, theta) / (j.doubled + 1.0) ** 2
     steps = np.arange(n_max)  # back-actions before use n = 1 .. n_max
     a = _powm1(2.0 * c, steps)
@@ -167,7 +162,7 @@ def recycling_curve(j, theta, n_max, mode: str = "exact") -> RecyclingCurve:
     drop = -j.value * a
     drop_sq = j.value * ((j.doubled - 1.0) * b / 3.0 - j.doubled * a)
     values = c0 + c1 * drop + c2 * drop_sq
-    return RecyclingCurve(list(zip(range(1, n_max + 1), values.tolist())), mode)
+    return RecyclingCurve(list(zip(range(1, n_max + 1), values.tolist())))
 
 
 class Longevity(NamedTuple):
@@ -181,12 +176,12 @@ def _asymptotic_longevity(j, theta):
     return as_half_integer(j).value / one_minus_c if one_minus_c > 1e-300 else math.inf
 
 
-def advantage_longevity(j, theta, n_max=None, mode: str = "exact") -> Longevity:
+def advantage_longevity(j, theta, n_max=None) -> Longevity:
     """How many uses beat measure-and-operate: `curve_longevity` of the recycling
     curve, by default over 3 j/(1 - cos theta) + 20 uses, at most 2000."""
     if n_max is None:
         n_max = int(min(3 * _asymptotic_longevity(j, theta), 1980)) + 20
-    return curve_longevity(j, theta, recycling_curve(j, theta, n_max, mode))
+    return curve_longevity(j, theta, recycling_curve(j, theta, n_max))
 
 
 def curve_longevity(j, theta, curve: RecyclingCurve) -> Longevity:

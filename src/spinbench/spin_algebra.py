@@ -151,7 +151,9 @@ def _check_dimension(dim):
         raise ValueError("dimension %d exceeds cap %d" % (dim, DIM_CAP))
 
 
-@lru_cache(maxsize=64)
+# the two spins last used: 3 (2j+1)^2 complex entries each, so at most 2**25
+# in all at 2j + 1 = DIM_CAP, the bound total_spin_projectors keeps
+@lru_cache(maxsize=2)
 def _spin_matrices(doubled_j):
     j = doubled_j / 2
     dim = doubled_j + 1

@@ -44,6 +44,12 @@ def corpus_argv():
     argv += [["longevity", "--two-j", "1", "--theta", "2.0", "--n-max", "12"],
              ["longevity", "--two-j", "41", "--theta", "pi", "--n-max", "30"],
              ["longevity", "--two-j", "1999", "--theta", "0.5*pi", "--n-max", "25", "--format", "json"]]
+    # angles outside [0, pi]: every row is even and 2pi-periodic in theta
+    argv += [["fidelity", "--two-j", "3", "--theta", "1e16"],
+             ["sweep", "--two-j-range", "1:4", "--thetas", "-1,4.0", "--methods", ALL_METHODS],
+             ["spin-k", "--two-j", "5", "--two-k", "2", "--theta", "1e16"],
+             ["spin-k", "--two-j", "5", "--two-k", "2", "--theta", "4.0"],
+             ["longevity", "--two-j", "41", "--theta", "-2.0", "--n-max", "30"]]
     # a usage error, a chart over budget and a horizon over the cap
     argv += [["fidelity", "--two-j", "0", "--theta", "pi"],
              ["spin-k", "--two-j", "300", "--two-k", "4", "--theta", "2.0"],

@@ -117,7 +117,7 @@ def test_criterion_6_recycling_longevity():
     for j in (100.0, 200.0, 400.0):
         steps = advantage_longevity(j, PI).steps
         ok &= steps is not None and abs(steps - j / 2) <= 1
-    steps40 = advantage_longevity(40.0, PI, mode="exact").steps
+    steps40 = advantage_longevity(40.0, PI).steps
     ok &= steps40 is not None and abs(steps40 - 20) <= 2
     _check(6, "advantage survives j/2 uses at theta=pi (exact per-use fidelities, "
               "j=40/100/200/400)", ok, t0)

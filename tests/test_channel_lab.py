@@ -367,15 +367,6 @@ def test_scipy_is_reached_through_the_module_names(monkeypatch):
     assert covariant_opt.minimize is channel_lab.minimize
 
 
-def test_qubit_minimum_checks_its_value(monkeypatch):
-    # a state fidelity that disagrees with the Bloch quadratic is an error
-    batch = channel_lab._fidelity_batch
-    monkeypatch.setattr(channel_lab, "_fidelity_batch",
-                        lambda mats, states: batch(mats, states) + 1e-9)
-    with pytest.raises(ToleranceError):
-        channel_lab._qubit_minimum(_programmed_mats(6, 2.0, X_AXIS))
-
-
 def _random_qubit_one_diagonal(rng, offsets):
     # one or two diagonal operators and one on each diagonal of `offsets`,
     # with its columns scaled to complete the family, seen through a random
@@ -445,14 +436,6 @@ def test_qubit_worst_case_takes_the_bloch_route_off_one_diagonal(monkeypatch):
     for n in (Z_AXIS, X_AXIS):
         worst_case_fidelity(ch, rotation_unitary(make_spin_operators(0.5), n, 2.0))
     assert routes == ["_qubit_one_diagonal_minimum", "_qubit_minimum"]
-
-
-def test_qubit_one_diagonal_minimum_checks_its_value(monkeypatch):
-    batch = channel_lab._fidelity_batch
-    monkeypatch.setattr(channel_lab, "_fidelity_batch",
-                        lambda mats, states: batch(mats, states) + 1e-9)
-    with pytest.raises(ToleranceError):
-        channel_lab._qubit_one_diagonal_minimum(_programmed_mats(6, 2.0, Z_AXIS))
 
 
 def _spin_one_mats(two_j, theta, f):
@@ -544,12 +527,19 @@ def test_spin_one_worst_case_needs_no_search(monkeypatch):
     _assert_real_state(v.conj().T @ ch.kraus_operators(), value, state)
 
 
-def test_spin_one_minimum_checks_its_value(monkeypatch):
+@pytest.mark.parametrize("shift", [1e-9, math.nan])
+@pytest.mark.parametrize("route", ["_qubit_minimum", "_qubit_one_diagonal_minimum",
+                                   "_spin_one_minimum"])
+def test_minimum_routes_check_their_value(monkeypatch, route, shift):
+    # a state fidelity that disagrees with the route's closed form, or is NaN, is an error
+    mats = {"_qubit_minimum": lambda: _programmed_mats(6, 2.0, X_AXIS),
+            "_qubit_one_diagonal_minimum": lambda: _programmed_mats(6, 2.0, Z_AXIS),
+            "_spin_one_minimum": lambda: _spin_one_mats(6, 2.0, 2.0)}[route]()
     batch = channel_lab._fidelity_batch
     monkeypatch.setattr(channel_lab, "_fidelity_batch",
-                        lambda mats, states: batch(mats, states) + 1e-9)
+                        lambda mats, states: batch(mats, states) + shift)
     with pytest.raises(ToleranceError):
-        channel_lab._spin_one_minimum(_spin_one_mats(6, 2.0, 2.0))
+        getattr(channel_lab, route)(mats)
 
 
 def _symmetric_isometry(n):

@@ -16,6 +16,7 @@ from spinbench.channel_lab import (
 )
 from spinbench.closed_forms import (
     coupling_angle,
+    folded_angle,
     mo_benchmark,
     optimal_fidelity,
     spin_k_fidelity_asymptotic,
@@ -337,6 +338,23 @@ def test_spin_k_reduces_to_qubit():
     # spin-k MO rotates by theta itself, so at k = 1/2 it is strictly
     # dominated by the tuned conditional angle
     assert simulate_spin_k_mo(j, 0.5, theta) < simulate_mo_strategy(j, theta)
+
+
+def test_spin_k_folds_the_angle_of_its_default_schedule():
+    # without an explicit f, theta and f are folded_angle(theta): the result is
+    # even and 2pi-periodic in theta, and a huge |theta| no longer leaves the
+    # gate's phase f w/(2j+1) to rounding
+    for two_j, two_k in ((5, 2), (41, 2), (3, 1)):
+        j, k = HalfInteger(two_j), HalfInteger(two_k)
+        for theta in (1e16, 4.0, -1.0, 2 * PI + 1, -1e300):
+            assert simulate_spin_k(j, k, theta) == simulate_spin_k(j, k, folded_angle(theta))
+    j, k = HalfInteger(5), HalfInteger(2)
+    got = simulate_spin_k(j, k, 1e16)
+    assert abs(got.average - 0.6056256374063025) < 1e-12
+    assert abs(got.worst_case - 0.23754302633423813) < 1e-12
+    # an explicit f is used as given: f = theta = 4 is a worse schedule than 2pi - 4
+    assert abs(simulate_spin_k(j, k, 4.0, f=4.0).average - 0.5432138744886355) < 1e-12
+    assert abs(simulate_spin_k(j, k, 4.0).average - 0.6003722140853235) < 1e-12
 
 
 def test_spin_k_identity_angle():

@@ -287,6 +287,17 @@ def test_dimension_cap(monkeypatch):
             total_spin_projectors(HalfInteger(two_j1), HalfInteger(two_j2))
 
 
+def test_spin_matrix_cache_is_bounded():
+    # the cache keeps the two spins last used, at most 2 x 3 DIM_CAP^2 complex
+    # entries: within the 2**25 that total_spin_projectors admits
+    assert spin_algebra._spin_matrices.cache_info().maxsize * 3 * DIM_CAP**2 <= 2**25
+    spin_algebra._spin_matrices.cache_clear()
+    for two_j in (1, 2, 1, 2, 3, 2, 1):
+        make_spin_operators(HalfInteger(two_j))
+    info = spin_algebra._spin_matrices.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 3, 2)
+
+
 def test_ladder_matrix_elements():
     half = make_spin_operators(HalfInteger(1))
     assert np.abs(half.jx - np.array([[0.0, 0.5], [0.5, 0.0]])).max() < 1e-15
