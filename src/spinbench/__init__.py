@@ -70,4 +70,4 @@ from .spin_algebra import (
     total_spin_projectors,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

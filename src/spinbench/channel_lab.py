@@ -21,6 +21,8 @@ WORST_CASE_BUDGET = 2**25
 # largest samples x Kraus operators x d^2 complex entries the Monte-Carlo stack
 # admits (128 MiB, and V^dag K takes as much again); larger runs are refused
 MC_BUDGET = 2**23
+# the chart search's default grid: phases per coordinate (half as many magnitudes, >= 6)
+CHART_GRID = 16
 # I, sigma_x, sigma_y, sigma_z
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
@@ -258,7 +260,7 @@ def _fidelity_batch(mats, states):
     return np.sum(np.abs(inner) ** 2, axis=1)
 
 
-def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = 16):
+def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = CHART_GRID):
     """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs.
 
     Exact for a qubit target, and for a spin-1 target (d = 3) when each
@@ -286,7 +288,7 @@ def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: in
     return _chart_search(mats, grid)
 
 
-def _chart_axes(d, count, one_diagonal, grid=16):
+def _chart_axes(d, count, one_diagonal, grid=CHART_GRID):
     """The axes of the chart grid that `worst_case_fidelity` searches for d
     amplitudes and `count` Kraus operators, with the phase of psi_1 held at 0
     when `one_diagonal`; a grid over the WORST_CASE_BUDGET is refused."""

@@ -2,10 +2,11 @@
 spin-k reports, and certification of experimental data.
 
 All spins cross the interface as doubled integers (``--two-j 3`` means
-j = 3/2), angles in radians with ``pi`` literals (``pi``, ``0.5*pi``,
-``pi/3``, ``3/4*pi``).  Output is CSV (default) or JSON with schema tag
-"spinbench/1"; identical invocations produce identical bytes.  A sweep runs on
-one thread: its --threads is checked (>= 1), echoed in the JSON, and ignored.
+j = 3/2), angles in radians with ``pi`` literals and a sign (``pi``, ``-pi``,
+``0.5*pi``, ``pi/3``, ``-3/4*pi``, ``-1e3``).  Output is CSV (default) or JSON
+with schema tag "spinbench/1"; identical invocations produce identical bytes.
+A sweep runs on one thread: its --threads is checked (>= 1), echoed in the
+JSON, and ignored.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -110,7 +111,7 @@ def format_float(x) -> str:
 
 
 def parse_theta(text: str) -> float:
-    """Radians, with pi literals: '2.1', 'pi', '0.5*pi', 'pi/3', '3/4*pi'."""
+    """Radians, with pi literals and a sign: '2.1', 'pi', '-pi', '0.5*pi', 'pi/3', '-3/4*pi'."""
     t = text.strip().lower().replace(" ", "")
     if not t:
         raise argparse.ArgumentTypeError("empty angle")
@@ -120,6 +121,8 @@ def parse_theta(text: str) -> float:
         else:
             left, _, right = t.partition("pi")
             coeff = Fraction(1)
+            if left in ("-", "+"):
+                left += "1*"
             if left:
                 if not left.endswith("*"):
                     raise ValueError(left)
@@ -526,9 +529,22 @@ def build_parser():
     return parser
 
 
+def _join_angles(argv):
+    """argv with each token after --theta or --thetas that starts with a single '-'
+    joined to its option ('--theta=-pi'): argparse reads it as an option otherwise."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in ("--theta", "--thetas")
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_angles(sys.argv[1:] if argv is None else argv))
     if getattr(args, "n_max", 1) < 1:
         parser.error("--n-max must be >= 1")
     if getattr(args, "threads", 1) < 1:

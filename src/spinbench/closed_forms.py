@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import HalfInteger, ToleranceError, as_half_integer
+from .spin_algebra import HalfInteger, ToleranceError, as_half_integer, as_spin
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
@@ -62,9 +62,7 @@ def optimal_fidelity(j, theta: float) -> FidelityValue:
     with the better-program branch (a central |j,0>-like program) taking over
     in a window around theta = pi.
     """
-    j = as_half_integer(j)
-    if j.doubled < 1:
-        raise ValueError("optimal_fidelity needs j >= 1/2")
+    j = as_spin(j, "program spin")
     c = math.cos(theta)
     jv = j.value
     if j.doubled >= 3:
@@ -119,9 +117,7 @@ def mo_benchmark(j, theta: float) -> FidelityValue:
     Computed at `folded_angle(theta)`, in [0, pi], by the symmetries
     F(-theta) = F(theta) = F(theta + 2pi).
     """
-    j = as_half_integer(j)
-    if j.doubled < 1:
-        raise ValueError("mo_benchmark needs j >= 1/2")
+    j = as_spin(j, "program spin")
     theta = folded_angle(theta)
     jv = j.value
     tau = mo_optimal_angle(j, theta)
@@ -142,22 +138,22 @@ def worst_case_asymptotic(j, theta: float) -> FidelityValue:
     return spin_k_worst_case_asymptotic(j, _K_HALF, theta)
 
 
+def _large_j_form(j, coeff, denom, theta: float) -> FidelityValue:
+    """The large-j form 1 - coeff (1 - cos theta)/(denom j) that every asymptotic fidelity takes."""
+    value = 1.0 - coeff * (1.0 - math.cos(theta)) / (denom * as_half_integer(j).value)
+    return FidelityValue(value, "asymptotic")
+
+
 def spin_k_fidelity_asymptotic(j, k, theta: float) -> FidelityValue:
     """Large-j average fidelity of the Heisenberg strategy on a spin-k target."""
-    jv = as_half_integer(j).value
     kv = as_half_integer(k).value
-    return FidelityValue(
-        1.0 - kv * (2.0 * kv + 1.0) * (1.0 - math.cos(theta)) / (3.0 * jv), "asymptotic"
-    )
+    return _large_j_form(j, kv * (2.0 * kv + 1.0), 3.0, theta)
 
 
 def spin_k_entanglement_asymptotic(j, k, theta: float) -> FidelityValue:
     """Companion entanglement-fidelity form, 1 - 2k(k+1)(1-cos theta)/(3j)."""
-    jv = as_half_integer(j).value
     kv = as_half_integer(k).value
-    return FidelityValue(
-        1.0 - 2.0 * kv * (kv + 1.0) * (1.0 - math.cos(theta)) / (3.0 * jv), "asymptotic"
-    )
+    return _large_j_form(j, 2.0 * kv * (kv + 1.0), 3.0, theta)
 
 
 def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
@@ -168,19 +164,14 @@ def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
     The maximum over m is k(k+1) at m = 0 or -1 for integer k, and
     k(k+1) + 1/4 at m = -1/2 for half-integer k.
     """
-    jv = as_half_integer(j).value
     k = as_half_integer(k)
     kv = k.value
-    coeff = kv * (kv + 1.0) + (0.0 if k.is_integer else 0.25)
-    return FidelityValue(1.0 - coeff * (1.0 - math.cos(theta)) / jv, "asymptotic")
+    return _large_j_form(j, kv * (kv + 1.0) + (0.0 if k.is_integer else 0.25), 1.0, theta)
 
 
 def spin_k_mo_asymptotic(j, k, theta: float) -> FidelityValue:
-    jv = as_half_integer(j).value
     kv = as_half_integer(k).value
-    return FidelityValue(
-        1.0 - 2.0 * kv * (2.0 * kv + 1.0) * (1.0 - math.cos(theta)) / (3.0 * jv), "asymptotic"
-    )
+    return _large_j_form(j, 2.0 * kv * (2.0 * kv + 1.0), 3.0, theta)
 
 
 def coupling_angle(j, theta: float) -> float:
@@ -197,9 +188,11 @@ def coupling_angle(j, theta: float) -> float:
     return f
 
 
-def interaction_time(j, theta: float, coupling_constant: float, hbar: float = 1.0) -> float:
-    """Evolution time t = f(theta) / ((2j+1) * alpha * hbar) of the Heisenberg pulse."""
-    if coupling_constant <= 0 or hbar <= 0:
-        raise ValueError("coupling constant and hbar must be positive")
+def interaction_time(j, theta: float, coupling_constant: float) -> float:
+    """Evolution time t = f(theta) / ((2j+1) alpha) of the Heisenberg pulse (hbar = 1);
+    a non-finite theta, or an alpha outside (0, inf), is refused with ValueError."""
+    if not (-math.inf < theta < math.inf and 0.0 < coupling_constant < math.inf):  # a NaN fails too
+        raise ValueError("need a finite theta and a coupling constant in (0, inf), got %r and %r"
+                         % (theta, coupling_constant))
     jv = as_half_integer(j).value
-    return coupling_angle(j, theta) / ((2.0 * jv + 1.0) * coupling_constant * hbar)
+    return coupling_angle(j, theta) / ((2.0 * jv + 1.0) * coupling_constant)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 from .channel_lab import brentq
 from .channel_lab import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
-from .spin_algebra import HalfInteger, ToleranceError, as_half_integer
+from .spin_algebra import HalfInteger, ToleranceError, as_half_integer, as_spin
 
-PSD_TOL = 1e-9
-TRACE_TOL = 1e-9
-MOMENT_TOL = 1e-9
+# slack of every feasibility check: PSD blocks, trace preservation, realizable moments
+SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,19 +84,19 @@ def check_params(j, params: CovariantChannelParams):
     """Raise ValueError unless params is a feasible covariant channel."""
     j = as_half_integer(j)
     jv = j.value
-    if any(w < -PSD_TOL for w in (params.alpha, params.beta, params.gamma_a, params.gamma_d)):
+    if any(w < -SLACK for w in (params.alpha, params.beta, params.gamma_a, params.gamma_d)):
         raise ValueError("negative block weight in %r" % (params,))
-    if params.gamma_a * params.gamma_d - abs(params.gamma_b) ** 2 < -PSD_TOL:
+    if params.gamma_a * params.gamma_d - abs(params.gamma_b) ** 2 < -SLACK:
         raise ValueError("gamma block is not PSD: gamma_a*gamma_d < |gamma_b|^2")
     c1 = (2 * jv + 3) / (2 * jv + 2) * params.alpha + (2 * jv + 1) / (2 * jv + 2) * params.gamma_a
-    if abs(c1 - 1.0) > TRACE_TOL:
+    if abs(c1 - 1.0) > SLACK:
         raise ValueError("first trace-preservation constraint violated (%g != 1)" % c1)
     if j.doubled == 1:
-        if abs(params.gamma_d - 0.5) > TRACE_TOL or abs(params.beta) > TRACE_TOL:
+        if abs(params.gamma_d - 0.5) > SLACK or abs(params.beta) > SLACK:
             raise ValueError("at j=1/2: need beta = 0 and gamma_d = 1/2")
     else:
         c2 = (2 * jv - 1) / (2 * jv) * params.beta + (2 * jv + 1) / (2 * jv) * params.gamma_d
-        if abs(c2 - 1.0) > TRACE_TOL:
+        if abs(c2 - 1.0) > SLACK:
             raise ValueError("second trace-preservation constraint violated (%g != 1)" % c2)
 
 
@@ -122,8 +121,8 @@ def moments_lower_bound(j, x: float) -> float:
 def check_moments(j, moments: ProgramMoments):
     jv = as_half_integer(j).value
     x, y = moments.jz_mean, moments.jz2_mean
-    if (abs(x) > jv + MOMENT_TOL or y > jv * jv + MOMENT_TOL
-            or y < moments_lower_bound(j, x) - MOMENT_TOL or y < x * x - MOMENT_TOL):
+    if (abs(x) > jv + SLACK or y > jv * jv + SLACK
+            or y < moments_lower_bound(j, x) - SLACK or y < x * x - SLACK):
         raise ValueError("moments %r are not realizable by any program distribution" % (moments,))
 
 
@@ -231,9 +230,7 @@ def maximize_covariant_fidelity(j, theta):
 
     Returns (fe, params, moments).
     """
-    j = as_half_integer(j)
-    if j.doubled < 1:
-        raise ValueError("maximize_covariant_fidelity needs j >= 1/2")
+    j = as_spin(j, "program spin")
     jv = j.value
     candidates = [(jv - i, (jv - i) ** 2) for i in range(j.doubled + 1)]
     if j.doubled == 1:
@@ -258,9 +255,7 @@ def locate_transition(j):
     program's optimum overtakes the coherent one.  Either is a brentq root on
     [0.05, pi]; returns None when the central branch does not win at pi.
     """
-    j = as_half_integer(j)
-    if j.doubled < 1:
-        raise ValueError("locate_transition needs j >= 1/2")
+    j = as_spin(j, "program spin")
 
     if j.doubled == 1:
         cap = gamma_a_cap(j)

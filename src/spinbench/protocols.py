@@ -32,6 +32,7 @@ from .spin_algebra import (
     _check_dimension,
     _exchange_block,
     as_half_integer,
+    as_spin,
 )
 
 
@@ -111,10 +112,6 @@ def _mo_entanglement_fidelity(j, k, theta, tau):
     integrand (U_{2k}(c)/(2k+1))^2 has degree 4k in t, so the 2k+1 nodes of
     `_pole_rule` integrate it exactly at every j.
     """
-    if j.doubled < 1:
-        raise ValueError("program spin must be >= 1/2")
-    if k.doubled < 1:
-        raise ValueError("target spin must be >= 1/2")
     t, weights = _pole_rule(j.doubled, k.doubled + 1)
     c = math.cos((theta - tau) / 2.0) - 2.0 * math.sin(theta / 2.0) * math.sin(tau / 2.0) * t
     u_prev, u = 0.0, 1.0  # U_{-1}, U_0
@@ -131,7 +128,7 @@ def simulate_mo_strategy(j, theta) -> float:
     about the estimated axis by the optimal conditional angle.  Like
     `mo_benchmark`, it is computed at `folded_angle(theta)`.
     """
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     theta = folded_angle(theta)
     fe = _mo_entanglement_fidelity(j, HalfInteger(1), theta, mo_optimal_angle(j, theta))
     return average_fidelity_from_entanglement(fe, 2)
@@ -181,12 +178,7 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     chart search's upper bound, and a chart over the budget is refused before
     the channel is built.
     """
-    j = as_half_integer(j)
-    k = as_half_integer(k)
-    if j.doubled < 1:
-        raise ValueError("program spin must be >= 1/2")
-    if k.doubled < 1:
-        raise ValueError("target spin must be >= 1/2")
+    j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
     if f is None:
         theta = f = folded_angle(theta)
     _check_dimension(k.doubled + 1)
@@ -206,6 +198,6 @@ def simulate_spin_k_mo(j, k, theta) -> float:
     The estimated-axis distribution is the same coherent overlap as in the
     qubit case; the conditional rotation is by theta itself about the estimate.
     """
-    k = as_half_integer(k)
-    fe = _mo_entanglement_fidelity(as_half_integer(j), k, theta, theta)
+    j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
+    fe = _mo_entanglement_fidelity(j, k, theta, theta)
     return average_fidelity_from_entanglement(fe, k.doubled + 1)

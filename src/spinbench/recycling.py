@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .closed_forms import coupling_angle, mo_benchmark
+from .closed_forms import _large_j_form, coupling_angle, mo_benchmark
 from .spin_algebra import as_half_integer
 
 # uses of one program a curve or a longevity search covers at most (one output
@@ -123,9 +123,8 @@ def per_m_fidelity(j, theta, m) -> float:
 
 def per_m_fidelity_asymptotic(j, theta, m) -> float:
     """Leading large-j behavior 1 - (1 + 2(j-m))(1 - cos theta)/(3j)."""
-    jv = as_half_integer(j).value
-    mv = as_half_integer(m).value
-    return 1.0 - (1.0 + 2.0 * (jv - mv)) * (1.0 - math.cos(theta)) / (3.0 * jv)
+    drop = as_half_integer(j).value - as_half_integer(m).value
+    return _large_j_form(j, 1.0 + 2.0 * drop, 3.0, theta).value
 
 
 def _powm1(x, n):
@@ -176,11 +175,10 @@ def _asymptotic_longevity(j, theta):
     return as_half_integer(j).value / one_minus_c if one_minus_c > 1e-300 else math.inf
 
 
-def advantage_longevity(j, theta, n_max=None) -> Longevity:
+def advantage_longevity(j, theta) -> Longevity:
     """How many uses beat measure-and-operate: `curve_longevity` of the recycling
-    curve, by default over 3 j/(1 - cos theta) + 20 uses, at most 2000."""
-    if n_max is None:
-        n_max = int(min(3 * _asymptotic_longevity(j, theta), 1980)) + 20
+    curve over 3 j/(1 - cos theta) + 20 uses, at most N_MAX_CAP."""
+    n_max = int(min(3 * _asymptotic_longevity(j, theta), N_MAX_CAP - 20)) + 20
     return curve_longevity(j, theta, recycling_curve(j, theta, n_max))
 
 
@@ -209,11 +207,5 @@ def asymptotic_distribution(j, theta, n) -> ProgramDistribution:
     jv = j.value
     x = n * (1.0 - math.cos(theta))
     r = x / (x + 2.0 * jv)
-    drops = np.arange(j.doubled + 1)
-    if r == 0.0:
-        p = np.zeros(j.doubled + 1)
-        p[0] = 1.0
-    else:
-        p = r**drops
-        p /= p.sum()
-    return ProgramDistribution(j, p)
+    p = r ** np.arange(j.doubled + 1)  # [1, 0, ...] at r = 0
+    return ProgramDistribution(j, p / p.sum())

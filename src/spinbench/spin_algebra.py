@@ -104,6 +104,14 @@ def as_half_integer(x) -> HalfInteger:
     return HalfInteger.from_value(x)
 
 
+def as_spin(x, what) -> HalfInteger:
+    """`as_half_integer`, refused below 1/2 by a ValueError naming the spin `what`."""
+    s = as_half_integer(x)
+    if s.doubled < 1:
+        raise ValueError("%s must be >= 1/2, got %s" % (what, s))
+    return s
+
+
 @dataclass(frozen=True)
 class Direction:
     """A unit vector on the Bloch sphere (rotation axis)."""
@@ -208,9 +216,7 @@ def spin_coherent_state(j, n: Direction) -> np.ndarray:
     partial product is an amplitude, so none over- or underflows at 2j + 1 <=
     DIM_CAP, and no binomial is formed.
     """
-    j = as_half_integer(j)
-    if j.doubled < 1:
-        raise ValueError("spin_coherent_state needs j >= 1/2")
+    j = as_spin(j, "spin")
     if not isinstance(n, Direction):
         n = Direction(*n)
     two_j = j.doubled

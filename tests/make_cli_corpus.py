@@ -9,7 +9,8 @@ and compares.  Run from the repository root:
 Regenerating the file is a test-data change: the change that does it names
 the rows that moved, and why.  Before it overwrites the file, the script
 prints each case whose output changed, with its argv and the fields of each
-row that differ.
+row that differ.  It writes no corpus in which a case other than REFUSALS
+exits other than 0.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from spinbench import cli
 CORPUS = pathlib.Path(__file__).with_name("data") / "cli_corpus.json"
 
 ALL_METHODS = "opt_exact,opt_asymptotic,mo_exact,mo_asymptotic,heisenberg_sim,mo_sim,worst_case"
+
+# a usage error, a chart over budget and a horizon over the cap: the only
+# cases that may exit other than 0
+REFUSALS = [["fidelity", "--two-j", "0", "--theta", "pi"],
+            ["spin-k", "--two-j", "300", "--two-k", "4", "--theta", "2.0"],
+            ["longevity", "--two-j", "3", "--theta", "pi", "--n-max", "100001"]]
 
 
 def corpus_argv():
@@ -49,12 +56,9 @@ def corpus_argv():
              ["sweep", "--two-j-range", "1:4", "--thetas", "-1,4.0", "--methods", ALL_METHODS],
              ["spin-k", "--two-j", "5", "--two-k", "2", "--theta", "1e16"],
              ["spin-k", "--two-j", "5", "--two-k", "2", "--theta", "4.0"],
-             ["longevity", "--two-j", "41", "--theta", "-2.0", "--n-max", "30"]]
-    # a usage error, a chart over budget and a horizon over the cap
-    argv += [["fidelity", "--two-j", "0", "--theta", "pi"],
-             ["spin-k", "--two-j", "300", "--two-k", "4", "--theta", "2.0"],
-             ["longevity", "--two-j", "3", "--theta", "pi", "--n-max", "100001"]]
-    return argv
+             ["longevity", "--two-j", "41", "--theta", "-2.0", "--n-max", "30"],
+             ["fidelity", "--two-j", "3", "--theta", "-pi"]]
+    return argv + REFUSALS
 
 
 def run_cli(argv):
@@ -94,6 +98,12 @@ def changed_rows(old, new):
     return lines
 
 
+def exit_mismatches(cases):
+    """A line for each case that is refused but not in REFUSALS, or in it but not refused."""
+    return ["%s: exit %r" % (" ".join(case["argv"]), case["exit"]) for case in cases
+            if (case["exit"] != 0) != (case["argv"] in REFUSALS)]
+
+
 def print_moves(old_cases, cases):
     """Print each case whose exit code, stdout or stderr differs from the old corpus."""
     before = {json.dumps(case["argv"]): case for case in old_cases}
@@ -118,6 +128,10 @@ def main():
     for argv in corpus_argv():
         code, out, err = run_cli(argv)
         cases.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    mismatches = exit_mismatches(cases)
+    if mismatches:
+        raise SystemExit("not writing %s: only its refusals may exit other than 0\n%s"
+                         % (CORPUS, "\n".join(mismatches)))
     if CORPUS.exists():
         print_moves(json.loads(CORPUS.read_text()), cases)
     CORPUS.parent.mkdir(exist_ok=True)

@@ -8,6 +8,7 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from make_cli_corpus import run_cli
 
 from spinbench import channel_lab, cli, optimal_fidelity, protocols, recycling, spin_algebra
 from spinbench.cli import (
@@ -44,10 +45,13 @@ def test_parse_theta():
     assert parse_theta("3/4*pi") == 0.75 * PI
     assert parse_theta("2.1") == 2.1
     assert parse_theta(" Pi ") == PI
+    assert parse_theta("-pi") == parse_theta("-1*pi") == -PI
+    assert parse_theta("+pi") == PI
+    assert parse_theta("-pi/3") == -PI / 3
 
 
 @pytest.mark.parametrize("bad", ["", "two*pi", "pi*2", "1/0*pi", "pipi", "3..1",
-                                 "nan", "inf", "-inf", "1e400", "1e400*pi"])
+                                 "nan", "inf", "-inf", "1e400", "1e400*pi", "--pi", "-", "-*pi"])
 def test_parse_theta_rejects(bad):
     with pytest.raises(Exception):
         parse_theta(bad)
@@ -237,6 +241,36 @@ def test_fidelity_command_flip(capsys):
     assert by_method["heisenberg_sim"].uncertainty < 1e-9
     assert by_method["mo_sim"].uncertainty <= 1e-15
     assert by_method["mo_sim"].mode_notes == "gauss_jacobi_nodes=2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--two-j", "3", "--theta", "-0.5*pi"],
+    ["fidelity", "--two-j", "3", "--theta", "-1e300"],
+    ["fidelity", "--two-j", "3", "--theta", "-1e3"],
+    ["fidelity", "--two-j", "3", "--theta", "-pi/3"],
+    ["fidelity", "--two-j", "3", "--theta", "+pi"],
+    ["fidelity", "--two-j", "3", "--theta=-pi"],
+    ["longevity", "--two-j", "3", "--theta", "-pi", "--n-max", "3"],
+    ["spin-k", "--two-j", "3", "--two-k", "2", "--theta", "-3/4*pi"],
+    ["sweep", "--two-j-range", "1:2", "--thetas", "-1e3,2"],
+    ["sweep", "--two-j-range", "1:2", "--thetas", "-1,4.0"],
+])
+def test_negative_angles_reach_the_angle_parser(argv):
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, ""), (argv, code, err)
+    assert out.startswith("two_j,")
+
+
+def test_negative_pi_prints_the_bytes_of_its_product_form(monkeypatch):
+    code, out, _ = run_cli(["fidelity", "--two-j", "3", "--theta", "-pi"])
+    assert (code, out) == run_cli(["fidelity", "--two-j", "3", "--theta=-1*pi"])[:2]
+    assert code == 0
+    # the console script calls main() with no argv: the angle is joined there too
+    monkeypatch.setattr("sys.argv", ["spinbench", "fidelity", "--two-j", "3", "--theta", "-pi"])
+    assert run_cli(None)[:2] == (code, out)
+    # a missing value stays a usage error
+    code, out, err = run_cli(["fidelity", "--two-j", "3", "--theta", "--format", "json"])
+    assert (code, out) == (1, "") and "expected one argument" in err
 
 
 def test_fidelity_command_j2_value(capsys):

@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 
-from make_cli_corpus import CORPUS, changed_rows, report_rows, run_cli
+from make_cli_corpus import CORPUS, changed_rows, exit_mismatches, report_rows, run_cli
 
 ULP_TOLERANCE = 4
 # rows whose value comes through numpy linear algebra, unless labelled asymptotic
@@ -111,6 +111,10 @@ def test_cli_matches_corpus():
         warnings.warn("%d CLI corpus values moved within %d ulp (see the test's output)"
                       % (len(moves), ULP_TOLERANCE))
     assert not failures, "\n".join(failures[:20])
+
+
+def test_only_the_refusals_exit_other_than_0():
+    assert not exit_mismatches(json.loads(CORPUS.read_text()))
 
 
 def test_regeneration_names_the_fields_that_moved():

@@ -159,8 +159,10 @@ def test_interaction_time():
     t = interaction_time(j, theta, alpha)
     assert abs(t - coupling_angle(j, theta) / (5.0 * alpha)) < 1e-15
     assert abs(interaction_time(0.5, PI, 1.0) - PI / 2.0) < 1e-12
-    with pytest.raises(ValueError):
-        interaction_time(j, theta, 0.0)
+    for bad_theta, alpha in ((math.nan, 1.0), (math.inf, 1.0), (theta, 0.0), (theta, -1.0),
+                             (theta, math.nan), (theta, math.inf)):
+        with pytest.raises(ValueError):
+            interaction_time(1.5, bad_theta, alpha)
 
 
 def test_pi_is_the_hardest_angle_and_fidelity_grows_with_j():

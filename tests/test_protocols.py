@@ -21,6 +21,7 @@ from spinbench.closed_forms import (
     optimal_fidelity,
     spin_k_fidelity_asymptotic,
 )
+from spinbench.covariant_opt import locate_transition, maximize_covariant_fidelity
 from spinbench.protocols import (
     StrategyFidelities,
     _pole_rule,
@@ -368,6 +369,27 @@ def test_spin_k_rejects_zero_target():
         simulate_spin_k(2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         simulate_spin_k_mo(2.0, 0.0, 1.0)
+
+
+def test_spin_refusals_name_the_spin():
+    # every entry point that needs a spin >= 1/2 refuses through spin_algebra.as_spin
+    calls = [
+        ("program spin", lambda: optimal_fidelity(0, 1.0)),
+        ("program spin", lambda: mo_benchmark(0, 1.0)),
+        ("spin", lambda: spin_coherent_state(0, Z_AXIS)),
+        ("program spin", lambda: maximize_covariant_fidelity(0, 1.0)),
+        ("program spin", lambda: locate_transition(0)),
+        ("program spin", lambda: simulate_spin_k(0, 0.5, 1.0)),
+        ("target spin", lambda: simulate_spin_k(2.0, 0, 1.0)),
+        ("program spin", lambda: simulate_mo_strategy(0, 1.0)),
+        ("program spin", lambda: simulate_spin_k_mo(0, 0.5, 1.0)),
+        ("target spin", lambda: simulate_spin_k_mo(2.0, 0, 1.0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match="^%s must be >= 1/2, got 0$" % name):
+            call()
+    with pytest.raises(ValueError, match="^program spin must be >= 1/2, got -1/2$"):
+        optimal_fidelity(-0.5, 1.0)
 
 
 def test_spin_one_target_slope():

@@ -11,6 +11,7 @@ from spinbench.recycling import (
     advantage_longevity,
     asymptotic_distribution,
     complementary_step,
+    curve_longevity,
     fresh_program,
     kernel_factor,
     per_m_fidelity,
@@ -156,8 +157,6 @@ def test_recycling_curve_basics():
     for horizon in (0, N_MAX_CAP + 1):
         with pytest.raises(ValueError, match="n_max must be in"):
             recycling_curve(10.0, 2.4, horizon)
-        with pytest.raises(ValueError, match="n_max must be in"):
-            advantage_longevity(10.0, 2.4, n_max=horizon)
 
 
 def _stepped_chain(j, theta, n_max):
@@ -237,7 +236,10 @@ def test_longevity_frozen_values():
             lon = advantage_longevity(j, theta)
             assert 1 <= lon.steps - lon.asymptotic <= 2, (j, theta, lon)
     assert advantage_longevity(50.0, 1e-9).steps is None       # no degradation
-    assert advantage_longevity(100.0, PI, n_max=10).steps is None
+    assert curve_longevity(100.0, PI, recycling_curve(100.0, PI, 10)).steps is None
+    # crossings past 2000 uses: the horizon is 3 j/(1 - cos theta) + 20 up to N_MAX_CAP
+    assert advantage_longevity(5000.0, PI).steps == 2501
+    assert advantage_longevity(2000.0, PI / 2).steps == 2002
 
 
 def test_longevity_insensitive_to_per_step_retuning():
@@ -273,8 +275,9 @@ def test_longevity_insensitive_to_per_step_retuning():
 def test_asymptotic_distribution_shape():
     with pytest.raises(ValueError):
         asymptotic_distribution(10.0, PI, -1)
-    d0 = asymptotic_distribution(10.0, PI, 0)
-    assert d0.probs[0] == 1.0
+    for two_j in (1, 2, 20, 201):  # no use yet: the fresh program
+        assert np.array_equal(asymptotic_distribution(two_j / 2, PI, 0).probs,
+                              fresh_program(two_j / 2).probs)
     # after 50 uses at j=200 the geometric shape matches the iterated chain
     j, theta, n = 200.0, PI, 50
     dist = fresh_program(j)
