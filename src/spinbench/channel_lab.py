@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import Direction, HalfInteger, ToleranceError, make_spin_operators
+from .spin_algebra import Direction, HalfInteger, check_each, make_spin_operators
 
 # largest chart points x max(Kraus operators, d) the worst-case grid search
 # admits; a point needs d complex amplitudes for its state and one complex
@@ -48,8 +48,13 @@ _verified_unitary = [None]
 
 
 def _unitarity_error(u):
-    """max |U U^dag - I|, the O(D^3) product that ProgramChannel checks."""
-    return np.abs(u @ u.conj().T - np.eye(len(u))).max()
+    """|U U^dag - I| entrywise (of each of a stack), the O(D^3) product ProgramChannel checks."""
+    return np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]))
+
+
+def _completeness_error(kraus):
+    """|sum_a K_a^dag K_a - I| entrywise, for a Kraus family or a stack of them (leading axes)."""
+    return np.abs(np.einsum("...aji,...ajl->...il", kraus.conj(), kraus) - np.eye(kraus.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ class ProgramChannel:
         import hashlib
         key = (u.shape, hashlib.blake2b(u, digest_size=16).digest())
         if key != _verified_unitary[0]:
-            if not _unitarity_error(u) <= 1e-12:  # a NaN fails too
-                raise ValueError("joint evolution is not unitary")
+            check_each(_unitarity_error(u), 1e-12, "joint evolution is not unitary (error %g)", ValueError)
             _verified_unitary[0] = key
         if not abs(math.sqrt(np.vdot(phi, phi).real) - 1.0) < 1e-12:
             raise ValueError("program state is not normalized")
@@ -120,10 +124,7 @@ class KrausChannel:
         k = np.array(self.operators, dtype=complex)
         if k.ndim != 3 or len(k) < 1 or k.shape[1] != k.shape[2]:
             raise ValueError("Kraus operators have shape %s, expected (count, d, d)" % (k.shape,))
-        completeness = np.einsum("aji,ajl->il", k.conj(), k)
-        error = np.abs(completeness - np.eye(k.shape[1])).max()
-        if not error <= 1e-12:  # a NaN fails too
-            raise ValueError("Kraus operators are not complete: |sum K^dag K - I| = %g" % error)
+        check_each(_completeness_error(k), 1e-12, "Kraus operators are not complete (error %g)", ValueError)
         k.setflags(write=False)
         object.__setattr__(self, "operators", k)
 
@@ -137,7 +138,7 @@ class KrausChannel:
 
 def _check_unitary(v, dim):
     v = np.asarray(v, dtype=complex)
-    if v.shape != (dim, dim) or not _unitarity_error(v) <= 1e-10:
+    if v.shape != (dim, dim) or not _unitarity_error(v).max() <= 1e-10:
         raise ValueError("target gate is not a %dx%d unitary" % (dim, dim))
     return v
 
@@ -147,14 +148,16 @@ def entanglement_fidelity(ch: ProgramChannel | KrausChannel, target_gate) -> flo
 
     With Kraus operators this collapses to sum_a |Tr[V^dag K_a]|^2 / d^2.
     """
-    d = ch.target_dim
-    v = _check_unitary(target_gate, d)
-    k = ch.kraus_operators()
-    overlaps = np.einsum("ji,aji->a", v.conj(), k)  # Tr[V^dag K_a]
-    fe = float(np.sum(np.abs(overlaps) ** 2).real) / d**2
-    if not -1e-12 <= fe <= 1 + 1e-12:
-        raise ToleranceError("entanglement fidelity %r escapes [0, 1]" % fe)
-    return min(max(fe, 0.0), 1.0)
+    v = _check_unitary(target_gate, ch.target_dim)
+    return float(_entanglement_fidelities(ch.kraus_operators(), v))
+
+
+def _entanglement_fidelities(kraus, v):
+    """sum_a |Tr[V^dag K_a]|^2 / d^2 of each (K, V) of a stack, checked in [0, 1] and clipped."""
+    overlaps = np.einsum("...ji,...aji->...a", v.conj(), kraus)  # Tr[V^dag K_a]
+    fe = (np.abs(overlaps) ** 2).sum(-1) / v.shape[-1] ** 2
+    check_each(np.abs(fe - 0.5), 0.5 + 1e-12, "entanglement fidelity escapes [0, 1]: |F_e - 1/2| = %r")
+    return np.minimum(np.maximum(fe, 0.0), 1.0)
 
 
 def average_fidelity_from_entanglement(fe: float, d: int) -> float:
@@ -255,9 +258,9 @@ def _chart_states(x, dim):
 
 
 def _fidelity_batch(mats, states):
-    """F(psi) = sum_a |<psi| M_a |psi>|^2 for each row of `states`."""
-    inner = np.einsum("ni,aij,nj->na", states.conj(), mats, states)
-    return np.sum(np.abs(inner) ** 2, axis=1)
+    """F(psi) = sum_a |<psi| M_a |psi>|^2 for each row of `states` (one per family of a stack)."""
+    inner = np.einsum("...i,...aij,...j->...a", states.conj(), mats, states)
+    return (np.abs(inner) ** 2).sum(-1)
 
 
 def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = CHART_GRID):
@@ -331,19 +334,19 @@ def _chart_search(mats, grid):
 
 
 def _on_one_diagonal(mats):
-    """Whether each M_a has all its nonzero entries on one diagonal M_a[i, i + s_a]."""
+    """Whether each M_a (of every family of a stack) has its nonzero entries on one diagonal."""
     d = mats.shape[-1]
-    offset = np.arange(d) - np.arange(d)[:, None]  # s of entry (i, j) = j - i
-    return all(len(set(offset[m != 0].tolist())) <= 1 for m in mats)
+    a, i, j = np.nonzero(mats.reshape(-1, d, d))  # in order: an operator's entries are adjacent
+    offset = j - i
+    return bool((offset[1:] == offset[:-1])[a[1:] == a[:-1]].all())
 
 
 def _checked_minimum(mats, state, model, name):
     """(F(state), state) once the closed form `model` of a minimum route
-    equals F on its state to 1e-12; otherwise ToleranceError."""
-    value = float(_fidelity_batch(mats, state[None, :])[0])
-    if not abs(model - value) <= 1e-12:  # a NaN fails too
-        raise ToleranceError("%s %r differs from F = %r on its state" % (name, model, value))
-    return value, state
+    equals F on its state to 1e-12, for each family of a stack; otherwise ToleranceError."""
+    value = _fidelity_batch(mats, state.reshape(-1, state.shape[-1])).reshape(np.shape(model))
+    check_each(abs(model - value), 1e-12, name + " differs from F on its state by %r")
+    return value.tolist(), state
 
 
 def _qubit_minimum(mats):
@@ -394,18 +397,22 @@ def _qubit_one_diagonal_minimum(mats):
     on [0, 1], minimized at x = 0, at x = 1 or, where its x^2 coefficient is
     positive, at its vertex clipped to [0, 1].
 
-    Returns (value, state) with value = F(state), state = (sqrt x, sqrt(1 - x)).
+    Returns (value, state) with value = F(state), state = (sqrt x, sqrt(1 - x));
+    for a stack of families (leading axes), a list of values and a stack of states.
     """
-    diag = np.diagonal(mats, axis1=1, axis2=2)
-    (h00, h01), (_, h11) = (diag.T @ diag.conj()).real.tolist()
-    cross = 2.0 * h01 + float(np.sum(np.abs(mats[:, 0, 1]) ** 2 + np.abs(mats[:, 1, 0]) ** 2))
-    curvature = h00 - cross + h11
-    xs = [0.0, 1.0]
-    if curvature > 0.0:
-        xs.append(min(max((2.0 * h11 - cross) / (2.0 * curvature), 0.0), 1.0))
-    quadratic, x = min((h00 * x * x + cross * x * (1.0 - x) + h11 * (1.0 - x) ** 2, x) for x in xs)
-    state = np.array([math.sqrt(x), math.sqrt(1.0 - x)], dtype=complex)
-    return _checked_minimum(mats, state, quadratic, "qubit quadratic")
+    diag = mats.diagonal(0, -2, -1)
+    h = (diag.swapaxes(-1, -2) @ diag.conj()).real
+    crosses = 2.0 * h[..., 0, 1] + (np.abs(mats[..., 0, 1]) ** 2 + np.abs(mats[..., 1, 0]) ** 2).sum(-1)
+    best = []  # each family's three candidates are scalar floats, as at one family
+    for h00, cross, h11 in zip(*(a.ravel().tolist() for a in (h[..., 0, 0], crosses, h[..., 1, 1]))):
+        curvature = h00 - cross + h11
+        xs = [0.0, 1.0]
+        if curvature > 0.0:
+            xs.append(min(max((2.0 * h11 - cross) / (2.0 * curvature), 0.0), 1.0))
+        quadratic, x = min((h00 * x * x + cross * x * (1.0 - x) + h11 * (1.0 - x) ** 2, x) for x in xs)
+        best.append((quadratic, math.sqrt(x), math.sqrt(1.0 - x)))
+    best = np.array(best).reshape(crosses.shape + (3,))  # F, then the state (sqrt x, sqrt(1 - x))
+    return _checked_minimum(mats, best[..., 1:].astype(complex), best[..., 0], "qubit quadratic")
 
 
 # cos^2(psi/2), sin^2(psi/2) and sin(psi) as coefficients of z^-1, z^0, z^1, z = e^{i psi}

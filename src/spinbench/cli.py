@@ -45,7 +45,7 @@ SWEEP_METHODS = (
     "mo_sim",
     "worst_case",
 )
-METHODS = SWEEP_METHODS + ("recycling", "spin_k_sim")
+METHODS = frozenset(SWEEP_METHODS + ("recycling", "spin_k_sim"))
 
 SWEEP_POINTS_CAP = 100_000
 
@@ -69,8 +69,7 @@ class FidelityReport:
             raise ValueError("unknown method %r" % (self.method,))
         # the writers print floats with repr, which JSON has no token for
         # when the float is not finite
-        for field in ("theta_rad", "value", "uncertainty"):
-            x = getattr(self, field)
+        for field, x in (("theta_rad", self.theta_rad), ("value", self.value), ("uncertainty", self.uncertainty)):
             if not math.isfinite(x):
                 raise ToleranceError("%s %s %r is not finite" % (self.method, field, x))
         if self.uncertainty < 0:
@@ -78,10 +77,9 @@ class FidelityReport:
         # asymptotic rows (an *_asymptotic method, or the note "asymptotic" in
         # mode_notes) may leave [0, 1] at small j; everything exact or
         # simulated must stay inside
-        notes = self.mode_notes.split(";")
-        if not self.method.endswith("_asymptotic") and "asymptotic" not in notes:
-            if not (-1e-12 <= self.value <= 1.0 + 1e-12):
-                raise ToleranceError("%s value %r escapes [0, 1]" % (self.method, self.value))
+        if not (-1e-12 <= self.value <= 1.0 + 1e-12 or self.method.endswith("_asymptotic")
+                or "asymptotic" in self.mode_notes.split(";")):
+            raise ToleranceError("%s value %r escapes [0, 1]" % (self.method, self.value))
 
 
 @dataclass(frozen=True)
@@ -201,51 +199,38 @@ def parse_methods(text: str):
 # report rows
 
 
-def _point_rows(two_j, theta, methods):
-    """Rows for one (j, theta) point, restricted to `methods`, canonical order."""
+def _spin_rows(two_j, thetas, methods):
+    """Rows of one spin's points, theta major, `methods` in canonical order: each simulation
+    is one stacked evaluation over the spin's angles, the closed forms scalar `math`."""
     j = HalfInteger(two_j)
-    jv = j.value
-    need_sim = "heisenberg_sim" in methods or "worst_case" in methods
-    sim = protocols.simulate_optimal_qubit_strategy(j, theta) if need_sim else None
-    fo = closed_forms.optimal_fidelity(jv, theta)
-    fm = closed_forms.mo_benchmark(jv, theta)
+    sim = (protocols.simulate_strategies(j, 0.5, thetas, [closed_forms.coupling_angle(j, t) for t in thetas])
+           if "heisenberg_sim" in methods or "worst_case" in methods else None)
+    mo = protocols.simulate_mo_strategies(j, thetas) if "mo_sim" in methods else None
     rows = []
-    for method in methods:
-        if method == "opt_exact":
-            rows.append(FidelityReport(two_j, 1, theta, method, fo.value, mode_notes=fo.note))
-        elif method == "opt_asymptotic":
-            rows.append(FidelityReport(
-                two_j, 1, theta, method, closed_forms.optimal_fidelity_asymptotic(jv, theta).value))
-        elif method == "mo_exact":
-            rows.append(FidelityReport(two_j, 1, theta, method, fm.value, mode_notes=fm.note))
-        elif method == "mo_asymptotic":
-            rows.append(FidelityReport(
-                two_j, 1, theta, method, closed_forms.mo_benchmark_asymptotic(jv, theta).value))
-        elif method == "heisenberg_sim":
-            rows.append(FidelityReport(
-                two_j, 1, theta, method, sim.average, abs(sim.average - fo.value)))
-        elif method == "mo_sim":
-            value = protocols.simulate_mo_strategy(j, theta)
-            rows.append(FidelityReport(
-                two_j, 1, theta, method, value, abs(value - fm.value), "gauss_jacobi_nodes=2"))
-        elif method == "worst_case":
-            asym = closed_forms.worst_case_asymptotic(jv, theta).value
-            rows.append(FidelityReport(
-                two_j, 1, theta, method, sim.worst_case,
-                abs(sim.worst_case - asym), "vs_asymptotic"))
+    for i, theta in enumerate(thetas):
+        fo, fm = closed_forms.optimal_fidelity(j, theta), closed_forms.mo_benchmark(j, theta)
+        # (value, uncertainty, mode_notes) of each method, computed when asked for
+        cells = {
+            "opt_exact": lambda: (fo.value, 0.0, fo.note),
+            "opt_asymptotic": lambda: (closed_forms.optimal_fidelity_asymptotic(j, theta).value, 0.0, ""),
+            "mo_exact": lambda: (fm.value, 0.0, fm.note),
+            "mo_asymptotic": lambda: (closed_forms.mo_benchmark_asymptotic(j, theta).value, 0.0, ""),
+            "heisenberg_sim": lambda: (sim.average[i], abs(sim.average[i] - fo.value), ""),
+            "mo_sim": lambda: (mo[i], abs(mo[i] - fm.value), "gauss_jacobi_nodes=2"),
+            "worst_case": lambda: (sim.worst_case[i], abs(
+                sim.worst_case[i] - closed_forms.worst_case_asymptotic(j, theta).value), "vs_asymptotic"),
+        }
+        rows += [FidelityReport(two_j, 1, theta, method, *cells[method]()) for method in methods]
     return rows
 
 
 def fidelity_rows(two_j, theta):
-    return _point_rows(
-        two_j, theta,
-        ["opt_exact", "opt_asymptotic", "mo_exact", "mo_asymptotic", "heisenberg_sim", "mo_sim"])
+    return _spin_rows(two_j, [theta], SWEEP_METHODS[:-1])  # all but worst_case
 
 
 def spin_k_rows(two_j, two_k, theta):
     j = HalfInteger(two_j)
     k = HalfInteger(two_k)
-    jv, kv = j.value, k.value
     # the tuned interaction angle is only known for the qubit target; beyond
     # that the plain choice f = theta is the one with controlled asymptotics
     if two_k == 1:
@@ -253,9 +238,9 @@ def spin_k_rows(two_j, two_k, theta):
     else:
         sim = protocols.simulate_spin_k(j, k, theta)
     mo_val = protocols.simulate_spin_k_mo(j, k, theta)
-    asym_avg = closed_forms.spin_k_fidelity_asymptotic(jv, kv, theta).value
-    asym_mo = closed_forms.spin_k_mo_asymptotic(jv, kv, theta).value
-    asym_w = closed_forms.spin_k_worst_case_asymptotic(jv, kv, theta).value
+    asym_avg = closed_forms.spin_k_fidelity_asymptotic(j, k, theta).value
+    asym_mo = closed_forms.spin_k_mo_asymptotic(j, k, theta).value
+    asym_w = closed_forms.spin_k_worst_case_asymptotic(j, k, theta).value
     return [
         FidelityReport(two_j, two_k, theta, "spin_k_sim", sim.average,
                        abs(sim.average - asym_avg),
@@ -275,7 +260,7 @@ def longevity_rows(two_j, theta, n_max):
     j = HalfInteger(two_j)
     curve = recycling.recycling_curve(j, theta, n_max)
     life = recycling.curve_longevity(j, theta, curve)
-    bench = closed_forms.mo_benchmark(j.value, theta).value
+    bench = closed_forms.mo_benchmark(j, theta).value
     rows = []
     for n, value in curve.points:
         notes = curve.mode
@@ -288,8 +273,8 @@ def longevity_rows(two_j, theta, n_max):
 
 
 def sweep_rows(two_j_values, thetas, methods):
-    """Rows of every (2j, theta) point, 2j major, theta minor."""
-    return [row for tj in two_j_values for th in thetas for row in _point_rows(tj, th, methods)]
+    """Rows of every (2j, theta) point, 2j major: each simulation stacked once per spin."""
+    return [row for two_j in two_j_values for row in _spin_rows(two_j, thetas, methods)]
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +377,8 @@ def classify_experiment(record: ExperimentRecord):
     measure-and-operate benchmark decides.
     """
     j = HalfInteger(record.two_j)
-    bench = closed_forms.mo_benchmark(j.value, record.theta_rad).value
-    bound = closed_forms.optimal_fidelity(j.value, record.theta_rad).value
+    bench = closed_forms.mo_benchmark(j, record.theta_rad).value
+    bound = closed_forms.optimal_fidelity(j, record.theta_rad).value
     z = _z_score(record, bench)
     if record.measured_avg_fidelity > bound + 3 * record.std_err:
         verdict = "suspect-above-quantum-bound"
@@ -530,11 +515,11 @@ def build_parser():
 
 
 def _join_angles(argv):
-    """argv with each token after --theta or --thetas that starts with a single '-'
-    joined to its option ('--theta=-pi'): argparse reads it as an option otherwise."""
+    """argv with each token after --theta or --thetas (or a prefix down to --th) that starts
+    with a single '-' joined to its option ('--theta=-pi'): argparse reads it as an option."""
     joined = []
     for token in argv:
-        if (joined and joined[-1] in ("--theta", "--thetas")
+        if (joined and len(joined[-1]) >= 4 and "--thetas".startswith(joined[-1])
                 and token.startswith("-") and not token.startswith("--")):
             joined[-1] += "=" + token
         else:

@@ -140,7 +140,7 @@ def worst_case_asymptotic(j, theta: float) -> FidelityValue:
 
 def _large_j_form(j, coeff, denom, theta: float) -> FidelityValue:
     """The large-j form 1 - coeff (1 - cos theta)/(denom j) that every asymptotic fidelity takes."""
-    value = 1.0 - coeff * (1.0 - math.cos(theta)) / (denom * as_half_integer(j).value)
+    value = 1.0 - coeff * (1.0 - math.cos(theta)) / (denom * as_spin(j, "program spin").value)
     return FidelityValue(value, "asymptotic")
 
 

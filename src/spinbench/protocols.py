@@ -17,26 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_lab import (
-    KrausChannel,
-    _chart_axes,
-    _unitarity_error,
-    average_fidelity_from_entanglement,
-    entanglement_fidelity,
-    worst_case_fidelity,
-)
-from .closed_forms import coupling_angle, folded_angle, mo_optimal_angle
+    KrausChannel, _chart_axes, _completeness_error, _entanglement_fidelities, _on_one_diagonal,
+    _qubit_one_diagonal_minimum, _unitarity_error, average_fidelity_from_entanglement,
+    worst_case_fidelity)
+from .closed_forms import _K_HALF, coupling_angle, folded_angle, mo_optimal_angle
 from .spin_algebra import (
-    DIM_CAP,
-    HalfInteger,
-    ToleranceError,
-    _check_dimension,
-    _exchange_block,
-    as_half_integer,
-    as_spin,
-)
+    DIM_CAP, ToleranceError, _check_dimension, _exchange_block, as_half_integer, as_spin, check_each)
 
 
 class StrategyFidelities(NamedTuple):
+    """Floats at one angle (`simulate_spin_k`), lists of them over a stack (`simulate_strategies`)."""
     entanglement: float
     average: float
     worst_case: float
@@ -73,7 +63,7 @@ def simulate_optimal_qubit_strategy(j, theta) -> StrategyFidelities:
     Returns entanglement, average and worst-case fidelity with respect to the
     target rotation by theta about the program's axis (see `simulate_spin_k`).
     """
-    return simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta))
+    return simulate_spin_k(j, _K_HALF, theta, f=coupling_angle(j, theta))
 
 
 @lru_cache(maxsize=64)
@@ -100,8 +90,8 @@ def _pole_rule(doubled_j, nodes):
     return t, weights
 
 
-def _mo_entanglement_fidelity(j, k, theta, tau):
-    """Entanglement fidelity of estimate-then-rotate-by-tau on a spin-k target.
+def _mo_entanglement_fidelity(j, k, thetas, taus):
+    """Entanglement fidelities of estimate-then-rotate-by-tau, one per (theta, tau) pair.
 
     The composite rotation V_theta^dag V_{tau,n'} has half-angle cosine
 
@@ -113,12 +103,14 @@ def _mo_entanglement_fidelity(j, k, theta, tau):
     `_pole_rule` integrate it exactly at every j.
     """
     t, weights = _pole_rule(j.doubled, k.doubled + 1)
-    c = math.cos((theta - tau) / 2.0) - 2.0 * math.sin(theta / 2.0) * math.sin(tau / 2.0) * t
+    factors = np.array([(math.cos((th - ta) / 2.0), 2.0 * math.sin(th / 2.0) * math.sin(ta / 2.0))
+                        for th, ta in zip(thetas, taus)])
+    c = factors[:, :1] - factors[:, 1:] * t
     u_prev, u = 0.0, 1.0  # U_{-1}, U_0
     for _ in range(k.doubled):
         u_prev, u = u, 2.0 * c * u - u_prev
-    fe = float(weights @ (u / (k.doubled + 1.0)) ** 2)
-    return min(max(fe, 0.0), 1.0)
+    fe = (weights @ ((u / (k.doubled + 1.0)) ** 2)[..., None])[..., 0]
+    return [min(max(x, 0.0), 1.0) for x in fe.tolist()]
 
 
 def simulate_mo_strategy(j, theta) -> float:
@@ -128,35 +120,38 @@ def simulate_mo_strategy(j, theta) -> float:
     about the estimated axis by the optimal conditional angle.  Like
     `mo_benchmark`, it is computed at `folded_angle(theta)`.
     """
+    return simulate_mo_strategies(j, [theta])[0]
+
+
+def simulate_mo_strategies(j, thetas) -> list:
+    """`simulate_mo_strategy` at each angle of `thetas`, as one stacked evaluation."""
     j = as_spin(j, "program spin")
-    theta = folded_angle(theta)
-    fe = _mo_entanglement_fidelity(j, HalfInteger(1), theta, mo_optimal_angle(j, theta))
-    return average_fidelity_from_entanglement(fe, 2)
+    thetas = [folded_angle(theta) for theta in thetas]
+    fe = _mo_entanglement_fidelity(j, _K_HALF, thetas, [mo_optimal_angle(j, t) for t in thetas])
+    return [average_fidelity_from_entanglement(x, 2) for x in fe]
 
 
 def _strategy_kraus(j, k, f):
-    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U.
+    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U, one family per f.
 
     U conserves total M, so with the program in |j,j> only the 2k+1 sectors of
     drop d = j + k - M = 0 .. 2k act, each reached from the target state of
     index d.  Each block B_d is exponentiated as in `heisenberg_gate`, and
     K_a[d-a, d] = B_d[a, 0] for a = 0 .. min(d, 2j); the operators of higher a
     vanish, so min(2k, 2j) + 1 are returned.  The eigendecompositions come
-    from the bounded per-spin cache of `_exchange_block`, so the points of a
-    sweep that share a spin compute them once; the exponential depends on f,
-    so each call forms it and checks each block unitary.
+    from the bounded per-spin cache of `_exchange_block`, once per call; the
+    exponentials depend on f, so each block is one stack over f, checked unitary.
     """
+    f = np.asarray(f, dtype=float)
     dt = k.doubled + 1
-    kraus = np.zeros((min(k.doubled, j.doubled) + 1, dt, dt), dtype=complex)
+    kraus = np.zeros(f.shape + (min(k.doubled, j.doubled) + 1, dt, dt), dtype=complex)
+    minus_if = -1j * f[..., None]
     for drop in range(dt):
         _, w, v = _exchange_block(j.doubled, k.doubled, drop)
-        block = (v * np.exp(-1j * f * w / (j.doubled + 1.0))) @ v.T
-        error = _unitarity_error(block)
-        if not error <= 1e-12:  # a NaN fails too
-            raise ToleranceError("exchange block of drop %d is not unitary (error %g)"
-                                 % (drop, error))
+        block = (v * np.exp(minus_if * w / (j.doubled + 1.0))[..., None, :]) @ v.T
+        check_each(_unitarity_error(block), 1e-12, "exchange block of drop %d is not unitary (error %%g)" % drop)
         a = np.arange(len(w))
-        kraus[a, drop - a, drop] = block[:, 0]
+        kraus[..., a, drop - a, drop] = block[..., 0]
     return kraus
 
 
@@ -176,20 +171,42 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     2k <= 2, in closed form: a quadratic in |psi_0|^2 for a qubit target, a
     quartic in two real parameters for a spin-1 target.  For 2k >= 3 it is a
     chart search's upper bound, and a chart over the budget is refused before
-    the channel is built.
+    the channel is built.  This is `simulate_strategies` at one angle.
+    """
+    return StrategyFidelities(*(x[0] for x in simulate_strategies(j, k, [theta], f if f is None else [f])))
+
+
+def simulate_strategies(j, k, thetas, fs=None) -> StrategyFidelities:
+    """`simulate_spin_k` at each of `thetas` (interaction angles `fs`, by default the folded
+    angles) as one stacked evaluation: lists of values, each computed as at one angle, and
+    every check run at every angle, a failure naming its angle.  A worst case that is not
+    a qubit's one-diagonal quadratic goes through `worst_case_fidelity`, angle by angle.
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
-    if f is None:
-        theta = f = folded_angle(theta)
-    _check_dimension(k.doubled + 1)
+    if fs is None:
+        thetas = fs = [folded_angle(theta) for theta in thetas]
+    d = k.doubled + 1
+    _check_dimension(d)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
-        _chart_axes(k.doubled + 1, min(k.doubled, j.doubled) + 1, True)
-    v = np.diag(np.exp(-1j * theta * (k.value - np.arange(k.doubled + 1))))
-    ch = KrausChannel(_strategy_kraus(j, k, f))
-    fe = entanglement_fidelity(ch, v)
-    favg = average_fidelity_from_entanglement(fe, k.doubled + 1)
-    fw, _ = worst_case_fidelity(ch, v)
-    return StrategyFidelities(fe, favg, fw)
+        _chart_axes(d, min(k.doubled, j.doubled) + 1, True)
+    i = None  # the angle of the worst case being solved one angle at a time
+    try:
+        kraus = _strategy_kraus(j, k, fs)
+        phases = np.exp(-1j * np.array(thetas)[:, None] * (k.value - np.arange(d)))  # V = diag(phases)
+        check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
+        v = np.eye(d) * phases[:, None, :]
+        fe = _entanglement_fidelities(kraus, v).tolist()
+        if d == 2 and _on_one_diagonal(mats := v.conj().swapaxes(-1, -2)[:, None] @ kraus):
+            check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)", ValueError)
+            fw = _qubit_one_diagonal_minimum(mats)[0]
+        else:  # KrausChannel checks the completeness of each family
+            fw = []
+            for i in range(len(v)):
+                fw.append(worst_case_fidelity(KrausChannel(kraus[i]), v[i])[0])
+    except (ToleranceError, ValueError) as exc:
+        i = getattr(exc, "index", None) if i is None else i
+        raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i], exc)) from None
+    return StrategyFidelities(fe, [average_fidelity_from_entanglement(x, d) for x in fe], fw)
 
 
 def simulate_spin_k_mo(j, k, theta) -> float:
@@ -199,5 +216,5 @@ def simulate_spin_k_mo(j, k, theta) -> float:
     qubit case; the conditional rotation is by theta itself about the estimate.
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
-    fe = _mo_entanglement_fidelity(j, k, theta, theta)
+    fe = _mo_entanglement_fidelity(j, k, [theta], [theta])[0]
     return average_fidelity_from_entanglement(fe, k.doubled + 1)

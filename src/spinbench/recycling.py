@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .closed_forms import _large_j_form, coupling_angle, mo_benchmark
-from .spin_algebra import as_half_integer
+from .spin_algebra import as_half_integer, as_spin
 
 # uses of one program a curve or a longevity search covers at most (one output
 # row each); a longer horizon is refused
@@ -203,7 +203,7 @@ def asymptotic_distribution(j, theta, n) -> ProgramDistribution:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     jv = j.value
     x = n * (1.0 - math.cos(theta))
     r = x / (x + 2.0 * jv)

@@ -29,6 +29,15 @@ class ToleranceError(Exception):
     """A computed value breached an internal consistency bound."""
 
 
+def check_each(errors, bound, message, error=ToleranceError):
+    """Raise error(message % e) at the first e of `errors` not <= bound, NaN too; `index` is its row."""
+    if not errors.max() <= bound:  # NaN is the max of an array that holds one
+        i = int(np.argmin(errors.ravel() <= bound))
+        exc = error(message % errors.flat[i])
+        exc.index = np.unravel_index(i, errors.shape)[0] if errors.ndim else None
+        raise exc
+
+
 class HalfInteger:
     """An exact half-integer, stored as twice its value.
 

@@ -6,6 +6,7 @@ import math
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from make_cli_corpus import run_cli
@@ -273,6 +274,22 @@ def test_negative_pi_prints_the_bytes_of_its_product_form(monkeypatch):
     assert (code, out) == (1, "") and "expected one argument" in err
 
 
+def test_abbreviated_angle_options_take_a_negative_angle():
+    # argparse takes any unambiguous prefix of an option; a negative angle
+    # after one is joined to it, as after the full name
+    for cmd, full, abbreviations in (
+            (["fidelity", "--two-j", "3"], "--theta", ("--thet", "--the", "--th")),
+            (["sweep", "--two-j-range", "1:2", "--methods", "opt_exact,worst_case"], "--thetas",
+             ("--theta", "--thet", "--the"))):
+        want = run_cli(cmd + [full + "=-pi"])
+        assert want[0] == 0 and want[2] == ""
+        for option in abbreviations:
+            assert run_cli(cmd + [option, "-pi"]) == want, option
+    # --th is also a prefix of sweep's --threads: argparse refuses it as ambiguous
+    code, out, err = run_cli(["sweep", "--two-j-range", "1:2", "--th", "-pi"])
+    assert (code, out) == (1, "") and "ambiguous option" in err
+
+
 def test_fidelity_command_j2_value(capsys):
     rows = _run_csv(capsys, ["fidelity", "--two-j", "4", "--theta", "pi"])
     opt = [r for r in rows if r.method == "opt_exact"][0]
@@ -380,6 +397,66 @@ def test_sweep_runs_on_the_calling_thread(capsys, monkeypatch):
     assert main(["sweep", "--two-j-range", "3:5", "--thetas", "pi/2,2.0,pi",
                  "--methods", "opt_exact,heisenberg_sim,worst_case", "--threads", "4"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 9 * 3
+
+
+def test_sweep_simulates_each_spin_once(capsys, monkeypatch):
+    # one stacked strategy and one stacked MO evaluation per spin, and no
+    # call of the per-point functions
+    calls = []
+
+    def counted(name):
+        fn = getattr(protocols, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("simulate_strategies", "simulate_mo_strategies", "simulate_spin_k",
+                 "simulate_optimal_qubit_strategy", "simulate_mo_strategy"):
+        monkeypatch.setattr(protocols, name, counted(name))
+    assert main(["sweep", "--two-j-range", "3:5", "--thetas", "0.3,pi/2,2.0,pi,4.0",
+                 "--methods", ",".join(cli.SWEEP_METHODS)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 5 * 7
+    assert sorted(calls) == ["simulate_mo_strategies"] * 3 + ["simulate_strategies"] * 3
+
+
+def test_sweep_rows_are_the_rows_of_single_points():
+    # a sweep stacks each spin's angles; every row it shares with `fidelity`
+    # is that command's row, byte for byte
+    thetas = ["0", "0.3", "1.0", "pi/2", "2.0", "2.9", "pi", "4.0", "-1", "-pi/3", "7.5", "1e16"]
+    code, out, err = run_cli(["sweep", "--two-j-range", "1:60", "--thetas", ",".join(thetas),
+                              "--methods", ",".join(cli.SWEEP_METHODS)])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    rows = {tuple(line.split(",")[:4]): line for line in lines[1:]}
+    assert len(rows) == len(lines) - 1 == 60 * 12 * 7
+    for two_j in range(1, 61):
+        for theta in thetas:
+            code, out, err = run_cli(["fidelity", "--two-j", str(two_j), "--theta", theta])
+            assert (code, err) == (0, "")
+            for line in out.splitlines()[1:]:
+                assert rows[tuple(line.split(",")[:4])] == line
+
+
+@pytest.mark.parametrize("fault", ["block", "quadratic"])
+def test_a_failure_at_one_angle_of_a_sweep_names_it(capsys, monkeypatch, fault):
+    # a non-unitary exchange block, or a worst-case quadratic off F on its
+    # state, at the third of five angles
+    if fault == "block":
+        tuned = cli.closed_forms.coupling_angle
+        monkeypatch.setattr(cli.closed_forms, "coupling_angle",
+                            lambda j, theta: math.nan if theta == 2.0 else tuned(j, theta))
+        message = "theta = 2.0: exchange block of drop 0 is not unitary"
+    else:
+        batch = channel_lab._fidelity_batch
+        monkeypatch.setattr(channel_lab, "_fidelity_batch",
+                            lambda mats, states: batch(mats, states) + (np.arange(len(states)) == 2) * 1e-9)
+        message = "theta = 2.0: qubit quadratic differs from F on its state"
+    assert main(["sweep", "--two-j-range", "3:4", "--thetas", "0.3,1.0,2.0,pi,4.0",
+                 "--methods", "heisenberg_sim,worst_case"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("numerical failure: " + message)
 
 
 def test_qubit_targets_never_take_the_bloch_route(capsys, monkeypatch):

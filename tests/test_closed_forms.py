@@ -200,6 +200,15 @@ def test_asymptotic_may_leave_unit_interval():
         FidelityValue(0.5, "estimated")
 
 
+@pytest.mark.parametrize("form", [optimal_fidelity_asymptotic, mo_benchmark_asymptotic,
+                                  worst_case_asymptotic])
+def test_large_j_forms_refuse_spins_below_half(form):
+    # j = 0 divided by zero and j = -1 gave a value above 1
+    for j, shown in ((0, "0"), (-1, "-1")):
+        with pytest.raises(ValueError, match="^program spin must be >= 1/2, got %s$" % shown):
+            form(j, 1.0)
+
+
 def test_spin_k_reduces_to_qubit_at_k_half():
     for j in (10.0, 80.0):
         for theta in (0.9, 2.4):

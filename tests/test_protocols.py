@@ -183,13 +183,14 @@ def test_per_spin_caches_are_bounded_and_read_only():
 
 
 def test_sweep_builds_each_exchange_block_once_per_spin(capsys):
-    # six angles at one 2j: the strategy's 2k+1 = 2 blocks are built once
+    # six angles at one 2j: the strategy's 2k+1 = 2 blocks are built once, and
+    # read once, since the six angles are one stacked evaluation
     spin_algebra._exchange_block.cache_clear()
     assert cli.main(["sweep", "--two-j-range", "37", "--thetas", "0.7,1.3,2.0,2.6,2.9,pi",
                      "--methods", "heisenberg_sim,worst_case"]) == 0
     capsys.readouterr()
     info = spin_algebra._exchange_block.cache_info()
-    assert (info.misses, info.hits) == (2, 10)
+    assert (info.misses, info.hits) == (2, 0)
 
 
 @pytest.mark.parametrize("j", [1.5, 2.0, 3.0, 4.5, 1500.5, 500000.0])
@@ -400,3 +401,49 @@ def test_spin_one_target_slope():
     assert abs(slope / 3.0 - 1.0) < 0.1
     asym = spin_k_fidelity_asymptotic(j, 1.0, theta).value
     assert abs(got.average - asym) < 5.0 / j
+
+
+# the angles of the batch tests: both ends of [0, pi], outside it, and far outside
+STACK_ANGLES = [0.0, 0.3, 1.0, PI / 2, 2.0, 2.9, PI, 4.0, -1.0, -PI / 3, 7.5, 1e16]
+
+
+def test_a_stack_of_angles_gives_the_values_of_single_angles():
+    # the stacked evaluation keeps the order of operations of a single angle,
+    # so every value is bitwise that of the same angle alone
+    for two_j in range(1, 61):
+        j = HalfInteger(two_j)
+        tuned = [coupling_angle(j, theta) for theta in STACK_ANGLES]
+        stacked = protocols.simulate_strategies(j, 0.5, STACK_ANGLES, tuned)
+        for i, theta in enumerate(STACK_ANGLES):
+            single = simulate_optimal_qubit_strategy(j, theta)
+            assert tuple(values[i] for values in stacked) == tuple(single), (two_j, theta)
+        assert protocols.simulate_mo_strategies(j, STACK_ANGLES) == [
+            simulate_mo_strategy(j, theta) for theta in STACK_ANGLES]
+    # the default schedule folds each angle, and a spin-1 target takes each
+    # angle through worst_case_fidelity
+    for two_j, two_k in ((1, 1), (7, 1), (40, 1), (1, 2), (7, 2), (40, 2)):
+        stacked = protocols.simulate_strategies(two_j / 2, two_k / 2, STACK_ANGLES)
+        for i, theta in enumerate(STACK_ANGLES):
+            single = simulate_spin_k(two_j / 2, two_k / 2, theta)
+            assert tuple(values[i] for values in stacked) == tuple(single), (two_j, two_k, theta)
+
+
+def test_a_stack_names_the_angle_that_fails(monkeypatch):
+    thetas = [0.3, 2.0, PI]
+    with pytest.raises(ToleranceError, match=r"^theta = 2\.0: exchange block of drop 0 is not unitary"):
+        protocols.simulate_strategies(3.0, 0.5, thetas, [0.4, math.nan, 1.0])
+    batch = channel_lab._fidelity_batch
+    monkeypatch.setattr(channel_lab, "_fidelity_batch",
+                        lambda mats, states: batch(mats, states) + (np.arange(len(states)) == 2) * 1e-9)
+    with pytest.raises(ToleranceError, match=r"^theta = %r: qubit quadratic differs" % PI):
+        protocols.simulate_strategies(3.0, 0.5, thetas, thetas)
+    # a spin-1 target's worst case is solved one angle at a time: the second fails
+    calls = []
+
+    def second_call_off(mats, states):
+        calls.append(len(states))
+        return batch(mats, states) + (1e-9 if len(calls) == 2 else 0.0)
+
+    monkeypatch.setattr(channel_lab, "_fidelity_batch", second_call_off)
+    with pytest.raises(ToleranceError, match=r"^theta = %r: spin-1 quartic differs" % PI):
+        protocols.simulate_strategies(3.0, 1.0, [0.3, PI])

@@ -275,6 +275,9 @@ def test_longevity_insensitive_to_per_step_retuning():
 def test_asymptotic_distribution_shape():
     with pytest.raises(ValueError):
         asymptotic_distribution(10.0, PI, -1)
+    for j, shown in ((0, "0"), (-1, "-1")):  # j = 0 divided by zero
+        with pytest.raises(ValueError, match="^program spin must be >= 1/2, got %s$" % shown):
+            asymptotic_distribution(j, PI, 3)
     for two_j in (1, 2, 20, 201):  # no use yet: the fresh program
         assert np.array_equal(asymptotic_distribution(two_j / 2, PI, 0).probs,
                               fresh_program(two_j / 2).probs)
