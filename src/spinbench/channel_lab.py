@@ -18,8 +18,10 @@ from .spin_algebra import Direction, HalfInteger, check_each, make_spin_operator
 # admits; a point needs d complex amplitudes for its state and one complex
 # overlap per Kraus operator; larger searches are refused
 WORST_CASE_BUDGET = 2**25
-# largest samples x Kraus operators x d^2 complex entries the Monte-Carlo stack
-# admits (128 MiB, and V^dag K takes as much again); larger runs are refused
+# largest samples x (D + d^2) complex entries the Monte-Carlo stacks admit
+# (128 MiB), D = (2j+1)(2k+1) for each sample's joint state and d^2 for its
+# target rotation, with D^2 more for its gate when the channels do not share
+# one; larger runs are refused
 MC_BUDGET = 2**23
 # the chart search's default grid: phases per coordinate (half as many magnitudes, >= 6)
 CHART_GRID = 16
@@ -40,10 +42,10 @@ def minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-# the (shape, digest) of the last joint unitary that passed ProgramChannel's
-# unitarity check, as the one item of a list that is updated in place; it is
-# written only after a gate passes, so a race between threads can cost one
-# more check but never skip one
+# the last joint unitary that passed ProgramChannel's unitarity check, as
+# (read-only array, its C-order bytes) in the one item of a list that is
+# replaced whole; it is written only after a gate passes, so a race between
+# threads can cost one more check but never skip one
 _verified_unitary = [None]
 
 
@@ -61,55 +63,60 @@ def _completeness_error(kraus):
 class ProgramChannel:
     """A joint unitary on control (x) target together with a fixed program state.
 
-    The gate is kept as a read-only copy of the caller's array.  The shape,
-    the program state's norm and the Kraus operators are checked and built
-    on every construction.  The unitarity product runs once per
-    distinct gate content: a gate whose shape and bytes equal those of the
-    last gate that passed it (a Monte-Carlo builder reusing one gate, or a
-    copy of it) is not multiplied out again.
+    The gate and the program state are kept as read-only copies of the
+    caller's arrays, so a later change to those arrays reaches neither.  The
+    shape, the program state's norm and the gate's unitarity are checked on
+    every construction; the Kraus operators are built on the first
+    `kraus_operators()` call.  The unitarity product runs once per distinct
+    gate content: a gate whose bytes equal those of the last gate that passed
+    it (a Monte-Carlo builder reusing one gate, or a copy of it) is not
+    multiplied out again, and the channel takes that verified array itself,
+    so the channels built from one gate share one `joint_unitary`.
     """
 
     joint_unitary: np.ndarray
     program_state: np.ndarray
     j: HalfInteger
     k: HalfInteger
-    _kraus: np.ndarray = field(init=False, repr=False, compare=False)
+    _kraus: np.ndarray = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # a read-only copy, so that a later change to the caller's array
-        # reaches neither the channel's gate nor its Kraus operators
-        u = np.array(self.joint_unitary, dtype=complex, order="C")
-        u.setflags(write=False)
-        phi = np.asarray(self.program_state, dtype=complex)
-        object.__setattr__(self, "joint_unitary", u)
-        object.__setattr__(self, "program_state", phi)
+        u = np.asarray(self.joint_unitary, dtype=complex)
+        phi = np.array(self.program_state, dtype=complex)
+        phi.setflags(write=False)
         dc = self.j.doubled + 1
         dt = self.k.doubled + 1
         if u.shape != (dc * dt, dc * dt):
             raise ValueError("joint unitary has shape %s, expected %d" % (u.shape, dc * dt))
         if phi.shape != (dc,):
             raise ValueError("program state dimension %d != 2j+1 = %d" % (phi.size, dc))
-        # hashlib loads here, not at import, to keep it off the start-up path
-        import hashlib
-        key = (u.shape, hashlib.blake2b(u, digest_size=16).digest())
-        if key != _verified_unitary[0]:
+        verified = _verified_unitary[0]
+        # equal bytes of two square gates mean equal shapes too
+        if verified is not None and verified[1] == u.tobytes():
+            u = verified[0]
+        else:
+            u = np.array(u, order="C")
+            u.setflags(write=False)
             check_each(_unitarity_error(u), 1e-12, "joint evolution is not unitary (error %g)", ValueError)
-            _verified_unitary[0] = key
+            _verified_unitary[0] = (u, u.tobytes())
         if not abs(math.sqrt(np.vdot(phi, phi).real) - 1.0) < 1e-12:
             raise ValueError("program state is not normalized")
-        # Kraus operators K_a = (<a| (x) I) U (|phi> (x) I), one per control
-        # basis state; these realize the partial trace over the control.
-        blocks = u.reshape(dc, dt, dc, dt)
-        kraus = np.einsum("aibj,b->aij", blocks, phi)
-        kraus.setflags(write=False)
-        object.__setattr__(self, "_kraus", kraus)
+        object.__setattr__(self, "joint_unitary", u)
+        object.__setattr__(self, "program_state", phi)
 
     @property
     def target_dim(self):
         return self.k.doubled + 1
 
     def kraus_operators(self) -> np.ndarray:
-        """Stack of Kraus operators, shape (2j+1, 2k+1, 2k+1)."""
+        """Stack of Kraus operators, shape (2j+1, 2k+1, 2k+1), read-only."""
+        if self._kraus is None:
+            # K_a = (<a| (x) I) U (|phi> (x) I), one per control basis state;
+            # these realize the partial trace over the control
+            dc, dt = self.j.doubled + 1, self.k.doubled + 1
+            kraus = np.einsum("aibj,b->aij", self.joint_unitary.reshape(dc, dt, dc, dt), self.program_state)
+            kraus.setflags(write=False)
+            object.__setattr__(self, "_kraus", kraus)
         return self._kraus
 
 
@@ -189,53 +196,75 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     ch_builder maps a Direction to a ProgramChannel; the ideal gate V for axis
     n is the target-spin rotation by theta about n.  A sample is the
     worst-case objective at a Haar state psi: <V psi| C(psi psi^dag) |V psi>
-    = sum_a |<psi| V^dag K_a |psi>|^2.
+    = sum_a |<V psi| (<a| (x) I) U (|phi> (x) |psi>)|^2, with U the channel's
+    joint unitary and phi its program state.
 
     The seed (numpy default_rng) fixes the stream, so identical calls give
     identical results.  It is drawn in this order: every sample's direction
     (cos-polar, then azimuth), then every sample's state (2k+1 real parts,
     then 2k+1 imaginary parts).  ch_builder is called once per sample, in
-    draw order, and each channel's Kraus operators are copied into one stack.
-    A builder that wraps one gate pays for its unitarity product once, as
-    ProgramChannel runs it once per distinct gate content.  All samples are
-    then evaluated at once: V from one stacked eigh of n.J, V^dag K from one
-    batched matmul.  A non-finite theta is refused before the builder is
-    first called.
+    draw order, and each channel's program state is copied into one stack;
+    no Kraus operator is formed.  All samples are then evaluated at once: the
+    joint states |phi> (x) |psi> times the gate in one (samples, D) x (D, D)
+    product when every channel holds sample 0's gate object (as the channels
+    ProgramChannel builds from one gate do), and V psi from one stacked eigh
+    of n.J.  Channels with other gates are evaluated too, each sample with
+    its own gate from a stack of them.  A non-finite theta is refused before
+    the builder is first called.
 
-    Memory: a sample holds 2 x count x d^2 complex entries (its Kraus
-    operators and V^dag K), with count and d taken from the first channel.
-    A run whose stack of samples x count x d^2 entries exceeds MC_BUDGET is
-    refused before the stack is allocated.  A later channel of another shape
-    is refused with its sample number.
+    Memory: a sample holds D + d^2 complex entries in its largest arrays
+    (its joint state, D = (2j+1)(2k+1), and the eigenvectors of its n.J,
+    d = 2k+1), with j and k taken from the first channel.  A run of more
+    than MC_BUDGET such entries is refused before the builder's second call,
+    and one of more than MC_BUDGET with the D^2 entries of each sample's
+    gate added at the first channel with another gate, before the stack of
+    gates is allocated.  A later channel on other spins is refused with its
+    sample number.
 
     Returns (mean, stderr).
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
     if not -math.inf < theta < math.inf:  # a NaN fails too
         raise ValueError("theta must be finite, got %r" % (theta,))
     samples = int(samples)
     rng = np.random.default_rng(seed)
     axes = haar_direction(rng, (1,))
-    kraus = ch_builder(Direction(*axes[0])).kraus_operators()
-    if samples * kraus.size > MC_BUDGET:
-        raise ValueError("Monte-Carlo stack of %d samples x %d Kraus operators x %d^2 entries "
-                         "exceeds the budget of %d" % (samples, len(kraus), kraus.shape[-1], MC_BUDGET))
+    first = ch_builder(Direction(*axes[0]))
+    two_j, two_k = first.j.doubled, first.k.doubled
+    dc, d = two_j + 1, two_k + 1
+    dim = dc * d
+    if samples * (dim + d * d) > MC_BUDGET:
+        raise ValueError("Monte-Carlo stack of %d samples x (%d + %d^2) entries exceeds the budget of %d"
+                         % (samples, dim, d, MC_BUDGET))
     axes = np.concatenate([axes, haar_direction(rng, (samples - 1,))])
-    stack = np.empty((samples,) + kraus.shape, dtype=complex)
-    stack[0] = kraus
+    programs = np.empty((samples, dc), dtype=complex)
+    programs[0] = first.program_state
+    gate, gates = first.joint_unitary, None
     for i, n in enumerate(axes[1:].tolist(), 1):
-        kraus = ch_builder(Direction(*n)).kraus_operators()
-        if kraus.shape != stack.shape[1:]:
-            raise ValueError("sample %d: the channel's Kraus operators have shape %s, "
-                             "sample 0's %s" % (i, kraus.shape, stack.shape[1:]))
-        stack[i] = kraus
-    d = stack.shape[-1]
+        ch = ch_builder(Direction(*n))
+        if ch.j.doubled != two_j or ch.k.doubled != two_k:
+            raise ValueError("sample %d: the channel has (2j+1, 2k+1) = (%d, %d), sample 0's (%d, %d)"
+                             % (i, ch.j.doubled + 1, ch.k.doubled + 1, dc, d))
+        programs[i] = ch.program_state
+        if gates is not None:
+            gates[i] = ch.joint_unitary
+        elif ch.joint_unitary is not gate:
+            if samples * (dim + d * d + dim * dim) > MC_BUDGET:
+                raise ValueError("sample %d holds another gate than sample 0: a Monte-Carlo stack of %d "
+                                 "samples x (%d + %d^2 + %d^2) entries exceeds the budget of %d"
+                                 % (i, samples, dim, d, dim, MC_BUDGET))
+            gates = np.empty((samples, dim, dim), dtype=complex)
+            gates[:i] = gate
+            gates[i] = ch.joint_unitary
     psi = haar_state(rng, d, (samples,))
-    ops = make_spin_operators(HalfInteger(d - 1))
+    joint = (programs[:, :, None] * psi[:, None, :]).reshape(samples, dim)  # |phi> (x) |psi>
+    out = joint @ gate.T if gates is None else (gates @ joint[:, :, None])[:, :, 0]
+    ops = make_spin_operators(first.k)
     w, v = np.linalg.eigh(np.einsum("nc,cij->nij", axes, np.array([ops.jx, ops.jy, ops.jz])))
-    v_dag = (v * np.exp(1j * theta * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    inner = np.einsum("ni,naij,nj->na", psi.conj(), v_dag[:, None] @ stack, psi)
+    # V psi = v e^{-i theta w} v^dag psi
+    ideal = np.einsum("nij,nj->ni", v, np.exp(-1j * theta * w) * np.einsum("nji,nj->ni", v.conj(), psi))
+    inner = np.einsum("ni,nai->na", ideal.conj(), out.reshape(samples, dc, d))
     values = np.sum(np.abs(inner) ** 2, axis=1)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

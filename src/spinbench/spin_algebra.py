@@ -243,7 +243,7 @@ def spin_coherent_state(j, n: Direction) -> np.ndarray:
     ladder, ik = _coherent_ladder(two_j)
     steps = ladder * tan_half
     steps[0] = (1.0 + tan_half * tan_half) ** (-two_j / 2)
-    mags = np.cumprod(steps) if n.nz >= 0.0 else np.cumprod(steps)[::-1]
+    mags = steps.cumprod() if n.nz >= 0.0 else steps.cumprod()[::-1]
     psi = np.exp(ik * math.atan2(n.ny, n.nx))
     psi *= mags / math.sqrt(mags @ mags)
     return psi

@@ -130,6 +130,52 @@ def test_a_channel_keeps_its_own_read_only_gate(unitarity_products):
     assert len(unitarity_products) == 1
 
 
+def test_a_channel_keeps_its_own_read_only_program_state():
+    j, k = HalfInteger(3), HalfInteger(1)
+    u, phi = heisenberg_gate(j, k, 1.1), spin_coherent_state(j, Direction.normalized(0.3, -0.4, 0.86))
+    want = phi.copy()
+    ch = ProgramChannel(u, phi, j, k)
+    gate = rotation_unitary(make_spin_operators(k), Z_AXIS, 2.0)
+    phi[:] = spin_coherent_state(j, X_AXIS)  # before the Kraus operators are first built
+    assert ch.program_state is not phi
+    assert np.array_equal(ch.program_state, want)
+    assert not ch.program_state.flags.writeable
+    with pytest.raises(ValueError):
+        ch.program_state[0] = 1.0
+    fresh = ProgramChannel(u, want, j, k)
+    assert np.array_equal(ch.kraus_operators(), fresh.kraus_operators())
+    assert entanglement_fidelity(ch, gate) == entanglement_fidelity(fresh, gate)
+    # a builder whose channels share the caller's array
+    shared = spin_coherent_state(j, Z_AXIS)
+    built = []
+
+    def builder(n):
+        shared[:] = spin_coherent_state(j, n)
+        built.append(ProgramChannel(u, shared, j, k))
+        return built[-1]
+
+    def copying_builder(n):
+        return ProgramChannel(u, spin_coherent_state(j, n), j, k)
+
+    assert average_fidelity_mc(builder, 2.0, 20, seed=4) == average_fidelity_mc(copying_builder, 2.0, 20, seed=4)
+    assert len({ch.program_state.tobytes() for ch in built}) == 20
+
+
+def test_channels_built_from_equal_gates_share_one_read_only_gate(unitarity_products):
+    j, k = HalfInteger(3), HalfInteger(1)
+    u = heisenberg_gate(j, k, 1.1)
+    channels = [ProgramChannel(same, spin_coherent_state(j, n), j, k)
+                for same in (u, u.copy(), np.asfortranarray(u))
+                for n in (Z_AXIS, X_AXIS)]
+    assert all(ch.joint_unitary is channels[0].joint_unitary for ch in channels)
+    assert channels[0].joint_unitary is not u
+    assert not channels[0].joint_unitary.flags.writeable
+    assert np.array_equal(channels[0].joint_unitary, u)
+    assert len(unitarity_products) == 1
+    other = ProgramChannel(heisenberg_gate(j, k, 1.2), spin_coherent_state(j, Z_AXIS), j, k)
+    assert other.joint_unitary is not channels[0].joint_unitary
+
+
 def test_threads_sharing_the_memo_never_accept_a_non_unitary_gate():
     # each thread alternates its own unitary gate with a non-unitary one of
     # the same shape, so the memo changes hands while others compare against it
@@ -737,7 +783,7 @@ def test_monte_carlo_refuses_an_over_budget_run_before_it_starts():
         average_fidelity_mc(builder, 2.0, 10**12, seed=1)
     assert time.perf_counter() - t0 < 1.0
     assert len(built) <= 1
-    for samples in (2.5, 20000.0, "20000", None, 0, -3):
+    for samples in (2.5, 20000.0, "20000", None, 0, -3, True, False, np.bool_(True)):
         with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             average_fidelity_mc(builder, 2.0, samples, seed=1)
     # criterion 8's run, 1e5 samples x 4 Kraus operators x 2^2 entries, fits
@@ -754,6 +800,59 @@ def test_monte_carlo_multiplies_one_gate_out_once_per_call(unitarity_products):
                             theta, 200, seed=3)
         counts.append(len(unitarity_products))
     assert counts == [1, 1, 1]
+
+
+def _gate_per_axis(j, k):
+    """A builder whose channel's gate depends on the sample's axis."""
+    def builder(n):
+        return ProgramChannel(heisenberg_gate(j, k, 2.0 + n.nx), spin_coherent_state(j, n), j, k)
+    return builder
+
+
+@pytest.mark.parametrize("two_k", [1, 2])
+def test_monte_carlo_with_a_gate_per_sample_matches_sample_by_sample_loop(two_k):
+    j, k, theta = HalfInteger(3), HalfInteger(two_k), 2.0
+    builder = _gate_per_axis(j, k)
+    mean, stderr = average_fidelity_mc(builder, theta, 40, seed=2)
+    want_mean, want_stderr = _mc_by_sample(builder, theta, 40, seed=2)
+    assert abs(mean - want_mean) <= 1e-14 and abs(stderr - want_stderr) <= 1e-14
+    # one gate for the first five samples, another one from then on
+    built = []
+
+    def two_gates(n):
+        u = heisenberg_gate(j, k, 1.0 if len(built) < 5 else 2.0)
+        built.append(n)
+        return ProgramChannel(u, spin_coherent_state(j, n), j, k)
+
+    mean, stderr = average_fidelity_mc(two_gates, theta, 40, seed=2)
+    built.clear()
+    want_mean, want_stderr = _mc_by_sample(two_gates, theta, 40, seed=2)
+    assert abs(mean - want_mean) <= 1e-14 and abs(stderr - want_stderr) <= 1e-14
+
+
+def test_monte_carlo_refuses_an_over_budget_gate_stack_before_it_is_allocated():
+    import tracemalloc
+
+    j, k, samples = HalfInteger(63), HalfInteger(3), 1000
+    dim = 64 * 4
+    assert samples * (dim + 4**2) <= channel_lab.MC_BUDGET < samples * (dim + 4**2 + dim**2)
+    built = []
+    builder = _gate_per_axis(j, k)
+
+    def counting(n):
+        built.append(n)
+        return builder(n)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^sample 1 holds another gate.*exceeds the budget"):
+            average_fidelity_mc(counting, 2.0, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 2
+    # two gates and the program states: the stack of gates would take 1 GiB
+    assert peak < samples * dim**2 * 16 / 16
 
 
 def test_monte_carlo_refuses_a_non_finite_angle_before_building():
@@ -781,13 +880,22 @@ def test_monte_carlo_is_batched(monkeypatch):
     def builder(n):
         return ProgramChannel(u, spin_coherent_state(j, n), j, HalfInteger(1))
 
+    einsum, contractions = np.einsum, []
+
+    def counting_einsum(*args, **kwargs):
+        contractions.append(args[0])
+        return einsum(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
     spin_coherent_state(j, Direction.normalized(0.3, -0.4, 0.86))
     spin_coherent_state(HalfInteger(41), Direction.normalized(-0.3, 0.4, -0.86))
-    assert calls == []
+    assert calls == [] and contractions == []
     counts = []
     for samples in (50, 500):
         calls.clear()
+        contractions.clear()
         average_fidelity_mc(builder, theta, samples, seed=3)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2
+        counts.append((len(calls), len(contractions)))
+    # no sample builds its Kraus operators
+    assert counts[0] == counts[1] and counts[0][0] <= 2
