@@ -1,8 +1,10 @@
 """Regenerate tests/data/cli_corpus.json, the checked-in CLI corpus.
 
 Each case is one argv run in-process through ``spinbench.cli.main``, with its
-exit code, stdout and stderr.  ``test_cli_corpus.py`` runs every argv again
-and compares.  Run from the repository root:
+exit code, stdout and stderr, from the corpus's own directory, so that the
+certify cases name their checked-in input files by a relative path.
+``test_cli_corpus.py`` runs every argv again and compares.  Run from the
+repository root:
 
     PYTHONPATH=src python tests/make_cli_corpus.py
 
@@ -27,11 +29,12 @@ CORPUS = pathlib.Path(__file__).with_name("data") / "cli_corpus.json"
 
 ALL_METHODS = "opt_exact,opt_asymptotic,mo_exact,mo_asymptotic,heisenberg_sim,mo_sim,worst_case"
 
-# a usage error, a chart over budget and a horizon over the cap: the only
-# cases that may exit other than 0
+# a usage error, a chart over budget, a horizon over the cap and a certify
+# file without a usable row: the only cases that may exit other than 0
 REFUSALS = [["fidelity", "--two-j", "0", "--theta", "pi"],
             ["spin-k", "--two-j", "300", "--two-k", "4", "--theta", "2.0"],
-            ["longevity", "--two-j", "3", "--theta", "pi", "--n-max", "100001"]]
+            ["longevity", "--two-j", "3", "--theta", "pi", "--n-max", "100001"],
+            ["certify", "--input", "certify_bad_rows.csv"]]
 
 
 def corpus_argv():
@@ -58,6 +61,13 @@ def corpus_argv():
              ["spin-k", "--two-j", "5", "--two-k", "2", "--theta", "4.0"],
              ["longevity", "--two-j", "41", "--theta", "-2.0", "--n-max", "30"],
              ["fidelity", "--two-j", "3", "--theta", "-pi"]]
+    # MO quadrature over spins far apart, in one sweep
+    argv.append(["sweep", "--two-j-range", "1:2001:40", "--thetas", "0.3,2.0,pi",
+                 "--methods", "mo_exact,mo_sim", "--format", "json"])
+    # every verdict, a zero std_err, the 2j = 3, theta = pi anchor, each kind of
+    # malformed row, non-finite fields, and a label with a quote, a backslash
+    # and a non-ASCII character
+    argv.append(["certify", "--input", "certify_rows.csv"])
     return argv + REFUSALS
 
 
@@ -72,11 +82,18 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_case(argv):
+    """`run_cli` in the corpus's directory, where the certify inputs are."""
+    with contextlib.chdir(CORPUS.parent):
+        return run_cli(argv)
+
+
 def report_rows(text):
-    """(header and other non-row fields, rows as {field: str}) of CSV or JSON report output."""
+    """(header and other non-row fields, rows as {field: str}) of CSV or JSON report
+    output; a certify document's rows are its results."""
     if text.startswith("{"):
         doc = json.loads(text)
-        rows = doc.pop("rows")
+        rows = doc.pop("rows" if "rows" in doc else "results")
         return doc, [{field: "" if v is None else repr(v) if isinstance(v, float) else str(v)
                       for field, v in row.items()} for row in rows]
     lines = list(csv.reader(io.StringIO(text)))
@@ -126,7 +143,7 @@ def print_moves(old_cases, cases):
 def main():
     cases = []
     for argv in corpus_argv():
-        code, out, err = run_cli(argv)
+        code, out, err = run_case(argv)
         cases.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
     mismatches = exit_mismatches(cases)
     if mismatches:
