@@ -7,6 +7,7 @@ is present).  Everything here works for arbitrary control/target dimensions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -241,7 +242,9 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     programs = np.empty((samples, dc), dtype=complex)
     programs[0] = first.program_state
     gate, gates = first.joint_unitary, None
-    for i, n in enumerate(axes[1:].tolist(), 1):
+    # sample 1's axis is converted alone, so a run refused at its channel converts no other
+    directions = itertools.chain.from_iterable(map(np.ndarray.tolist, (axes[1:2], axes[2:])))
+    for i, n in enumerate(directions, 1):
         ch = ch_builder(Direction(*n))
         if ch.j.doubled != two_j or ch.k.doubled != two_k:
             raise ValueError("sample %d: the channel has (2j+1, 2k+1) = (%d, %d), sample 0's (%d, %d)"

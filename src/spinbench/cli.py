@@ -51,6 +51,8 @@ SWEEP_POINTS_CAP = 100_000
 
 CSV_FIELDS = ("two_j", "two_k", "theta_rad", "method", "step", "value", "uncertainty", "mode_notes")
 CERTIFY_FIELDS = ("label", "two_j", "theta_rad", "measured_avg_fidelity", "std_err")
+# the fields of each certify result, in document order
+RESULT_FIELDS = CERTIFY_FIELDS + ("mo_benchmark", "optimal_fidelity", "z_score", "verdict")
 
 
 @dataclass(frozen=True)
@@ -199,13 +201,12 @@ def parse_methods(text: str):
 # report rows
 
 
-def _spin_rows(two_j, thetas, methods):
-    """Rows of one spin's points, theta major, `methods` in canonical order: each simulation
-    is one stacked evaluation over the spin's angles, the closed forms scalar `math`."""
-    j = HalfInteger(two_j)
+def _spin_rows(j, thetas, methods, mo):
+    """Rows of one spin's points, theta major, `methods` in canonical order: `mo` holds the
+    spin's MO simulations at `thetas` (None without mo_sim), the strategy simulation is one
+    stacked evaluation over the spin's angles, the closed forms scalar `math`."""
     sim = (protocols.simulate_strategies(j, 0.5, thetas, [closed_forms.coupling_angle(j, t) for t in thetas])
            if "heisenberg_sim" in methods or "worst_case" in methods else None)
-    mo = protocols.simulate_mo_strategies(j, thetas) if "mo_sim" in methods else None
     rows = []
     for i, theta in enumerate(thetas):
         fo, fm = closed_forms.optimal_fidelity(j, theta), closed_forms.mo_benchmark(j, theta)
@@ -220,12 +221,12 @@ def _spin_rows(two_j, thetas, methods):
             "worst_case": lambda: (sim.worst_case[i], abs(
                 sim.worst_case[i] - closed_forms.worst_case_asymptotic(j, theta).value), "vs_asymptotic"),
         }
-        rows += [FidelityReport(two_j, 1, theta, method, *cells[method]()) for method in methods]
+        rows += [FidelityReport(j.doubled, 1, theta, method, *cells[method]()) for method in methods]
     return rows
 
 
 def fidelity_rows(two_j, theta):
-    return _spin_rows(two_j, [theta], SWEEP_METHODS[:-1])  # all but worst_case
+    return sweep_rows([two_j], [theta], SWEEP_METHODS[:-1])  # all but worst_case
 
 
 def spin_k_rows(two_j, two_k, theta):
@@ -273,8 +274,11 @@ def longevity_rows(two_j, theta, n_max):
 
 
 def sweep_rows(two_j_values, thetas, methods):
-    """Rows of every (2j, theta) point, 2j major: each simulation stacked once per spin."""
-    return [row for two_j in two_j_values for row in _spin_rows(two_j, thetas, methods)]
+    """Rows of every (2j, theta) point, 2j major: the MO simulation is one stacked evaluation
+    over the whole grid, the strategy simulation one per spin."""
+    js = [HalfInteger(two_j) for two_j in two_j_values]
+    mo = protocols.simulate_mo_strategies(js, thetas) if "mo_sim" in methods else [None] * len(js)
+    return [row for j, mo_row in zip(js, mo) for row in _spin_rows(j, thetas, methods, mo_row)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +320,36 @@ def _rows_to_json(command, rows, extra=None):
     return doc
 
 
-# one report row as json.dumps(..., indent=2) lays it out inside "rows"
-_JSON_ROW = "    {\n%s\n    }" % ",\n".join('      "%s": %%s' % field for field in CSV_FIELDS)
+def _json_row(fields):
+    """One row of `fields` as json.dumps(..., indent=2) lays it out in a list of the document."""
+    return "    {\n%s\n    }" % ",\n".join('      "%s": %%s' % field for field in fields)
+
+
+_JSON_ROW = _json_row(CSV_FIELDS)
+_RESULT_ROW = _json_row(RESULT_FIELDS)
+
+
+def _write_json(doc, key, cells, template, fh):
+    """The bytes of json.dumps(doc, indent=2) and a newline, once doc[key], the empty list in
+    `doc`, holds one row per tuple of `cells`: the JSON texts of the row's values, put into
+    `template` by one format instead of the pure-Python encoder that `indent` selects."""
+    text = json.dumps(doc, indent=2)
+    if cells:  # a string's newline is escaped, so the key's line is the document's own
+        text = text.replace('\n  "%s": []' % key, '\n  "%s": [\n%s\n  ]' % (
+            key, ",\n".join([template % c for c in cells])), 1)
+    fh.write(text + "\n")
 
 
 def write_reports_json(rows, command, extra, fh):
     """The bytes of json.dumps(_rows_to_json(command, rows, extra), indent=2)
-    and a newline, with each row written by one format instead of the
-    pure-Python encoder that `indent` selects.  Floats are finite (see
-    `FidelityReport`), so their repr is JSON's; strings go through json's own
-    ASCII escaper."""
-    header = json.dumps(_rows_to_json(command, [], extra), indent=2)
-    if not rows:
-        fh.write(header + "\n")
-        return
+    and a newline (see `_write_json`).  Floats are finite (see `FidelityReport`),
+    so their repr is JSON's; strings go through json's own ASCII escaper."""
     quote = json.encoder.encode_basestring_ascii
-    fh.write(header[:-len("[]\n}")] + "[\n")
-    fh.write(",\n".join([_JSON_ROW % (
+    _write_json(_rows_to_json(command, [], extra), "rows", [(
         r.two_j, r.two_k, format_float(r.theta_rad), quote(r.method),
         "null" if r.step is None else r.step,
         format_float(r.value), format_float(r.uncertainty), quote(r.mode_notes),
-    ) for r in rows]))
-    fh.write("\n  ]\n}\n")
+    ) for r in rows], _JSON_ROW, fh)
 
 
 def _emit(rows, command, fmt, out_path, extra=None):
@@ -401,6 +413,31 @@ def classify_experiment(record: ExperimentRecord):
     }
 
 
+def _certify_doc(results, row_errors):
+    """The certify document: each result, each row error, and the count of each verdict."""
+    summary = {}
+    for res in results:
+        summary[res["verdict"]] = summary.get(res["verdict"], 0) + 1
+    return {"schema": SCHEMA_VERSION, "command": "certify", "results": results,
+            "row_errors": row_errors, "summary": summary}
+
+
+def write_certify_json(results, row_errors, fh):
+    """The bytes of json.dumps(_certify_doc(results, row_errors), indent=2) and a
+    newline (see `_write_json`).  The floats of a result are finite: the record's
+    are checked by `ExperimentRecord`, the closed forms' by `FidelityValue`, and a
+    z-score that is not is None."""
+    quote = json.encoder.encode_basestring_ascii
+    doc = _certify_doc(results, row_errors)
+    doc["results"] = []
+    _write_json(doc, "results", [(
+        quote(r["label"]), r["two_j"], format_float(r["theta_rad"]),
+        format_float(r["measured_avg_fidelity"]), format_float(r["std_err"]),
+        format_float(r["mo_benchmark"]), format_float(r["optimal_fidelity"]),
+        "null" if r["z_score"] is None else format_float(r["z_score"]), quote(r["verdict"]),
+    ) for r in results], _RESULT_ROW, fh)
+
+
 def read_experiment_csv(fh):
     """Parse certify input; returns (records, row_errors)."""
     reader = csv.DictReader(fh)
@@ -412,6 +449,9 @@ def read_experiment_csv(fh):
     records, errors = [], []
     for lineno, rec in enumerate(reader, start=2):
         try:
+            if None in rec:  # DictReader keeps the fields past the header's under None
+                raise ValueError("row has %d fields, the header %d"
+                                 % (len(CERTIFY_FIELDS) + len(rec[None]), len(CERTIFY_FIELDS)))
             records.append(ExperimentRecord(
                 label=rec["label"],
                 two_j=int(rec["two_j"]),
@@ -443,17 +483,9 @@ def cmd_certify(args):
         print("cannot read %s: %s" % (args.input, exc), file=sys.stderr)
         return EXIT_DATA
     results = [classify_experiment(rec) for rec in records]
-    summary = {}
-    for res in results:
-        summary[res["verdict"]] = summary.get(res["verdict"], 0) + 1
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "certify",
-        "results": results,
-        "row_errors": row_errors,
-        "summary": summary,
-    }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    buf = io.StringIO()
+    write_certify_json(results, row_errors, buf)
+    _write(buf.getvalue(), args.out)
     if not results:
         print("no usable rows in %s" % args.input, file=sys.stderr)
         return EXIT_DATA

@@ -11,7 +11,6 @@ generalization.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -66,32 +65,32 @@ def simulate_optimal_qubit_strategy(j, theta) -> StrategyFidelities:
     return simulate_spin_k(j, _K_HALF, theta, f=coupling_angle(j, theta))
 
 
-@lru_cache(maxsize=64)
-def _pole_rule(doubled_j, nodes):
-    """Gauss-Jacobi rule for the misalignment t = (1 - cos phi')/2 of the estimate.
+def _pole_rule(doubled_js, nodes):
+    """Gauss-Jacobi rules for the misalignment t = (1 - cos phi')/2 of the estimate, one
+    per doubled spin of `doubled_js`: arrays (spins, nodes) of nodes and of weights.
 
     The coherent-state POVM puts density (2j+1)(1-t)^{2j} on t in [0, 1], a
     Jacobi weight with beta = 2j.  The nodes are the eigenvalues of its Jacobi
     matrix and the weights the squared first eigenvector components (Golub &
     Welsch 1969), so they sum to 1 at every j and `nodes` points integrate
-    polynomials of degree < 2 * nodes exactly.  The rule does not depend on
-    the angle, so it is computed once per spin and kept in a bounded cache;
-    both arrays are read-only.
+    polynomials of degree < 2 * nodes exactly.  The rule depends on the spin
+    alone: every spin's matrix is built at once and solved by one stacked
+    eigh, whose rows are bitwise each spin's own.
     """
-    beta = float(doubled_j)
+    beta = np.asarray(doubled_js, dtype=float)[:, None]
     i = np.arange(nodes, dtype=float)
     d = 2.0 * i + beta
-    diagonal = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
-    off = i[1:] * (i[1:] + beta) / (d[1:] * np.sqrt(d[1:] * d[1:] - 1.0))
-    t, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    weights = vectors[0] ** 2
-    for a in (t, weights):
-        a.setflags(write=False)
-    return t, weights
+    matrix = np.zeros((len(beta), nodes * nodes))  # each row a flattened tridiagonal matrix
+    matrix[:, ::nodes + 1] = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
+    off = i[1:] * (i[1:] + beta) / (d[:, 1:] * np.sqrt(d[:, 1:] * d[:, 1:] - 1.0))
+    matrix[:, 1::nodes + 1] = matrix[:, nodes::nodes + 1] = off
+    t, vectors = np.linalg.eigh(matrix.reshape(-1, nodes, nodes))
+    return t, vectors[:, 0] ** 2
 
 
-def _mo_entanglement_fidelity(j, k, thetas, taus):
-    """Entanglement fidelities of estimate-then-rotate-by-tau, one per (theta, tau) pair.
+def _mo_entanglement_fidelity(doubled_js, k, thetas, taus):
+    """Entanglement fidelities of estimate-then-rotate-by-tau on the grid of `doubled_js` x
+    `thetas`: one list per spin, taus[s][i] the rotation of spin s at thetas[i].
 
     The composite rotation V_theta^dag V_{tau,n'} has half-angle cosine
 
@@ -100,17 +99,18 @@ def _mo_entanglement_fidelity(j, k, thetas, taus):
     independent of the azimuth of n', and the spin-k character of a rotation
     with half-angle cosine c is the Chebyshev polynomial U_{2k}(c).  The
     integrand (U_{2k}(c)/(2k+1))^2 has degree 4k in t, so the 2k+1 nodes of
-    `_pole_rule` integrate it exactly at every j.
+    `_pole_rule` integrate it exactly at every j.  The recurrence runs over the
+    whole (spins, angles, nodes) grid, each value computed as at one point.
     """
-    t, weights = _pole_rule(j.doubled, k.doubled + 1)
-    factors = np.array([(math.cos((th - ta) / 2.0), 2.0 * math.sin(th / 2.0) * math.sin(ta / 2.0))
-                        for th, ta in zip(thetas, taus)])
-    c = factors[:, :1] - factors[:, 1:] * t
+    t, weights = _pole_rule(doubled_js, k.doubled + 1)
+    factors = np.array([[(math.cos((th - ta) / 2.0), 2.0 * math.sin(th / 2.0) * math.sin(ta / 2.0))
+                         for th, ta in zip(thetas, row)] for row in taus]).reshape(len(taus), len(thetas), 2)
+    c = factors[..., :1] - factors[..., 1:] * t[:, None, :]
     u_prev, u = 0.0, 1.0  # U_{-1}, U_0
     for _ in range(k.doubled):
         u_prev, u = u, 2.0 * c * u - u_prev
-    fe = (weights @ ((u / (k.doubled + 1.0)) ** 2)[..., None])[..., 0]
-    return [min(max(x, 0.0), 1.0) for x in fe.tolist()]
+    fe = (weights[:, None, None, :] @ ((u / (k.doubled + 1.0)) ** 2)[..., None])[..., 0, 0]
+    return [[min(max(x, 0.0), 1.0) for x in row] for row in fe.tolist()]
 
 
 def simulate_mo_strategy(j, theta) -> float:
@@ -120,15 +120,17 @@ def simulate_mo_strategy(j, theta) -> float:
     about the estimated axis by the optimal conditional angle.  Like
     `mo_benchmark`, it is computed at `folded_angle(theta)`.
     """
-    return simulate_mo_strategies(j, [theta])[0]
+    return simulate_mo_strategies([j], [theta])[0][0]
 
 
-def simulate_mo_strategies(j, thetas) -> list:
-    """`simulate_mo_strategy` at each angle of `thetas`, as one stacked evaluation."""
-    j = as_spin(j, "program spin")
+def simulate_mo_strategies(js, thetas) -> list:
+    """`simulate_mo_strategy` at each point of the grid `js` x `thetas`, as one stacked
+    evaluation: one list of values per spin, one value per angle."""
+    js = [as_spin(j, "program spin") for j in js]
     thetas = [folded_angle(theta) for theta in thetas]
-    fe = _mo_entanglement_fidelity(j, _K_HALF, thetas, [mo_optimal_angle(j, t) for t in thetas])
-    return [average_fidelity_from_entanglement(x, 2) for x in fe]
+    fe = _mo_entanglement_fidelity([j.doubled for j in js], _K_HALF, thetas,
+                                   [[mo_optimal_angle(j, t) for t in thetas] for j in js])
+    return [[average_fidelity_from_entanglement(x, 2) for x in row] for row in fe]
 
 
 def _strategy_kraus(j, k, f):
@@ -216,5 +218,5 @@ def simulate_spin_k_mo(j, k, theta) -> float:
     qubit case; the conditional rotation is by theta itself about the estimate.
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
-    fe = _mo_entanglement_fidelity(j, k, [theta], [theta])[0]
+    fe = _mo_entanglement_fidelity([j.doubled], k, [theta], [[theta]])[0][0]
     return average_fidelity_from_entanglement(fe, k.doubled + 1)

@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
 
 from spinbench import cli
@@ -65,8 +66,8 @@ def corpus_argv():
     argv.append(["sweep", "--two-j-range", "1:2001:40", "--thetas", "0.3,2.0,pi",
                  "--methods", "mo_exact,mo_sim", "--format", "json"])
     # every verdict, a zero std_err, the 2j = 3, theta = pi anchor, each kind of
-    # malformed row, non-finite fields, and a label with a quote, a backslash
-    # and a non-ASCII character
+    # malformed row, non-finite fields, a label with a quote, a backslash and a
+    # non-ASCII character, and a row with a field past the header's
     argv.append(["certify", "--input", "certify_rows.csv"])
     return argv + REFUSALS
 
@@ -84,8 +85,12 @@ def run_cli(argv):
 
 def run_case(argv):
     """`run_cli` in the corpus's directory, where the certify inputs are."""
-    with contextlib.chdir(CORPUS.parent):
+    cwd = os.getcwd()
+    os.chdir(CORPUS.parent)
+    try:
         return run_cli(argv)
+    finally:
+        os.chdir(cwd)
 
 
 def report_rows(text):

@@ -771,6 +771,29 @@ def test_monte_carlo_refuses_a_channel_of_another_shape(later):
     assert len(built) == 2
 
 
+def test_monte_carlo_refused_at_sample_1_converts_no_other_axis():
+    import tracemalloc
+
+    samples, built = 200_000, []
+
+    def builder(n):
+        j = HalfInteger(3) if not built else HalfInteger(2)
+        built.append(n)
+        return ProgramChannel(heisenberg_gate(j, HalfInteger(1), 1.0), spin_coherent_state(j, n), j, HalfInteger(1))
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^sample 1: "):
+            average_fidelity_mc(builder, 2.0, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) == 2
+    # the axes and the program states take 24 + 64 bytes a sample; every axis
+    # as a list of Python floats would add about 150
+    assert peak < samples * 120
+
+
 def test_monte_carlo_refuses_an_over_budget_run_before_it_starts():
     built = []
 

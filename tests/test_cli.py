@@ -213,15 +213,31 @@ _json_notes = st.text(alphabet=st.one_of(
     st.characters()), max_size=12)
 
 
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1e308, -0.0, 5e-324]))
+# a certify result: its values in document order
+_result = st.tuples(
+    st.text(), st.integers(1, 2**53), _finite, st.floats(0, 1), _finite, _finite, _finite,
+    st.one_of(st.none(), _finite),
+    st.sampled_from(["quantum-enhanced", "classical-reachable", "inconclusive", "suspect-above-quantum-bound"]),
+).map(lambda values: dict(zip(cli.RESULT_FIELDS, values)))
+_row_error = st.builds(dict, line=st.integers(2, 10**6), error=st.text())
+
+
 @given(st.lists(st.one_of(_bounded, _unbounded), max_size=8), _json_notes,
        st.sampled_from(["sweep", "fidelity"]),
-       st.one_of(st.none(), st.builds(dict, threads=st.integers(1, 64))))
-def test_json_writer_matches_json_dumps(rows, notes, command, extra):
-    # covers the empty row list, step None and int, extra with and without threads
+       st.one_of(st.none(), st.builds(dict, threads=st.integers(1, 64))),
+       st.lists(_result, max_size=6), st.lists(_row_error, max_size=4))
+def test_json_writer_matches_json_dumps(rows, notes, command, extra, results, row_errors):
+    # reports: the empty row list, step None and int, extra with and without
+    # threads; certify: empty results (and so an empty summary), empty row
+    # errors, a z-score of None, any text in labels and error messages
     rows = [dataclasses.replace(r, mode_notes=r.mode_notes + notes) for r in rows]
     buf = io.StringIO()
     write_reports_json(rows, command, extra, buf)
     assert buf.getvalue() == json.dumps(cli._rows_to_json(command, rows, extra), indent=2) + "\n"
+    buf = io.StringIO()
+    cli.write_certify_json(results, row_errors, buf)
+    assert buf.getvalue() == json.dumps(cli._certify_doc(results, row_errors), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +416,8 @@ def test_sweep_runs_on_the_calling_thread(capsys, monkeypatch):
 
 
 def test_sweep_simulates_each_spin_once(capsys, monkeypatch):
-    # one stacked strategy and one stacked MO evaluation per spin, and no
-    # call of the per-point functions
+    # one stacked strategy evaluation per spin, one stacked MO evaluation per
+    # sweep, and no call of the per-point functions
     calls = []
 
     def counted(name):
@@ -418,25 +434,29 @@ def test_sweep_simulates_each_spin_once(capsys, monkeypatch):
     assert main(["sweep", "--two-j-range", "3:5", "--thetas", "0.3,pi/2,2.0,pi,4.0",
                  "--methods", ",".join(cli.SWEEP_METHODS)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 5 * 7
-    assert sorted(calls) == ["simulate_mo_strategies"] * 3 + ["simulate_strategies"] * 3
+    assert sorted(calls) == ["simulate_mo_strategies"] + ["simulate_strategies"] * 3
 
 
 def test_sweep_rows_are_the_rows_of_single_points():
-    # a sweep stacks each spin's angles; every row it shares with `fidelity`
-    # is that command's row, byte for byte
+    # a sweep stacks each spin's angles, and its MO quadrature over all its
+    # spins; every row it shares with `fidelity` is that command's row, byte
+    # for byte, on small spins and on spins far apart
     thetas = ["0", "0.3", "1.0", "pi/2", "2.0", "2.9", "pi", "4.0", "-1", "-pi/3", "7.5", "1e16"]
-    code, out, err = run_cli(["sweep", "--two-j-range", "1:60", "--thetas", ",".join(thetas),
-                              "--methods", ",".join(cli.SWEEP_METHODS)])
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    rows = {tuple(line.split(",")[:4]): line for line in lines[1:]}
-    assert len(rows) == len(lines) - 1 == 60 * 12 * 7
-    for two_j in range(1, 61):
-        for theta in thetas:
-            code, out, err = run_cli(["fidelity", "--two-j", str(two_j), "--theta", theta])
-            assert (code, err) == (0, "")
-            for line in out.splitlines()[1:]:
-                assert rows[tuple(line.split(",")[:4])] == line
+    wide = [61, 97, 150, 999, 2001, 4099, 40001, 10**6 + 1, 2**31 + 7, 2**53 - 1, 2**53]
+    for spins, methods in ((range(1, 61), cli.SWEEP_METHODS), (wide, ("mo_exact", "mo_sim"))):
+        code, out, err = run_cli(["sweep", "--two-j-range", ",".join(map(str, spins)),
+                                  "--thetas", ",".join(thetas), "--methods", ",".join(methods)])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        rows = {tuple(line.split(",")[:4]): line for line in lines[1:]}
+        assert len(rows) == len(lines) - 1 == len(spins) * len(thetas) * len(methods)
+        for two_j in spins:
+            for theta in thetas:
+                code, out, err = run_cli(["fidelity", "--two-j", str(two_j), "--theta", theta])
+                assert (code, err) == (0, "")
+                for line in out.splitlines()[1:]:
+                    if line.split(",")[3] in methods:
+                        assert rows[tuple(line.split(",")[:4])] == line
 
 
 @pytest.mark.parametrize("fault", ["block", "quadratic"])
@@ -714,15 +734,18 @@ def test_certify_judges_against_the_benchmark_at_any_angle():
 
 
 def test_certify_bad_rows_counted(tmp_path, capsys):
+    # a row with a field past the header's is an error too, not cut to the header
     path = _certify_file(tmp_path, [
         ("ok", 3, PI, 0.69, 0.005),
         ("bad", 0, PI, 0.69, 0.005),
         ("worse", 3, PI, 1.4, 0.005),
+        ("longer", 3, 2.0, 0.7, 0.01, 9),
     ])
     assert main(["certify", "--input", path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["results"]) == 1
-    assert [e["line"] for e in doc["row_errors"]] == [3, 4]
+    assert [e["line"] for e in doc["row_errors"]] == [3, 4, 5]
+    assert doc["row_errors"][2]["error"] == "row has 6 fields, the header 5"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

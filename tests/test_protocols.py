@@ -175,9 +175,8 @@ def test_strategy_checks_each_sector_block(monkeypatch):
 
 
 def test_per_spin_caches_are_bounded_and_read_only():
-    for cached in (_pole_rule, spin_algebra._exchange_block):
-        assert cached.cache_info().maxsize == 64
-    for a in _pole_rule(7, 3) + spin_algebra._exchange_block(7, 2, 1):
+    assert spin_algebra._exchange_block.cache_info().maxsize == 64
+    for a in spin_algebra._exchange_block(7, 2, 1):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 
@@ -297,12 +296,18 @@ def _beta_moment(two_j, p):
     return Fraction(two_j + 1, two_j + 1 + p)
 
 
-@pytest.mark.parametrize("two_j", [1, 41, 999, 10**6, 2**53])
+POLE_SPINS = [1, 41, 999, 10**6, 2**53]
+
+
+@pytest.mark.parametrize("two_j", POLE_SPINS)
 def test_pole_rule_reproduces_beta_moments(two_j):
+    # each spin alone, and as one row of a rule stacked over all the spins
     for nodes in (1, 2, 3, 5):
-        t, w = _pole_rule(two_j, nodes)
+        (t,), (w,) = _pole_rule([two_j], nodes)
         for p in range(2 * nodes):
             assert abs(w @ (1.0 - t) ** p - float(_beta_moment(two_j, p))) < 1e-15
+        stacked = _pole_rule(POLE_SPINS, nodes)
+        assert all((a[POLE_SPINS.index(two_j)] == b).all() for a, b in zip(stacked, (t, w)))
 
 
 def _spin_k_mo_from_moments(two_j, two_k, theta):
@@ -417,8 +422,10 @@ def test_a_stack_of_angles_gives_the_values_of_single_angles():
         for i, theta in enumerate(STACK_ANGLES):
             single = simulate_optimal_qubit_strategy(j, theta)
             assert tuple(values[i] for values in stacked) == tuple(single), (two_j, theta)
-        assert protocols.simulate_mo_strategies(j, STACK_ANGLES) == [
-            simulate_mo_strategy(j, theta) for theta in STACK_ANGLES]
+    # the MO quadrature stacks the spins too
+    spins = [HalfInteger(two_j) for two_j in range(1, 61)]
+    assert protocols.simulate_mo_strategies(spins, STACK_ANGLES) == [
+        [simulate_mo_strategy(j, theta) for theta in STACK_ANGLES] for j in spins]
     # the default schedule folds each angle, and a spin-1 target takes each
     # angle through worst_case_fidelity
     for two_j, two_k in ((1, 1), (7, 1), (40, 1), (1, 2), (7, 2), (40, 2)):
