@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_algebra import Direction, HalfInteger, check_each, make_spin_operators
+from .spin_algebra import Direction, HalfInteger, as_angle, check_each, make_spin_operators
 
 # largest chart points x max(Kraus operators, d) the worst-case grid search
 # admits; a point needs d complex amplitudes for its state and one complex
@@ -226,8 +226,7 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError("samples must be an integer >= 1, got %r" % (samples,))
-    if not -math.inf < theta < math.inf:  # a NaN fails too
-        raise ValueError("theta must be finite, got %r" % (theta,))
+    as_angle(theta)
     samples = int(samples)
     rng = np.random.default_rng(seed)
     axes = haar_direction(rng, (1,))
@@ -296,35 +295,51 @@ def _fidelity_batch(mats, states):
 
 
 def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: int = CHART_GRID):
-    """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs.
-
-    Exact for a qubit target, and for a spin-1 target (d = 3) when each
-    V^dag K_a has its nonzero entries on one diagonal, as those of a program
-    along the rotation axis do.  A qubit family on one diagonal takes the
-    closed-form minimum of a quadratic in |psi_0|^2, any other qubit family
-    the Bloch-sphere trust-region route.  Otherwise the value is an upper
-    bound on the minimum: the best point of a grid over the state chart,
-    refined by Nelder-Mead from the three best grid cells; `grid` (>= 8)
-    applies there only.  On a one-diagonal family psi_n -> e^{i n phi} psi_n
-    leaves the fidelity unchanged, so that grid holds the phase of psi_1 at 0.
-    Each exact route checks its closed-form minimum against the fidelity of
-    the state it returns and raises ToleranceError on a gap over 1e-12.
+    """Minimize <psi|V^dag C(psi) V|psi> over pure target inputs: `_worst_cases`
+    on a stack of one family.  Exact for a qubit target, and for a spin-1
+    target (d = 3) when each V^dag K_a has its nonzero entries on one diagonal,
+    as those of a program along the rotation axis do; otherwise an upper bound
+    from the chart search, the only route `grid` (>= 8) applies to.
 
     Returns (value, argmin_state), with value the fidelity of that state.
     """
-    d = ch.target_dim
-    v = _check_unitary(target_gate, d)
-    mats = v.conj().T @ ch.kraus_operators()  # broadcast over the Kraus index
-    one_diagonal = d <= 3 and _on_one_diagonal(mats)
-    if d == 2:
-        return _qubit_one_diagonal_minimum(mats) if one_diagonal else _qubit_minimum(mats)
-    if one_diagonal:
-        return _spin_one_minimum(mats)
-    return _chart_search(mats, grid)
+    v = _check_unitary(target_gate, ch.target_dim)
+    values, states = _worst_cases((v.conj().T @ ch.kraus_operators())[None], grid)
+    return values[0], states[0]
+
+
+def _worst_cases(mats, grid=CHART_GRID):
+    """The worst case of each family of a stack of V^dag K_a, shape (n, count, d, d),
+    as (a list of values, the states, shape (n, d)), each value F at its state.
+
+    The route is chosen here alone: a stack of qubit families that each lie on
+    one diagonal takes the stacked quadratic in |psi_0|^2; otherwise each family
+    takes the Bloch-sphere route (d = 2), the spin-1 quartic (d = 3, one
+    diagonal) or the chart search, the best point of a grid over the state
+    chart refined by Nelder-Mead from its three best cells (on one diagonal
+    psi_n -> e^{i n phi} psi_n leaves F unchanged, so the grid holds the phase
+    of psi_1 at 0).  Each route claims a minimum at its state; one check of
+    every claim against F raises ToleranceError on a gap over 1e-12, naming
+    the route, with `index` the family.
+    """
+    d = mats.shape[-1]
+    if d == 2 and _on_one_diagonal(mats):
+        claims, states = _qubit_one_diagonal_minimum(mats)
+        messages = "qubit quadratic differs from F on its state by %r"
+    else:  # family by family
+        names, claims, states = zip(*(
+            ("Bloch quadratic",) + _qubit_minimum(m) if d == 2
+            else ("spin-1 quartic",) + _spin_one_minimum(m) if d == 3 and _on_one_diagonal(m)
+            else ("chart search",) + _chart_search(m, grid) for m in mats))
+        claims, states = np.array(claims), np.array(states)
+        messages = [n + " differs from F on its state by %r" for n in names]
+    values = _fidelity_batch(mats, states)
+    check_each(abs(claims - values), 1e-12, messages)
+    return values.tolist(), states
 
 
 def _chart_axes(d, count, one_diagonal, grid=CHART_GRID):
-    """The axes of the chart grid that `worst_case_fidelity` searches for d
+    """The axes of the chart grid that `_chart_search` searches for d
     amplitudes and `count` Kraus operators, with the phase of psi_1 held at 0
     when `one_diagonal`; a grid over the WORST_CASE_BUDGET is refused."""
     if grid < 8:
@@ -343,7 +358,7 @@ def _chart_axes(d, count, one_diagonal, grid=CHART_GRID):
 
 
 def _chart_search(mats, grid):
-    """worst_case_fidelity's search for d >= 3; it covers d = 2 as well."""
+    """The chart search of `_worst_cases` for one family, as (value, state) with value = F(state)."""
     d = mats.shape[-1]
     axes = _chart_axes(d, len(mats), _on_one_diagonal(mats), grid)
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
@@ -373,14 +388,6 @@ def _on_one_diagonal(mats):
     return bool((offset[1:] == offset[:-1])[a[1:] == a[:-1]].all())
 
 
-def _checked_minimum(mats, state, model, name):
-    """(F(state), state) once the closed form `model` of a minimum route
-    equals F on its state to 1e-12, for each family of a stack; otherwise ToleranceError."""
-    value = _fidelity_batch(mats, state.reshape(-1, state.shape[-1])).reshape(np.shape(model))
-    check_each(abs(model - value), 1e-12, name + " differs from F on its state by %r")
-    return value.tolist(), state
-
-
 def _qubit_minimum(mats):
     """Exact minimum over pure qubit states of F = sum_a |<psi|M_a|psi>|^2.
 
@@ -391,7 +398,7 @@ def _qubit_minimum(mats):
     hard case (h_1 = 0 and |r| <= 1 at t = 0) r is completed to unit length
     along P[:, 0].
 
-    Returns (value, state) with value = F(state).
+    Returns (value, state), the value from the quadratic.
     """
     coef = np.einsum("aij,kji->ak", mats, PAULI) / 2.0  # <psi|M_a|psi> = coef_a.(1, r)
     gram = (coef.T @ coef.conj()).real
@@ -415,7 +422,7 @@ def _qubit_minimum(mats):
         r[0] = math.sqrt(max(-excess(0.0), 0.0))
     v = np.r_[1.0, p @ r / np.linalg.norm(r)]
     state = np.linalg.eigh(np.einsum("k,kij->ij", v, PAULI))[1][:, 1]  # top eigenvector of 2 rho
-    return _checked_minimum(mats, state, v @ gram @ v, "Bloch quadratic")
+    return v @ gram @ v, state
 
 
 def _qubit_one_diagonal_minimum(mats):
@@ -426,25 +433,30 @@ def _qubit_one_diagonal_minimum(mats):
     with H as in `_spin_one_minimum`, and those of offset +-1 give P x (1 - x),
     P = sum_a |M_a[0, 1]|^2 + |M_a[1, 0]|^2; the phases do not enter.  So
     F = H_00 x^2 + (2 H_01 + P) x (1 - x) + H_11 (1 - x)^2, a quadratic in x
-    on [0, 1], minimized at x = 0, at x = 1 or, where its x^2 coefficient is
-    positive, at its vertex clipped to [0, 1].
+    on [0, 1] that `_interval_quadratic_minimum` minimizes.
 
-    Returns (value, state) with value = F(state), state = (sqrt x, sqrt(1 - x));
-    for a stack of families (leading axes), a list of values and a stack of states.
+    Returns (value, state), the value from the quadratic and state = (sqrt x,
+    sqrt(1 - x)); for a stack of families (leading axes), stacks of both.
     """
     diag = mats.diagonal(0, -2, -1)
     h = (diag.swapaxes(-1, -2) @ diag.conj()).real
     crosses = 2.0 * h[..., 0, 1] + (np.abs(mats[..., 0, 1]) ** 2 + np.abs(mats[..., 1, 0]) ** 2).sum(-1)
-    best = []  # each family's three candidates are scalar floats, as at one family
-    for h00, cross, h11 in zip(*(a.ravel().tolist() for a in (h[..., 0, 0], crosses, h[..., 1, 1]))):
-        curvature = h00 - cross + h11
-        xs = [0.0, 1.0]
-        if curvature > 0.0:
-            xs.append(min(max((2.0 * h11 - cross) / (2.0 * curvature), 0.0), 1.0))
-        quadratic, x = min((h00 * x * x + cross * x * (1.0 - x) + h11 * (1.0 - x) ** 2, x) for x in xs)
-        best.append((quadratic, math.sqrt(x), math.sqrt(1.0 - x)))
-    best = np.array(best).reshape(crosses.shape + (3,))  # F, then the state (sqrt x, sqrt(1 - x))
-    return _checked_minimum(mats, best[..., 1:].astype(complex), best[..., 0], "qubit quadratic")
+    best = []  # each family's candidates are scalar floats, as at one family
+    for abc in zip(*(a.ravel().tolist() for a in (h[..., 0, 0], crosses, h[..., 1, 1]))):
+        value, x = _interval_quadratic_minimum(*abc)
+        best.append((value, math.sqrt(x), math.sqrt(1.0 - x)))
+    best = np.array(best).reshape(crosses.shape + (3,))  # the value, then the state (sqrt x, sqrt(1 - x))
+    return best[..., 0], best[..., 1:].astype(complex)
+
+
+def _interval_quadratic_minimum(a, b, c):
+    """(value, x) at the minimum of a x^2 + b x (1 - x) + c (1 - x)^2 over x in [0, 1], in
+    floats: at x = 0, at x = 1 or, if a - b + c > 0, at the vertex clipped to [0, 1]."""
+    curvature = a - b + c
+    xs = [0.0, 1.0]
+    if curvature > 0.0:
+        xs.append(min(max((2.0 * c - b) / (2.0 * curvature), 0.0), 1.0))
+    return min((a * x * x + b * x * (1.0 - x) + c * (1.0 - x) ** 2, x) for x in xs)
 
 
 # cos^2(psi/2), sin^2(psi/2) and sin(psi) as coefficients of z^-1, z^0, z^1, z = e^{i psi}
@@ -494,8 +506,9 @@ def _spin_one_minimum(mats):
     s = (2 gamma - beta) / 2A and a psi in {0, pi} or one where the minimum
     over s, (4 alpha gamma - beta^2) / 4A, is stationary: a root of a
     trigonometric polynomial of degree 4, found with np.roots in z = e^{i psi}.
+    At each of these angles `_interval_quadratic_minimum` minimizes over s.
 
-    Returns (value, state) with value = F(state).
+    Returns (value, state), the value from the quadratic in s.
     """
     # one diagonal per operator: its entries off that diagonal are zero, so
     # summing every offset's terms over all operators groups them by offset
@@ -511,26 +524,15 @@ def _spin_one_minimum(mats):
     alpha = (h[0, 0] * np.convolve(_COS2, _COS2) + 2 * h[0, 2] * np.convolve(_COS2, _SIN2)
              + h[2, 2] * np.convolve(_SIN2, _SIN2))
     beta = (2 * h[0, 1] + p) * _COS2 + (2 * h[2, 1] + q) * _SIN2 - abs(t) * _SIN
-    gamma = h[1, 1]
+    gamma = float(h[1, 1])
     curvature = alpha - _pad(beta) + _pad([gamma], 2)
     d_alpha, d_beta = _derivative(alpha), _derivative(beta)
     stationary = (np.convolve(4 * gamma * d_alpha - 2 * np.convolve(beta, d_beta), curvature)
                   - np.convolve(4 * gamma * alpha - np.convolve(beta, beta),
                                 d_alpha - _pad(d_beta)))
 
-    ends = np.array([0.0, np.pi])
-    psi_edge = np.r_[ends, _angles(d_alpha)]
-    psi_in = np.r_[ends, _angles(stationary)]
-    a_in = _value_at(curvature, psi_in)
-    psi_in, a_in = psi_in[a_in > 0], a_in[a_in > 0]
-    s_in = np.clip((2 * gamma - _value_at(beta, psi_in)) / (2 * a_in), 0.0, 1.0)
-    s = np.r_[0.0, np.ones(len(psi_edge)), s_in]
-    psi = np.r_[0.0, psi_edge, psi_in]
-
-    r = np.stack([np.sqrt(s) * np.cos(psi / 2), np.sqrt(1 - s), np.sqrt(s) * np.sin(psi / 2)], axis=1)
-    w = r**2
-    quartic = (np.einsum("ni,ij,nj->n", w, h, w)
-               + w[:, 1] * (p * w[:, 0] + q * w[:, 2] - 2 * abs(t) * r[:, 0] * r[:, 2]))
-    best = np.argmin(quartic)
-    state = r[best] * np.array([1.0, 1.0, np.exp(1j * (np.pi - np.angle(t)))])
-    return _checked_minimum(mats, state, quartic[best], "spin-1 quartic")
+    psis = np.r_[0.0, np.pi, _angles(d_alpha), _angles(stationary)]
+    quartic, s, psi = min(_interval_quadratic_minimum(a, b, gamma) + (psi,) for a, b, psi in zip(
+        _value_at(alpha, psis).tolist(), _value_at(beta, psis).tolist(), psis.tolist()))
+    r = np.array([math.sqrt(s) * math.cos(psi / 2), math.sqrt(1.0 - s), math.sqrt(s) * math.sin(psi / 2)])
+    return quartic, r * np.array([1.0, 1.0, np.exp(1j * (np.pi - np.angle(t)))])

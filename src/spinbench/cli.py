@@ -477,7 +477,7 @@ def cmd_report(args):
 
 def cmd_certify(args):
     try:
-        with open(args.input, newline="") as fh:
+        with open(args.input, newline="", encoding="utf-8") as fh:
             records, row_errors = read_experiment_csv(fh)
     except OSError as exc:
         print("cannot read %s: %s" % (args.input, exc), file=sys.stderr)

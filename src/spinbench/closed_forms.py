@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import HalfInteger, ToleranceError, as_half_integer, as_spin
+from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer, as_spin
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
@@ -102,12 +102,14 @@ def folded_angle(theta: float) -> float:
     A rotation by theta + 2pi differs from one by theta by a phase, and one by
     -theta about n is one by theta about -n, so the axis-averaged fidelities
     are even and 2pi-periodic in theta.  theta in [0, pi] is returned as it
-    is; any other theta as |atan2(sin theta, cos theta)|, which keeps the
-    reduced angle exact to rounding at any |theta|, where theta - tau in
-    floating point would lose the conditional angle tau.
+    is; any other finite theta as |atan2(sin theta, cos theta)|, which keeps
+    the reduced angle exact to rounding at any |theta|, where theta - tau in
+    floating point would lose the conditional angle tau.  A non-finite theta
+    is refused with ValueError.
     """
     if 0.0 <= theta <= math.pi:
         return theta
+    as_angle(theta)
     return abs(math.atan2(math.sin(theta), math.cos(theta)))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .channel_lab import brentq
 from .channel_lab import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
-from .spin_algebra import HalfInteger, ToleranceError, as_half_integer, as_spin
+from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer, as_spin
 
 # slack of every feasibility check: PSD blocks, trace preservation, realizable moments
 SLACK = 1e-9
@@ -231,6 +231,7 @@ def maximize_covariant_fidelity(j, theta):
     Returns (fe, params, moments).
     """
     j = as_spin(j, "program spin")
+    as_angle(theta)
     jv = j.value
     candidates = [(jv - i, (jv - i) ** 2) for i in range(j.doubled + 1)]
     if j.doubled == 1:

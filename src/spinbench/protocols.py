@@ -16,12 +16,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_lab import (
-    KrausChannel, _chart_axes, _completeness_error, _entanglement_fidelities, _on_one_diagonal,
-    _qubit_one_diagonal_minimum, _unitarity_error, average_fidelity_from_entanglement,
-    worst_case_fidelity)
+    _chart_axes, _completeness_error, _entanglement_fidelities, _unitarity_error, _worst_cases,
+    average_fidelity_from_entanglement)
 from .closed_forms import _K_HALF, coupling_angle, folded_angle, mo_optimal_angle
 from .spin_algebra import (
-    DIM_CAP, ToleranceError, _check_dimension, _exchange_block, as_half_integer, as_spin, check_each)
+    DIM_CAP, ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin,
+    check_each)
 
 
 class StrategyFidelities(NamedTuple):
@@ -40,8 +40,7 @@ def heisenberg_gate(j, k, f):
     f is used as given, not reduced: at large |f| the phase f w/(2j+1) keeps
     few correct digits.  A non-finite f is refused before any work.
     """
-    if not -math.inf < f < math.inf:  # a NaN fails too
-        raise ValueError("interaction angle f must be finite, got %r" % (f,))
+    as_angle(f, "interaction angle f")
     j = as_half_integer(j)
     k = as_half_integer(k)
     if j.doubled < 0 or k.doubled < 0:
@@ -173,7 +172,8 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     2k <= 2, in closed form: a quadratic in |psi_0|^2 for a qubit target, a
     quartic in two real parameters for a spin-1 target.  For 2k >= 3 it is a
     chart search's upper bound, and a chart over the budget is refused before
-    the channel is built.  This is `simulate_strategies` at one angle.
+    the channel is built.  A non-finite theta is refused with ValueError.  This
+    is `simulate_strategies` at one angle.
     """
     return StrategyFidelities(*(x[0] for x in simulate_strategies(j, k, [theta], f if f is None else [f])))
 
@@ -181,32 +181,28 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
 def simulate_strategies(j, k, thetas, fs=None) -> StrategyFidelities:
     """`simulate_spin_k` at each of `thetas` (interaction angles `fs`, by default the folded
     angles) as one stacked evaluation: lists of values, each computed as at one angle, and
-    every check run at every angle, a failure naming its angle.  A worst case that is not
-    a qubit's one-diagonal quadratic goes through `worst_case_fidelity`, angle by angle.
+    every check run at every angle, a failure naming its angle.  The worst cases of all
+    angles are one call of `channel_lab._worst_cases`, which picks their route.
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
     if fs is None:
         thetas = fs = [folded_angle(theta) for theta in thetas]
+    else:
+        thetas = [as_angle(theta) for theta in thetas]
     d = k.doubled + 1
     _check_dimension(d)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
         _chart_axes(d, min(k.doubled, j.doubled) + 1, True)
-    i = None  # the angle of the worst case being solved one angle at a time
     try:
         kraus = _strategy_kraus(j, k, fs)
         phases = np.exp(-1j * np.array(thetas)[:, None] * (k.value - np.arange(d)))  # V = diag(phases)
         check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
         v = np.eye(d) * phases[:, None, :]
         fe = _entanglement_fidelities(kraus, v).tolist()
-        if d == 2 and _on_one_diagonal(mats := v.conj().swapaxes(-1, -2)[:, None] @ kraus):
-            check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)", ValueError)
-            fw = _qubit_one_diagonal_minimum(mats)[0]
-        else:  # KrausChannel checks the completeness of each family
-            fw = []
-            for i in range(len(v)):
-                fw.append(worst_case_fidelity(KrausChannel(kraus[i]), v[i])[0])
+        check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)", ValueError)
+        fw = _worst_cases(v.conj().swapaxes(-1, -2)[:, None] @ kraus)[0]
     except (ToleranceError, ValueError) as exc:
-        i = getattr(exc, "index", None) if i is None else i
+        i = getattr(exc, "index", None)
         raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i], exc)) from None
     return StrategyFidelities(fe, [average_fidelity_from_entanglement(x, d) for x in fe], fw)
 
@@ -218,5 +214,6 @@ def simulate_spin_k_mo(j, k, theta) -> float:
     qubit case; the conditional rotation is by theta itself about the estimate.
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
+    as_angle(theta)
     fe = _mo_entanglement_fidelity([j.doubled], k, [theta], [[theta]])[0][0]
     return average_fidelity_from_entanglement(fe, k.doubled + 1)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .closed_forms import _large_j_form, coupling_angle, mo_benchmark
-from .spin_algebra import as_half_integer, as_spin
+from .spin_algebra import as_angle, as_half_integer, as_spin
 
 # uses of one program a curve or a longevity search covers at most (one output
 # row each); a longer horizon is refused
@@ -116,6 +116,7 @@ def per_m_fidelity(j, theta, m) -> float:
     m = as_half_integer(m)
     if abs(m.doubled) > j.doubled or (j.doubled - m.doubled) % 2:
         raise ValueError("m = %s is not a magnetic quantum number for j = %s" % (m, j))
+    as_angle(theta)
     c0, c1, c2 = _drop_polynomial(j, theta)
     drop = (j.doubled - m.doubled) // 2
     return c0 + c1 * drop + c2 * drop * drop
@@ -152,6 +153,7 @@ def recycling_curve(j, theta, n_max) -> RecyclingCurve:
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
     j = as_half_integer(j)
+    as_angle(theta)
     c0, c1, c2 = _drop_polynomial(j, theta)
     c = kernel_factor(j, theta) / (j.doubled + 1.0) ** 2
     steps = np.arange(n_max)  # back-actions before use n = 1 .. n_max

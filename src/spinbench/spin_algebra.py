@@ -30,11 +30,13 @@ class ToleranceError(Exception):
 
 
 def check_each(errors, bound, message, error=ToleranceError):
-    """Raise error(message % e) at the first e of `errors` not <= bound, NaN too; `index` is its row."""
+    """Raise error(message % e) at the first e of `errors` not <= bound, NaN too; `index` is its
+    row.  `message` may also be a list of one message per row."""
     if not errors.max() <= bound:  # NaN is the max of an array that holds one
         i = int(np.argmin(errors.ravel() <= bound))
-        exc = error(message % errors.flat[i])
-        exc.index = np.unravel_index(i, errors.shape)[0] if errors.ndim else None
+        row = np.unravel_index(i, errors.shape)[0] if errors.ndim else None
+        exc = error((message if isinstance(message, str) else message[row]) % errors.flat[i])
+        exc.index = row
         raise exc
 
 
@@ -119,6 +121,13 @@ def as_spin(x, what) -> HalfInteger:
     if s.doubled < 1:
         raise ValueError("%s must be >= 1/2, got %s" % (what, s))
     return s
+
+
+def as_angle(x, what="theta"):
+    """x, refused unless finite (NaN too) by a ValueError naming the angle `what`."""
+    if not -math.inf < x < math.inf:
+        raise ValueError("%s must be finite, got %r" % (what, x))
+    return x
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,8 @@ def test_program_channel_rejects_bad_shapes():
         ProgramChannel(2 * np.eye(6), np.array([1.0, 0, 0]), j, HalfInteger(1))
     with pytest.raises(ValueError):
         ProgramChannel(np.eye(6), np.array([1.0, 1.0, 0]), j, HalfInteger(1))  # not normalized
+    with pytest.raises(ValueError, match=r"program state dimension 2 != 2j\+1 = 3"):
+        ProgramChannel(np.eye(6), np.array([1.0, 0]), j, HalfInteger(1))
 
 
 @pytest.fixture
@@ -571,21 +573,28 @@ def test_spin_one_worst_case_needs_no_search(monkeypatch):
     v = rotation_unitary(make_spin_operators(k), Z_AXIS, 2.0)
     value, state = worst_case_fidelity(ch, v, grid=4)  # the grid is the chart search's only
     _assert_real_state(v.conj().T @ ch.kraus_operators(), value, state)
+    k = HalfInteger(3)  # which refuses it on a d = 4 target
+    ch = ProgramChannel(heisenberg_gate(j, k, 2.0), spin_coherent_state(j, Z_AXIS), j, k)
+    with pytest.raises(ValueError, match="grid must be >= 8"):
+        worst_case_fidelity(ch, rotation_unitary(make_spin_operators(k), Z_AXIS, 2.0), grid=4)
 
 
 @pytest.mark.parametrize("shift", [1e-9, math.nan])
 @pytest.mark.parametrize("route", ["_qubit_minimum", "_qubit_one_diagonal_minimum",
                                    "_spin_one_minimum"])
 def test_minimum_routes_check_their_value(monkeypatch, route, shift):
-    # a state fidelity that disagrees with the route's closed form, or is NaN, is an error
-    mats = {"_qubit_minimum": lambda: _programmed_mats(6, 2.0, X_AXIS),
-            "_qubit_one_diagonal_minimum": lambda: _programmed_mats(6, 2.0, Z_AXIS),
-            "_spin_one_minimum": lambda: _spin_one_mats(6, 2.0, 2.0)}[route]()
+    # a state fidelity that disagrees with the route's closed form, or is NaN, is an error;
+    # the routes claim, and the dispatcher checks each claim, naming the route and the family
+    mats, name = {"_qubit_minimum": lambda: (_programmed_mats(6, 2.0, X_AXIS), "Bloch quadratic"),
+                  "_qubit_one_diagonal_minimum": lambda: (_programmed_mats(6, 2.0, Z_AXIS), "qubit quadratic"),
+                  "_spin_one_minimum": lambda: (_spin_one_mats(6, 2.0, 2.0), "spin-1 quartic")}[route]()
+    stack = np.stack([mats, mats])
     batch = channel_lab._fidelity_batch
     monkeypatch.setattr(channel_lab, "_fidelity_batch",
-                        lambda mats, states: batch(mats, states) + shift)
-    with pytest.raises(ToleranceError):
-        getattr(channel_lab, route)(mats)
+                        lambda mats, states: batch(mats, states) + np.where(np.arange(len(states)) == 1, shift, 0.0))
+    with pytest.raises(ToleranceError, match="^%s differs from F on its state" % name) as exc:
+        channel_lab._worst_cases(stack)
+    assert exc.value.index == 1
 
 
 def _symmetric_isometry(n):

@@ -83,7 +83,7 @@ def test_parse_two_j_range():
     assert parse_two_j_range("3:6") == [3, 4, 5, 6]
     assert parse_two_j_range("3:9:2") == [3, 5, 7, 9]
     assert parse_two_j_range("4,2,8") == [4, 2, 8]
-    for bad in ("9:3", "0:5", "a:b", "", "3:9:0"):
+    for bad in ("9:3", "0:5", "a:b", "", "3:9:0", "3:9:2:1"):
         with pytest.raises(Exception):
             parse_two_j_range(bad)
 

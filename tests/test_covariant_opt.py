@@ -62,6 +62,8 @@ def test_j_half_special_casing():
     p = params_from_gammas(0.5, 1.0, 0.5, 0.0)
     assert p.beta == 0.0
     check_params(0.5, p)
+    with pytest.raises(ValueError, match="at j=1/2: need beta = 0 and gamma_d = 1/2"):
+        check_params(0.5, CovariantChannelParams(p.alpha, 0.0, p.gamma_a, 0.3, 0.0))
 
 
 def test_check_params_rejections():
@@ -75,6 +77,8 @@ def test_check_params_rejections():
     # broken trace constraint
     with pytest.raises(ValueError):
         check_params(1.0, CovariantChannelParams(0.9, good.beta, 0.5, 0.5, 0.0))
+    with pytest.raises(ValueError, match="second trace-preservation constraint violated"):
+        check_params(1.0, CovariantChannelParams(good.alpha, good.beta + 0.3, 0.5, 0.5, 0.0))
 
 
 def test_moment_hull():

@@ -10,6 +10,7 @@ from spinbench.channel_lab import (
     KrausChannel,
     ProgramChannel,
     average_fidelity_from_entanglement,
+    average_fidelity_mc,
     entanglement_fidelity,
     haar_state,
     worst_case_fidelity,
@@ -32,6 +33,7 @@ from spinbench.protocols import (
     simulate_spin_k,
     simulate_spin_k_mo,
 )
+from spinbench.recycling import per_m_fidelity, recycling_curve
 from spinbench.spin_algebra import (
     Direction,
     HalfInteger,
@@ -398,6 +400,33 @@ def test_spin_refusals_name_the_spin():
         optimal_fidelity(-0.5, 1.0)
 
 
+def _never_built(n):
+    raise AssertionError("the channel was built for a non-finite angle")
+
+
+# the library entry points that take a rotation or interaction angle, with the name they refuse it by
+ANGLE_ENTRY_POINTS = {
+    "simulate_mo_strategy": ("theta", lambda a: simulate_mo_strategy(3, a)),
+    "simulate_spin_k": ("theta", lambda a: simulate_spin_k(3, 1, a)),
+    "simulate_spin_k_given_f": ("theta", lambda a: simulate_spin_k(3, 1, a, f=1.0)),
+    "simulate_spin_k_mo": ("theta", lambda a: simulate_spin_k_mo(3, 1, a)),
+    "per_m_fidelity": ("theta", lambda a: per_m_fidelity(3, a, 3)),
+    "recycling_curve": ("theta", lambda a: recycling_curve(3, a, 3)),
+    "maximize_covariant_fidelity": ("theta", lambda a: maximize_covariant_fidelity(1.5, a)),
+    "average_fidelity_mc": ("theta", lambda a: average_fidelity_mc(_never_built, a, 4, 0)),
+    "heisenberg_gate": ("interaction angle f", lambda a: heisenberg_gate(3, 0.5, a)),
+}
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+def test_a_non_finite_angle_is_an_input_error(entry, angle):
+    # refused by spin_algebra.as_angle, as a ValueError, before any numerical check can fail on it
+    what, call = ANGLE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (what, angle)):
+        call(angle)
+
+
 def test_spin_one_target_slope():
     # average infidelity scales as k(2k+1)(1-cos theta)/(3j) = 2(1-c)/j at k=1
     j, theta = 60.0, PI
@@ -444,13 +473,6 @@ def test_a_stack_names_the_angle_that_fails(monkeypatch):
                         lambda mats, states: batch(mats, states) + (np.arange(len(states)) == 2) * 1e-9)
     with pytest.raises(ToleranceError, match=r"^theta = %r: qubit quadratic differs" % PI):
         protocols.simulate_strategies(3.0, 0.5, thetas, thetas)
-    # a spin-1 target's worst case is solved one angle at a time: the second fails
-    calls = []
-
-    def second_call_off(mats, states):
-        calls.append(len(states))
-        return batch(mats, states) + (1e-9 if len(calls) == 2 else 0.0)
-
-    monkeypatch.setattr(channel_lab, "_fidelity_batch", second_call_off)
+    # a spin-1 target's worst cases are solved family by family and checked as one stack
     with pytest.raises(ToleranceError, match=r"^theta = %r: spin-1 quartic differs" % PI):
-        protocols.simulate_strategies(3.0, 1.0, [0.3, PI])
+        protocols.simulate_strategies(3.0, 1.0, thetas)

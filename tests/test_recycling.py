@@ -86,6 +86,8 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         ProgramDistribution(1.0, np.array([0.5, 0.4, 0.2]))  # sums to 1.1
     assert fresh_program(3.5).mean_drop() == 0.0
+    with pytest.raises(ValueError, match="different spin"):
+        complementary_step(2.0, 1.0, fresh_program(1.5))
 
 
 def test_long_run_stays_normalized():

@@ -31,7 +31,10 @@ def test_half_integer_basics():
     assert as_half_integer(HalfInteger(2)) is not None
     assert HalfInteger(3) == 1.5
     assert HalfInteger(1) < 1
+    assert HalfInteger(3) <= 1.5 and HalfInteger(3) > 1 and HalfInteger(3) >= HalfInteger(3)
+    assert not (HalfInteger(3) <= math.nan or HalfInteger(3) > math.nan or HalfInteger(3) >= math.nan)
     assert str(HalfInteger(3)) == "3/2"
+    assert repr(HalfInteger(3)) == "HalfInteger(3/2)" and repr(HalfInteger(4)) == "HalfInteger(2)"
     assert float(HalfInteger(5)) == 2.5
 
 
@@ -101,6 +104,8 @@ def test_rotation_is_unitary_and_composes(j):
     u12 = rotation_unitary(ops, n, 1.8)
     assert np.abs(u1 @ u1.conj().T - np.eye(ops.dim)).max() < 1e-13
     assert np.abs(u1 @ u2 - u12).max() < 1e-12
+    # a plain tuple is taken as the axis
+    assert np.array_equal(rotation_unitary(ops, (n.nx, n.ny, n.nz), 0.7), u1)
 
 
 def test_full_turn_phase():
@@ -181,6 +186,7 @@ def test_coherent_state_poles():
         down[-1] = (-1j) ** two_j
         assert np.array_equal(spin_coherent_state(j, Z_AXIS), up)
         assert np.array_equal(spin_coherent_state(j, Direction(0.0, 0.0, -1.0)), down)
+        assert np.array_equal(spin_coherent_state(j, (0.0, 0.0, -1.0)), down)  # a plain tuple
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 3, 6, 41, 300, 2000])
@@ -262,6 +268,8 @@ def test_projectors_commute_with_collective_rotations():
 def test_dimension_cap(monkeypatch):
     with pytest.raises(ValueError):
         make_spin_operators(HalfInteger(2 * DIM_CAP))
+    with pytest.raises(ValueError, match="^spin must be non-negative, got -1/2$"):
+        make_spin_operators(-0.5)
     for spins in ((-1, 1), (1, -0.5), (-0.5, -0.5)):
         with pytest.raises(ValueError, match="non-negative"):
             total_spin_projectors(*spins)
