@@ -8,6 +8,11 @@ with schema tag "spinbench/1"; identical invocations produce identical bytes.
 A sweep runs on one thread: its --threads is checked (>= 1), echoed in the
 JSON, and ignored.
 
+A report row is a `FidelityReport`, a plain named tuple; the row builders
+evaluate the closed forms through `closed_forms`' plain-float kernels, and
+`check_reports` checks every row in one pass before a writer formats a byte
+(and every row `read_reports_csv` reads).
+
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
 points is a usage error, refused before any spin list is built.
@@ -24,10 +29,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 from . import closed_forms, protocols, recycling
-from .spin_algebra import MAX_DOUBLED_SPIN, HalfInteger, ToleranceError
+from .spin_algebra import MAX_DOUBLED_SPIN, HalfInteger, ToleranceError, as_spin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,8 +61,8 @@ CERTIFY_FIELDS = ("label", "two_j", "theta_rad", "measured_avg_fidelity", "std_e
 RESULT_FIELDS = CERTIFY_FIELDS + ("mo_benchmark", "optimal_fidelity", "z_score", "verdict")
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(NamedTuple):
+    """One report row; `check_reports` checks it before it is written."""
     two_j: int
     two_k: int
     theta_rad: float
@@ -66,22 +72,29 @@ class FidelityReport:
     mode_notes: str = ""
     step: Optional[int] = None
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError("unknown method %r" % (self.method,))
+
+def check_reports(rows):
+    """Refuse the first row of `rows` (a list of FidelityReports) that no report may hold: an unknown
+    method or a negative uncertainty (ValueError), a non-finite angle, value or uncertainty,
+    or a value outside [0, 1] on a row that is not asymptotic (ToleranceError)."""
+    inf = math.inf
+    for _, _, theta, method, value, uncertainty, notes, _ in rows:
+        if method not in METHODS:
+            raise ValueError("unknown method %r" % (method,))
         # the writers print floats with repr, which JSON has no token for
         # when the float is not finite
-        for field, x in (("theta_rad", self.theta_rad), ("value", self.value), ("uncertainty", self.uncertainty)):
-            if not math.isfinite(x):
-                raise ToleranceError("%s %s %r is not finite" % (self.method, field, x))
-        if self.uncertainty < 0:
+        if not (-inf < theta < inf and -inf < value < inf and -inf < uncertainty < inf):
+            field, x = next((field, x) for field, x in (
+                ("theta_rad", theta), ("value", value), ("uncertainty", uncertainty)) if not math.isfinite(x))
+            raise ToleranceError("%s %s %r is not finite" % (method, field, x))
+        if uncertainty < 0:
             raise ValueError("uncertainty must be >= 0")
         # asymptotic rows (an *_asymptotic method, or the note "asymptotic" in
         # mode_notes) may leave [0, 1] at small j; everything exact or
         # simulated must stay inside
-        if not (-1e-12 <= self.value <= 1.0 + 1e-12 or self.method.endswith("_asymptotic")
-                or "asymptotic" in self.mode_notes.split(";")):
-            raise ToleranceError("%s value %r escapes [0, 1]" % (self.method, self.value))
+        if not (-1e-12 <= value <= 1.0 + 1e-12 or method.endswith("_asymptotic")
+                or "asymptotic" in notes.split(";")):
+            raise ToleranceError("%s value %r escapes [0, 1]" % (method, value))
 
 
 @dataclass(frozen=True)
@@ -201,30 +214,6 @@ def parse_methods(text: str):
 # report rows
 
 
-def _spin_rows(j, thetas, methods, mo):
-    """Rows of one spin's points, theta major, `methods` in canonical order: `mo` holds the
-    spin's MO simulations at `thetas` (None without mo_sim), the strategy simulation is one
-    stacked evaluation over the spin's angles, the closed forms scalar `math`."""
-    sim = (protocols.simulate_strategies(j, 0.5, thetas, [closed_forms.coupling_angle(j, t) for t in thetas])
-           if "heisenberg_sim" in methods or "worst_case" in methods else None)
-    rows = []
-    for i, theta in enumerate(thetas):
-        fo, fm = closed_forms.optimal_fidelity(j, theta), closed_forms.mo_benchmark(j, theta)
-        # (value, uncertainty, mode_notes) of each method, computed when asked for
-        cells = {
-            "opt_exact": lambda: (fo.value, 0.0, fo.note),
-            "opt_asymptotic": lambda: (closed_forms.optimal_fidelity_asymptotic(j, theta).value, 0.0, ""),
-            "mo_exact": lambda: (fm.value, 0.0, fm.note),
-            "mo_asymptotic": lambda: (closed_forms.mo_benchmark_asymptotic(j, theta).value, 0.0, ""),
-            "heisenberg_sim": lambda: (sim.average[i], abs(sim.average[i] - fo.value), ""),
-            "mo_sim": lambda: (mo[i], abs(mo[i] - fm.value), "gauss_jacobi_nodes=2"),
-            "worst_case": lambda: (sim.worst_case[i], abs(
-                sim.worst_case[i] - closed_forms.worst_case_asymptotic(j, theta).value), "vs_asymptotic"),
-        }
-        rows += [FidelityReport(j.doubled, 1, theta, method, *cells[method]()) for method in methods]
-    return rows
-
-
 def fidelity_rows(two_j, theta):
     return sweep_rows([two_j], [theta], SWEEP_METHODS[:-1])  # all but worst_case
 
@@ -261,54 +250,104 @@ def longevity_rows(two_j, theta, n_max):
     j = HalfInteger(two_j)
     curve = recycling.recycling_curve(j, theta, n_max)
     life = recycling.curve_longevity(j, theta, curve)
-    bench = closed_forms.mo_benchmark(j, theta).value
+    bench = closed_forms._mo_value(j.value, theta)
     rows = []
     for n, value in curve.points:
         notes = curve.mode
         if life.steps == n:
             notes += ";crossing;asymptotic_L=%s" % format_float(life.asymptotic)
-        rows.append(FidelityReport(two_j, 1, theta, "recycling", value, 0.0, notes, step=n))
+        rows.append(FidelityReport(two_j, 1, theta, "recycling", value, 0.0, notes, n))
     bench_notes = "benchmark" if life.steps is not None else "benchmark;no_crossing_within_n_max"
     rows.append(FidelityReport(two_j, 1, theta, "mo_exact", bench, 0.0, bench_notes))
     return rows
 
 
 def sweep_rows(two_j_values, thetas, methods):
-    """Rows of every (2j, theta) point, 2j major: the MO simulation is one stacked evaluation
-    over the whole grid, the strategy simulation one per spin."""
-    js = [HalfInteger(two_j) for two_j in two_j_values]
-    mo = protocols.simulate_mo_strategies(js, thetas) if "mo_sim" in methods else [None] * len(js)
-    return [row for j, mo_row in zip(js, mo) for row in _spin_rows(j, thetas, methods, mo_row)]
+    """Rows of every (2j, theta) point, 2j major, each point's `methods` in canonical order.
+    Each method is one column over the grid: a closed form is one kernel call per point, the
+    MO simulation one stacked evaluation over the grid, the strategy simulation one per spin."""
+    js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
+    grid_two_j = [j.doubled for j in js for _ in thetas]
+    grid_j = [j.value for j in js for _ in thetas]
+    grid_theta = list(thetas) * len(js)
+    if "mo_sim" in methods:
+        mo = [x for row in protocols.simulate_mo_strategies(js, thetas) for x in row]
+    if "heisenberg_sim" in methods or "worst_case" in methods:
+        sims = [protocols.simulate_strategies(j, 0.5, thetas, [closed_forms.coupling_angle(j, t) for t in thetas])
+                for j in js]
+        average = [x for sim in sims for x in sim.average]
+        worst_case = [x for sim in sims for x in sim.worst_case]
+    fo = list(map(closed_forms._optimal_value, grid_j, grid_theta))
+    fm = list(map(closed_forms._mo_value, grid_j, grid_theta))
+
+    def large_j(form):
+        coeff, denom = closed_forms.QUBIT_TERMS[form]
+        return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
+
+    def residuals(simulated, forms):
+        return [abs(x - v) for x, v in zip(simulated, forms)]
+
+    zeros = repeat(0.0)
+    rows = [None] * (len(grid_theta) * len(methods))
+    for column, method in enumerate(methods):
+        if method == "opt_exact":
+            values, uncertainties = fo, zeros
+            notes = [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in grid_two_j]
+        elif method == "opt_asymptotic":
+            values, uncertainties, notes = large_j("average"), zeros, repeat("")
+        elif method == "mo_exact":
+            values, uncertainties, notes = fm, zeros, repeat("")
+        elif method == "mo_asymptotic":
+            values, uncertainties, notes = large_j("mo"), zeros, repeat("")
+        elif method == "heisenberg_sim":
+            values, uncertainties, notes = average, residuals(average, fo), repeat("")
+        elif method == "mo_sim":
+            values, uncertainties, notes = mo, residuals(mo, fm), repeat("gauss_jacobi_nodes=2")
+        else:  # worst_case
+            values, uncertainties = worst_case, residuals(worst_case, large_j("worst_case"))
+            notes = repeat("vs_asymptotic")
+        rows[column::len(methods)] = map(FidelityReport._make, zip(
+            grid_two_j, repeat(1), grid_theta, repeat(method), values, uncertainties, notes, repeat(None)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+def _csv_field(text):
+    """`text` as csv.writer(..., lineterminator="\\n") writes it as the second field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", text])
+    return buf.getvalue()[1:-1]
+
+
 def write_reports_csv(rows, fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in rows:
-        writer.writerow([
-            r.two_j, r.two_k, format_float(r.theta_rad), r.method,
-            "" if r.step is None else r.step,
-            format_float(r.value), format_float(r.uncertainty), r.mode_notes,
-        ])
+    """The bytes csv.writer(fh, lineterminator="\\n") writes for the header and `rows` (a list),
+    checked by `check_reports` first, in one template pass: a field csv quotes is only ever a
+    mode_notes (the others are numbers and method names), so each distinct one is quoted once."""
+    check_reports(rows)
+    notes_text = {notes: _csv_field(notes) for notes in {row.mode_notes for row in rows}}
+    fh.write(",".join(CSV_FIELDS) + "\n")
+    fh.write("".join(["%s,%s,%s,%s,%s,%s,%s,%s\n" % (
+        two_j, two_k, format_float(theta), method, "" if step is None else step,
+        format_float(value), format_float(uncertainty), notes_text[notes])
+        for two_j, two_k, theta, method, value, uncertainty, notes, step in rows]))
 
 
 def read_reports_csv(fh):
+    """The rows of a CSV report, checked by `check_reports`."""
     reader = csv.DictReader(fh)
     if reader.fieldnames != list(CSV_FIELDS):
         raise ValueError("unexpected CSV header %r" % (reader.fieldnames,))
-    rows = []
-    for rec in reader:
-        rows.append(FidelityReport(
-            two_j=int(rec["two_j"]), two_k=int(rec["two_k"]),
-            theta_rad=float(rec["theta_rad"]), method=rec["method"],
-            value=float(rec["value"]), uncertainty=float(rec["uncertainty"]),
-            mode_notes=rec["mode_notes"],
-            step=int(rec["step"]) if rec["step"] != "" else None,
-        ))
+    rows = [FidelityReport(
+        two_j=int(rec["two_j"]), two_k=int(rec["two_k"]),
+        theta_rad=float(rec["theta_rad"]), method=rec["method"],
+        value=float(rec["value"]), uncertainty=float(rec["uncertainty"]),
+        mode_notes=rec["mode_notes"],
+        step=int(rec["step"]) if rec["step"] != "" else None,
+    ) for rec in reader]
+    check_reports(rows)
     return rows
 
 
@@ -342,14 +381,15 @@ def _write_json(doc, key, cells, template, fh):
 
 def write_reports_json(rows, command, extra, fh):
     """The bytes of json.dumps(_rows_to_json(command, rows, extra), indent=2)
-    and a newline (see `_write_json`).  Floats are finite (see `FidelityReport`),
-    so their repr is JSON's; strings go through json's own ASCII escaper."""
+    and a newline (see `_write_json`).  The rows (a list) are checked by `check_reports`
+    first, so their floats are finite and their repr is JSON's; strings go
+    through json's own ASCII escaper."""
+    check_reports(rows)
     quote = json.encoder.encode_basestring_ascii
     _write_json(_rows_to_json(command, [], extra), "rows", [(
-        r.two_j, r.two_k, format_float(r.theta_rad), quote(r.method),
-        "null" if r.step is None else r.step,
-        format_float(r.value), format_float(r.uncertainty), quote(r.mode_notes),
-    ) for r in rows], _JSON_ROW, fh)
+        two_j, two_k, format_float(theta), quote(method), "null" if step is None else step,
+        format_float(value), format_float(uncertainty), quote(notes),
+    ) for two_j, two_k, theta, method, value, uncertainty, notes, step in rows], _JSON_ROW, fh)
 
 
 def _emit(rows, command, fmt, out_path, extra=None):
@@ -388,9 +428,9 @@ def classify_experiment(record: ExperimentRecord):
     as suspect before any enhancement claim; otherwise the z-score against the
     measure-and-operate benchmark decides.
     """
-    j = HalfInteger(record.two_j)
-    bench = closed_forms.mo_benchmark(j, record.theta_rad).value
-    bound = closed_forms.optimal_fidelity(j, record.theta_rad).value
+    jv = HalfInteger(record.two_j).value
+    bench = closed_forms._mo_value(jv, record.theta_rad)
+    bound = closed_forms._optimal_value(jv, record.theta_rad)
     z = _z_score(record, bench)
     if record.measured_avg_fidelity > bound + 3 * record.std_err:
         verdict = "suspect-above-quantum-bound"
@@ -425,7 +465,7 @@ def _certify_doc(results, row_errors):
 def write_certify_json(results, row_errors, fh):
     """The bytes of json.dumps(_certify_doc(results, row_errors), indent=2) and a
     newline (see `_write_json`).  The floats of a result are finite: the record's
-    are checked by `ExperimentRecord`, the closed forms' by `FidelityValue`, and a
+    are checked by `ExperimentRecord`, the closed forms' by their kernels, and a
     z-score that is not is None."""
     quote = json.encoder.encode_basestring_ascii
     doc = _certify_doc(results, row_errors)

@@ -3,6 +3,13 @@
 Exact expressions are the piecewise-defined optima for the programmed-rotation
 problem; asymptotic expressions are their large-j leading forms and are always
 labeled as such (they may leave [0,1] at small j).
+
+Each formula is written once, as a plain-float kernel of a spin j (a float
+>= 1/2, checked by the caller) and an angle: `_optimal_value`, `_mo_value`,
+`_mo_angle` and `_large_j_value`.  A kernel refuses a non-finite angle with
+ValueError and an exact value outside [0, 1] with ToleranceError.  The public
+functions check the spin and wrap a kernel's value in a `FidelityValue`; the
+CLI's rows call the kernels directly, once per point.
 """
 
 from __future__ import annotations
@@ -30,6 +37,13 @@ J_HALF_NOTE = (
 _K_HALF = HalfInteger(1)
 
 
+def _exact(value: float) -> float:
+    """value, refused by a ToleranceError unless in [0, 1] to 1e-12: the check of every exact fidelity."""
+    if not -1e-12 <= value <= 1 + 1e-12:
+        raise ToleranceError("exact fidelity %r escapes [0, 1]" % (value,))
+    return value
+
+
 @dataclass(frozen=True)
 class FidelityValue:
     value: float
@@ -39,8 +53,8 @@ class FidelityValue:
     def __post_init__(self):
         if self.kind not in ("exact", "asymptotic"):
             raise ValueError("kind must be 'exact' or 'asymptotic', got %r" % (self.kind,))
-        if self.kind == "exact" and not -1e-12 <= self.value <= 1 + 1e-12:
-            raise ToleranceError("exact fidelity %r escapes [0, 1]" % (self.value,))
+        if self.kind == "exact":
+            _exact(self.value)
 
 
 def _eq5_value(j: float, c: float) -> float:
@@ -55,6 +69,26 @@ def _eq5_value(j: float, c: float) -> float:
     return 1.0 / 3.0 + 2.0 * bracket / (3.0 * (1.0 + tj) ** 2)
 
 
+def _optimal_value(j: float, theta: float) -> float:
+    """`optimal_fidelity`'s value at the spin j, a float >= 1/2."""
+    c = math.cos(as_angle(theta))
+    if j >= 1.5:
+        value = _eq5_value(j, c)
+    elif j == 1.0:
+        coherent = _eq5_value(1.0, c)
+        central = 1.0 / 3.0 + 0.4 * (1.0 - c) / 2.0  # 1/3 + (2/5) sin^2(theta/2)
+        value = max(coherent, central)
+    elif c <= _J_HALF_SWITCH_COS:  # j = 1/2
+        value = 1.0 / 3.0 + ((2.0 + 7.0 * c) / (6.0 + 12.0 * c) - c / 2.0) / 6.0
+    else:
+        value = 1.0 / 3.0 + (3.0 + 2.0 * c + math.sqrt(5.0 + 4.0 * c)) / 12.0
+    return _exact(min(value, 1.0))
+
+
+# the note of optimal_fidelity's piecewise forms, by doubled spin
+OPTIMAL_NOTES = {1: J_HALF_NOTE, 2: J1_NOTE}
+
+
 def optimal_fidelity(j, theta: float) -> FidelityValue:
     """Best average fidelity of any program-controlled rotation strategy.
 
@@ -63,25 +97,18 @@ def optimal_fidelity(j, theta: float) -> FidelityValue:
     in a window around theta = pi.
     """
     j = as_spin(j, "program spin")
-    c = math.cos(theta)
-    jv = j.value
-    if j.doubled >= 3:
-        return FidelityValue(min(_eq5_value(jv, c), 1.0), "exact")
-    if j.doubled == 2:  # j = 1
-        coherent = _eq5_value(1.0, c)
-        central = 1.0 / 3.0 + 0.4 * (1.0 - c) / 2.0  # 1/3 + (2/5) sin^2(theta/2)
-        return FidelityValue(min(max(coherent, central), 1.0), "exact", J1_NOTE)
-    # j = 1/2
-    if c <= _J_HALF_SWITCH_COS:
-        value = 1.0 / 3.0 + ((2.0 + 7.0 * c) / (6.0 + 12.0 * c) - c / 2.0) / 6.0
-    else:
-        value = 1.0 / 3.0 + (3.0 + 2.0 * c + math.sqrt(5.0 + 4.0 * c)) / 12.0
-    return FidelityValue(min(value, 1.0), "exact", J_HALF_NOTE)
+    return FidelityValue(_optimal_value(j.value, theta), "exact", OPTIMAL_NOTES.get(j.doubled, ""))
 
 
 def optimal_fidelity_asymptotic(j, theta: float) -> FidelityValue:
     """Large-j optimum 1 - (1 - cos theta)/(3j): the spin-k form at k = 1/2."""
-    return spin_k_fidelity_asymptotic(j, _K_HALF, theta)
+    return _large_j_form(j, *QUBIT_TERMS["average"], theta)
+
+
+def _mo_angle(j: float, theta: float) -> float:
+    """`mo_optimal_angle` at the spin j, a float, and a finite theta."""
+    s, c = math.sin(theta), math.cos(theta)
+    return math.atan2((2.0 * j * j + 3.0 * j) * s, (2.0 * j * j + 3.0 * j + 2.0) * c + 2.0 * j + 1.0)
 
 
 def mo_optimal_angle(j, theta: float) -> float:
@@ -91,9 +118,7 @@ def mo_optimal_angle(j, theta: float) -> float:
     [(2j^2+3j+2)cos(theta) + 2j+1] / [(2j^2+3j)sin(theta)], continuous on
     [0, pi] with tau(0) = 0 and tau(pi) = pi.
     """
-    jv = as_half_integer(j).value
-    s, c = math.sin(theta), math.cos(theta)
-    return math.atan2((2.0 * jv * jv + 3.0 * jv) * s, (2.0 * jv * jv + 3.0 * jv + 2.0) * c + 2.0 * jv + 1.0)
+    return _mo_angle(as_half_integer(j).value, as_angle(theta))
 
 
 def folded_angle(theta: float) -> float:
@@ -113,49 +138,71 @@ def folded_angle(theta: float) -> float:
     return abs(math.atan2(math.sin(theta), math.cos(theta)))
 
 
+def _mo_value(j: float, theta: float) -> float:
+    """`mo_benchmark`'s value at the spin j, a float >= 1/2."""
+    theta = folded_angle(theta)
+    tau = _mo_angle(j, theta)
+    tj = 2.0 * j
+    value = (4.0 * j + 4.0 + (tj + 1.0) * math.cos(theta - tau)) / (6.0 * j + 9.0) + (
+        (tj + 1.0) * (math.cos(theta) + math.cos(tau)) + math.cos(theta + tau) + 1.0
+    ) / (3.0 * (j + 1.0) * (tj + 3.0))
+    return _exact(min(value, 1.0))
+
+
 def mo_benchmark(j, theta: float) -> FidelityValue:
     """Exact maximal fidelity of any measure-and-operate strategy.
 
     Computed at `folded_angle(theta)`, in [0, pi], by the symmetries
     F(-theta) = F(theta) = F(theta + 2pi).
     """
-    j = as_spin(j, "program spin")
-    theta = folded_angle(theta)
-    jv = j.value
-    tau = mo_optimal_angle(j, theta)
-    tj = 2.0 * jv
-    value = (4.0 * jv + 4.0 + (tj + 1.0) * math.cos(theta - tau)) / (6.0 * jv + 9.0) + (
-        (tj + 1.0) * (math.cos(theta) + math.cos(tau)) + math.cos(theta + tau) + 1.0
-    ) / (3.0 * (jv + 1.0) * (tj + 3.0))
-    return FidelityValue(min(value, 1.0), "exact")
+    return FidelityValue(_mo_value(as_spin(j, "program spin").value, theta), "exact")
 
 
 def mo_benchmark_asymptotic(j, theta: float) -> FidelityValue:
     """Large-j MO benchmark 1 - 2(1 - cos theta)/(3j): the spin-k form at k = 1/2."""
-    return spin_k_mo_asymptotic(j, _K_HALF, theta)
+    return _large_j_form(j, *QUBIT_TERMS["mo"], theta)
 
 
 def worst_case_asymptotic(j, theta: float) -> FidelityValue:
     """Large-j worst case 1 - (1 - cos theta)/j: the spin-k form at k = 1/2."""
-    return spin_k_worst_case_asymptotic(j, _K_HALF, theta)
+    return _large_j_form(j, *QUBIT_TERMS["worst_case"], theta)
+
+
+def _large_j_value(j: float, coeff: float, denom: float, theta: float) -> float:
+    """1 - coeff (1 - cos theta)/(denom j) at the spin j, a float >= 1/2: the large-j form that
+    every asymptotic fidelity takes."""
+    return 1.0 - coeff * (1.0 - math.cos(as_angle(theta))) / (denom * j)
 
 
 def _large_j_form(j, coeff, denom, theta: float) -> FidelityValue:
-    """The large-j form 1 - coeff (1 - cos theta)/(denom j) that every asymptotic fidelity takes."""
-    value = 1.0 - coeff * (1.0 - math.cos(theta)) / (denom * as_spin(j, "program spin").value)
-    return FidelityValue(value, "asymptotic")
+    """`_large_j_value` at a spin j >= 1/2 of any form, as an asymptotic value."""
+    return FidelityValue(_large_j_value(as_spin(j, "program spin").value, coeff, denom, theta), "asymptotic")
+
+
+def _large_j_terms(k: HalfInteger) -> dict:
+    """(coeff, denom) of each large-j form of a spin-k target, by fidelity: the Heisenberg
+    strategy's average, entanglement and worst-case fidelity, and the MO benchmark."""
+    kv = k.value
+    return {
+        "average": (kv * (2.0 * kv + 1.0), 3.0),
+        "entanglement": (2.0 * kv * (kv + 1.0), 3.0),
+        "worst_case": (kv * (kv + 1.0) + (0.0 if k.is_integer else 0.25), 1.0),
+        "mo": (2.0 * kv * (2.0 * kv + 1.0), 3.0),
+    }
+
+
+# the qubit target's terms, which the CLI evaluates point by point
+QUBIT_TERMS = _large_j_terms(_K_HALF)
 
 
 def spin_k_fidelity_asymptotic(j, k, theta: float) -> FidelityValue:
     """Large-j average fidelity of the Heisenberg strategy on a spin-k target."""
-    kv = as_half_integer(k).value
-    return _large_j_form(j, kv * (2.0 * kv + 1.0), 3.0, theta)
+    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["average"], theta)
 
 
 def spin_k_entanglement_asymptotic(j, k, theta: float) -> FidelityValue:
     """Companion entanglement-fidelity form, 1 - 2k(k+1)(1-cos theta)/(3j)."""
-    kv = as_half_integer(k).value
-    return _large_j_form(j, 2.0 * kv * (kv + 1.0), 3.0, theta)
+    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["entanglement"], theta)
 
 
 def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
@@ -166,14 +213,11 @@ def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
     The maximum over m is k(k+1) at m = 0 or -1 for integer k, and
     k(k+1) + 1/4 at m = -1/2 for half-integer k.
     """
-    k = as_half_integer(k)
-    kv = k.value
-    return _large_j_form(j, kv * (kv + 1.0) + (0.0 if k.is_integer else 0.25), 1.0, theta)
+    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["worst_case"], theta)
 
 
 def spin_k_mo_asymptotic(j, k, theta: float) -> FidelityValue:
-    kv = as_half_integer(k).value
-    return _large_j_form(j, 2.0 * kv * (2.0 * kv + 1.0), 3.0, theta)
+    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["mo"], theta)
 
 
 def coupling_angle(j, theta: float) -> float:
@@ -183,6 +227,7 @@ def coupling_angle(j, theta: float) -> float:
     from the same right triangle.
     """
     jv = as_half_integer(j).value
+    as_angle(theta)
     tj1 = 2.0 * jv + 1.0
     f = math.atan2(tj1 * math.sin(theta), 1.0 + tj1 * math.cos(theta))
     if f < 0.0:

@@ -18,7 +18,7 @@ import numpy as np
 from .channel_lab import (
     _chart_axes, _completeness_error, _entanglement_fidelities, _unitarity_error, _worst_cases,
     average_fidelity_from_entanglement)
-from .closed_forms import _K_HALF, coupling_angle, folded_angle, mo_optimal_angle
+from .closed_forms import _K_HALF, _mo_angle, coupling_angle, folded_angle
 from .spin_algebra import (
     DIM_CAP, ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin,
     check_each)
@@ -128,7 +128,7 @@ def simulate_mo_strategies(js, thetas) -> list:
     js = [as_spin(j, "program spin") for j in js]
     thetas = [folded_angle(theta) for theta in thetas]
     fe = _mo_entanglement_fidelity([j.doubled for j in js], _K_HALF, thetas,
-                                   [[mo_optimal_angle(j, t) for t in thetas] for j in js])
+                                   [[_mo_angle(j.value, t) for t in thetas] for j in js])
     return [[average_fidelity_from_entanglement(x, 2) for x in row] for row in fe]
 
 
@@ -172,7 +172,7 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     2k <= 2, in closed form: a quadratic in |psi_0|^2 for a qubit target, a
     quartic in two real parameters for a spin-1 target.  For 2k >= 3 it is a
     chart search's upper bound, and a chart over the budget is refused before
-    the channel is built.  A non-finite theta is refused with ValueError.  This
+    the channel is built.  A non-finite theta or f is refused with ValueError.  This
     is `simulate_strategies` at one angle.
     """
     return StrategyFidelities(*(x[0] for x in simulate_strategies(j, k, [theta], f if f is None else [f])))
@@ -181,7 +181,8 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
 def simulate_strategies(j, k, thetas, fs=None) -> StrategyFidelities:
     """`simulate_spin_k` at each of `thetas` (interaction angles `fs`, by default the folded
     angles) as one stacked evaluation: lists of values, each computed as at one angle, and
-    every check run at every angle, a failure naming its angle.  The worst cases of all
+    every check run at every angle, a failure naming its angle.  A non-finite angle is refused
+    with ValueError before any work, a given f named by its theta.  The worst cases of all
     angles are one call of `channel_lab._worst_cases`, which picks their route.
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
@@ -189,6 +190,11 @@ def simulate_strategies(j, k, thetas, fs=None) -> StrategyFidelities:
         thetas = fs = [folded_angle(theta) for theta in thetas]
     else:
         thetas = [as_angle(theta) for theta in thetas]
+        for theta, f in zip(thetas, fs):
+            try:
+                as_angle(f, "interaction angle f")
+            except ValueError as exc:
+                raise ValueError("theta = %r: %s" % (theta, exc)) from None
     d = k.doubled + 1
     _check_dimension(d)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .closed_forms import _large_j_form, coupling_angle, mo_benchmark
+from .closed_forms import _large_j_form, _mo_value, coupling_angle
 from .spin_algebra import as_angle, as_half_integer, as_spin
 
 # uses of one program a curve or a longevity search covers at most (one output
@@ -173,7 +173,7 @@ class Longevity(NamedTuple):
 
 
 def _asymptotic_longevity(j, theta):
-    one_minus_c = 1.0 - math.cos(theta)
+    one_minus_c = 1.0 - math.cos(as_angle(theta))
     return as_half_integer(j).value / one_minus_c if one_minus_c > 1e-300 else math.inf
 
 
@@ -192,7 +192,7 @@ def curve_longevity(j, theta, curve: RecyclingCurve) -> Longevity:
     program never degrades).  "Below" carries a 1e-12 margin so that rounding
     noise cannot manufacture a crossing when both values sit at 1.
     """
-    bench = mo_benchmark(j, theta).value
+    bench = _mo_value(as_spin(j, "program spin").value, theta)
     losses = (n for n, value in curve.points if value < bench - 1e-12)
     return Longevity(next(losses, None), _asymptotic_longevity(j, theta), len(curve.points))
 
@@ -207,7 +207,7 @@ def asymptotic_distribution(j, theta, n) -> ProgramDistribution:
         raise ValueError("n must be >= 0")
     j = as_spin(j, "program spin")
     jv = j.value
-    x = n * (1.0 - math.cos(theta))
+    x = n * (1.0 - math.cos(as_angle(theta)))
     r = x / (x + 2.0 * jv)
     p = r ** np.arange(j.doubled + 1)  # [1, 0, ...] at r = 0
     return ProgramDistribution(j, p / p.sum())

@@ -1,5 +1,7 @@
 import sys
 
+import pytest
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Repeat the acceptance-criteria verdict lines at the end of the run."""
@@ -11,3 +13,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_line("=== acceptance criteria ===")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def skew_block(monkeypatch):
+    """skew_block(i): from then on the unitarity check of each exchange block of a strategy
+    stack sees the block of the i-th angle 1e-6 off unitary, the others as they are."""
+    from spinbench import protocols
+
+    error = protocols._unitarity_error
+
+    def skew(i):
+        def skewed(block):
+            block = block.copy()
+            block[i] *= 1.0 + 1e-6
+            return error(block)
+        monkeypatch.setattr(protocols, "_unitarity_error", skewed)
+    return skew

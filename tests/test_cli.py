@@ -1,5 +1,5 @@
 import contextlib
-import dataclasses
+import csv
 import io
 import json
 import math
@@ -113,33 +113,37 @@ def test_format_float_round_trips():
 
 
 def test_report_validation():
+    # a row is a plain named tuple; check_reports refuses what no report may hold
+    def check(*args, **kwargs):
+        cli.check_reports([FidelityReport(3, 1, PI, "opt_exact", 0.5), FidelityReport(*args, **kwargs)])
+
     with pytest.raises(ValueError):
-        FidelityReport(3, 1, PI, "nonsense", 0.5)
+        check(3, 1, PI, "nonsense", 0.5)
     with pytest.raises(ValueError):
-        FidelityReport(3, 1, PI, "opt_exact", 0.5, uncertainty=-0.1)
+        check(3, 1, PI, "opt_exact", 0.5, uncertainty=-0.1)
     with pytest.raises(ToleranceError):
-        FidelityReport(3, 1, PI, "opt_exact", 1.7)
+        check(3, 1, PI, "opt_exact", 1.7)
     # an uncertainty does not widen [0, 1], and only the note "asymptotic"
     # (not a note that contains the word) lets a row leave it
     with pytest.raises(ToleranceError, match=r"escapes \[0, 1\]"):
-        FidelityReport(1, 4, 1.0, "spin_k_sim", 1.7, 1.0)
+        check(1, 4, 1.0, "spin_k_sim", 1.7, 1.0)
     with pytest.raises(ToleranceError):
-        FidelityReport(3, 1, PI, "worst_case", 1.7, 1.0, "vs_asymptotic")
+        check(3, 1, PI, "worst_case", 1.7, 1.0, "vs_asymptotic")
     with pytest.raises(ToleranceError):
-        FidelityReport(3, 1, PI, "recycling", -0.5, 0.0, "exact;crossing;asymptotic_L=2.0", step=1)
+        check(3, 1, PI, "recycling", -0.5, 0.0, "exact;crossing;asymptotic_L=2.0", step=1)
     # asymptotic companions may leave [0, 1] when tagged
-    FidelityReport(1, 1, PI, "worst_case", -3.0, mode_notes="asymptotic", step=1)
-    FidelityReport(3, 1, PI, "opt_asymptotic", 1.7)
+    check(1, 1, PI, "worst_case", -3.0, mode_notes="asymptotic", step=1)
+    check(3, 1, PI, "opt_asymptotic", 1.7)
     # but no row holds a non-finite number, which JSON could not print
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ToleranceError, match="not finite"):
-            FidelityReport(3, 1, PI, "mo_asymptotic", bad)
+            check(3, 1, PI, "mo_asymptotic", bad)
         with pytest.raises(ToleranceError, match="not finite"):
-            FidelityReport(1, 1, PI, "worst_case", bad, mode_notes="asymptotic", step=1)
+            check(1, 1, PI, "worst_case", bad, mode_notes="asymptotic", step=1)
         with pytest.raises(ToleranceError, match="not finite"):
-            FidelityReport(3, 1, PI, "opt_exact", 0.5, uncertainty=bad)
+            check(3, 1, PI, "opt_exact", 0.5, uncertainty=bad)
         with pytest.raises(ToleranceError, match="not finite"):
-            FidelityReport(3, 1, bad, "opt_exact", 0.5)
+            check(3, 1, bad, "opt_exact", 0.5)
     header = ",".join(CSV_FIELDS) + "\n"
     with pytest.raises(ToleranceError, match="not finite"):
         read_reports_csv(io.StringIO(header + "3,1,1.0,mo_asymptotic,,nan,inf,\n"))
@@ -231,13 +235,27 @@ def test_json_writer_matches_json_dumps(rows, notes, command, extra, results, ro
     # reports: the empty row list, step None and int, extra with and without
     # threads; certify: empty results (and so an empty summary), empty row
     # errors, a z-score of None, any text in labels and error messages
-    rows = [dataclasses.replace(r, mode_notes=r.mode_notes + notes) for r in rows]
+    rows = [r._replace(mode_notes=r.mode_notes + notes) for r in rows]
     buf = io.StringIO()
     write_reports_json(rows, command, extra, buf)
     assert buf.getvalue() == json.dumps(cli._rows_to_json(command, rows, extra), indent=2) + "\n"
     buf = io.StringIO()
     cli.write_certify_json(results, row_errors, buf)
     assert buf.getvalue() == json.dumps(cli._certify_doc(results, row_errors), indent=2) + "\n"
+
+
+@given(st.lists(st.one_of(_bounded, _unbounded), max_size=8), _json_notes)
+def test_csv_writer_matches_csv_module(rows, notes):
+    # the template writer writes the bytes of csv.writer, whatever the notes
+    # hold: separators, quotes, line breaks, control characters, non-ASCII
+    rows = [r._replace(mode_notes=r.mode_notes + notes) for r in rows]
+    buf, want = io.StringIO(), io.StringIO()
+    write_reports_csv(rows, buf)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows([r.two_j, r.two_k, format_float(r.theta_rad), r.method, "" if r.step is None else r.step,
+                      format_float(r.value), format_float(r.uncertainty), r.mode_notes] for r in rows)
+    assert buf.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +455,45 @@ def test_sweep_simulates_each_spin_once(capsys, monkeypatch):
     assert sorted(calls) == ["simulate_mo_strategies"] + ["simulate_strategies"] * 3
 
 
+def test_report_paths_build_no_fidelity_value(capsys, monkeypatch, tmp_path):
+    # sweep and certify rows call the closed forms' plain-float kernels, once per point
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FidelityValue was built on the report path")
+
+    monkeypatch.setattr(cli.closed_forms, "FidelityValue", refuse)
+    spins = ",".join(str(1 + 11 * n) for n in range(24))
+    assert main(["sweep", "--two-j-range", spins, "--thetas", "0.3,pi/2,2.0,pi,4.0",
+                 "--methods", ",".join(cli.SWEEP_METHODS)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 24 * 5 * 7
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(CERTIFY_FIELDS) + "\n" + "".join(
+        "run%d,%d,%r,0.7,0.01\n" % (i, 1 + 13 * i, 0.1 * i) for i in range(30)))
+    assert main(["certify", "--input", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]) == 30
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_bad_row_is_refused_before_any_output(capsys, monkeypatch, tmp_path, fmt):
+    # a simulation that returns NaN at one point: check_reports refuses the row
+    # before the writer formats a byte, so neither stdout nor --out gets any
+    simulate = protocols.simulate_strategies
+
+    def nan_at_one_point(j, k, thetas, fs=None):
+        sim = simulate(j, k, thetas, fs)
+        return sim._replace(average=[math.nan if j.doubled == 4 and i == 1 else x
+                                     for i, x in enumerate(sim.average)])
+
+    monkeypatch.setattr(protocols, "simulate_strategies", nan_at_one_point)
+    argv = ["sweep", "--two-j-range", "3:5", "--thetas", "0.3,2.0,pi",
+            "--methods", "opt_exact,heisenberg_sim", "--format", fmt]
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numerical failure: heisenberg_sim value nan is not finite\n"
+    assert not out.exists()
+
+
 def test_sweep_rows_are_the_rows_of_single_points():
     # a sweep stacks each spin's angles, and its MO quadrature over all its
     # spins; every row it shares with `fidelity` is that command's row, byte
@@ -460,13 +517,11 @@ def test_sweep_rows_are_the_rows_of_single_points():
 
 
 @pytest.mark.parametrize("fault", ["block", "quadratic"])
-def test_a_failure_at_one_angle_of_a_sweep_names_it(capsys, monkeypatch, fault):
+def test_a_failure_at_one_angle_of_a_sweep_names_it(capsys, monkeypatch, skew_block, fault):
     # a non-unitary exchange block, or a worst-case quadratic off F on its
     # state, at the third of five angles
     if fault == "block":
-        tuned = cli.closed_forms.coupling_angle
-        monkeypatch.setattr(cli.closed_forms, "coupling_angle",
-                            lambda j, theta: math.nan if theta == 2.0 else tuned(j, theta))
+        skew_block(2)
         message = "theta = 2.0: exchange block of drop 0 is not unitary"
     else:
         batch = channel_lab._fidelity_batch

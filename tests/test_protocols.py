@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from spinbench import channel_lab, cli, protocols, spin_algebra
+from spinbench import channel_lab, cli, closed_forms, protocols, recycling, spin_algebra
 from spinbench.channel_lab import (
     KrausChannel,
     ProgramChannel,
@@ -158,19 +158,23 @@ def test_strategy_builds_no_dense_operator(monkeypatch):
         assert 0.0 < got.worst_case <= got.average < 1.0
 
 
-def test_strategy_checks_each_sector_block(monkeypatch):
+def test_strategy_checks_each_sector_block(monkeypatch, skew_block):
     block = protocols._exchange_block
 
     def skewed(doubled_j, doubled_k, drop):
         indices, w, v = block(doubled_j, doubled_k, drop)
         return indices, w, v * (1.0 + 1e-6)
 
+    skew_block(0)
     with pytest.raises(ToleranceError, match="not unitary"):
-        simulate_spin_k(3.0, 1.0, 2.0, f=math.nan)
+        simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
     # the blocks are cached, but the exponential and its check are not
-    simulate_spin_k(3.0, 1.0, 2.0)
+    monkeypatch.undo()
+    simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
+    skew_block(0)
     with pytest.raises(ToleranceError, match="not unitary"):
-        simulate_spin_k(3.0, 1.0, 2.0, f=math.nan)
+        simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
+    monkeypatch.undo()
     monkeypatch.setattr(protocols, "_exchange_block", skewed)
     with pytest.raises(ToleranceError, match="not unitary"):
         simulate_spin_k(3.0, 1.0, 2.0)
@@ -415,6 +419,27 @@ ANGLE_ENTRY_POINTS = {
     "maximize_covariant_fidelity": ("theta", lambda a: maximize_covariant_fidelity(1.5, a)),
     "average_fidelity_mc": ("theta", lambda a: average_fidelity_mc(_never_built, a, 4, 0)),
     "heisenberg_gate": ("interaction angle f", lambda a: heisenberg_gate(3, 0.5, a)),
+    # the closed forms, each through its kernel
+    "optimal_fidelity": ("theta", lambda a: optimal_fidelity(1.5, a)),
+    "optimal_fidelity_j1": ("theta", lambda a: optimal_fidelity(1, a)),
+    "optimal_fidelity_j_half": ("theta", lambda a: optimal_fidelity(0.5, a)),
+    "optimal_fidelity_asymptotic": ("theta", lambda a: closed_forms.optimal_fidelity_asymptotic(3, a)),
+    "mo_benchmark": ("theta", lambda a: mo_benchmark(3, a)),
+    "mo_benchmark_asymptotic": ("theta", lambda a: closed_forms.mo_benchmark_asymptotic(3, a)),
+    "mo_optimal_angle": ("theta", lambda a: closed_forms.mo_optimal_angle(3, a)),
+    "worst_case_asymptotic": ("theta", lambda a: closed_forms.worst_case_asymptotic(3, a)),
+    "spin_k_fidelity_asymptotic": ("theta", lambda a: spin_k_fidelity_asymptotic(3, 1, a)),
+    "spin_k_entanglement_asymptotic": ("theta", lambda a: closed_forms.spin_k_entanglement_asymptotic(3, 1, a)),
+    "spin_k_worst_case_asymptotic": ("theta", lambda a: closed_forms.spin_k_worst_case_asymptotic(3, 1, a)),
+    "spin_k_mo_asymptotic": ("theta", lambda a: closed_forms.spin_k_mo_asymptotic(3, 1, a)),
+    "coupling_angle": ("theta", lambda a: coupling_angle(3, a)),
+    # recycling
+    "kernel_factor": ("theta", lambda a: recycling.kernel_factor(3, a)),
+    "complementary_step": ("theta", lambda a: recycling.complementary_step(3, a, recycling.fresh_program(3))),
+    "asymptotic_distribution": ("theta", lambda a: recycling.asymptotic_distribution(3, a, 2)),
+    "advantage_longevity": ("theta", lambda a: recycling.advantage_longevity(3, a)),
+    "curve_longevity": ("theta", lambda a: recycling.curve_longevity(3, a, recycling_curve(3, 1.0, 3))),
+    "per_m_fidelity_asymptotic": ("theta", lambda a: recycling.per_m_fidelity_asymptotic(3, a, 3)),
 }
 
 
@@ -464,10 +489,18 @@ def test_a_stack_of_angles_gives_the_values_of_single_angles():
             assert tuple(values[i] for values in stacked) == tuple(single), (two_j, two_k, theta)
 
 
-def test_a_stack_names_the_angle_that_fails(monkeypatch):
+def test_a_stack_names_the_angle_that_fails(monkeypatch, skew_block):
     thetas = [0.3, 2.0, PI]
+    # a non-finite interaction angle is an input error, refused before any block is built
+    monkeypatch.setattr(protocols, "_strategy_kraus", lambda j, k, f: _never_built(len(f)))
+    for f in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^theta = 2\.0: interaction angle f must be finite, got %r$" % f):
+            protocols.simulate_strategies(3.0, 0.5, thetas, [0.4, f, 1.0])
+    monkeypatch.undo()
+    skew_block(1)
     with pytest.raises(ToleranceError, match=r"^theta = 2\.0: exchange block of drop 0 is not unitary"):
-        protocols.simulate_strategies(3.0, 0.5, thetas, [0.4, math.nan, 1.0])
+        protocols.simulate_strategies(3.0, 0.5, thetas, [0.4, 0.9, 1.0])
+    monkeypatch.undo()
     batch = channel_lab._fidelity_batch
     monkeypatch.setattr(channel_lab, "_fidelity_batch",
                         lambda mats, states: batch(mats, states) + (np.arange(len(states)) == 2) * 1e-9)
