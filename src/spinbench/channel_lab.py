@@ -31,13 +31,8 @@ PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0,
 
 
 # scipy.optimize costs ~0.6 s to import, so it loads on the first call that
-# needs it; these stay module names because tests and perfbench/tracing.py
-# patch them, and the call sites read them as globals
-def brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
-
-
+# needs it, the chart search's; minimize stays a module name because tests and
+# perfbench/tracing.py patch it, and the call site reads it as a global
 def minimize(*args, **kwargs):
     from scipy.optimize import minimize
     return minimize(*args, **kwargs)
@@ -394,9 +389,9 @@ def _qubit_minimum(mats):
     With rho = (I + r.sigma)/2, F(r) = (1, r).G.(1, r) on |r| = 1, the
     trust-region subproblem (More & Sorensen 1983).  In the eigenbasis P of
     Q = G[1:, 1:], with h = P^T G[1:, 0] and gap_i = lambda_i - lambda_1, the
-    minimum is r_i = -h_i / (gap_i + t) at the t >= 0 where |r| = 1; in the
-    hard case (h_1 = 0 and |r| <= 1 at t = 0) r is completed to unit length
-    along P[:, 0].
+    minimum is r_i = -h_i / (gap_i + t) at the t >= 0 where |r| = 1, bisected
+    as |r| falls in t; in the hard case (h_1 = 0 and |r| <= 1 at t = 0) r is
+    completed to unit length along P[:, 0].
 
     Returns (value, state), the value from the quadratic.
     """
@@ -405,20 +400,25 @@ def _qubit_minimum(mats):
     lam, p = np.linalg.eigh(gram[1:, 1:])
     h, gap = p.T @ gram[1:, 0], lam - lam[0]
 
+    pairs = list(zip(h.tolist(), gap.tolist()))
+
     def coords(t):  # entries with h_i = 0 stay 0
-        return np.divide(-h, gap + t, out=np.zeros(3), where=h != 0.0)
+        return [-h_i / (g_i + t) if h_i != 0.0 else 0.0 for h_i, g_i in pairs]
 
     def excess(t):  # |r|^2 - 1, falling in t
-        return coords(t) @ coords(t) - 1.0
+        x, y, z = coords(t)
+        return x * x + y * y + z * z - 1.0
 
-    # at t_lo one term of |r|^2 is >= 1; at t_hi each is <= h_i^2/|h|^2
-    t_lo, t_hi = max(0.0, np.max(np.abs(h) - gap)), np.linalg.norm(h)
-    if excess(t_lo) > 0.0 > excess(t_hi):
-        t = brentq(excess, t_lo, t_hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
-    else:  # a root at an end of the bracket, or the hard case
-        t = t_lo if excess(t_lo) <= 0.0 else t_hi
-    r = coords(t)
-    if t == 0.0:  # the hard case, as t_lo = 0 needs h_1 = 0
+    # at lo one term of |r|^2 is >= 1; at hi each is <= h_i^2/|h|^2
+    lo, hi = float(max(0.0, np.max(np.abs(h) - gap))), float(np.linalg.norm(h))
+    t = lo
+    if excess(lo) > 0.0:  # else the root is lo, or the hard case
+        t = (lo + hi) / 2.0
+        while lo < t < hi:  # bisect until the midpoint is an end of the bracket
+            lo, hi = (t, hi) if excess(t) > 0.0 else (lo, t)
+            t = (lo + hi) / 2.0
+    r = np.array(coords(t))
+    if t == 0.0:  # the hard case, as lo = 0 needs h_1 = 0
         r[0] = math.sqrt(max(-excess(0.0), 0.0))
     v = np.r_[1.0, p @ r / np.linalg.norm(r)]
     state = np.linalg.eigh(np.einsum("k,kij->ij", v, PAULI))[1][:, 1]  # top eigenvector of 2 rho

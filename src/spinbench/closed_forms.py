@@ -22,6 +22,9 @@ from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
 _J_HALF_SWITCH_COS = -(4.0 + math.sqrt(7.0)) / 9.0
+# cos(theta) at which the j=1 coherent branch _eq5_value(1, c) meets the central
+# branch 1/3 + (1-c)/5: the root c <= -4/21 of 49c^2 + 2c - 26 = 0
+_J_ONE_SWITCH_COS = -(1.0 + math.sqrt(1275.0)) / 49.0
 
 J1_NOTE = (
     "j=1 closed form: the coherent branch is the j>=3/2 expression continued to "

@@ -6,8 +6,8 @@ non-negative matrix (gamma_a, gamma_b; gamma_c, gamma_d).  Trace preservation
 pins two affine combinations of the parameters, and the entanglement fidelity
 becomes A sin^2(t/2) + B cos^2(t/2) + C Jz_mean sin(t/2)cos(t/2)
 + D Jz2_mean sin^2(t/2), linear both in the channel parameters and in the two
-program moments.  This module maximizes that expression exactly and locates
-the angle at which the optimal program switches character.
+program moments.  This module maximizes that expression exactly and gives,
+in closed form, the angle at which the optimal program switches character.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel_lab import brentq
 from .channel_lab import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
+from .closed_forms import _J_HALF_SWITCH_COS, _J_ONE_SWITCH_COS
 from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer, as_spin
 
 # slack of every feasibility check: PSD blocks, trace preservation, realizable moments
@@ -157,6 +157,7 @@ def _fidelity(theta, x, y, abcd) -> float:
 
 def covariant_entanglement_fidelity(j, theta, params: CovariantChannelParams,
                                     moments: ProgramMoments) -> float:
+    as_angle(theta)
     check_moments(j, moments)
     fe = _fidelity(theta, moments.jz_mean, moments.jz2_mean, abcd_coefficients(j, params))
     if not -1e-10 <= fe <= 1.0 + 1e-10:
@@ -250,26 +251,12 @@ def locate_transition(j):
     """Angle displacement |theta - pi| at which the optimal program switches
     from the maximal-projection (coherent) branch to the central branch.
 
-    At j = 1/2 the optimal gamma_a leaves its cap where the slope of F_e
-    along the edge gamma_d = 1/2 at gamma_a = cap_a, for the coherent moments
-    (1/2, 1/4), turns negative.  For j >= 1 the switch is where the central
-    program's optimum overtakes the coherent one.  Either is a brentq root on
-    [0.05, pi]; returns None when the central branch does not win at pi.
+    Both switches are closed forms: arccos((4+sqrt7)/9) at j = 1/2, where the
+    optimal gamma_a leaves its cap, and arccos((1+sqrt1275)/49) at j = 1, where
+    the central program's optimum overtakes the coherent one.  Returns None for
+    j >= 3/2, where the coherent program is optimal at every angle.
     """
     j = as_spin(j, "program spin")
-
-    if j.doubled == 1:
-        cap = gamma_a_cap(j)
-
-        def central_gain(theta):
-            _, pa, _, z = _linear_terms(j, theta, 0.5, 0.25)
-            return -(pa + abs(z) * math.sqrt(0.5 / cap) / 2.0)
-    else:
-        def central_gain(theta):
-            f_cen, _ = _optimum_at_moments(j, theta, 0.0, moments_lower_bound(j, 0.0))
-            f_coh, _ = _optimum_at_moments(j, theta, j.value, j.value**2)
-            return f_cen - f_coh
-
-    if central_gain(math.pi) <= 0.0:
+    if j.doubled > 2:
         return None
-    return float(math.pi - brentq(central_gain, 0.05, math.pi))
+    return math.acos(-(_J_HALF_SWITCH_COS if j.doubled == 1 else _J_ONE_SWITCH_COS))

@@ -110,22 +110,27 @@ def _drop_polynomial(j, theta):
     return 1.0 / 3.0 + abs(p) ** 2 / 6.0, (p.conjugate() * q).real / 3.0, abs(q) ** 2 / 6.0
 
 
-def per_m_fidelity(j, theta, m) -> float:
-    """Exact average fidelity when the program is the basis state |j,m>."""
+def _drop(j, m) -> int:
+    """The drop j - m of the program state |j,m>, refused unless m is a magnetic quantum number for j."""
     j = as_half_integer(j)
     m = as_half_integer(m)
     if abs(m.doubled) > j.doubled or (j.doubled - m.doubled) % 2:
         raise ValueError("m = %s is not a magnetic quantum number for j = %s" % (m, j))
+    return (j.doubled - m.doubled) // 2
+
+
+def per_m_fidelity(j, theta, m) -> float:
+    """Exact average fidelity when the program is the basis state |j,m>."""
+    j = as_half_integer(j)
+    drop = _drop(j, m)
     as_angle(theta)
     c0, c1, c2 = _drop_polynomial(j, theta)
-    drop = (j.doubled - m.doubled) // 2
     return c0 + c1 * drop + c2 * drop * drop
 
 
 def per_m_fidelity_asymptotic(j, theta, m) -> float:
     """Leading large-j behavior 1 - (1 + 2(j-m))(1 - cos theta)/(3j)."""
-    drop = as_half_integer(j).value - as_half_integer(m).value
-    return _large_j_form(j, 1.0 + 2.0 * drop, 3.0, theta).value
+    return _large_j_form(j, 1.0 + 2.0 * _drop(j, m), 3.0, theta).value
 
 
 def _powm1(x, n):

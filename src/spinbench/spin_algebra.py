@@ -213,6 +213,7 @@ def rotation_unitary(ops: SpinOperators, n: Direction, angle: float) -> np.ndarr
     The generator is Hermitian, so the eigendecomposition route keeps the
     result unitary to machine precision for any angle.
     """
+    as_angle(angle, "angle")
     if not isinstance(n, Direction):
         n = Direction(*n)
     h = n.nx * ops.jx + n.ny * ops.jy + n.nz * ops.jz

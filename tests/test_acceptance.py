@@ -86,7 +86,8 @@ def test_criterion_3_covariant_machinery():
     theta_half = PI - locate_transition(0.5)
     ok &= abs(math.cos(theta_half) + (4.0 + math.sqrt(7.0)) / 9.0) < 1e-10
     disp_one = locate_transition(1.0)
-    ok &= abs(disp_one - 0.23 * PI) < 0.02
+    # where the coherent branch meets the central one: 49c^2 + 2c - 26 = 0
+    ok &= abs(disp_one - math.acos((1.0 + math.sqrt(1275.0)) / 49.0)) < 1e-12
     _check(3, "covariant optimizer reproduces closed forms and both program "
               "transitions", ok, t0)
 

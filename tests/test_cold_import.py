@@ -19,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # argv (a list) for spinbench.cli.main, or the name of a library call
 SCRIPT = """
 import contextlib, io, json, sys
+import numpy
 import spinbench, spinbench.cli
 from spinbench.covariant_opt import locate_transition
 
@@ -31,7 +32,11 @@ def coherent_program(n):
 report = [["import", "hashlib" in sys.modules, "scipy" in sys.modules]]
 for step in json.loads(sys.argv[1]):
     if step == "locate_transition":
-        result = locate_transition(0.5)
+        result = [locate_transition(0.5), locate_transition(1)]
+    elif step == "qubit_worst_case":  # a general qubit channel takes the Bloch route
+        mats = numpy.linalg.qr(numpy.arange(1.0, 9.0).reshape(4, 2) + 1j * numpy.eye(4, 2))[0]
+        result = spinbench.worst_case_fidelity(spinbench.KrausChannel(mats.reshape(2, 2, 2)),
+                                               numpy.eye(2))[0]
     elif step == "average_fidelity_mc":
         import hashlib, numpy.random
         digests = []
@@ -72,20 +77,23 @@ def test_numpy_only_calls_leave_scipy_unloaded(tmp_path):
         ["spin-k", "--two-j", "3", "--two-k", "2", "--theta", "2.0"],
         ["certify", "--input", str(data)],
         "average_fidelity_mc",  # coherent states take no binomial from scipy.special
+        "locate_transition",    # both transitions are closed forms
+        "qubit_worst_case",     # the Bloch quadratic's root is bisected
     ]
     report = _scipy_after_each(steps)
     assert report[0] == ["import", False, False]  # neither is on the start-up path
-    assert [code for _, code, _ in report[1:-1]] == [0] * (len(steps) - 1)
-    mean, digests = report[-1][1]
+    assert [code for _, code, _ in report[1:-3]] == [0] * (len(steps) - 3)
+    mean, digests = report[-3][1]
     assert 0.0 < mean <= 1.0 and digests == 0
+    half, one = report[-2][1]
+    assert abs(half - (math.pi - 2.0 * math.atan(math.sqrt(4.0 + math.sqrt(7.0))))) <= 1e-15
+    assert abs(one - math.acos((1.0 + math.sqrt(1275.0)) / 49.0)) <= 1e-15
+    assert 0.0 < report[-1][1] < 1.0
     assert [loaded for _, _, loaded in report] == [False] * (len(steps) + 1)
 
 
 def test_calls_that_need_scipy_load_it():
     # a spin-3/2 target's worst case is a chart search refined by Nelder-Mead
-    report = _scipy_after_each([["spin-k", "--two-j", "3", "--two-k", "3", "--theta", "2.0"],
-                                "locate_transition"])
-    (_, _, at_import), (_, code, after_chart), (_, transition, after_locate) = report
-    assert (at_import, code, after_chart, after_locate) == (False, 0, True, True)
-    # the root is the closed form, so the wrappers forward their arguments
-    assert abs(transition - (math.pi - 2.0 * math.atan(math.sqrt(4.0 + math.sqrt(7.0))))) <= 1e-12
+    report = _scipy_after_each([["spin-k", "--two-j", "3", "--two-k", "3", "--theta", "2.0"]])
+    (_, _, at_import), (_, code, after_chart) = report
+    assert (at_import, code, after_chart) == (False, 0, True)

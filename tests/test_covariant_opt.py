@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from spinbench.closed_forms import optimal_fidelity
+from spinbench.spin_algebra import as_half_integer
 from spinbench.covariant_opt import (
     CovariantChannelParams,
+    _linear_terms,
+    _optimum_at_moments,
     ProgramMoments,
     abcd_coefficients,
     check_moments,
@@ -183,8 +186,44 @@ def test_j_half_transition_is_exact():
     assert maximize_covariant_fidelity(0.5, theta + 1e-3)[1].gamma_a < cap
 
 
+def _central_gain(j):
+    """The optimizer's gain of the central branch over the coherent one at theta;
+    its root on [0.05, pi] is the transition (the oracle of locate_transition).
+
+    At j = 1/2 the optimal gamma_a leaves its cap where the slope of F_e along
+    the edge gamma_d = 1/2 at gamma_a = cap_a, for the coherent moments
+    (1/2, 1/4), turns negative.  For j >= 1 the switch is where the central
+    program's optimum overtakes the coherent one.
+    """
+    j = as_half_integer(j)
+    if j.doubled == 1:
+        cap = gamma_a_cap(j)
+
+        def gain(theta):
+            _, pa, _, z = _linear_terms(j, theta, 0.5, 0.25)
+            return -(pa + abs(z) * math.sqrt(0.5 / cap) / 2.0)
+    else:
+        def gain(theta):
+            f_cen, _ = _optimum_at_moments(j, theta, 0.0, moments_lower_bound(j, 0.0))
+            f_coh, _ = _optimum_at_moments(j, theta, j.value, j.value**2)
+            return f_cen - f_coh
+    return gain
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0])
+def test_transition_is_the_root_of_the_optimizers_gain(j):
+    from scipy.optimize import brentq
+
+    gain = _central_gain(j)
+    assert gain(math.pi) > 0.0
+    root = brentq(gain, 0.05, PI, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps)
+    assert abs((PI - root) - locate_transition(j)) <= 1e-12
+
+
 def test_no_transition_above_j_one():
-    for two_j in range(3, 11):
+    # the coherent program wins even at pi, so the central branch never does
+    for two_j in range(3, 41):
+        assert _central_gain(two_j / 2)(PI) <= 0.0
         assert locate_transition(two_j / 2) is None
 
 

@@ -22,7 +22,13 @@ from spinbench.closed_forms import (
     optimal_fidelity,
     spin_k_fidelity_asymptotic,
 )
-from spinbench.covariant_opt import locate_transition, maximize_covariant_fidelity
+from spinbench.covariant_opt import (
+    ProgramMoments,
+    covariant_entanglement_fidelity,
+    locate_transition,
+    maximize_covariant_fidelity,
+    params_from_gammas,
+)
 from spinbench.protocols import (
     StrategyFidelities,
     _pole_rule,
@@ -440,6 +446,10 @@ ANGLE_ENTRY_POINTS = {
     "advantage_longevity": ("theta", lambda a: recycling.advantage_longevity(3, a)),
     "curve_longevity": ("theta", lambda a: recycling.curve_longevity(3, a, recycling_curve(3, 1.0, 3))),
     "per_m_fidelity_asymptotic": ("theta", lambda a: recycling.per_m_fidelity_asymptotic(3, a, 3)),
+    # rotations and the covariant fidelity
+    "rotation_unitary": ("angle", lambda a: rotation_unitary(make_spin_operators(1), Z_AXIS, a)),
+    "covariant_entanglement_fidelity": ("theta", lambda a: covariant_entanglement_fidelity(
+        1.5, a, params_from_gammas(1.5, 0.5, 0.5, 0.0), ProgramMoments(1.5, 2.25))),
 }
 
 

@@ -110,6 +110,11 @@ def test_per_m_rejects_bad_m():
         per_m_fidelity(2.0, 1.0, 2.5)
     with pytest.raises(ValueError):
         per_m_fidelity(2.0, 1.0, 3.0)
+    # the asymptotic form refuses the same m with the same message
+    for m in (5, 1):
+        for form in (per_m_fidelity, per_m_fidelity_asymptotic):
+            with pytest.raises(ValueError, match="^m = %d is not a magnetic quantum number for j = 3/2$" % m):
+                form(1.5, 1.0, m)
 
 
 def test_per_m_exact_vs_asymptotic_frozen():
