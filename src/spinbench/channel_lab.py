@@ -273,7 +273,9 @@ def _chart_states(x, dim):
     hyperspherical magnitudes x[:, :dim-1], phases of the other amplitudes x[:, dim-1:]."""
     mags, phases = x[:, : dim - 1], x[:, dim - 1 :]
     # rest[:, i]: weight left after amplitude i.  float_power squares with C
-    # pow() as a float64 scalar's ** 2 does, for states bitwise equal to a loop's
+    # pow(), as a float64 scalar's ** 2 does, where an array's ** 2 multiplies
+    # and can differ in the last bit: the states stay bitwise those of a loop
+    # over the points, the tests' reference
     rest = np.cumprod(np.float_power(np.sin(mags), 2), axis=1)
     amps = np.empty((len(x), dim), dtype=complex)
     amps[:, 0] = np.cos(mags[:, 0])

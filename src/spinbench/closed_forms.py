@@ -22,14 +22,14 @@ from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
 _J_HALF_SWITCH_COS = -(4.0 + math.sqrt(7.0)) / 9.0
-# cos(theta) at which the j=1 coherent branch _eq5_value(1, c) meets the central
-# branch 1/3 + (1-c)/5: the root c <= -4/21 of 49c^2 + 2c - 26 = 0
+# cos(theta) at which the j=1 optimum switches from the coherent branch
+# _eq5_value(1, c) to the central branch 1/3 + (1-c)/5, where the two meet: the
+# root c <= -4/21 of 49c^2 + 2c - 26 = 0
 _J_ONE_SWITCH_COS = -(1.0 + math.sqrt(1275.0)) / 49.0
 
 J1_NOTE = (
-    "j=1 closed form: the coherent branch is the j>=3/2 expression continued to "
-    "j=1 and the central branch is 1/3 + (2/5)sin^2(theta/2); their pointwise "
-    "maximum is returned, the crossover falling near |theta-pi| = 0.23*pi"
+    "j=1 closed form: central branch used for cos(theta) <= -(1+sqrt1275)/49, "
+    "i.e. |theta-pi| <= arccos((1+sqrt1275)/49); coherent branch elsewhere"
 )
 J_HALF_NOTE = (
     "j=1/2 closed form: interior branch used for cos(theta) <= -(4+sqrt7)/9, "
@@ -75,12 +75,10 @@ def _eq5_value(j: float, c: float) -> float:
 def _optimal_value(j: float, theta: float) -> float:
     """`optimal_fidelity`'s value at the spin j, a float >= 1/2."""
     c = math.cos(as_angle(theta))
-    if j >= 1.5:
+    if j == 1.0 and c <= _J_ONE_SWITCH_COS:
+        value = 1.0 / 3.0 + 0.4 * (1.0 - c) / 2.0  # the central branch 1/3 + (2/5) sin^2(theta/2)
+    elif j >= 1.0:  # the coherent branch
         value = _eq5_value(j, c)
-    elif j == 1.0:
-        coherent = _eq5_value(1.0, c)
-        central = 1.0 / 3.0 + 0.4 * (1.0 - c) / 2.0  # 1/3 + (2/5) sin^2(theta/2)
-        value = max(coherent, central)
     elif c <= _J_HALF_SWITCH_COS:  # j = 1/2
         value = 1.0 / 3.0 + ((2.0 + 7.0 * c) / (6.0 + 12.0 * c) - c / 2.0) / 6.0
     else:

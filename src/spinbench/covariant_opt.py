@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .channel_lab import minimize  # noqa: F401  (unused; perfbench/tracing.py patches this name)
 from .closed_forms import _J_HALF_SWITCH_COS, _J_ONE_SWITCH_COS
-from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer, as_spin
+from .spin_algebra import HalfInteger, ToleranceError, _check_dimension, as_angle, as_half_integer, as_spin
 
 # slack of every feasibility check: PSD blocks, trace preservation, realizable moments
 SLACK = 1e-9
@@ -232,6 +232,7 @@ def maximize_covariant_fidelity(j, theta):
     Returns (fe, params, moments).
     """
     j = as_spin(j, "program spin")
+    _check_dimension(j.doubled + 1)
     as_angle(theta)
     jv = j.value
     candidates = [(jv - i, (jv - i) ** 2) for i in range(j.doubled + 1)]

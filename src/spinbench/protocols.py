@@ -20,8 +20,7 @@ from .channel_lab import (
     average_fidelity_from_entanglement)
 from .closed_forms import _K_HALF, _mo_angle, coupling_angle, folded_angle
 from .spin_algebra import (
-    DIM_CAP, ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin,
-    check_each)
+    ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin, check_each)
 
 
 class StrategyFidelities(NamedTuple):
@@ -46,8 +45,7 @@ def heisenberg_gate(j, k, f):
     if j.doubled < 0 or k.doubled < 0:
         raise ValueError("spins must be non-negative")
     dim = (j.doubled + 1) * (k.doubled + 1)
-    if dim > DIM_CAP:
-        raise ValueError("joint dimension %d exceeds cap %d" % (dim, DIM_CAP))
+    _check_dimension(dim)
     u = np.zeros((dim, dim), dtype=complex)
     for drop in range(j.doubled + k.doubled + 1):
         indices, w, v = _exchange_block(j.doubled, k.doubled, drop)
@@ -221,5 +219,6 @@ def simulate_spin_k_mo(j, k, theta) -> float:
     """
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
     as_angle(theta)
+    _check_dimension(k.doubled + 1)
     fe = _mo_entanglement_fidelity([j.doubled], k, [theta], [[theta]])[0][0]
     return average_fidelity_from_entanglement(fe, k.doubled + 1)

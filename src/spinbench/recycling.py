@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .closed_forms import _large_j_form, _mo_value, coupling_angle
-from .spin_algebra import as_angle, as_half_integer, as_spin
+from .spin_algebra import _check_dimension, as_angle, as_half_integer, as_spin
 
 # uses of one program a curve or a longevity search covers at most (one output
 # row each); a longer horizon is refused
@@ -56,6 +56,7 @@ class ProgramDistribution:
 
 def fresh_program(j) -> ProgramDistribution:
     j = as_half_integer(j)
+    _check_dimension(j.doubled + 1)
     p = np.zeros(j.doubled + 1)
     p[0] = 1.0
     return ProgramDistribution(j, p)
@@ -211,6 +212,7 @@ def asymptotic_distribution(j, theta, n) -> ProgramDistribution:
     if n < 0:
         raise ValueError("n must be >= 0")
     j = as_spin(j, "program spin")
+    _check_dimension(j.doubled + 1)
     jv = j.value
     x = n * (1.0 - math.cos(as_angle(theta)))
     r = x / (x + 2.0 * jv)

@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 from spinbench.channel_lab import KrausChannel, average_fidelity_from_entanglement, entanglement_fidelity
 from spinbench.closed_forms import (
     FidelityValue,
+    _J_ONE_SWITCH_COS,
+    _eq5_value,
+    _optimal_value,
     coupling_angle,
     folded_angle,
     interaction_time,
@@ -72,7 +75,28 @@ def test_j_half_branch_structure():
     assert abs(optimal_fidelity(0.5, 0.5).value - boundary) < 1e-14
 
 
+def _j1_max_of_branches(theta):
+    # the j = 1 optimum as the larger of its coherent and central branches: the oracle of its switch
+    c = math.cos(theta)
+    return min(max(_eq5_value(1.0, c), 1.0 / 3.0 + 0.4 * (1.0 - c) / 2.0), 1.0)
+
+
+def _neighbours(x, n):
+    """The 2n + 1 doubles nearest x, in order, x among them."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
 def test_j1_is_pointwise_max_of_branches():
+    # the branch chosen by the switch cosine is the larger one, bitwise: on a grid over [0, 2pi]
+    # and at the 4001 doubles nearest each switch angle
+    switch = math.acos(_J_ONE_SWITCH_COS)
+    thetas = np.linspace(0.0, 2 * PI, 200001).tolist()
+    thetas += _neighbours(switch, 2000) + _neighbours(2 * PI - switch, 2000)
+    assert [_optimal_value(1.0, t) for t in thetas] == [_j1_max_of_branches(t) for t in thetas]
     for theta in (0.4, 1.5, 2.2, 2.6, 3.0, PI):
         c = math.cos(theta)
         central = 1.0 / 3.0 + 0.4 * (1.0 - c) / 2.0

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_heisenberg_gate_refuses_before_it_allocates():
     for j, k in ((-0.5, 0.5), (0.5, -0.5), (-1.0, 0.5)):
         with pytest.raises(ValueError, match="non-negative"):
             heisenberg_gate(j, k, 1.0)
-    with pytest.raises(ValueError, match="joint dimension 2002 exceeds cap 2001"):
+    with pytest.raises(ValueError, match="^dimension 2002 exceeds cap 2001$"):
         heisenberg_gate(HalfInteger(1000), 0.5, 1.0)
     for f in (math.nan, math.inf, -math.inf):  # refused even where the cap would refuse
         with pytest.raises(ValueError, match="f must be finite"):
@@ -460,6 +461,25 @@ def test_a_non_finite_angle_is_an_input_error(entry, angle):
     what, call = ANGLE_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match="^%s must be finite, got %r$" % (what, angle)):
         call(angle)
+
+
+# the library entry points that work over a program's or a target's 2j + 1 levels, at 2j or 2k = 2002
+SIZED_ENTRY_POINTS = {
+    "simulate_spin_k": lambda: simulate_spin_k(3, HalfInteger(2002), 1.0),
+    "simulate_spin_k_mo": lambda: simulate_spin_k_mo(3, HalfInteger(2002), 1.0),
+    "maximize_covariant_fidelity": lambda: maximize_covariant_fidelity(HalfInteger(2002), 1.0),
+    "fresh_program": lambda: recycling.fresh_program(HalfInteger(2002)),
+    "asymptotic_distribution": lambda: recycling.asymptotic_distribution(HalfInteger(2002), 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED_ENTRY_POINTS))
+def test_more_levels_than_the_cap_are_refused_at_once(entry):
+    # refused by spin_algebra._check_dimension, as a ValueError, before any per-level allocation
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^dimension 2003 exceeds cap 2001$"):
+        SIZED_ENTRY_POINTS[entry]()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_spin_one_target_slope():
