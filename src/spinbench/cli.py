@@ -264,8 +264,8 @@ def longevity_rows(two_j, theta, n_max):
 
 def sweep_rows(two_j_values, thetas, methods):
     """Rows of every (2j, theta) point, 2j major, each point's `methods` in canonical order.
-    Each method is one column over the grid: a closed form is one kernel call per point, the
-    MO simulation one stacked evaluation over the grid, the strategy simulation one per spin."""
+    Each method is one column over the grid: a closed form is one kernel call per point, and
+    the MO and strategy simulations are one stacked evaluation each over the whole grid."""
     js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
     grid_two_j = [j.doubled for j in js for _ in thetas]
     grid_j = [j.value for j in js for _ in thetas]
@@ -273,10 +273,10 @@ def sweep_rows(two_j_values, thetas, methods):
     if "mo_sim" in methods:
         mo = [x for row in protocols.simulate_mo_strategies(js, thetas) for x in row]
     if "heisenberg_sim" in methods or "worst_case" in methods:
-        sims = [protocols.simulate_strategies(j, 0.5, thetas, [closed_forms.coupling_angle(j, t) for t in thetas])
-                for j in js]
-        average = [x for sim in sims for x in sim.average]
-        worst_case = [x for sim in sims for x in sim.worst_case]
+        sim = protocols.simulate_strategies(js, 0.5, thetas,
+                                            [[closed_forms.coupling_angle(j, t) for t in thetas] for j in js])
+        average = [x for row in sim.average for x in row]
+        worst_case = [x for row in sim.worst_case for x in row]
     fo = list(map(closed_forms._optimal_value, grid_j, grid_theta))
     fm = list(map(closed_forms._mo_value, grid_j, grid_theta))
 

@@ -24,7 +24,8 @@ from .spin_algebra import (
 
 
 class StrategyFidelities(NamedTuple):
-    """Floats at one angle (`simulate_spin_k`), lists of them over a stack (`simulate_strategies`)."""
+    """Floats at one point (`simulate_spin_k`); over a grid (`simulate_strategies`), one list of
+    them per spin, one float per angle."""
     entanglement: float
     average: float
     worst_case: float
@@ -130,27 +131,40 @@ def simulate_mo_strategies(js, thetas) -> list:
     return [[average_fidelity_from_entanglement(x, 2) for x in row] for row in fe]
 
 
-def _strategy_kraus(j, k, f):
-    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U, one family per f.
+def _strategy_kraus(js, k, fs):
+    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U, one family per
+    point of the grid `js` x angles: fs holds one row of interaction angles per spin, the spins
+    share one Kraus count, and the families come as one stack, spin-major.
 
     U conserves total M, so with the program in |j,j> only the 2k+1 sectors of
     drop d = j + k - M = 0 .. 2k act, each reached from the target state of
     index d.  Each block B_d is exponentiated as in `heisenberg_gate`, and
     K_a[d-a, d] = B_d[a, 0] for a = 0 .. min(d, 2j); the operators of higher a
     vanish, so min(2k, 2j) + 1 are returned.  The eigendecompositions come
-    from the bounded per-spin cache of `_exchange_block`, once per call; the
-    exponentials depend on f, so each block is one stack over f, checked unitary.
+    from the bounded per-spin cache of `_exchange_block`; the exponentials
+    depend on f, so each drop's blocks are one stack over the grid, checked
+    unitary, each block computed as at one point.  A lone spin's cached
+    arrays are used as they are, so a single point copies none; those of
+    several spins are repeated over their angles.
     """
-    f = np.asarray(f, dtype=float)
+    fs = np.asarray(fs, dtype=float)
     dt = k.doubled + 1
-    kraus = np.zeros(f.shape + (min(k.doubled, j.doubled) + 1, dt, dt), dtype=complex)
-    minus_if = -1j * f[..., None]
+    kraus = np.zeros((fs.size, min(k.doubled, js[0].doubled) + 1, dt, dt), dtype=complex)
+    minus_if = -1j * fs.reshape(-1, 1)
     for drop in range(dt):
-        _, w, v = _exchange_block(j.doubled, k.doubled, drop)
-        block = (v * np.exp(minus_if * w / (j.doubled + 1.0))[..., None, :]) @ v.T
+        blocks = [_exchange_block(j.doubled, k.doubled, drop) for j in js]
+        if len(blocks) == 1:
+            _, w, v = blocks[0]
+            vt, scale = v.T, js[0].doubled + 1.0
+        else:
+            _, w, v = zip(*blocks)
+            w, v = np.repeat(w, fs.shape[1], axis=0), np.repeat(v, fs.shape[1], axis=0)
+            vt = v.swapaxes(-1, -2)
+            scale = np.repeat([j.doubled + 1.0 for j in js], fs.shape[1])[:, None]
+        block = (v * np.exp(minus_if * w / scale)[..., None, :]) @ vt
         check_each(_unitarity_error(block), 1e-12, "exchange block of drop %d is not unitary (error %%g)" % drop)
-        a = np.arange(len(w))
-        kraus[..., a, drop - a, drop] = block[..., 0]
+        a = np.arange(w.shape[-1])
+        kraus[:, a, drop - a, drop] = block[..., 0]
     return kraus
 
 
@@ -171,44 +185,68 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     quartic in two real parameters for a spin-1 target.  For 2k >= 3 it is a
     chart search's upper bound, and a chart over the budget is refused before
     the channel is built.  A non-finite theta or f is refused with ValueError.  This
-    is `simulate_strategies` at one angle.
+    is `simulate_strategies` at one point.
     """
-    return StrategyFidelities(*(x[0] for x in simulate_strategies(j, k, [theta], f if f is None else [f])))
+    sim = simulate_strategies([j], k, [theta], f if f is None else [[f]])
+    return StrategyFidelities(*(x[0][0] for x in sim))
 
 
-def simulate_strategies(j, k, thetas, fs=None) -> StrategyFidelities:
-    """`simulate_spin_k` at each of `thetas` (interaction angles `fs`, by default the folded
-    angles) as one stacked evaluation: lists of values, each computed as at one angle, and
-    every check run at every angle, a failure naming its angle.  A non-finite angle is refused
-    with ValueError before any work, a given f named by its theta.  The worst cases of all
-    angles are one call of `channel_lab._worst_cases`, which picks their route.
+def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
+    """`simulate_spin_k` at each point of the grid `js` x `thetas` (interaction angles `fs`, one
+    row per spin, by default the folded angles) as one stacked evaluation: one list of values
+    per spin, one value per angle, each computed as at one point, and every check run at every
+    point, a failure naming its angle.  The spins of one Kraus count min(2j, 2k) + 1 (every spin,
+    for a qubit target) form one stack.  fs of another shape than spins x angles, and a
+    non-finite angle, are refused with ValueError before any work, a given f named by its theta.
+    The worst cases of a stack are one call of `channel_lab._worst_cases`, which picks their route.
     """
-    j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
+    js, k = [as_spin(j, "program spin") for j in js], as_spin(k, "target spin")
     if fs is None:
-        thetas = fs = [folded_angle(theta) for theta in thetas]
+        thetas = [folded_angle(theta) for theta in thetas]
+        fs = [thetas] * len(js)
     else:
         thetas = [as_angle(theta) for theta in thetas]
-        for theta, f in zip(thetas, fs):
-            try:
-                as_angle(f, "interaction angle f")
-            except ValueError as exc:
-                raise ValueError("theta = %r: %s" % (theta, exc)) from None
+        try:  # one row of f per spin and one f per angle; a number for a row has no len()
+            fits = len(fs) == len(js) and all(len(row) == len(thetas) for row in fs)
+        except TypeError:
+            fits = False
+        if not fits:
+            shapes = "/".join(map(str, sorted({np.shape(row) for row in fs}))) or "()"
+            raise ValueError("fs holds %d rows of shape %s, expected %d of shape (%d,): one row per spin, "
+                             "one f per angle" % (len(fs), shapes, len(js), len(thetas)))
+        for row in fs:
+            for theta, f in zip(thetas, row):
+                try:
+                    as_angle(f, "interaction angle f")
+                except ValueError as exc:
+                    raise ValueError("theta = %r: %s" % (theta, exc)) from None
     d = k.doubled + 1
     _check_dimension(d)
+    stacks = {}  # Kraus count -> the indices of its spins
+    for s, j in enumerate(js):
+        stacks.setdefault(min(k.doubled, j.doubled) + 1, []).append(s)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
-        _chart_axes(d, min(k.doubled, j.doubled) + 1, True)
-    try:
-        kraus = _strategy_kraus(j, k, fs)
-        phases = np.exp(-1j * np.array(thetas)[:, None] * (k.value - np.arange(d)))  # V = diag(phases)
-        check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
-        v = np.eye(d) * phases[:, None, :]
-        fe = _entanglement_fidelities(kraus, v).tolist()
-        check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)", ValueError)
-        fw = _worst_cases(v.conj().swapaxes(-1, -2)[:, None] @ kraus)[0]
-    except (ToleranceError, ValueError) as exc:
-        i = getattr(exc, "index", None)
-        raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i], exc)) from None
-    return StrategyFidelities(fe, [average_fidelity_from_entanglement(x, d) for x in fe], fw)
+        for count in stacks:
+            _chart_axes(d, count, True)
+    fe, fw = [[] for _ in js], [[] for _ in js]
+    for spins in stacks.values() if thetas else ():  # an empty grid builds no stack
+        try:
+            kraus = _strategy_kraus([js[s] for s in spins], k, [fs[s] for s in spins])
+            # V = diag(phases), point by point, spin-major as the Kraus families
+            phases = np.exp(-1j * np.array(thetas * len(spins))[:, None] * (k.value - np.arange(d)))
+            check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
+            v = np.eye(d) * phases[:, None, :]
+            values = _entanglement_fidelities(kraus, v).tolist()
+            check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)",
+                       ValueError)
+            worst = _worst_cases(v.conj().swapaxes(-1, -2)[:, None] @ kraus)[0]
+        except (ToleranceError, ValueError) as exc:
+            i = getattr(exc, "index", None)  # a point of the stack, spin-major
+            raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i % len(thetas)], exc)) from None
+        for n, s in enumerate(spins):
+            points = slice(n * len(thetas), (n + 1) * len(thetas))
+            fe[s], fw[s] = values[points], worst[points]
+    return StrategyFidelities(fe, [[average_fidelity_from_entanglement(x, d) for x in row] for row in fe], fw)
 
 
 def simulate_spin_k_mo(j, k, theta) -> float:

@@ -434,8 +434,8 @@ def test_sweep_runs_on_the_calling_thread(capsys, monkeypatch):
 
 
 def test_sweep_simulates_each_spin_once(capsys, monkeypatch):
-    # one stacked strategy evaluation per spin, one stacked MO evaluation per
-    # sweep, and no call of the per-point functions
+    # one stacked strategy evaluation and one stacked MO evaluation per sweep,
+    # each over the whole grid, and no call of the per-point functions
     calls = []
 
     def counted(name):
@@ -452,7 +452,7 @@ def test_sweep_simulates_each_spin_once(capsys, monkeypatch):
     assert main(["sweep", "--two-j-range", "3:5", "--thetas", "0.3,pi/2,2.0,pi,4.0",
                  "--methods", ",".join(cli.SWEEP_METHODS)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 5 * 7
-    assert sorted(calls) == ["simulate_mo_strategies"] + ["simulate_strategies"] * 3
+    assert sorted(calls) == ["simulate_mo_strategies", "simulate_strategies"]
 
 
 def test_report_paths_build_no_fidelity_value(capsys, monkeypatch, tmp_path):
@@ -478,10 +478,10 @@ def test_a_bad_row_is_refused_before_any_output(capsys, monkeypatch, tmp_path, f
     # before the writer formats a byte, so neither stdout nor --out gets any
     simulate = protocols.simulate_strategies
 
-    def nan_at_one_point(j, k, thetas, fs=None):
-        sim = simulate(j, k, thetas, fs)
-        return sim._replace(average=[math.nan if j.doubled == 4 and i == 1 else x
-                                     for i, x in enumerate(sim.average)])
+    def nan_at_one_point(js, k, thetas, fs=None):
+        sim = simulate(js, k, thetas, fs)
+        return sim._replace(average=[[math.nan if j.doubled == 4 and i == 1 else x for i, x in enumerate(row)]
+                                     for j, row in zip(js, sim.average)])
 
     monkeypatch.setattr(protocols, "simulate_strategies", nan_at_one_point)
     argv = ["sweep", "--two-j-range", "3:5", "--thetas", "0.3,2.0,pi",
