@@ -317,9 +317,11 @@ def _worst_cases(mats, grid=CHART_GRID):
     psi_n -> e^{i n phi} psi_n leaves F unchanged, so the grid holds the phase
     of psi_1 at 0).  Each route claims a minimum at its state; one check of
     every claim against F raises ToleranceError on a gap over 1e-12, naming
-    the route, with `index` the family.
+    the route, with `index` the family.  A target of d < 2 is refused with ValueError.
     """
     d = mats.shape[-1]
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if d == 2 and _on_one_diagonal(mats):
         claims, states = _qubit_one_diagonal_minimum(mats)
         messages = "qubit quadratic differs from F on its state by %r"
@@ -440,8 +442,8 @@ def _qubit_one_diagonal_minimum(mats):
     Returns (value, state), the value from the quadratic and state = (sqrt x,
     sqrt(1 - x)); for a stack of families (leading axes), stacks of both.
     """
-    diag = mats.diagonal(0, -2, -1)
-    h = (diag.swapaxes(-1, -2) @ diag.conj()).real
+    diag = mats.diagonal(0, -2, -1).swapaxes(-1, -2)  # D_a[p] at [..., p, a]
+    h = (diag[..., :, None, :] * diag[..., None, :, :].conj()).sum(-1).real
     crosses = 2.0 * h[..., 0, 1] + (np.abs(mats[..., 0, 1]) ** 2 + np.abs(mats[..., 1, 0]) ** 2).sum(-1)
     best = []  # each family's candidates are scalar floats, as at one family
     for abc in zip(*(a.ravel().tolist() for a in (h[..., 0, 0], crosses, h[..., 1, 1]))):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_half_integer, as_spin
+from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_spin
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
@@ -119,7 +119,7 @@ def mo_optimal_angle(j, theta: float) -> float:
     [(2j^2+3j+2)cos(theta) + 2j+1] / [(2j^2+3j)sin(theta)], continuous on
     [0, pi] with tau(0) = 0 and tau(pi) = pi.
     """
-    return _mo_angle(as_half_integer(j).value, as_angle(theta))
+    return _mo_angle(as_spin(j, "program spin").value, as_angle(theta))
 
 
 def folded_angle(theta: float) -> float:
@@ -198,12 +198,12 @@ QUBIT_TERMS = _large_j_terms(_K_HALF)
 
 def spin_k_fidelity_asymptotic(j, k, theta: float) -> FidelityValue:
     """Large-j average fidelity of the Heisenberg strategy on a spin-k target."""
-    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["average"], theta)
+    return _large_j_form(j, *_large_j_terms(as_spin(k, "target spin"))["average"], theta)
 
 
 def spin_k_entanglement_asymptotic(j, k, theta: float) -> FidelityValue:
     """Companion entanglement-fidelity form, 1 - 2k(k+1)(1-cos theta)/(3j)."""
-    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["entanglement"], theta)
+    return _large_j_form(j, *_large_j_terms(as_spin(k, "target spin"))["entanglement"], theta)
 
 
 def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
@@ -214,11 +214,11 @@ def spin_k_worst_case_asymptotic(j, k, theta: float) -> FidelityValue:
     The maximum over m is k(k+1) at m = 0 or -1 for integer k, and
     k(k+1) + 1/4 at m = -1/2 for half-integer k.
     """
-    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["worst_case"], theta)
+    return _large_j_form(j, *_large_j_terms(as_spin(k, "target spin"))["worst_case"], theta)
 
 
 def spin_k_mo_asymptotic(j, k, theta: float) -> FidelityValue:
-    return _large_j_form(j, *_large_j_terms(as_half_integer(k))["mo"], theta)
+    return _large_j_form(j, *_large_j_terms(as_spin(k, "target spin"))["mo"], theta)
 
 
 def coupling_angle(j, theta: float) -> float:
@@ -227,7 +227,7 @@ def coupling_angle(j, theta: float) -> float:
     Mapped to [0, 2pi); on [0, pi] this coincides with the arccos form obtained
     from the same right triangle.
     """
-    jv = as_half_integer(j).value
+    jv = as_spin(j, "program spin").value
     as_angle(theta)
     tj1 = 2.0 * jv + 1.0
     f = math.atan2(tj1 * math.sin(theta), 1.0 + tj1 * math.cos(theta))
@@ -242,5 +242,5 @@ def interaction_time(j, theta: float, coupling_constant: float) -> float:
     if not (-math.inf < theta < math.inf and 0.0 < coupling_constant < math.inf):  # a NaN fails too
         raise ValueError("need a finite theta and a coupling constant in (0, inf), got %r and %r"
                          % (theta, coupling_constant))
-    jv = as_half_integer(j).value
+    jv = as_spin(j, "program spin").value
     return coupling_angle(j, theta) / ((2.0 * jv + 1.0) * coupling_constant)

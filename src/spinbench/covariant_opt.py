@@ -49,12 +49,12 @@ class ProgramMoments:
 
 
 def gamma_a_cap(j) -> float:
-    jv = as_half_integer(j).value
+    jv = as_spin(j, "program spin").value
     return (2.0 * jv + 2.0) / (2.0 * jv + 1.0)
 
 
 def gamma_d_cap(j) -> float:
-    jv = as_half_integer(j).value
+    jv = as_spin(j, "program spin").value
     return 2.0 * jv / (2.0 * jv + 1.0)
 
 
@@ -64,7 +64,7 @@ def params_from_gammas(j, gamma_a, gamma_d, gamma_b) -> CovariantChannelParams:
     For j = 1/2 the lower block is absent: beta = 0 identically and the second
     constraint fixes gamma_d = 1/2, so the supplied gamma_d must be 1/2.
     """
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     if j.doubled == 1 and abs(gamma_d - 0.5) > 1e-12:
         raise ValueError("at j=1/2 trace preservation forces gamma_d = 1/2")
     alpha, beta = _alpha_beta(j, gamma_a, gamma_d)
@@ -82,7 +82,7 @@ def _alpha_beta(j: HalfInteger, gamma_a, gamma_d):
 
 def check_params(j, params: CovariantChannelParams):
     """Raise ValueError unless params is a feasible covariant channel."""
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     jv = j.value
     if any(w < -SLACK for w in (params.alpha, params.beta, params.gamma_a, params.gamma_d)):
         raise ValueError("negative block weight in %r" % (params,))
@@ -106,7 +106,7 @@ def moments_lower_bound(j, x: float) -> float:
     The feasible set is the convex hull of {(m, m^2)}; its lower boundary is
     the chord between the two nearest m values bracketing x.
     """
-    jv = as_half_integer(j).value
+    jv = as_spin(j, "program spin").value
     # m values are jv - integers; chord between floor/ceil neighbors of x
     offset = jv - math.floor(jv - x) if x < jv else jv
     m_hi = min(offset, jv)
@@ -119,7 +119,7 @@ def moments_lower_bound(j, x: float) -> float:
 
 
 def check_moments(j, moments: ProgramMoments):
-    jv = as_half_integer(j).value
+    jv = as_spin(j, "program spin").value
     x, y = moments.jz_mean, moments.jz2_mean
     if (abs(x) > jv + SLACK or y > jv * jv + SLACK
             or y < moments_lower_bound(j, x) - SLACK or y < x * x - SLACK):

@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_lab import (
-    _chart_axes, _completeness_error, _entanglement_fidelities, _unitarity_error, _worst_cases,
-    average_fidelity_from_entanglement)
+    _chart_axes, _completeness_error, _entanglement_fidelities, _worst_cases, average_fidelity_from_entanglement)
 from .closed_forms import _K_HALF, _mo_angle, coupling_angle, folded_angle
 from .spin_algebra import (
     ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin, check_each)
@@ -107,7 +106,7 @@ def _mo_entanglement_fidelity(doubled_js, k, thetas, taus):
     u_prev, u = 0.0, 1.0  # U_{-1}, U_0
     for _ in range(k.doubled):
         u_prev, u = u, 2.0 * c * u - u_prev
-    fe = (weights[:, None, None, :] @ ((u / (k.doubled + 1.0)) ** 2)[..., None])[..., 0, 0]
+    fe = (weights[:, None, :] * (u / (k.doubled + 1.0)) ** 2).sum(-1)
     return [[min(max(x, 0.0), 1.0) for x in row] for row in fe.tolist()]
 
 
@@ -138,33 +137,24 @@ def _strategy_kraus(js, k, fs):
 
     U conserves total M, so with the program in |j,j> only the 2k+1 sectors of
     drop d = j + k - M = 0 .. 2k act, each reached from the target state of
-    index d.  Each block B_d is exponentiated as in `heisenberg_gate`, and
-    K_a[d-a, d] = B_d[a, 0] for a = 0 .. min(d, 2j); the operators of higher a
-    vanish, so min(2k, 2j) + 1 are returned.  The eigendecompositions come
-    from the bounded per-spin cache of `_exchange_block`; the exponentials
-    depend on f, so each drop's blocks are one stack over the grid, checked
-    unitary, each block computed as at one point.  A lone spin's cached
-    arrays are used as they are, so a single point copies none; those of
-    several spins are repeated over their angles.
+    index d.  Of each block B_d = v e^{-i f w/(2j+1)} v^T only column 0 is
+    used: K_a[d-a, d] = B_d[a, 0] = sum_l v[a,l] v[0,l] e^{-i f w_l/(2j+1)}
+    for a = 0 .. min(d, 2j); the operators of higher a vanish, so
+    min(2k, 2j) + 1 are returned.  The eigenpairs come, checked orthogonal,
+    from the bounded per-spin cache of `_exchange_block`; each column is an
+    elementwise product summed over l, one stack over the grid, so every
+    point's value is computed as at one point.
     """
     fs = np.asarray(fs, dtype=float)
     dt = k.doubled + 1
     kraus = np.zeros((fs.size, min(k.doubled, js[0].doubled) + 1, dt, dt), dtype=complex)
-    minus_if = -1j * fs.reshape(-1, 1)
+    scale = np.array([j.doubled + 1.0 for j in js])[:, None, None]
     for drop in range(dt):
-        blocks = [_exchange_block(j.doubled, k.doubled, drop) for j in js]
-        if len(blocks) == 1:
-            _, w, v = blocks[0]
-            vt, scale = v.T, js[0].doubled + 1.0
-        else:
-            _, w, v = zip(*blocks)
-            w, v = np.repeat(w, fs.shape[1], axis=0), np.repeat(v, fs.shape[1], axis=0)
-            vt = v.swapaxes(-1, -2)
-            scale = np.repeat([j.doubled + 1.0 for j in js], fs.shape[1])[:, None]
-        block = (v * np.exp(minus_if * w / scale)[..., None, :]) @ vt
-        check_each(_unitarity_error(block), 1e-12, "exchange block of drop %d is not unitary (error %%g)" % drop)
-        a = np.arange(w.shape[-1])
-        kraus[:, a, drop - a, drop] = block[..., 0]
+        _, w, v = zip(*(_exchange_block(j.doubled, k.doubled, drop) for j in js))
+        phases = np.exp(-1j * fs[..., None] * np.array(w)[:, None] / scale)  # (spins, angles, l)
+        products = np.array([x * x[0] for x in v])[:, None]  # v[a,l] v[0,l], (spins, 1, a, l)
+        a = np.arange(len(w[0]))
+        kraus[:, a, drop - a, drop] = (products * phases[..., None, :]).sum(-1).reshape(fs.size, -1)
     return kraus
 
 
@@ -176,8 +166,9 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     fidelities are then even and 2pi-periodic in theta.  An explicit f is used
     as given, with theta as given, to study other schedules (with k = 1/2 and
     f = coupling_angle this reproduces the tuned qubit strategy).  The channel
-    is built from the 2k+1 total-M sectors that the program |j,j> reaches, in
-    O(k^3) work at any j.  The gate commutes with
+    is built from one exponential column of each of the 2k+1 total-M sectors
+    that the program |j,j> reaches (O(k^3) work at any j), and each point's
+    Kraus family is checked complete.  The gate commutes with
     every collective rotation R (x) R, so a program along any axis n gives the
     same fidelities for the rotation about n; they are computed along z.
     There each V^dag K_a lies on one diagonal, so the worst case is exact for
@@ -232,14 +223,13 @@ def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
     for spins in stacks.values() if thetas else ():  # an empty grid builds no stack
         try:
             kraus = _strategy_kraus([js[s] for s in spins], k, [fs[s] for s in spins])
+            # the (d, d) entry is sum_a |B_d[a, 0]|^2: each block column the channel uses has norm 1
+            check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)")
             # V = diag(phases), point by point, spin-major as the Kraus families
             phases = np.exp(-1j * np.array(thetas * len(spins))[:, None] * (k.value - np.arange(d)))
             check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
-            v = np.eye(d) * phases[:, None, :]
-            values = _entanglement_fidelities(kraus, v).tolist()
-            check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)",
-                       ValueError)
-            worst = _worst_cases(v.conj().swapaxes(-1, -2)[:, None] @ kraus)[0]
+            values = _entanglement_fidelities(kraus, np.eye(d) * phases[:, None, :]).tolist()
+            worst = _worst_cases(phases.conj()[:, None, :, None] * kraus)[0]  # the rows of V^dag K_a
         except (ToleranceError, ValueError) as exc:
             i = getattr(exc, "index", None)  # a point of the stack, spin-major
             raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i % len(thetas)], exc)) from None

@@ -32,7 +32,7 @@ class ProgramDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        j = as_half_integer(self.j)
+        j = as_spin(self.j, "program spin")
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (j.doubled + 1,):
             raise ValueError("distribution needs %d entries" % (j.doubled + 1))
@@ -55,7 +55,7 @@ class ProgramDistribution:
 
 
 def fresh_program(j) -> ProgramDistribution:
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     _check_dimension(j.doubled + 1)
     p = np.zeros(j.doubled + 1)
     p[0] = 1.0
@@ -75,7 +75,7 @@ def complementary_step(j, theta, dist: ProgramDistribution) -> ProgramDistributi
     (j-m)(1+j+m)/(1+2j)^2 * g upward, g = kernel_factor(j, theta);
     the (j -+ m) factors kill hops past the band edges on their own.
     """
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     if dist.j != j:
         raise ValueError("distribution is for a different spin")
     jv = j.value
@@ -113,7 +113,7 @@ def _drop_polynomial(j, theta):
 
 def _drop(j, m) -> int:
     """The drop j - m of the program state |j,m>, refused unless m is a magnetic quantum number for j."""
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     m = as_half_integer(m)
     if abs(m.doubled) > j.doubled or (j.doubled - m.doubled) % 2:
         raise ValueError("m = %s is not a magnetic quantum number for j = %s" % (m, j))
@@ -122,7 +122,7 @@ def _drop(j, m) -> int:
 
 def per_m_fidelity(j, theta, m) -> float:
     """Exact average fidelity when the program is the basis state |j,m>."""
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     drop = _drop(j, m)
     as_angle(theta)
     c0, c1, c2 = _drop_polynomial(j, theta)
@@ -156,9 +156,11 @@ def recycling_curve(j, theta, n_max) -> RecyclingCurve:
     and the per-use fidelity, exact at every j, is quadratic in D (see
     `per_m_fidelity`; `per_m_fidelity_asymptotic` is its large-j form).
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ValueError("n_max must be an integer, got %r" % (n_max,))
     if not 1 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [1, %d], got %d" % (N_MAX_CAP, n_max))
-    j = as_half_integer(j)
+    j = as_spin(j, "program spin")
     as_angle(theta)
     c0, c1, c2 = _drop_polynomial(j, theta)
     c = kernel_factor(j, theta) / (j.doubled + 1.0) ** 2

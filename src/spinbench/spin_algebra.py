@@ -49,7 +49,7 @@ class HalfInteger:
     __slots__ = ("doubled",)
 
     def __init__(self, doubled):
-        if not isinstance(doubled, (int, np.integer)):
+        if isinstance(doubled, bool) or not isinstance(doubled, (int, np.integer)):
             raise TypeError("doubled must be an integer, got %r" % (doubled,))
         if abs(doubled) > MAX_DOUBLED_SPIN:
             raise ValueError("doubled spin exceeds 2**53, the largest a float holds exactly")
@@ -57,6 +57,8 @@ class HalfInteger:
 
     @classmethod
     def from_value(cls, value):
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError("%r is not a half-integer" % (value,))
         doubled = 2 * value
         if not -math.inf < doubled < math.inf or doubled != round(doubled):
             raise ValueError("%r is not a half-integer" % (value,))
@@ -285,7 +287,9 @@ def _exchange_block(doubled_j, doubled_k, drop):
     l = j + k - s + 1 + i.  The block does not depend on the coupling angle,
     so it is cached for repeated calls at one spin in one process: the 7
     blocks of heisenberg_gate(2, 1, f) take ~0.3 ms to build (2-core Xeon),
-    against ~0.1 ms for the rest of that call.
+    against ~0.1 ms for the rest of that call.  v is checked orthogonal,
+    |v^T v - I| <= 1e-12 (ToleranceError, naming no angle), before the entry
+    is cached, so a basis that fails is never cached.
     """
     j, k = doubled_j / 2, doubled_k / 2
     a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
@@ -295,6 +299,10 @@ def _exchange_block(doubled_j, doubled_k, drop):
         k * (k + 1) - mk[1:] * (mk[1:] - 1))
     block = np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1)
     w, v = np.linalg.eigh(block)
+    error = abs(v.T @ v - np.eye(len(w))).max()
+    if not error <= 1e-12:  # a NaN fails too
+        raise ToleranceError("exchange basis of (2j, 2k, drop) = (%d, %d, %d) is not orthogonal (error %g)"
+                             % (doubled_j, doubled_k, drop, error))
     indices = a * (doubled_k + 1) + drop - a
     for x in (indices, w, v):
         x.setflags(write=False)

@@ -16,17 +16,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def skew_block(monkeypatch):
-    """skew_block(i): from then on the unitarity check of each exchange block of a strategy
-    stack sees the block of the i-th angle 1e-6 off unitary, the others as they are."""
+def skew_kraus(monkeypatch):
+    """skew_kraus(i): from then on each strategy stack of Kraus families holds the i-th point's
+    column 0 (its drop-0 block column) 1e-6 off norm 1, the other points as they are."""
     from spinbench import protocols
 
-    error = protocols._unitarity_error
+    kraus = protocols._strategy_kraus
 
     def skew(i):
-        def skewed(block):
-            block = block.copy()
-            block[i] *= 1.0 + 1e-6
-            return error(block)
-        monkeypatch.setattr(protocols, "_unitarity_error", skewed)
+        def skewed(js, k, fs):
+            families = kraus(js, k, fs)
+            families[i, :, :, 0] *= 1.0 + 1e-6
+            return families
+        monkeypatch.setattr(protocols, "_strategy_kraus", skewed)
     return skew

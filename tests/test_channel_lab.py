@@ -261,6 +261,12 @@ def test_average_from_entanglement_relation():
         average_fidelity_from_entanglement(0.5, 1)
 
 
+def test_the_worst_case_of_a_one_level_target_is_refused():
+    # as average_fidelity_from_entanglement refuses d < 2, before a route is picked
+    with pytest.raises(ValueError, match="^d must be >= 2$"):
+        worst_case_fidelity(KrausChannel(np.ones((1, 1, 1))), np.eye(1))
+
+
 def test_worst_case_below_average():
     j, theta = HalfInteger(3), math.pi
     ch = _qubit_channel(j, theta)

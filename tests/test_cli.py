@@ -3,8 +3,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,13 +520,32 @@ def test_sweep_rows_are_the_rows_of_single_points():
                         assert rows[tuple(line.split(",")[:4])] == line
 
 
+def test_qubit_rows_do_not_depend_on_the_blas_kernels():
+    # numpy's OpenBLAS picks its kernels from the CPU it runs on, and
+    # OPENBLAS_CORETYPE=Prescott forces the generic ones; no qubit row goes
+    # through a BLAS product, so each prints the same bytes under both
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(argv, **kernel):
+        done = subprocess.run([sys.executable, "-m", "spinbench.cli"] + argv, env=dict(env, **kernel),
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        return done.stdout
+
+    for argv in (["sweep", "--two-j-range", "1:60", "--thetas=0.3,2.0,pi,4.0,-1",
+                  "--methods", ",".join(cli.SWEEP_METHODS)],
+                 ["spin-k", "--two-j", "6", "--two-k", "1", "--theta", "2.0"]):
+        assert run(argv, OPENBLAS_CORETYPE="Prescott") == run(argv), argv
+
+
 @pytest.mark.parametrize("fault", ["block", "quadratic"])
-def test_a_failure_at_one_angle_of_a_sweep_names_it(capsys, monkeypatch, skew_block, fault):
-    # a non-unitary exchange block, or a worst-case quadratic off F on its
-    # state, at the third of five angles
+def test_a_failure_at_one_angle_of_a_sweep_names_it(capsys, monkeypatch, skew_kraus, fault):
+    # an exchange block column off norm 1 (Kraus operators not complete), or a
+    # worst-case quadratic off F on its state, at the third of five angles
     if fault == "block":
-        skew_block(2)
-        message = "theta = 2.0: exchange block of drop 0 is not unitary"
+        skew_kraus(2)
+        message = "theta = 2.0: Kraus operators are not complete"
     else:
         batch = channel_lab._fidelity_batch
         monkeypatch.setattr(channel_lab, "_fidelity_batch",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from spinbench import channel_lab, cli, closed_forms, protocols, recycling, spin_algebra
+from spinbench import channel_lab, cli, closed_forms, covariant_opt, protocols, recycling, spin_algebra
 from spinbench.channel_lab import (
     KrausChannel,
     ProgramChannel,
@@ -165,25 +165,35 @@ def test_strategy_builds_no_dense_operator(monkeypatch):
         assert 0.0 < got.worst_case <= got.average < 1.0
 
 
-def test_strategy_checks_each_sector_block(monkeypatch, skew_block):
+def test_strategy_checks_each_sector_block(monkeypatch):
+    # V^T V = I is checked once per exchange basis, where _exchange_block builds
+    # it: a skewed eigh basis is refused there, through heisenberg_gate too, with
+    # no angle named, and is not cached
+    eigh = np.linalg.eigh
+
+    def skewed_eigh(a):
+        w, v = eigh(a)
+        return w, v * (1.0 + 1e-6)
+
+    spin_algebra._exchange_block.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    for call in (lambda: simulate_spin_k(3.0, 1.0, 2.0, f=0.7), lambda: heisenberg_gate(3.0, 1.0, 0.7)):
+        with pytest.raises(ToleranceError, match=r"^exchange basis of \(2j, 2k, drop\) = \(6, 2, 0\) "
+                                                 r"is not orthogonal \(error 2e-06\)$"):
+            call()
+    monkeypatch.undo()
+    assert spin_algebra._exchange_block.cache_info().currsize == 0
+    simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
+    # a skewed block that reaches the strategy anyway fails the completeness
+    # check of each point's Kraus family, which names the angle
     block = protocols._exchange_block
 
     def skewed(doubled_j, doubled_k, drop):
         indices, w, v = block(doubled_j, doubled_k, drop)
         return indices, w, v * (1.0 + 1e-6)
 
-    skew_block(0)
-    with pytest.raises(ToleranceError, match="not unitary"):
-        simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
-    # the blocks are cached, but the exponential and its check are not
-    monkeypatch.undo()
-    simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
-    skew_block(0)
-    with pytest.raises(ToleranceError, match="not unitary"):
-        simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
-    monkeypatch.undo()
     monkeypatch.setattr(protocols, "_exchange_block", skewed)
-    with pytest.raises(ToleranceError, match="not unitary"):
+    with pytest.raises(ToleranceError, match=r"^theta = 2\.0: Kraus operators are not complete"):
         simulate_spin_k(3.0, 1.0, 2.0)
 
 
@@ -463,6 +473,72 @@ def test_a_non_finite_angle_is_an_input_error(entry, angle):
         call(angle)
 
 
+def _feasible_params():
+    return params_from_gammas(1.5, 0.5, 0.5, 0.0)
+
+
+# the library entry points that need a program or target spin >= 1/2, with the name they refuse
+# it by (beside those of test_spin_refusals_name_the_spin)
+SPIN_ENTRY_POINTS = {
+    "coupling_angle": ("program spin", lambda s: coupling_angle(s, 1.0)),
+    "mo_optimal_angle": ("program spin", lambda s: closed_forms.mo_optimal_angle(s, 1.0)),
+    "interaction_time": ("program spin", lambda s: closed_forms.interaction_time(s, 1.0, 1.0)),
+    "spin_k_fidelity_asymptotic": ("target spin", lambda s: spin_k_fidelity_asymptotic(3, s, 1.0)),
+    "spin_k_entanglement_asymptotic": ("target spin", lambda s: closed_forms.spin_k_entanglement_asymptotic(
+        3, s, 1.0)),
+    "spin_k_worst_case_asymptotic": ("target spin", lambda s: closed_forms.spin_k_worst_case_asymptotic(
+        3, s, 1.0)),
+    "spin_k_mo_asymptotic": ("target spin", lambda s: closed_forms.spin_k_mo_asymptotic(3, s, 1.0)),
+    # recycling
+    "kernel_factor": ("program spin", lambda s: recycling.kernel_factor(s, 1.0)),
+    "per_m_fidelity": ("program spin", lambda s: per_m_fidelity(s, 1.0, 0)),
+    "per_m_fidelity_asymptotic": ("program spin", lambda s: recycling.per_m_fidelity_asymptotic(s, 1.0, 0)),
+    "recycling_curve": ("program spin", lambda s: recycling_curve(s, 1.0, 3)),
+    "fresh_program": ("program spin", lambda s: recycling.fresh_program(s)),
+    "complementary_step": ("program spin", lambda s: recycling.complementary_step(
+        s, 1.0, recycling.fresh_program(3))),
+    "ProgramDistribution": ("program spin", lambda s: recycling.ProgramDistribution(s, [1.0])),
+    "advantage_longevity": ("program spin", lambda s: recycling.advantage_longevity(s, 1.0)),
+    "curve_longevity": ("program spin", lambda s: recycling.curve_longevity(
+        s, 1.0, recycling_curve(3, 1.0, 3))),
+    # the covariant channel
+    "gamma_a_cap": ("program spin", lambda s: covariant_opt.gamma_a_cap(s)),
+    "gamma_d_cap": ("program spin", lambda s: covariant_opt.gamma_d_cap(s)),
+    "params_from_gammas": ("program spin", lambda s: params_from_gammas(s, 0.5, 0.5, 0.0)),
+    "check_params": ("program spin", lambda s: covariant_opt.check_params(s, _feasible_params())),
+    "abcd_coefficients": ("program spin", lambda s: covariant_opt.abcd_coefficients(s, _feasible_params())),
+    "moments_lower_bound": ("program spin", lambda s: covariant_opt.moments_lower_bound(s, 0.0)),
+    "check_moments": ("program spin", lambda s: covariant_opt.check_moments(s, ProgramMoments(0.0, 0.0))),
+    "covariant_entanglement_fidelity": ("program spin", lambda s: covariant_entanglement_fidelity(
+        s, 1.0, _feasible_params(), ProgramMoments(1.5, 2.25))),
+}
+
+
+@pytest.mark.parametrize("spin, shown", [(0, "0"), (-0.5, "-1/2"), (-1, "-1")])
+@pytest.mark.parametrize("entry", sorted(SPIN_ENTRY_POINTS))
+def test_a_spin_below_one_half_is_an_input_error(entry, spin, shown):
+    # refused by spin_algebra.as_spin, as a ValueError naming the spin, before any value is formed
+    what, call = SPIN_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^%s must be >= 1/2, got %s$" % (what, shown)):
+        call(spin)
+
+
+def test_a_bool_is_no_spin():
+    # True is neither 2j = 1 nor j = 1
+    with pytest.raises(ValueError, match="^True is not a half-integer$"):
+        optimal_fidelity(True, 1.0)
+    with pytest.raises(ValueError, match="^True is not a half-integer$"):
+        coupling_angle(True, 1.0)
+
+
+def test_spin_zero_stays_a_one_level_space():
+    # where one level is meaningful, spin 0 is accepted
+    assert heisenberg_gate(0, 0.5, 1.0).shape == (2, 2)
+    assert make_spin_operators(0).jz.shape == (1, 1)
+    assert rotation_unitary(make_spin_operators(0), Z_AXIS, 1.0).shape == (1, 1)
+    assert [two_l.doubled for two_l, _ in spin_algebra.total_spin_projectors(0, 1)] == [2]
+
+
 # the library entry points that work over a program's or a target's 2j + 1 levels, at 2j or 2k = 2002
 SIZED_ENTRY_POINTS = {
     "simulate_spin_k": lambda: simulate_spin_k(3, HalfInteger(2002), 1.0),
@@ -521,7 +597,7 @@ def test_a_stack_of_angles_gives_the_values_of_single_angles():
                 assert tuple(values[s][i] for values in stacked) == tuple(single), (j, two_k, theta)
 
 
-def test_a_stack_names_the_angle_that_fails(monkeypatch, skew_block):
+def test_a_stack_names_the_angle_that_fails(monkeypatch, skew_kraus):
     thetas = [0.3, 2.0, PI]
     spins = [3, 4]
     # a non-finite interaction angle is an input error, refused before any block is built
@@ -530,11 +606,11 @@ def test_a_stack_names_the_angle_that_fails(monkeypatch, skew_block):
         with pytest.raises(ValueError, match=r"^theta = 2\.0: interaction angle f must be finite, got %r$" % f):
             protocols.simulate_strategies(spins, 0.5, thetas, [[0.4, 0.9, 1.0], [0.4, f, 1.0]])
     monkeypatch.undo()
-    # the blocks of a grid are one stack, spin-major: 0 .. 2 the first spin's
-    # angles, 3 .. 5 the second's
+    # the Kraus families of a grid are one stack, spin-major: 0 .. 2 the first
+    # spin's angles, 3 .. 5 the second's
     for i, theta in enumerate(thetas * 2):
-        skew_block(i)
-        with pytest.raises(ToleranceError, match=r"^theta = %r: exchange block of drop 0 is not unitary" % theta):
+        skew_kraus(i)
+        with pytest.raises(ToleranceError, match=r"^theta = %r: Kraus operators are not complete" % theta):
             protocols.simulate_strategies(spins, 0.5, thetas, [[0.4, 0.9, 1.0]] * 2)
         monkeypatch.undo()
     batch = channel_lab._fidelity_batch

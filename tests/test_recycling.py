@@ -164,6 +164,10 @@ def test_recycling_curve_basics():
     for horizon in (0, N_MAX_CAP + 1):
         with pytest.raises(ValueError, match="n_max must be in"):
             recycling_curve(10.0, 2.4, horizon)
+    for horizon in (True, 2.5, 3.0):
+        with pytest.raises(ValueError, match="^n_max must be an integer, got %r$" % horizon):
+            recycling_curve(10.0, 2.4, horizon)
+    assert recycling_curve(10.0, 2.4, np.int64(3)) == recycling_curve(10.0, 2.4, 3)
 
 
 def _stepped_chain(j, theta, n_max):

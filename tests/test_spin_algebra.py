@@ -44,6 +44,12 @@ def test_half_integer_rejects_non_half_integers():
             as_half_integer(value)
     with pytest.raises(TypeError):
         HalfInteger(1.5)
+    # a bool is no spin: not 1/2 as a doubled spin, nor 1 as a value
+    with pytest.raises(TypeError):
+        HalfInteger(True)
+    for value in (True, False, np.True_):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            as_half_integer(value)
     # beyond 2**53 a doubled spin is no longer a float
     assert HalfInteger(2**53).value == 2.0**52
     for doubled in (2**53 + 1, -(2**53) - 1, 10**400):
