@@ -271,12 +271,10 @@ def sweep_rows(two_j_values, thetas, methods):
     grid_j = [j.value for j in js for _ in thetas]
     grid_theta = list(thetas) * len(js)
     if "mo_sim" in methods:
-        mo = [x for row in protocols.simulate_mo_strategies(js, thetas) for x in row]
+        mo = protocols.simulate_mo_strategies(js, thetas)
     if "heisenberg_sim" in methods or "worst_case" in methods:
-        sim = protocols.simulate_strategies(js, 0.5, thetas,
-                                            [[closed_forms.coupling_angle(j, t) for t in thetas] for j in js])
-        average = [x for row in sim.average for x in row]
-        worst_case = [x for row in sim.worst_case for x in row]
+        _, average, worst_case = protocols.simulate_strategies(
+            js, 0.5, thetas, [closed_forms.coupling_angle(j, t) for j in js for t in thetas])
     fo = list(map(closed_forms._optimal_value, grid_j, grid_theta))
     fm = list(map(closed_forms._mo_value, grid_j, grid_theta))
 

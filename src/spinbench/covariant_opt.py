@@ -12,6 +12,7 @@ in closed form, the angle at which the optimal program switches character.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -80,9 +81,17 @@ def _alpha_beta(j: HalfInteger, gamma_a, gamma_d):
     return alpha, (2.0 * jv - (2.0 * jv + 1.0) * gamma_d) / (2.0 * jv - 1.0)
 
 
+def _check_finite(record):
+    """Refuse a non-finite field of `record` by name: NaN passes every feasibility comparison."""
+    for name, value in vars(record).items():
+        if not cmath.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 def check_params(j, params: CovariantChannelParams):
     """Raise ValueError unless params is a feasible covariant channel."""
     j = as_spin(j, "program spin")
+    _check_finite(params)
     jv = j.value
     if any(w < -SLACK for w in (params.alpha, params.beta, params.gamma_a, params.gamma_d)):
         raise ValueError("negative block weight in %r" % (params,))
@@ -120,6 +129,7 @@ def moments_lower_bound(j, x: float) -> float:
 
 def check_moments(j, moments: ProgramMoments):
     jv = as_spin(j, "program spin").value
+    _check_finite(moments)
     x, y = moments.jz_mean, moments.jz2_mean
     if (abs(x) > jv + SLACK or y > jv * jv + SLACK
             or y < moments_lower_bound(j, x) - SLACK or y < x * x - SLACK):

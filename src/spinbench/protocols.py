@@ -24,7 +24,7 @@ from .spin_algebra import (
 
 class StrategyFidelities(NamedTuple):
     """Floats at one point (`simulate_spin_k`); over a grid (`simulate_strategies`), one list of
-    them per spin, one float per angle."""
+    them in grid order."""
     entanglement: float
     average: float
     worst_case: float
@@ -86,8 +86,8 @@ def _pole_rule(doubled_js, nodes):
 
 
 def _mo_entanglement_fidelity(doubled_js, k, thetas, taus):
-    """Entanglement fidelities of estimate-then-rotate-by-tau on the grid of `doubled_js` x
-    `thetas`: one list per spin, taus[s][i] the rotation of spin s at thetas[i].
+    """Entanglement fidelities of estimate-then-rotate-by-tau on the grid `doubled_js` x
+    `thetas`, 2j major: one value per point, taus[p] the rotation at point p.
 
     The composite rotation V_theta^dag V_{tau,n'} has half-angle cosine
 
@@ -100,14 +100,14 @@ def _mo_entanglement_fidelity(doubled_js, k, thetas, taus):
     whole (spins, angles, nodes) grid, each value computed as at one point.
     """
     t, weights = _pole_rule(doubled_js, k.doubled + 1)
-    factors = np.array([[(math.cos((th - ta) / 2.0), 2.0 * math.sin(th / 2.0) * math.sin(ta / 2.0))
-                         for th, ta in zip(thetas, row)] for row in taus]).reshape(len(taus), len(thetas), 2)
+    factors = np.array([(math.cos((th - ta) / 2.0), 2.0 * math.sin(th / 2.0) * math.sin(ta / 2.0))
+                        for th, ta in zip(thetas * len(doubled_js), taus)]).reshape(len(t), len(thetas), 2)
     c = factors[..., :1] - factors[..., 1:] * t[:, None, :]
     u_prev, u = 0.0, 1.0  # U_{-1}, U_0
     for _ in range(k.doubled):
         u_prev, u = u, 2.0 * c * u - u_prev
     fe = (weights[:, None, :] * (u / (k.doubled + 1.0)) ** 2).sum(-1)
-    return [[min(max(x, 0.0), 1.0) for x in row] for row in fe.tolist()]
+    return [min(max(x, 0.0), 1.0) for x in fe.ravel().tolist()]
 
 
 def simulate_mo_strategy(j, theta) -> float:
@@ -117,43 +117,46 @@ def simulate_mo_strategy(j, theta) -> float:
     about the estimated axis by the optimal conditional angle.  Like
     `mo_benchmark`, it is computed at `folded_angle(theta)`.
     """
-    return simulate_mo_strategies([j], [theta])[0][0]
+    return simulate_mo_strategies([j], [theta])[0]
 
 
 def simulate_mo_strategies(js, thetas) -> list:
     """`simulate_mo_strategy` at each point of the grid `js` x `thetas`, as one stacked
-    evaluation: one list of values per spin, one value per angle."""
+    evaluation: one list of values, 2j major."""
     js = [as_spin(j, "program spin") for j in js]
     thetas = [folded_angle(theta) for theta in thetas]
     fe = _mo_entanglement_fidelity([j.doubled for j in js], _K_HALF, thetas,
-                                   [[_mo_angle(j.value, t) for t in thetas] for j in js])
-    return [[average_fidelity_from_entanglement(x, 2) for x in row] for row in fe]
+                                   [_mo_angle(j.value, t) for j in js for t in thetas])
+    return [average_fidelity_from_entanglement(x, 2) for x in fe]
 
 
 def _strategy_kraus(js, k, fs):
-    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U, one family per
-    point of the grid `js` x angles: fs holds one row of interaction angles per spin, the spins
-    share one Kraus count, and the families come as one stack, spin-major.
+    """Kraus operators K_a = (<a| (x) I) U (|j,j> (x) I) of the exchange gate U, one family of
+    2k+1 per point of the grid `js` x angles, as one stack: fs holds one interaction angle per
+    point, 2j major.
 
     U conserves total M, so with the program in |j,j> only the 2k+1 sectors of
     drop d = j + k - M = 0 .. 2k act, each reached from the target state of
     index d.  Of each block B_d = v e^{-i f w/(2j+1)} v^T only column 0 is
     used: K_a[d-a, d] = B_d[a, 0] = sum_l v[a,l] v[0,l] e^{-i f w_l/(2j+1)}
-    for a = 0 .. min(d, 2j); the operators of higher a vanish, so
-    min(2k, 2j) + 1 are returned.  The eigenpairs come, checked orthogonal,
-    from the bounded per-spin cache of `_exchange_block`; each column is an
-    elementwise product summed over l, one stack over the grid, so every
-    point's value is computed as at one point.
+    for a = 0 .. d, a spin's block of min(d, 2j) + 1 rows zero-padded to d + 1,
+    so the operators of a > 2j vanish.  The eigenpairs come, checked
+    orthogonal, from the bounded per-spin cache of `_exchange_block`; each
+    column is an elementwise product summed over l, one stack over the grid,
+    a padded sum adding its zeros last, so every point's value is computed
+    as at one point.
     """
-    fs = np.asarray(fs, dtype=float)
     dt = k.doubled + 1
-    kraus = np.zeros((fs.size, min(k.doubled, js[0].doubled) + 1, dt, dt), dtype=complex)
+    fs = np.asarray(fs, dtype=float).reshape(len(js), -1)  # (spins, angles)
+    kraus = np.zeros((fs.size, dt, dt, dt), dtype=complex)
     scale = np.array([j.doubled + 1.0 for j in js])[:, None, None]
     for drop in range(dt):
-        _, w, v = zip(*(_exchange_block(j.doubled, k.doubled, drop) for j in js))
-        phases = np.exp(-1j * fs[..., None] * np.array(w)[:, None] / scale)  # (spins, angles, l)
-        products = np.array([x * x[0] for x in v])[:, None]  # v[a,l] v[0,l], (spins, 1, a, l)
-        a = np.arange(len(w[0]))
+        w, products = np.zeros((len(js), drop + 1)), np.zeros((len(js), 1, drop + 1, drop + 1))
+        for s, j in enumerate(js):
+            _, w_s, v = _exchange_block(j.doubled, k.doubled, drop)
+            w[s, :len(w_s)], products[s, 0, :len(w_s), :len(w_s)] = w_s, v * v[0]  # v[a,l] v[0,l]
+        phases = np.exp(-1j * fs[..., None] * w[:, None] / scale)  # (spins, angles, l)
+        a = np.arange(drop + 1)
         kraus[:, a, drop - a, drop] = (products * phases[..., None, :]).sum(-1).reshape(fs.size, -1)
     return kraus
 
@@ -178,65 +181,50 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     the channel is built.  A non-finite theta or f is refused with ValueError.  This
     is `simulate_strategies` at one point.
     """
-    sim = simulate_strategies([j], k, [theta], f if f is None else [[f]])
-    return StrategyFidelities(*(x[0][0] for x in sim))
+    sim = simulate_strategies([j], k, [theta], f if f is None else [f])
+    return StrategyFidelities(*(x[0] for x in sim))
 
 
 def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
-    """`simulate_spin_k` at each point of the grid `js` x `thetas` (interaction angles `fs`, one
-    row per spin, by default the folded angles) as one stacked evaluation: one list of values
-    per spin, one value per angle, each computed as at one point, and every check run at every
-    point, a failure naming its angle.  The spins of one Kraus count min(2j, 2k) + 1 (every spin,
-    for a qubit target) form one stack.  fs of another shape than spins x angles, and a
-    non-finite angle, are refused with ValueError before any work, a given f named by its theta.
-    The worst cases of a stack are one call of `channel_lab._worst_cases`, which picks their route.
+    """`simulate_spin_k` at each point of the grid `js` x `thetas`, 2j major (interaction angles
+    `fs`, one per point, by default the folded angles) as one stacked evaluation: one list of
+    values over the grid, each computed as at one point, and every check run at every point, a
+    failure naming its angle.  fs of another shape than one f per point, and a non-finite
+    angle, are refused with ValueError before any work, a given f named by its theta.  Every
+    point has 2k+1 Kraus operators, so the grid is one stack, and its worst cases are one call
+    of `channel_lab._worst_cases`, which picks their route.
     """
     js, k = [as_spin(j, "program spin") for j in js], as_spin(k, "target spin")
     if fs is None:
         thetas = [folded_angle(theta) for theta in thetas]
-        fs = [thetas] * len(js)
+        fs = thetas * len(js)
     else:
         thetas = [as_angle(theta) for theta in thetas]
-        try:  # one row of f per spin and one f per angle; a number for a row has no len()
-            fits = len(fs) == len(js) and all(len(row) == len(thetas) for row in fs)
-        except TypeError:
-            fits = False
-        if not fits:
-            shapes = "/".join(map(str, sorted({np.shape(row) for row in fs}))) or "()"
-            raise ValueError("fs holds %d rows of shape %s, expected %d of shape (%d,): one row per spin, "
-                             "one f per angle" % (len(fs), shapes, len(js), len(thetas)))
-        for row in fs:
-            for theta, f in zip(thetas, row):
-                try:
-                    as_angle(f, "interaction angle f")
-                except ValueError as exc:
-                    raise ValueError("theta = %r: %s" % (theta, exc)) from None
+        if np.shape(fs) != (len(js) * len(thetas),):
+            raise ValueError("fs has shape %s, expected (%d,): one f per point of the %d x %d grid"
+                             % (np.shape(fs), len(js) * len(thetas), len(js), len(thetas)))
+        for theta, f in zip(thetas * len(js), fs):
+            if not -math.inf < f < math.inf:  # as_angle's test, with the point's theta named
+                raise ValueError("theta = %r: interaction angle f must be finite, got %r" % (theta, f))
     d = k.doubled + 1
     _check_dimension(d)
-    stacks = {}  # Kraus count -> the indices of its spins
-    for s, j in enumerate(js):
-        stacks.setdefault(min(k.doubled, j.doubled) + 1, []).append(s)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
-        for count in stacks:
-            _chart_axes(d, count, True)
-    fe, fw = [[] for _ in js], [[] for _ in js]
-    for spins in stacks.values() if thetas else ():  # an empty grid builds no stack
-        try:
-            kraus = _strategy_kraus([js[s] for s in spins], k, [fs[s] for s in spins])
-            # the (d, d) entry is sum_a |B_d[a, 0]|^2: each block column the channel uses has norm 1
-            check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)")
-            # V = diag(phases), point by point, spin-major as the Kraus families
-            phases = np.exp(-1j * np.array(thetas * len(spins))[:, None] * (k.value - np.arange(d)))
-            check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
-            values = _entanglement_fidelities(kraus, np.eye(d) * phases[:, None, :]).tolist()
-            worst = _worst_cases(phases.conj()[:, None, :, None] * kraus)[0]  # the rows of V^dag K_a
-        except (ToleranceError, ValueError) as exc:
-            i = getattr(exc, "index", None)  # a point of the stack, spin-major
-            raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i % len(thetas)], exc)) from None
-        for n, s in enumerate(spins):
-            points = slice(n * len(thetas), (n + 1) * len(thetas))
-            fe[s], fw[s] = values[points], worst[points]
-    return StrategyFidelities(fe, [[average_fidelity_from_entanglement(x, d) for x in row] for row in fe], fw)
+        _chart_axes(d, d, True)
+    if not len(fs):  # an empty grid builds no stack
+        return StrategyFidelities([], [], [])
+    try:
+        kraus = _strategy_kraus(js, k, fs)
+        # the (d, d) entry is sum_a |B_d[a, 0]|^2: each block column the channel uses has norm 1
+        check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)")
+        # V = diag(phases), point by point
+        phases = np.exp(-1j * np.array(thetas * len(js))[:, None] * (k.value - np.arange(d)))
+        check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
+        fe = _entanglement_fidelities(kraus, np.eye(d) * phases[:, None, :]).tolist()
+        fw = _worst_cases(phases.conj()[:, None, :, None] * kraus)[0]  # the rows of V^dag K_a
+    except (ToleranceError, ValueError) as exc:
+        i = getattr(exc, "index", None)  # a point of the grid
+        raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i % len(thetas)], exc)) from None
+    return StrategyFidelities(fe, [average_fidelity_from_entanglement(x, d) for x in fe], fw)
 
 
 def simulate_spin_k_mo(j, k, theta) -> float:
@@ -248,5 +236,5 @@ def simulate_spin_k_mo(j, k, theta) -> float:
     j, k = as_spin(j, "program spin"), as_spin(k, "target spin")
     as_angle(theta)
     _check_dimension(k.doubled + 1)
-    fe = _mo_entanglement_fidelity([j.doubled], k, [theta], [[theta]])[0][0]
+    fe = _mo_entanglement_fidelity([j.doubled], k, [theta], [theta])[0]
     return average_fidelity_from_entanglement(fe, k.doubled + 1)

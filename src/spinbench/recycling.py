@@ -36,6 +36,8 @@ class ProgramDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (j.doubled + 1,):
             raise ValueError("distribution needs %d entries" % (j.doubled + 1))
+        if not np.isfinite(p).all():  # NaN passes every comparison below
+            raise ValueError("probs must be finite, got %r" % float(p[~np.isfinite(p)][0]))
         if p.min() < -1e-14:
             raise ValueError("negative probability %g" % p.min())
         p = np.clip(p, 0.0, None)
@@ -211,8 +213,8 @@ def asymptotic_distribution(j, theta, n) -> ProgramDistribution:
     p(m) ∝ r^(j-m) with r = n(1-cos theta) / (n(1-cos theta) + 2j),
     renormalized over the 2j+1 levels.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n < math.inf:  # a NaN fails too
+        raise ValueError("n must be finite and >= 0, got %r" % n)
     j = as_spin(j, "program spin")
     _check_dimension(j.doubled + 1)
     jv = j.value

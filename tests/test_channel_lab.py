@@ -459,7 +459,7 @@ def test_qubit_one_diagonal_minimum_on_the_strategy_channels():
         for theta in np.linspace(0.0, np.pi, 12):
             v = np.diag(np.exp(-1j * theta * np.array([0.5, -0.5])))
             for f in (coupling_angle(j, theta), theta):
-                _assert_matches_bloch_route(v.conj().T @ _strategy_kraus([j], half, [[f]])[0])
+                _assert_matches_bloch_route(v.conj().T @ _strategy_kraus([j], half, [f])[0])
 
 
 def test_qubit_worst_case_takes_the_bloch_route_off_one_diagonal(monkeypatch):
@@ -478,7 +478,7 @@ def _spin_one_mats(two_j, theta, f):
     # V^dag K_a of the exchange strategy on a spin-1 target in the program's frame
     k = HalfInteger(2)
     v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
-    return v.conj().T @ _strategy_kraus([HalfInteger(two_j)], k, [[f]])[0]
+    return v.conj().T @ _strategy_kraus([HalfInteger(two_j)], k, [f])[0]
 
 
 def _random_one_diagonal(rng):

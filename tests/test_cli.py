@@ -482,10 +482,9 @@ def test_a_bad_row_is_refused_before_any_output(capsys, monkeypatch, tmp_path, f
     # before the writer formats a byte, so neither stdout nor --out gets any
     simulate = protocols.simulate_strategies
 
-    def nan_at_one_point(js, k, thetas, fs=None):
+    def nan_at_one_point(js, k, thetas, fs=None):  # at 2j = 4, theta = 2.0 of the 2j-major grid
         sim = simulate(js, k, thetas, fs)
-        return sim._replace(average=[[math.nan if j.doubled == 4 and i == 1 else x for i, x in enumerate(row)]
-                                     for j, row in zip(js, sim.average)])
+        return sim._replace(average=[math.nan if p == 4 else x for p, x in enumerate(sim.average)])
 
     monkeypatch.setattr(protocols, "simulate_strategies", nan_at_one_point)
     argv = ["sweep", "--two-j-range", "3:5", "--thetas", "0.3,2.0,pi",
@@ -666,10 +665,10 @@ def test_spin_k_labels_the_chart_bound(capsys):
 
 def test_spin_k_refuses_oversized_worst_case_search(capsys, monkeypatch):
     # a spin-2 target's chart has 8^4 * 16^3 points even with the redundant phase
-    # fixed: refused before allocating, also at 2j = 1, whose 2 Kraus operators
-    # would fit the budget but whose 5-amplitude states would not.  The size
-    # depends only on d and the Kraus count, so no Kraus family is built, and
-    # the message names them instead of a 1264-digit count at 2k = 600
+    # fixed: refused before allocating, also at 2j = 1, whose 2 nonzero Kraus
+    # operators would fit the budget but whose 5-amplitude states would not.
+    # The size depends only on d, so no Kraus family is built, and the message
+    # names d and the 2k+1 operators instead of a 1264-digit count at 2k = 600
     def unreachable(*args, **kwargs):
         raise AssertionError("the strategy's channel was built")
 

@@ -274,7 +274,7 @@ def test_spin_k_slopes_match_the_exact_strategy(two_k, theta):
         return (1.0 - value) * scale
 
     v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
-    fe = entanglement_fidelity(KrausChannel(_strategy_kraus([j], k, [[theta]])[0]), v)
+    fe = entanglement_fidelity(KrausChannel(_strategy_kraus([j], k, [theta])[0]), v)
     favg = average_fidelity_from_entanglement(fe, two_k + 1)
     pairs = [(slope(fe), slope(spin_k_entanglement_asymptotic(j, k, theta).value)),
              (slope(favg), slope(spin_k_fidelity_asymptotic(j, k, theta).value)),

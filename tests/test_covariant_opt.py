@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ def test_check_params_rejections():
         check_params(1.0, CovariantChannelParams(0.9, good.beta, 0.5, 0.5, 0.0))
     with pytest.raises(ValueError, match="second trace-preservation constraint violated"):
         check_params(1.0, CovariantChannelParams(good.alpha, good.beta + 0.3, 0.5, 0.5, 0.0))
+    # a non-finite field is an input error, not a fidelity that escapes [0, 1]
+    for bad in (math.nan, math.inf, -math.inf):
+        # alpha is filled in from gamma_a, so it is the first field found
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got "):
+            abcd_coefficients(1.5, params_from_gammas(1.5, bad, 0.5, 0j))
+        with pytest.raises(ValueError, match=r"^gamma_a must be finite, got %r$" % bad):
+            check_params(1.0, CovariantChannelParams(good.alpha, good.beta, bad, 0.5, 0.0))
+        with pytest.raises(ValueError, match=r"^gamma_b must be finite, got %s$" % re.escape(repr(complex(0.1, bad)))):
+            check_params(1.0, CovariantChannelParams(good.alpha, good.beta, 0.5, 0.5, complex(0.1, bad)))
+        with pytest.raises(ValueError, match=r"^beta must be finite"):
+            check_params(1.0, CovariantChannelParams(good.alpha, bad, 0.5, 0.5, 0.0))
 
 
 def test_moment_hull():
@@ -97,6 +109,14 @@ def test_moment_hull():
         check_moments(1.0, ProgramMoments(1.2, 1.44))  # |x| > j
     with pytest.raises(ValueError):
         check_moments(1.0, ProgramMoments(0.0, 1.5))  # y > j^2
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^jz_mean must be finite, got %r$" % bad):
+            check_moments(1.5, ProgramMoments(bad, 1.0))
+        with pytest.raises(ValueError, match=r"^jz2_mean must be finite, got %r$" % bad):
+            check_moments(1.5, ProgramMoments(0.5, bad))
+        with pytest.raises(ValueError, match=r"^jz_mean must be finite"):
+            covariant_entanglement_fidelity(1.5, 2.0, params_from_gammas(1.5, 0.5, 0.5, 0j),
+                                            ProgramMoments(bad, 1.0))
 
 
 def test_random_distributions_give_feasible_moments():

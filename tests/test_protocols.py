@@ -122,11 +122,11 @@ def test_sector_kraus_are_the_nonzero_dense_ones(two_k):
         for f in (0.0, 0.7, 2.9, -1.3):
             dense = ProgramChannel(heisenberg_gate(j, k, f), spin_coherent_state(j, Z_AXIS),
                                    j, k).kraus_operators()
-            sector = _strategy_kraus([j], k, [[f]])[0]
-            count = min(two_j, two_k) + 1
-            assert sector.shape == (count, two_k + 1, two_k + 1)
-            assert np.abs(sector - dense[:count]).max() < 1e-14
-            assert not dense[count:].any()
+            sector = _strategy_kraus([j], k, [f])[0]
+            count = min(two_j, two_k) + 1  # 2k+1 operators, those of a > 2j zero
+            assert sector.shape == (two_k + 1, two_k + 1, two_k + 1)
+            assert np.abs(sector[:count] - dense[:count]).max() < 1e-14
+            assert not sector[count:].any() and not dense[count:].any()
 
 
 def test_strategy_matches_dense_route_on_any_axis():
@@ -244,7 +244,7 @@ def _strategy_mats(two_j, two_k, theta):
     # V^dag K_a of the strategy in the program's frame, the operators the worst case reads
     j, k = HalfInteger(two_j), HalfInteger(two_k)
     v = rotation_unitary(make_spin_operators(k), Z_AXIS, theta)
-    return v.conj().T @ _strategy_kraus([j], k, [[theta]])[0]
+    return v.conj().T @ _strategy_kraus([j], k, [theta])[0]
 
 
 def test_strategy_chart_search_drops_the_redundant_phase(monkeypatch):
@@ -576,25 +576,27 @@ def test_a_stack_of_angles_gives_the_values_of_single_angles():
     # the grid evaluation keeps the order of operations of a single point, so
     # every value is bitwise that of the same spin and angle alone
     spins = [HalfInteger(two_j) for two_j in range(1, 61)]
-    tuned = [[coupling_angle(j, theta) for theta in STACK_ANGLES] for j in spins]
+    grid = [(j, theta) for j in spins for theta in STACK_ANGLES]  # 2j major
+    tuned = [coupling_angle(j, theta) for j, theta in grid]
     stacked = protocols.simulate_strategies(spins, 0.5, STACK_ANGLES, tuned)
-    for s, j in enumerate(spins):
-        for i, theta in enumerate(STACK_ANGLES):
-            single = simulate_optimal_qubit_strategy(j, theta)
-            assert tuple(values[s][i] for values in stacked) == tuple(single), (j, theta)
+    assert _bits(list(zip(*stacked))) == _bits([simulate_optimal_qubit_strategy(j, theta) for j, theta in grid])
     # the MO quadrature stacks the spins too
-    assert protocols.simulate_mo_strategies(spins, STACK_ANGLES) == [
-        [simulate_mo_strategy(j, theta) for theta in STACK_ANGLES] for j in spins]
+    assert _bits(protocols.simulate_mo_strategies(spins, STACK_ANGLES)) == _bits([
+        simulate_mo_strategy(j, theta) for j, theta in grid])
     # the default schedule folds each angle; a spin-1 target takes each angle
-    # through the quartic, and 2j = 1 (two Kraus operators, not three) forms
-    # its own stack within the call
-    for two_k in (1, 2):
-        spins = [HalfInteger(two_j) for two_j in (1, 7, 40)]
-        stacked = protocols.simulate_strategies(spins, two_k / 2, STACK_ANGLES)
-        for s, j in enumerate(spins):
-            for i, theta in enumerate(STACK_ANGLES):
-                single = simulate_spin_k(j, two_k / 2, theta)
-                assert tuple(values[s][i] for values in stacked) == tuple(single), (j, two_k, theta)
+    # through the quartic, a spin-3/2 target through the chart search (one
+    # angle: a family costs ~0.2 s), and 2j = 1, 2 (fewer than 2k+1 nonzero
+    # Kraus operators) share the stack, their blocks zero-padded
+    for two_k, thetas in ((1, STACK_ANGLES), (2, STACK_ANGLES), (3, [2.0])):
+        spins = [HalfInteger(two_j) for two_j in ((1, 2, 7) if two_k == 3 else (1, 7, 40))]
+        stacked = protocols.simulate_strategies(spins, two_k / 2, thetas)
+        singles = [simulate_spin_k(j, two_k / 2, theta) for j in spins for theta in thetas]
+        assert _bits(list(zip(*stacked))) == _bits(singles), two_k
+
+
+def _bits(points):
+    # the bytes of every float, so that -0.0 and 0.0 differ
+    return np.array(points, dtype=float).tobytes()
 
 
 def test_a_stack_names_the_angle_that_fails(monkeypatch, skew_kraus):
@@ -604,44 +606,47 @@ def test_a_stack_names_the_angle_that_fails(monkeypatch, skew_kraus):
     monkeypatch.setattr(protocols, "_strategy_kraus", lambda js, k, fs: _never_built(len(fs)))
     for f in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"^theta = 2\.0: interaction angle f must be finite, got %r$" % f):
-            protocols.simulate_strategies(spins, 0.5, thetas, [[0.4, 0.9, 1.0], [0.4, f, 1.0]])
+            protocols.simulate_strategies(spins, 0.5, thetas, [0.4, 0.9, 1.0, 0.4, f, 1.0])
     monkeypatch.undo()
-    # the Kraus families of a grid are one stack, spin-major: 0 .. 2 the first
+    # the Kraus families of a grid are one stack, 2j major: 0 .. 2 the first
     # spin's angles, 3 .. 5 the second's
     for i, theta in enumerate(thetas * 2):
         skew_kraus(i)
         with pytest.raises(ToleranceError, match=r"^theta = %r: Kraus operators are not complete" % theta):
-            protocols.simulate_strategies(spins, 0.5, thetas, [[0.4, 0.9, 1.0]] * 2)
+            protocols.simulate_strategies(spins, 0.5, thetas, [0.4, 0.9, 1.0] * 2)
         monkeypatch.undo()
     batch = channel_lab._fidelity_batch
     monkeypatch.setattr(channel_lab, "_fidelity_batch",
                         lambda mats, states: batch(mats, states) + (np.arange(len(states)) == 4) * 1e-9)
     with pytest.raises(ToleranceError, match=r"^theta = 2\.0: qubit quadratic differs"):
-        protocols.simulate_strategies(spins, 0.5, thetas, [thetas] * 2)
+        protocols.simulate_strategies(spins, 0.5, thetas, thetas * 2)
     # a spin-1 target's worst cases are solved family by family and checked as one stack
     with pytest.raises(ToleranceError, match=r"^theta = 2\.0: spin-1 quartic differs"):
         protocols.simulate_strategies(spins, 1.0, thetas)
 
 
 def test_a_grid_refuses_interaction_angles_of_another_shape(monkeypatch):
-    # one row of f per spin, one f per angle: no f is broadcast to an angle it was
-    # not given, and no angle is evaluated twice; refused before any block is built
+    # one f per point of the grid: no f is broadcast to a point it was not given,
+    # and no point is evaluated twice; refused before any block is built
     monkeypatch.setattr(protocols, "_strategy_kraus", lambda js, k, fs: _never_built(len(fs)))
     for spins, thetas, fs, given in (
-            ([3], [0.3, 2.0], [[0.3]], r"1 rows of shape \(1,\)"),
-            ([3], [0.3], [[0.3, 2.0]], r"1 rows of shape \(2,\)"),
-            ([3], [0.3, 2.0], [0.3, 2.0], r"2 rows of shape \(\)"),
-            ([3, 4], [0.3], [[0.3]], r"1 rows of shape \(1,\)"),
-            ([3, 4], [0.3, 2.0], [[0.3, 2.0], [0.3]], r"2 rows of shape \(1,\)/\(2,\)"),
-            ([3], [0.3], [], r"0 rows of shape \(\)")):
-        want = r"^fs holds %s, expected %d of shape \(%d,\)" % (given, len(spins), len(thetas))
+            ([3], [0.3, 2.0], [0.3], r"\(1,\)"),
+            ([3], [0.3], [0.3, 2.0], r"\(2,\)"),
+            ([3], [0.3, 2.0], [[0.3, 2.0]], r"\(1, 2\)"),  # a row per spin is not the grid's shape
+            ([3, 4], [0.3], [0.3], r"\(1,\)"),
+            ([3, 4], [0.3, 2.0], [[0.3, 2.0], [0.3, 2.0]], r"\(2, 2\)"),
+            ([3], [0.3], 0.3, r"\(\)"),
+            ([3], [0.3], [], r"\(0,\)")):
+        want = r"^fs has shape %s, expected \(%d,\): one f per point of the %d x %d grid$" % (
+            given, len(spins) * len(thetas), len(spins), len(thetas))
         with pytest.raises(ValueError, match=want):
             protocols.simulate_strategies(spins, 0.5, thetas, fs)
 
 
 def test_an_empty_grid_gives_empty_lists():
-    assert protocols.simulate_strategies([3], 0.5, []) == ([[]], [[]], [[]])
-    assert protocols.simulate_strategies([3, 4], 1.0, [], [[], []]) == ([[], []], [[], []], [[], []])
+    assert protocols.simulate_strategies([3], 0.5, []) == ([], [], [])
+    assert protocols.simulate_strategies([3, 4], 1.0, [], []) == ([], [], [])
     assert protocols.simulate_strategies([], 0.5, [0.3, 2.0]) == ([], [], [])
     assert protocols.simulate_strategies([], 0.5, [0.3], []) == ([], [], [])
-    assert protocols.simulate_mo_strategies([3], []) == [[]]
+    assert protocols.simulate_mo_strategies([3], []) == []
+    assert protocols.simulate_mo_strategies([], [0.3]) == []

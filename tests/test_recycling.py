@@ -85,6 +85,11 @@ def test_distribution_validation():
         ProgramDistribution(1.0, np.array([0.8, 0.3, -0.1]))
     with pytest.raises(ValueError):
         ProgramDistribution(1.0, np.array([0.5, 0.4, 0.2]))  # sums to 1.1
+    for bad in (math.nan, math.inf, -math.inf):  # NaN passes every range comparison
+        with pytest.raises(ValueError, match=r"^probs must be finite, got %r$" % bad):
+            ProgramDistribution(1, [bad] * 3)
+        with pytest.raises(ValueError, match=r"^probs must be finite, got %r$" % bad):
+            ProgramDistribution(1, [1.0, 0.0, bad])
     assert fresh_program(3.5).mean_drop() == 0.0
     with pytest.raises(ValueError, match="different spin"):
         complementary_step(2.0, 1.0, fresh_program(1.5))
@@ -284,8 +289,9 @@ def test_longevity_insensitive_to_per_step_retuning():
 
 
 def test_asymptotic_distribution_shape():
-    with pytest.raises(ValueError):
-        asymptotic_distribution(10.0, PI, -1)
+    for n in (-1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^n must be finite and >= 0, got %r$" % n):
+            asymptotic_distribution(10.0, PI, n)
     for j, shown in ((0, "0"), (-1, "-1")):  # j = 0 divided by zero
         with pytest.raises(ValueError, match="^program spin must be >= 1/2, got %s$" % shown):
             asymptotic_distribution(j, PI, 3)
