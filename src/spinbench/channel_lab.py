@@ -21,8 +21,7 @@ from .spin_algebra import Direction, HalfInteger, as_angle, check_each, make_spi
 WORST_CASE_BUDGET = 2**25
 # largest samples x (D + d^2) complex entries the Monte-Carlo stacks admit
 # (128 MiB), D = (2j+1)(2k+1) for each sample's joint state and d^2 for its
-# target rotation, with D^2 more for its gate when the channels do not share
-# one; larger runs are refused
+# target rotation; larger runs are refused
 MC_BUDGET = 2**23
 # the chart search's default grid: phases per coordinate (half as many magnitudes, >= 6)
 CHART_GRID = 16
@@ -200,22 +199,20 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     (cos-polar, then azimuth), then every sample's state (2k+1 real parts,
     then 2k+1 imaginary parts).  ch_builder is called once per sample, in
     draw order, and each channel's program state is copied into one stack;
-    no Kraus operator is formed.  All samples are then evaluated at once: the
-    joint states |phi> (x) |psi> times the gate in one (samples, D) x (D, D)
-    product when every channel holds sample 0's gate object (as the channels
-    ProgramChannel builds from one gate do), and V psi from one stacked eigh
-    of n.J.  Channels with other gates are evaluated too, each sample with
-    its own gate from a stack of them.  A non-finite theta is refused before
-    the builder is first called.
+    no Kraus operator is formed.  The samples whose channel holds sample 0's
+    gate object (as the channels ProgramChannel builds from one gate do) are
+    evaluated at once: their joint states |phi> (x) |psi> times the gate in
+    one (samples, D) x (D, D) product.  A sample whose channel holds another
+    gate is evaluated when its channel is built, so no gate is kept past its
+    sample; the states are then drawn at that point, which leaves the stream
+    as it is.  V psi comes from one stacked eigh of n.J.  A non-finite theta
+    is refused before the builder is first called.
 
     Memory: a sample holds D + d^2 complex entries in its largest arrays
     (its joint state, D = (2j+1)(2k+1), and the eigenvectors of its n.J,
     d = 2k+1), with j and k taken from the first channel.  A run of more
-    than MC_BUDGET such entries is refused before the builder's second call,
-    and one of more than MC_BUDGET with the D^2 entries of each sample's
-    gate added at the first channel with another gate, before the stack of
-    gates is allocated.  A later channel on other spins is refused with its
-    sample number.
+    than MC_BUDGET such entries is refused before the builder's second call.
+    A later channel on other spins is refused with its sample number.
 
     Returns (mean, stderr).
     """
@@ -235,7 +232,7 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
     axes = np.concatenate([axes, haar_direction(rng, (samples - 1,))])
     programs = np.empty((samples, dc), dtype=complex)
     programs[0] = first.program_state
-    gate, gates = first.joint_unitary, None
+    gate, psi, own = first.joint_unitary, None, {}
     # sample 1's axis is converted alone, so a run refused at its channel converts no other
     directions = itertools.chain.from_iterable(map(np.ndarray.tolist, (axes[1:2], axes[2:])))
     for i, n in enumerate(directions, 1):
@@ -244,19 +241,16 @@ def average_fidelity_mc(ch_builder, theta, samples, seed):
             raise ValueError("sample %d: the channel has (2j+1, 2k+1) = (%d, %d), sample 0's (%d, %d)"
                              % (i, ch.j.doubled + 1, ch.k.doubled + 1, dc, d))
         programs[i] = ch.program_state
-        if gates is not None:
-            gates[i] = ch.joint_unitary
-        elif ch.joint_unitary is not gate:
-            if samples * (dim + d * d + dim * dim) > MC_BUDGET:
-                raise ValueError("sample %d holds another gate than sample 0: a Monte-Carlo stack of %d "
-                                 "samples x (%d + %d^2 + %d^2) entries exceeds the budget of %d"
-                                 % (i, samples, dim, d, dim, MC_BUDGET))
-            gates = np.empty((samples, dim, dim), dtype=complex)
-            gates[:i] = gate
-            gates[i] = ch.joint_unitary
-    psi = haar_state(rng, d, (samples,))
+        if ch.joint_unitary is not gate:  # evaluated now: no sample's gate outlives its sample
+            if psi is None:
+                psi = haar_state(rng, d, (samples,))
+            own[i] = ch.joint_unitary @ np.kron(programs[i], psi[i])
+    if psi is None:
+        psi = haar_state(rng, d, (samples,))
     joint = (programs[:, :, None] * psi[:, None, :]).reshape(samples, dim)  # |phi> (x) |psi>
-    out = joint @ gate.T if gates is None else (gates @ joint[:, :, None])[:, :, 0]
+    out = joint @ gate.T
+    for i, row in own.items():
+        out[i] = row
     ops = make_spin_operators(first.k)
     w, v = np.linalg.eigh(np.einsum("nc,cij->nij", axes, np.array([ops.jx, ops.jy, ops.jz])))
     # V psi = v e^{-i theta w} v^dag psi
@@ -296,7 +290,7 @@ def worst_case_fidelity(ch: ProgramChannel | KrausChannel, target_gate, grid: in
     on a stack of one family.  Exact for a qubit target, and for a spin-1
     target (d = 3) when each V^dag K_a has its nonzero entries on one diagonal,
     as those of a program along the rotation axis do; otherwise an upper bound
-    from the chart search, the only route `grid` (>= 8) applies to.
+    from the chart search, the only route `grid` (an integer >= 8) applies to.
 
     Returns (value, argmin_state), with value the fidelity of that state.
     """
@@ -340,7 +334,10 @@ def _worst_cases(mats, grid=CHART_GRID):
 def _chart_axes(d, count, one_diagonal, grid=CHART_GRID):
     """The axes of the chart grid that `_chart_search` searches for d
     amplitudes and `count` Kraus operators, with the phase of psi_1 held at 0
-    when `one_diagonal`; a grid over the WORST_CASE_BUDGET is refused."""
+    when `one_diagonal`; a grid that is not an integer >= 8, or one over the
+    WORST_CASE_BUDGET, is refused."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)):
+        raise ValueError("grid must be an integer, got %r" % (grid,))
     if grid < 8:
         raise ValueError("grid must be >= 8")
     nmag = max(6, grid // 2)

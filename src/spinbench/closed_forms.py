@@ -131,10 +131,13 @@ def folded_angle(theta: float) -> float:
     is; any other finite theta as |atan2(sin theta, cos theta)|, which keeps
     the reduced angle exact to rounding at any |theta|, where theta - tau in
     floating point would lose the conditional angle tau.  A non-finite theta
-    is refused with ValueError.
+    is refused with ValueError, and so is a theta that is not a real number.
     """
-    if 0.0 <= theta <= math.pi:
-        return theta
+    try:
+        if 0.0 <= theta <= math.pi:
+            return theta
+    except TypeError:  # as_angle names it
+        pass
     as_angle(theta)
     return abs(math.atan2(math.sin(theta), math.cos(theta)))
 
@@ -238,8 +241,12 @@ def coupling_angle(j, theta: float) -> float:
 
 def interaction_time(j, theta: float, coupling_constant: float) -> float:
     """Evolution time t = f(theta) / ((2j+1) alpha) of the Heisenberg pulse (hbar = 1);
-    a non-finite theta, or an alpha outside (0, inf), is refused with ValueError."""
-    if not (-math.inf < theta < math.inf and 0.0 < coupling_constant < math.inf):  # a NaN fails too
+    a theta that is not a finite real number, or an alpha outside (0, inf), is refused with ValueError."""
+    try:
+        valid = -math.inf < theta < math.inf and 0.0 < coupling_constant < math.inf  # a NaN fails too
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
         raise ValueError("need a finite theta and a coupling constant in (0, inf), got %r and %r"
                          % (theta, coupling_constant))
     jv = as_spin(j, "program spin").value

@@ -189,10 +189,11 @@ def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
     """`simulate_spin_k` at each point of the grid `js` x `thetas`, 2j major (interaction angles
     `fs`, one per point, by default the folded angles) as one stacked evaluation: one list of
     values over the grid, each computed as at one point, and every check run at every point, a
-    failure naming its angle.  fs of another shape than one f per point, and a non-finite
-    angle, are refused with ValueError before any work, a given f named by its theta.  Every
-    point has 2k+1 Kraus operators, so the grid is one stack, and its worst cases are one call
-    of `channel_lab._worst_cases`, which picks their route.
+    failure naming its angle.  fs of another shape than one f per point (a ragged one too), and
+    an angle that is not a finite real number, are refused with ValueError before any work, a
+    given f named by its theta.  Every point has 2k+1 Kraus operators, so the grid is one
+    stack, and its worst cases are one call of `channel_lab._worst_cases`, which picks their
+    route.
     """
     js, k = [as_spin(j, "program spin") for j in js], as_spin(k, "target spin")
     if fs is None:
@@ -200,12 +201,18 @@ def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
         fs = thetas * len(js)
     else:
         thetas = [as_angle(theta) for theta in thetas]
-        if np.shape(fs) != (len(js) * len(thetas),):
+        try:
+            shape = np.shape(fs)
+        except ValueError:  # a ragged nesting has no shape
+            shape = "(ragged)"
+        if shape != (len(js) * len(thetas),):
             raise ValueError("fs has shape %s, expected (%d,): one f per point of the %d x %d grid"
-                             % (np.shape(fs), len(js) * len(thetas), len(js), len(thetas)))
+                             % (shape, len(js) * len(thetas), len(js), len(thetas)))
         for theta, f in zip(thetas * len(js), fs):
-            if not -math.inf < f < math.inf:  # as_angle's test, with the point's theta named
-                raise ValueError("theta = %r: interaction angle f must be finite, got %r" % (theta, f))
+            try:
+                as_angle(f, "interaction angle f")
+            except ValueError as exc:  # with the point's theta named
+                raise ValueError("theta = %r: %s" % (theta, exc)) from None
     d = k.doubled + 1
     _check_dimension(d)
     if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work

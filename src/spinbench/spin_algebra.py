@@ -126,8 +126,12 @@ def as_spin(x, what) -> HalfInteger:
 
 
 def as_angle(x, what="theta"):
-    """x, refused unless finite (NaN too) by a ValueError naming the angle `what`."""
-    if not -math.inf < x < math.inf:
+    """x, refused unless a finite real number (NaN too) by a ValueError naming the angle `what`."""
+    try:
+        finite = -math.inf < x < math.inf
+    except TypeError:  # None, a string, a complex number
+        raise ValueError("%s must be a real number, got %r" % (what, x)) from None
+    if not finite:
         raise ValueError("%s must be finite, got %r" % (what, x))
     return x
 

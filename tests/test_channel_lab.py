@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -565,6 +566,10 @@ def test_spin_one_worst_case_needs_no_search(monkeypatch):
     ch = ProgramChannel(heisenberg_gate(j, k, 2.0), spin_coherent_state(j, Z_AXIS), j, k)
     with pytest.raises(ValueError, match="grid must be >= 8"):
         worst_case_fidelity(ch, rotation_unitary(make_spin_operators(k), Z_AXIS, 2.0), grid=4)
+    cyclic = np.eye(3)[[1, 2, 0]]  # sends the identity family off one diagonal, onto the chart
+    for grid in (8.5, 16.0, "16", None, True):
+        with pytest.raises(ValueError, match="^grid must be an integer, got %s$" % re.escape(repr(grid))):
+            worst_case_fidelity(KrausChannel(np.eye(3)[None]), cyclic, grid=grid)
 
 
 @pytest.mark.parametrize("shift", [1e-9, math.nan])
@@ -850,29 +855,50 @@ def test_monte_carlo_with_a_gate_per_sample_matches_sample_by_sample_loop(two_k)
     assert abs(mean - want_mean) <= 1e-14 and abs(stderr - want_stderr) <= 1e-14
 
 
-def test_monte_carlo_refuses_an_over_budget_gate_stack_before_it_is_allocated():
+def test_monte_carlo_with_a_gate_per_sample_holds_no_stack_of_gates():
     import tracemalloc
 
-    j, k, samples = HalfInteger(63), HalfInteger(3), 1000
-    dim = 64 * 4
-    assert samples * (dim + 4**2) <= channel_lab.MC_BUDGET < samples * (dim + 4**2 + dim**2)
-    built = []
+    j, k, samples = HalfInteger(20), HalfInteger(1), 200
+    dim = 21 * 2
     builder = _gate_per_axis(j, k)
-
-    def counting(n):
-        built.append(n)
-        return builder(n)
-
+    average_fidelity_mc(builder, 2.0, 2, seed=1)  # imports and caches load outside the trace
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^sample 1 holds another gate.*exceeds the budget"):
-            average_fidelity_mc(counting, 2.0, samples, seed=1)
+        mean, stderr = average_fidelity_mc(builder, 2.0, samples, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(built) == 2
-    # two gates and the program states: the stack of gates would take 1 GiB
-    assert peak < samples * dim**2 * 16 / 16
+    assert 0.0 < mean <= 1.0 and stderr > 0.0
+    # each sample is evaluated as its channel is built: a stack of the gates would take 5.6 MB
+    assert peak < samples * dim**2 * 16 / 4
+
+
+def test_monte_carlo_with_a_fresh_copy_of_one_gate_per_sample_matches_the_shared_gate():
+    j, k, theta = HalfInteger(7), HalfInteger(1), 2.0
+    u = heisenberg_gate(j, k, coupling_angle(j.value, theta))
+
+    class Double:  # the attributes average_fidelity_mc reads, with no check of the gate
+        def __init__(self, gate, n):
+            self.j, self.k, self.joint_unitary = j, k, gate
+            self.program_state = spin_coherent_state(j, n)
+
+    shared = average_fidelity_mc(lambda n: Double(u, n), theta, 400, seed=4)
+    copies = average_fidelity_mc(lambda n: Double(u.copy(), n), theta, 400, seed=4)
+    assert abs(copies[0] - shared[0]) <= 1e-15 and abs(copies[1] - shared[1]) <= 1e-15
+
+
+def test_monte_carlo_refuses_other_spins_after_a_sample_with_another_gate():
+    built = []
+
+    def builder(n):
+        j = HalfInteger(2) if len(built) == 2 else HalfInteger(3)
+        u = heisenberg_gate(j, HalfInteger(1), 1.0 if len(built) == 0 else 2.0)
+        built.append(n)
+        return ProgramChannel(u, spin_coherent_state(j, n), j, HalfInteger(1))
+
+    with pytest.raises(ValueError, match="^sample 2: "):
+        average_fidelity_mc(builder, 2.0, 5, seed=1)
+    assert len(built) == 3
 
 
 def test_monte_carlo_refuses_a_non_finite_angle_before_building():

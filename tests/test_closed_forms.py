@@ -184,8 +184,9 @@ def test_interaction_time():
     assert abs(t - coupling_angle(j, theta) / (5.0 * alpha)) < 1e-15
     assert abs(interaction_time(0.5, PI, 1.0) - PI / 2.0) < 1e-12
     for bad_theta, alpha in ((math.nan, 1.0), (math.inf, 1.0), (theta, 0.0), (theta, -1.0),
-                             (theta, math.nan), (theta, math.inf)):
-        with pytest.raises(ValueError):
+                             (theta, math.nan), (theta, math.inf), (None, 1.0), ("1.0", 1.0), (1j, 1.0),
+                             (theta, None)):
+        with pytest.raises(ValueError, match="^need a finite theta and a coupling constant in"):
             interaction_time(1.5, bad_theta, alpha)
 
 

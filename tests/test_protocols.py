@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -473,6 +474,16 @@ def test_a_non_finite_angle_is_an_input_error(entry, angle):
         call(angle)
 
 
+@pytest.mark.parametrize("angle", [None, "1.0", 1j])
+@pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+def test_a_non_real_angle_is_an_input_error(entry, angle):
+    # refused by spin_algebra.as_angle, as a ValueError naming the angle, before a comparison
+    # with a float raises TypeError on it
+    what, call = ANGLE_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^%s must be a real number, got %s$" % (what, re.escape(repr(angle)))):
+        call(angle)
+
+
 def _feasible_params():
     return params_from_gammas(1.5, 0.5, 0.5, 0.0)
 
@@ -636,11 +647,17 @@ def test_a_grid_refuses_interaction_angles_of_another_shape(monkeypatch):
             ([3, 4], [0.3], [0.3], r"\(1,\)"),
             ([3, 4], [0.3, 2.0], [[0.3, 2.0], [0.3, 2.0]], r"\(2, 2\)"),
             ([3], [0.3], 0.3, r"\(\)"),
-            ([3], [0.3], [], r"\(0,\)")):
+            ([3], [0.3], [], r"\(0,\)"),
+            ([1, 2], [0.3], [[0.3], [0.3, 2.0]], r"\(ragged\)")):  # no array shape at all
         want = r"^fs has shape %s, expected \(%d,\): one f per point of the %d x %d grid$" % (
             given, len(spins) * len(thetas), len(spins), len(thetas))
         with pytest.raises(ValueError, match=want):
             protocols.simulate_strategies(spins, 0.5, thetas, fs)
+    # an f that is not a number is refused as a non-finite one is, by its point's theta
+    for fs in (["a", 0.3], [None, 0.3]):
+        want = r"^theta = 0\.3: interaction angle f must be a real number, got %r$" % fs[0]
+        with pytest.raises(ValueError, match=want):
+            protocols.simulate_strategies([1, 2], 0.5, [0.3], fs)
 
 
 def test_an_empty_grid_gives_empty_lists():
