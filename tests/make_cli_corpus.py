@@ -65,6 +65,11 @@ def corpus_argv():
     # MO quadrature over spins far apart, in one sweep
     argv.append(["sweep", "--two-j-range", "1:2001:40", "--thetas", "0.3,2.0,pi",
                  "--methods", "mo_exact,mo_sim", "--format", "json"])
+    # repeated spins and angles, a signed zero angle and zero uncertainties,
+    # which a writer that formats each distinct field once must keep apart
+    argv += [["sweep", "--two-j-range", "3,3,5", "--thetas=0,-0,pi,pi", "--methods", ALL_METHODS] + fmt
+             for fmt in ([], ["--format", "json"])]
+    argv.append(["spin-k", "--two-j", "41", "--two-k", "2", "--theta", "2.0", "--format", "json"])
     # every verdict, a zero std_err, the 2j = 3, theta = pi anchor, each kind of
     # malformed row, non-finite fields, a label with a quote, a backslash and a
     # non-ASCII character, and a row with a field past the header's
