@@ -8,10 +8,12 @@ with schema tag "spinbench/1"; identical invocations produce identical bytes.
 A sweep runs on one thread: its --threads is checked (>= 1), echoed in the
 JSON, and ignored.
 
-A report row is a `FidelityReport`, a plain named tuple; the row builders
-evaluate the closed forms through `closed_forms`' plain-float kernels, and
-`check_reports` checks every row in one pass before a writer formats a byte
-(and every row `read_reports_csv` reads).
+A report is a `ReportColumns`, one list per field, from the row builders to
+the writers: the builders evaluate the closed forms through `closed_forms`'
+plain-float kernels, `check_reports` checks every row in one pass before a
+writer formats a byte, and the writers format each distinct spin, angle, step,
+method and note once.  A row is a `FidelityReport`, a plain named tuple, as
+`read_reports_csv` returns it (checked too).
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -29,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Optional
 
 from . import closed_forms, protocols, recycling
@@ -62,7 +64,7 @@ RESULT_FIELDS = CERTIFY_FIELDS + ("mo_benchmark", "optimal_fidelity", "z_score",
 
 
 class FidelityReport(NamedTuple):
-    """One report row; `check_reports` checks it before it is written."""
+    """One report row, as `read_reports_csv` returns it."""
     two_j: int
     two_k: int
     theta_rad: float
@@ -73,12 +75,34 @@ class FidelityReport(NamedTuple):
     step: Optional[int] = None
 
 
-def check_reports(rows):
-    """Refuse the first row of `rows` (a list of FidelityReports) that no report may hold: an unknown
-    method or a negative uncertainty (ValueError), a non-finite angle, value or uncertainty,
-    or a value outside [0, 1] on a row that is not asymptotic (ToleranceError)."""
+class ReportColumns(NamedTuple):
+    """A report as one list per field of `FidelityReport`, in its order: row i is entry i of each.
+    The row builders return one, and `check_reports` checks it before a writer formats a byte."""
+    two_j: list
+    two_k: list
+    theta_rad: list
+    method: list
+    value: list
+    uncertainty: list
+    mode_notes: list
+    step: list
+
+
+def report_columns(report):
+    """`report` as ReportColumns: a ReportColumns as it is, rows (FidelityReports) transposed."""
+    if isinstance(report, ReportColumns):
+        return report
+    return ReportColumns._make(list(map(list, zip(*report))) or ([] for _ in ReportColumns._fields))
+
+
+def check_reports(report):
+    """Refuse the first row of `report` (ReportColumns, or a list of FidelityReports) that no
+    report may hold: an unknown method or a negative uncertainty (ValueError), a non-finite
+    angle, value or uncertainty, or a value outside [0, 1] on a row that is not asymptotic
+    (ToleranceError)."""
+    _, _, thetas, methods, values, uncertainties, notes, _ = report_columns(report)
     inf = math.inf
-    for _, _, theta, method, value, uncertainty, notes, _ in rows:
+    for theta, method, value, uncertainty, note in zip(thetas, methods, values, uncertainties, notes):
         if method not in METHODS:
             raise ValueError("unknown method %r" % (method,))
         # the writers print floats with repr, which JSON has no token for
@@ -93,7 +117,7 @@ def check_reports(rows):
         # mode_notes) may leave [0, 1] at small j; everything exact or
         # simulated must stay inside
         if not (-1e-12 <= value <= 1.0 + 1e-12 or method.endswith("_asymptotic")
-                or "asymptotic" in notes.split(";")):
+                or "asymptotic" in note.split(";")):
             raise ToleranceError("%s value %r escapes [0, 1]" % (method, value))
 
 
@@ -228,42 +252,37 @@ def spin_k_rows(two_j, two_k, theta):
     else:
         sim = protocols.simulate_spin_k(j, k, theta)
     mo_val = protocols.simulate_spin_k_mo(j, k, theta)
-    asym_avg = closed_forms.spin_k_fidelity_asymptotic(j, k, theta).value
-    asym_mo = closed_forms.spin_k_mo_asymptotic(j, k, theta).value
-    asym_w = closed_forms.spin_k_worst_case_asymptotic(j, k, theta).value
-    return [
-        FidelityReport(two_j, two_k, theta, "spin_k_sim", sim.average,
-                       abs(sim.average - asym_avg),
-                       "entanglement=%s" % format_float(sim.entanglement)),
-        FidelityReport(two_j, two_k, theta, "worst_case", sim.worst_case,
-                       abs(sim.worst_case - asym_w), "chart_upper_bound" if two_k >= 3 else "",
-                       step=0),
-        FidelityReport(two_j, two_k, theta, "mo_sim", mo_val, abs(mo_val - asym_mo),
-                       "gauss_jacobi_nodes=%d" % (two_k + 1)),
-        FidelityReport(two_j, two_k, theta, "opt_asymptotic", asym_avg),
-        FidelityReport(two_j, two_k, theta, "mo_asymptotic", asym_mo),
-        FidelityReport(two_j, two_k, theta, "worst_case", asym_w, 0.0, "asymptotic", step=1),
-    ]
+    terms = closed_forms._large_j_terms(k)
+    asym_avg, asym_mo, asym_w = (closed_forms._large_j_value(j.value, *terms[form], theta)
+                                 for form in ("average", "mo", "worst_case"))
+    return ReportColumns(
+        [two_j] * 6, [two_k] * 6, [theta] * 6,
+        ["spin_k_sim", "worst_case", "mo_sim", "opt_asymptotic", "mo_asymptotic", "worst_case"],
+        [sim.average, sim.worst_case, mo_val, asym_avg, asym_mo, asym_w],
+        [abs(sim.average - asym_avg), abs(sim.worst_case - asym_w), abs(mo_val - asym_mo), 0.0, 0.0, 0.0],
+        ["entanglement=%s" % format_float(sim.entanglement), "chart_upper_bound" if two_k >= 3 else "",
+         "gauss_jacobi_nodes=%d" % (two_k + 1), "", "", "asymptotic"],
+        [None, 0, None, None, None, 1])
 
 
 def longevity_rows(two_j, theta, n_max):
     j = HalfInteger(two_j)
     curve = recycling.recycling_curve(j, theta, n_max)
     life = recycling.curve_longevity(j, theta, curve)
-    bench = closed_forms._mo_value(j.value, theta)
-    rows = []
-    for n, value in curve.points:
-        notes = curve.mode
-        if life.steps == n:
-            notes += ";crossing;asymptotic_L=%s" % format_float(life.asymptotic)
-        rows.append(FidelityReport(two_j, 1, theta, "recycling", value, 0.0, notes, n))
-    bench_notes = "benchmark" if life.steps is not None else "benchmark;no_crossing_within_n_max"
-    rows.append(FidelityReport(two_j, 1, theta, "mo_exact", bench, 0.0, bench_notes))
-    return rows
+    steps = [n for n, _ in curve.points]
+    notes = [curve.mode] * len(steps)
+    if life.steps is not None:
+        notes[steps.index(life.steps)] += ";crossing;asymptotic_L=%s" % format_float(life.asymptotic)
+    rows = len(steps) + 1
+    return ReportColumns(
+        [two_j] * rows, [1] * rows, [theta] * rows, ["recycling"] * len(steps) + ["mo_exact"],
+        [value for _, value in curve.points] + [closed_forms._mo_value(j.value, theta)], [0.0] * rows,
+        notes + ["benchmark" if life.steps is not None else "benchmark;no_crossing_within_n_max"],
+        steps + [None])
 
 
 def sweep_rows(two_j_values, thetas, methods):
-    """Rows of every (2j, theta) point, 2j major, each point's `methods` in canonical order.
+    """The report of every (2j, theta) point, 2j major, each point's `methods` in canonical order.
     Each method is one column over the grid: a closed form is one kernel call per point, and
     the MO and strategy simulations are one stacked evaluation each over the whole grid."""
     js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
@@ -285,28 +304,33 @@ def sweep_rows(two_j_values, thetas, methods):
     def residuals(simulated, forms):
         return [abs(x - v) for x, v in zip(simulated, forms)]
 
-    zeros = repeat(0.0)
-    rows = [None] * (len(grid_theta) * len(methods))
+    width, rows = len(methods), len(grid_theta) * len(methods)
+    zeros = [0.0] * len(grid_theta)
+    # a row is a (point, method) pair, so each method's column fills every width-th row
+    values, uncertainties, notes = [None] * rows, [None] * rows, [""] * rows
     for column, method in enumerate(methods):
         if method == "opt_exact":
-            values, uncertainties = fo, zeros
-            notes = [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in grid_two_j]
+            values[column::width], uncertainties[column::width] = fo, zeros
+            notes[column::width] = [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in grid_two_j]
         elif method == "opt_asymptotic":
-            values, uncertainties, notes = large_j("average"), zeros, repeat("")
+            values[column::width], uncertainties[column::width] = large_j("average"), zeros
         elif method == "mo_exact":
-            values, uncertainties, notes = fm, zeros, repeat("")
+            values[column::width], uncertainties[column::width] = fm, zeros
         elif method == "mo_asymptotic":
-            values, uncertainties, notes = large_j("mo"), zeros, repeat("")
+            values[column::width], uncertainties[column::width] = large_j("mo"), zeros
         elif method == "heisenberg_sim":
-            values, uncertainties, notes = average, residuals(average, fo), repeat("")
+            values[column::width], uncertainties[column::width] = average, residuals(average, fo)
         elif method == "mo_sim":
-            values, uncertainties, notes = mo, residuals(mo, fm), repeat("gauss_jacobi_nodes=2")
+            values[column::width], uncertainties[column::width] = mo, residuals(mo, fm)
+            notes[column::width] = ["gauss_jacobi_nodes=2"] * len(grid_theta)
         else:  # worst_case
-            values, uncertainties = worst_case, residuals(worst_case, large_j("worst_case"))
-            notes = repeat("vs_asymptotic")
-        rows[column::len(methods)] = map(FidelityReport._make, zip(
-            grid_two_j, repeat(1), grid_theta, repeat(method), values, uncertainties, notes, repeat(None)))
-    return rows
+            values[column::width] = worst_case
+            uncertainties[column::width] = residuals(worst_case, large_j("worst_case"))
+            notes[column::width] = ["vs_asymptotic"] * len(grid_theta)
+    return ReportColumns(
+        [two_j for two_j in grid_two_j for _ in methods], [1] * rows,
+        [theta for theta in grid_theta for _ in methods], list(methods) * len(grid_theta),
+        values, uncertainties, notes, [None] * rows)
 
 
 # ---------------------------------------------------------------------------
@@ -315,36 +339,113 @@ def sweep_rows(two_j_values, thetas, methods):
 
 def _csv_field(text):
     """`text` as csv.writer(..., lineterminator="\\n") writes it as the second field of a row."""
+    if "," not in text and '"' not in text and "\n" not in text and "\r" not in text:
+        return text  # nothing csv quotes, in any Python version
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["", text])
     return buf.getvalue()[1:-1]
 
 
-def write_reports_csv(rows, fh):
-    """The bytes csv.writer(fh, lineterminator="\\n") writes for the header and `rows` (a list),
-    checked by `check_reports` first, in one template pass: a field csv quotes is only ever a
-    mode_notes (the others are numbers and method names), so each distinct one is quoted once."""
-    check_reports(rows)
-    notes_text = {notes: _csv_field(notes) for notes in {row.mode_notes for row in rows}}
-    fh.write(",".join(CSV_FIELDS) + "\n")
-    fh.write("".join(["%s,%s,%s,%s,%s,%s,%s,%s\n" % (
-        two_j, two_k, format_float(theta), method, "" if step is None else step,
-        format_float(value), format_float(uncertainty), notes_text[notes])
-        for two_j, two_k, theta, method, value, uncertainty, notes, step in rows]))
+# the rows a writer formats and writes at a time, so that it holds no text of a whole wide report
+_CHUNK_ROWS = 4096
+
+
+class _Layout(NamedTuple):
+    """How a format writes a report row: each field's text after the text in `keys` (one per
+    field in CSV_FIELDS order; the first opens the row), fields joined by `separator`, `end`
+    after the last, a method as in `methods`, a mode_notes by `quote` and a step of None as
+    `null`."""
+    keys: tuple
+    separator: str
+    end: str
+    methods: dict
+    quote: object
+    null: str
+
+
+_CSV = _Layout(("",) * 8, ",", "", {method: method for method in METHODS}, _csv_field, "")
+_JSON = _Layout(('    {\n      "two_j": ',) + tuple('"%s": ' % field for field in CSV_FIELDS[1:]),
+                ",\n      ", "\n    }",
+                {method: '"method": ' + json.encoder.encode_basestring_ascii(method) for method in METHODS},
+                json.encoder.encode_basestring_ascii, "null")
+
+
+def _once(text, column):
+    """A function that gives text(x) for an entry x of `column`, formed once for each distinct x."""
+    return {x: text(x) for x in set(column)}.__getitem__
+
+
+def _angle_text(key, column):
+    """`_once` of key + repr(x) for a column of floats, where 0.0 == -0.0 but each prints its own sign."""
+    distinct = set(column)
+    texts = {x: key + repr(x) for x in distinct if x}
+    return texts.__getitem__ if len(texts) == len(distinct) else (lambda x: texts[x] if x else key + repr(x))
+
+
+def _report_texts(report, layout):
+    """Check `report` (see `check_reports`), then give its rows as text in `layout`, _CHUNK_ROWS
+    rows at a time: one iterable per field in CSV_FIELDS order, but one for the value and the
+    uncertainty together, to be joined by layout.separator.  Ints are written by str and floats
+    by repr, a +0.0 uncertainty as the literal "0.0"; each distinct 2j, 2k, theta, step and
+    note is formatted once."""
+    report = report_columns(report)
+    check_reports(report)
+    two_j, two_k, theta, method, value, uncertainty, notes, step = report
+    keys, separator, end, methods, quote, null = layout
+    two_j_text = _once((keys[0] + "%s").__mod__, two_j)
+    two_k_text = _once((keys[1] + "%s").__mod__, two_k)
+    theta_text = _angle_text(keys[2], theta)
+    step_text = _once(lambda s: keys[4] + (null if s is None else str(s)), step)
+    notes_text = _once(lambda note: keys[7] + quote(note) + end, notes)
+    value_key, uncertainty_key = keys[5], separator + keys[6]
+    copysign = math.copysign
+
+    def chunk(lo):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        return (map(two_j_text, two_j[rows]), map(two_k_text, two_k[rows]), map(theta_text, theta[rows]),
+                map(methods.__getitem__, method[rows]), map(step_text, step[rows]),
+                [value_key + repr(v) + uncertainty_key + (repr(u) if u or copysign(1.0, u) < 0 else "0.0")
+                 for v, u in zip(value[rows], uncertainty[rows])],
+                map(notes_text, notes[rows]))
+    return map(chunk, range(0, len(value), _CHUNK_ROWS))
+
+
+_CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
+
+
+def _csv_report(report):
+    """The texts of a CSV report, its header first; `report` is checked by this call."""
+    chunks = _report_texts(report, _CSV)
+    return chain([_CSV_HEADER], ("\n".join(map(",".join, zip(*columns))) + "\n" for columns in chunks))
+
+
+def write_reports_csv(report, fh):
+    """The bytes csv.writer(fh, lineterminator="\\n") writes for the header and the rows of
+    `report` (ReportColumns, or FidelityReports), checked by `check_reports` first: a field csv
+    quotes is only ever a mode_notes (the others are numbers and method names), so each distinct
+    one is quoted once, by `csv` itself when it needs quotes (see `_report_texts`)."""
+    fh.writelines(_csv_report(report))
 
 
 def read_reports_csv(fh):
-    """The rows of a CSV report, checked by `check_reports`."""
+    """The rows of a CSV report, checked by `check_reports`; a row with more or fewer fields
+    than the header is refused with ValueError."""
     reader = csv.DictReader(fh)
     if reader.fieldnames != list(CSV_FIELDS):
         raise ValueError("unexpected CSV header %r" % (reader.fieldnames,))
-    rows = [FidelityReport(
-        two_j=int(rec["two_j"]), two_k=int(rec["two_k"]),
-        theta_rad=float(rec["theta_rad"]), method=rec["method"],
-        value=float(rec["value"]), uncertainty=float(rec["uncertainty"]),
-        mode_notes=rec["mode_notes"],
-        step=int(rec["step"]) if rec["step"] != "" else None,
-    ) for rec in reader]
+    rows = []
+    for lineno, rec in enumerate(reader, start=2):
+        # DictReader keeps the fields past the header's under None, and fills missing ones with None
+        fields = len(CSV_FIELDS) + len(rec.get(None, ())) - list(rec.values()).count(None)
+        if fields != len(CSV_FIELDS):
+            raise ValueError("line %d: row has %d fields, the header %d" % (lineno, fields, len(CSV_FIELDS)))
+        rows.append(FidelityReport(
+            two_j=int(rec["two_j"]), two_k=int(rec["two_k"]),
+            theta_rad=float(rec["theta_rad"]), method=rec["method"],
+            value=float(rec["value"]), uncertainty=float(rec["uncertainty"]),
+            mode_notes=rec["mode_notes"],
+            step=int(rec["step"]) if rec["step"] != "" else None,
+        ))
     check_reports(rows)
     return rows
 
@@ -362,50 +463,52 @@ def _json_row(fields):
     return "    {\n%s\n    }" % ",\n".join('      "%s": %%s' % field for field in fields)
 
 
-_JSON_ROW = _json_row(CSV_FIELDS)
 _RESULT_ROW = _json_row(RESULT_FIELDS)
 
 
-def _write_json(doc, key, cells, template, fh):
-    """The bytes of json.dumps(doc, indent=2) and a newline, once doc[key], the empty list in
-    `doc`, holds one row per tuple of `cells`: the JSON texts of the row's values, put into
-    `template` by one format instead of the pure-Python encoder that `indent` selects."""
-    text = json.dumps(doc, indent=2)
-    if cells:  # a string's newline is escaped, so the key's line is the document's own
-        text = text.replace('\n  "%s": []' % key, '\n  "%s": [\n%s\n  ]' % (
-            key, ",\n".join([template % c for c in cells])), 1)
-    fh.write(text + "\n")
+def _json_document(doc, key, items):
+    """The texts of json.dumps(doc, indent=2) and a newline, once doc[key], the empty list in
+    `doc`, holds the items of `items`: texts of consecutive items, each as json lays out an item
+    of the list and joined by ",\\n", passed on as they come instead of through the pure-Python
+    encoder that `indent` selects."""
+    # a string's newline is escaped, so the key's line is the document's own
+    head, opening, tail = json.dumps(doc, indent=2).partition('\n  "%s": [' % key)
+    yield head + opening
+    separator = "\n"
+    for text in items:
+        yield separator + text
+        separator = ",\n"
+    yield ("\n  " if separator == ",\n" else "") + tail + "\n"
 
 
-def write_reports_json(rows, command, extra, fh):
-    """The bytes of json.dumps(_rows_to_json(command, rows, extra), indent=2)
-    and a newline (see `_write_json`).  The rows (a list) are checked by `check_reports`
-    first, so their floats are finite and their repr is JSON's; strings go
-    through json's own ASCII escaper."""
-    check_reports(rows)
-    quote = json.encoder.encode_basestring_ascii
-    _write_json(_rows_to_json(command, [], extra), "rows", [(
-        two_j, two_k, format_float(theta), quote(method), "null" if step is None else step,
-        format_float(value), format_float(uncertainty), quote(notes),
-    ) for two_j, two_k, theta, method, value, uncertainty, notes, step in rows], _JSON_ROW, fh)
+def _json_report(report, command, extra):
+    """The texts of a JSON report (see `write_reports_json`); `report` is checked by this call."""
+    chunks = _report_texts(report, _JSON)
+    return _json_document(_rows_to_json(command, [], extra), "rows",
+                          (",\n".join(map(_JSON.separator.join, zip(*columns))) for columns in chunks))
 
 
-def _emit(rows, command, fmt, out_path, extra=None):
-    buf = io.StringIO()
-    if fmt == "json":
-        write_reports_json(rows, command, extra, buf)
-    else:
-        write_reports_csv(rows, buf)
-    _write(buf.getvalue(), out_path)
+def write_reports_json(report, command, extra, fh):
+    """The bytes of json.dumps(_rows_to_json(command, rows, extra), indent=2) and a newline (see
+    `_json_document`), for the rows of `report` (ReportColumns, or FidelityReports).  They are
+    checked by `check_reports` first, so their floats are finite and their repr is JSON's;
+    strings go through json's own ASCII escaper."""
+    fh.writelines(_json_report(report, command, extra))
 
 
-def _write(payload, out_path):
-    """Write to `out_path`, or to stdout when it is not given."""
+def _emit(report, command, fmt, out_path, extra=None):
+    """Write `report` as `fmt`: checked before the output is opened, then written as it is
+    formatted, so that a refused report writes nothing and a wide one is never held as text."""
+    _write(_json_report(report, command, extra) if fmt == "json" else _csv_report(report), out_path)
+
+
+def _write(texts, out_path):
+    """Write `texts` to `out_path`, or to stdout when it is not given."""
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(payload)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +563,25 @@ def _certify_doc(results, row_errors):
             "row_errors": row_errors, "summary": summary}
 
 
-def write_certify_json(results, row_errors, fh):
-    """The bytes of json.dumps(_certify_doc(results, row_errors), indent=2) and a
-    newline (see `_write_json`).  The floats of a result are finite: the record's
-    are checked by `ExperimentRecord`, the closed forms' by their kernels, and a
-    z-score that is not is None."""
+def _certify_json(results, row_errors):
+    """The texts of a certify document (see `write_certify_json`)."""
     quote = json.encoder.encode_basestring_ascii
     doc = _certify_doc(results, row_errors)
     doc["results"] = []
-    _write_json(doc, "results", [(
+    return _json_document(doc, "results", [",\n".join([_RESULT_ROW % (
         quote(r["label"]), r["two_j"], format_float(r["theta_rad"]),
         format_float(r["measured_avg_fidelity"]), format_float(r["std_err"]),
         format_float(r["mo_benchmark"]), format_float(r["optimal_fidelity"]),
         "null" if r["z_score"] is None else format_float(r["z_score"]), quote(r["verdict"]),
-    ) for r in results], _RESULT_ROW, fh)
+    ) for r in results])] if results else [])
+
+
+def write_certify_json(results, row_errors, fh):
+    """The bytes of json.dumps(_certify_doc(results, row_errors), indent=2) and a
+    newline (see `_json_document`).  The floats of a result are finite: the record's
+    are checked by `ExperimentRecord`, the closed forms' by their kernels, and a
+    z-score that is not is None."""
+    fh.writelines(_certify_json(results, row_errors))
 
 
 def read_experiment_csv(fh):
@@ -521,9 +629,7 @@ def cmd_certify(args):
         print("cannot read %s: %s" % (args.input, exc), file=sys.stderr)
         return EXIT_DATA
     results = [classify_experiment(rec) for rec in records]
-    buf = io.StringIO()
-    write_certify_json(results, row_errors, buf)
-    _write(buf.getvalue(), args.out)
+    _write(_certify_json(results, row_errors), args.out)
     if not results:
         print("no usable rows in %s" % args.input, file=sys.stderr)
         return EXIT_DATA

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import HalfInteger, ToleranceError, as_angle, as_spin
+from .spin_algebra import HalfInteger, ToleranceError, _is_complex, as_angle, as_spin
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).
@@ -133,11 +133,10 @@ def folded_angle(theta: float) -> float:
     floating point would lose the conditional angle tau.  A non-finite theta
     is refused with ValueError, and so is a theta that is not a real number.
     """
-    try:
-        if 0.0 <= theta <= math.pi:
-            return theta
-    except TypeError:  # as_angle names it
-        pass
+    if type(theta) is not float:  # not a real number, or a complex one that numpy orders as if real
+        as_angle(theta)
+    if 0.0 <= theta <= math.pi:
+        return theta
     as_angle(theta)
     return abs(math.atan2(math.sin(theta), math.cos(theta)))
 
@@ -243,7 +242,8 @@ def interaction_time(j, theta: float, coupling_constant: float) -> float:
     """Evolution time t = f(theta) / ((2j+1) alpha) of the Heisenberg pulse (hbar = 1);
     a theta that is not a finite real number, or an alpha outside (0, inf), is refused with ValueError."""
     try:
-        valid = -math.inf < theta < math.inf and 0.0 < coupling_constant < math.inf  # a NaN fails too
+        valid = (-math.inf < theta < math.inf and 0.0 < coupling_constant < math.inf  # a NaN fails too
+                 and not _is_complex(theta) and not _is_complex(coupling_constant))
     except TypeError:  # not a real number
         valid = False
     if not valid:

@@ -125,9 +125,16 @@ def as_spin(x, what) -> HalfInteger:
     return s
 
 
+def _is_complex(x):
+    """Whether x is a complex number: numpy orders one by its real part first, as if it were real."""
+    return isinstance(x, (complex, np.complexfloating))
+
+
 def as_angle(x, what="theta"):
     """x, refused unless a finite real number (NaN too) by a ValueError naming the angle `what`."""
     try:
+        if type(x) is not float and _is_complex(x):  # it would pass the comparison below
+            raise TypeError
         finite = -math.inf < x < math.inf
     except TypeError:  # None, a string, a complex number
         raise ValueError("%s must be a real number, got %r" % (what, x)) from None

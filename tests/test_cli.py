@@ -187,26 +187,53 @@ def test_csv_rejects_foreign_header():
         read_reports_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
 
+@pytest.mark.parametrize("row, fields", [("3,1,1.0,opt_exact,,0.5,0.0,,extra", 9),
+                                         ("3,1,1.0,opt_exact,,0.5,0.0", 7),
+                                         ("3,1,1.0,opt_exact,,0.5", 6)])
+def test_csv_rejects_a_row_of_another_length(row, fields):
+    # a field past the header's is not dropped, and a missing one is not read as an empty note
+    text = ",".join(CSV_FIELDS) + "\n3,1,1.0,opt_exact,,0.5,0.0,\n" + row + "\n"
+    with pytest.raises(ValueError, match="^line 3: row has %d fields, the header 8$" % fields):
+        read_reports_csv(io.StringIO(text))
+
+
+def test_the_first_bad_row_is_refused():
+    # a report with two bad rows is refused by the earlier one's message, whichever it is
+    good = FidelityReport(3, 1, PI, "opt_exact", 0.5)
+    negative = FidelityReport(3, 1, PI, "opt_exact", 0.5, uncertainty=-0.1)
+    nonfinite = FidelityReport(3, 1, PI, "mo_exact", math.nan)
+    for check in (cli.check_reports, lambda rows: write_reports_csv(cli.report_columns(rows), io.StringIO())):
+        with pytest.raises(ValueError, match="^uncertainty must be >= 0$"):
+            check([good, negative, nonfinite])
+        with pytest.raises(ToleranceError, match="^mo_exact value nan is not finite$"):
+            check([good, nonfinite, negative])
+
+
 _notes = st.text(alphabet=list("abcxyz;=_ ,0123456789."), max_size=12)
+# angles from a small pool as well, so that a report repeats them, with both signed zeros
+# (equal as dict keys, but printed apart); zero uncertainties of both signs, and step 0
+_angles = st.one_of(st.sampled_from([0.0, -0.0, 0.5, PI]), st.floats(0, 2 * PI, allow_nan=False))
+_uncertainties = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 1, allow_nan=False))
+_steps = st.one_of(st.none(), st.just(0), st.integers(0, 10**6))
 _bounded = st.builds(
     FidelityReport,
     two_j=st.integers(1, 400), two_k=st.integers(1, 6),
-    theta_rad=st.floats(0, 2 * PI, allow_nan=False),
+    theta_rad=_angles,
     method=st.sampled_from(["opt_exact", "mo_exact", "recycling"]),
     value=st.floats(0, 1, allow_nan=False),
-    uncertainty=st.floats(0, 1, allow_nan=False),
+    uncertainty=_uncertainties,
     mode_notes=_notes,
-    step=st.one_of(st.none(), st.integers(0, 10**6)),
+    step=_steps,
 )
 _unbounded = st.builds(
     FidelityReport,
     two_j=st.integers(1, 400), two_k=st.integers(1, 6),
-    theta_rad=st.floats(0, 2 * PI, allow_nan=False),
+    theta_rad=_angles,
     method=st.sampled_from(["opt_asymptotic", "mo_asymptotic"]),
     value=st.floats(-3, 3, allow_nan=False),
-    uncertainty=st.floats(0, 1, allow_nan=False),
+    uncertainty=_uncertainties,
     mode_notes=_notes,
-    step=st.one_of(st.none(), st.integers(0, 10**6)),
+    step=_steps,
 )
 
 
@@ -240,9 +267,10 @@ def test_json_writer_matches_json_dumps(rows, notes, command, extra, results, ro
     # threads; certify: empty results (and so an empty summary), empty row
     # errors, a z-score of None, any text in labels and error messages
     rows = [r._replace(mode_notes=r.mode_notes + notes) for r in rows]
-    buf = io.StringIO()
-    write_reports_json(rows, command, extra, buf)
-    assert buf.getvalue() == json.dumps(cli._rows_to_json(command, rows, extra), indent=2) + "\n"
+    for report in (rows, cli.report_columns(rows)):
+        buf = io.StringIO()
+        write_reports_json(report, command, extra, buf)
+        assert buf.getvalue() == json.dumps(cli._rows_to_json(command, rows, extra), indent=2) + "\n"
     buf = io.StringIO()
     cli.write_certify_json(results, row_errors, buf)
     assert buf.getvalue() == json.dumps(cli._certify_doc(results, row_errors), indent=2) + "\n"
@@ -253,13 +281,15 @@ def test_csv_writer_matches_csv_module(rows, notes):
     # the template writer writes the bytes of csv.writer, whatever the notes
     # hold: separators, quotes, line breaks, control characters, non-ASCII
     rows = [r._replace(mode_notes=r.mode_notes + notes) for r in rows]
-    buf, want = io.StringIO(), io.StringIO()
-    write_reports_csv(rows, buf)
+    want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     writer.writerows([r.two_j, r.two_k, format_float(r.theta_rad), r.method, "" if r.step is None else r.step,
                       format_float(r.value), format_float(r.uncertainty), r.mode_notes] for r in rows)
-    assert buf.getvalue() == want.getvalue()
+    for report in (rows, cli.report_columns(rows)):
+        buf = io.StringIO()
+        write_reports_csv(report, buf)
+        assert buf.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +436,7 @@ def test_report_commands_share_one_cached_parser_and_row_schema(capsys, monkeypa
 
     def patched(two_j_values, thetas, methods):
         calls.append((two_j_values, thetas, methods))
-        return []
+        return cli.ReportColumns([], [], [], [], [], [], [], [])
 
     monkeypatch.setattr(cli, "sweep_rows", patched)
     assert main(["sweep", "--two-j-range", "3", "--thetas", "pi"]) == 0
@@ -474,6 +504,25 @@ def test_report_paths_build_no_fidelity_value(capsys, monkeypatch, tmp_path):
         "run%d,%d,%r,0.7,0.01\n" % (i, 1 + 13 * i, 0.1 * i) for i in range(30)))
     assert main(["certify", "--input", str(path)]) == 0
     assert len(json.loads(capsys.readouterr().out)["results"]) == 30
+
+
+def test_report_paths_build_no_row_tuple(capsys, monkeypatch):
+    # the row builders hand their columns to the writers (a FidelityReport is only the
+    # row type that read_reports_csv returns), and take their closed forms from the kernels
+    def refuse(name):
+        def build(*args, **kwargs):
+            raise AssertionError("a %s was built on the report path" % name)
+        return build
+
+    monkeypatch.setattr(cli, "FidelityReport", refuse("FidelityReport"))
+    monkeypatch.setattr(cli.closed_forms, "FidelityValue", refuse("FidelityValue"))
+    for argv in (["sweep", "--two-j-range", "1:6", "--thetas", "0.3,pi", "--methods", ",".join(cli.SWEEP_METHODS)],
+                 ["fidelity", "--two-j", "3", "--theta", "pi"],
+                 ["longevity", "--two-j", "41", "--theta", "pi", "--n-max", "30"],
+                 ["spin-k", "--two-j", "41", "--two-k", "2", "--theta", "2.0"]):
+        for fmt in ("csv", "json"):
+            assert main(argv + ["--format", fmt]) == 0, argv
+            assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,9 +186,12 @@ def test_interaction_time():
     assert abs(interaction_time(0.5, PI, 1.0) - PI / 2.0) < 1e-12
     for bad_theta, alpha in ((math.nan, 1.0), (math.inf, 1.0), (theta, 0.0), (theta, -1.0),
                              (theta, math.nan), (theta, math.inf), (None, 1.0), ("1.0", 1.0), (1j, 1.0),
-                             (theta, None)):
-        with pytest.raises(ValueError, match="^need a finite theta and a coupling constant in"):
-            interaction_time(1.5, bad_theta, alpha)
+                             (theta, None), (np.complex128(2 + 0j), 1.0), (np.complex64(1j), 1.0),
+                             (theta, np.complex128(1 + 0j))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns when it drops an imaginary part
+            with pytest.raises(ValueError, match="^need a finite theta and a coupling constant in"):
+                interaction_time(1.5, bad_theta, alpha)
 
 
 def test_pi_is_the_hardest_angle_and_fidelity_grows_with_j():
