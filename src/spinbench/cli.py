@@ -10,10 +10,12 @@ JSON, and ignored.
 
 A report is a `ReportColumns`, one list per field, from the row builders to
 the writers: the builders evaluate the closed forms through `closed_forms`'
-plain-float kernels, `check_reports` checks every row in one pass before a
-writer formats a byte, and the writers format each distinct spin, angle, step,
-method and note once.  A row is a `FidelityReport`, a plain named tuple, as
-`read_reports_csv` returns it (checked too).
+plain-float kernels, and `check_reports` checks every row in one pass before a
+writer formats a byte.  A row is a `FidelityReport`, a plain named tuple, as
+`read_reports_csv` returns it (checked too).  One row writer, `_report_texts`,
+serves reports (CSV and JSON) and certify (JSON, its results transposed to
+columns once): it formats each field that repeats (spin, angle, step, method,
+note, label, verdict) once per distinct entry, and any other entry by entry.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -28,10 +30,11 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple, Optional
 
 from . import closed_forms, protocols, recycling
@@ -351,63 +354,74 @@ _CHUNK_ROWS = 4096
 
 
 class _Layout(NamedTuple):
-    """How a format writes a report row: each field's text after the text in `keys` (one per
-    field in CSV_FIELDS order; the first opens the row), fields joined by `separator`, `end`
-    after the last, a method as in `methods`, a mode_notes by `quote` and a step of None as
-    `null`."""
-    keys: tuple
+    """How a format writes the rows of a document: a row is `open`, each field as its key (`key`
+    formatted with the field's name) and its text, joined by `separator`, then `end`; rows are
+    joined by `between`.  A string is written by `quote` and None as `null`."""
+    open: str
+    key: str
     separator: str
     end: str
-    methods: dict
+    between: str
     quote: object
     null: str
 
 
-_CSV = _Layout(("",) * 8, ",", "", {method: method for method in METHODS}, _csv_field, "")
-_JSON = _Layout(('    {\n      "two_j": ',) + tuple('"%s": ' % field for field in CSV_FIELDS[1:]),
-                ",\n      ", "\n    }",
-                {method: '"method": ' + json.encoder.encode_basestring_ascii(method) for method in METHODS},
-                json.encoder.encode_basestring_ascii, "null")
+_CSV = _Layout("", "", ",", "\n", "", _csv_field, "")
+_JSON = _Layout("    {\n      ", '"{}": ', ",\n      ", "\n    }", ",\n", json.encoder.encode_basestring_ascii, "null")
+
+# the floats a row measures or derives: never None, seldom repeated, so formatted entry by entry
+_MEASURED = frozenset(("value", "uncertainty", "measured_avg_fidelity", "std_err", "mo_benchmark",
+                       "optimal_fidelity"))
 
 
-def _once(text, column):
-    """A function that gives text(x) for an entry x of `column`, formed once for each distinct x."""
-    return {x: text(x) for x in set(column)}.__getitem__
+@functools.cache
+def _affixes(fields, layout):
+    """Each of `fields` with the texts before and after its own in a row of `layout`, and whether
+    it is measured."""
+    return tuple((field, (layout.separator if i else layout.open) + layout.key.format(field),
+                  "" if i < len(fields) - 1 else layout.end, field in _MEASURED) for i, field in enumerate(fields))
 
 
-def _angle_text(key, column):
-    """`_once` of key + repr(x) for a column of floats, where 0.0 == -0.0 but each prints its own sign."""
-    distinct = set(column)
-    texts = {x: key + repr(x) for x in distinct if x}
-    return texts.__getitem__ if len(texts) == len(distinct) else (lambda x: texts[x] if x else key + repr(x))
+def _nullable(text, null, column):
+    """text(x) for each entry x of `column`, but `null` for None."""
+    return (null if x is None else text(x) for x in column)
 
 
-def _report_texts(report, layout):
-    """Check `report` (see `check_reports`), then give its rows as text in `layout`, _CHUNK_ROWS
-    rows at a time: one iterable per field in CSV_FIELDS order, but one for the value and the
-    uncertainty together, to be joined by layout.separator.  Ints are written by str and floats
-    by repr, a +0.0 uncertainty as the literal "0.0"; each distinct 2j, 2k, theta, step and
-    note is formatted once."""
+def _report_texts(columns, fields, layout):
+    """The rows of a document as text in `layout`, one text per _CHUNK_ROWS rows, formed as they
+    are taken: `columns` holds the entries of each of `fields`, row i being entry i of each.  Ints
+    are written by str, floats by repr, strings by layout.quote and None as layout.null.  A field
+    whose entries repeat (at most half of them distinct) is formatted once per distinct entry,
+    with its key, unless it holds a float zero (0.0 == -0.0, but each prints its own sign); any
+    other field entry by entry."""
+    quote, null = layout.quote, layout.null
+    pieces = []  # iterables over the rows: a row's text is the texts they give for it, in turn
+    for (field, before, after, measured), column in zip(_affixes(fields, layout), columns):
+        text = quote if column and type(column[0]) is str else repr
+        distinct = () if measured else set(column)
+        if distinct and 2 * len(distinct) <= len(column) and not (
+                0 in distinct and any(type(x) is float for x in distinct)):
+            texts = {x: before + (null if x is None else text(x)) + after for x in distinct}
+            pieces.append(map(texts.__getitem__, column))
+            continue
+        if before:
+            pieces.append(repeat(before))
+        pieces.append(_nullable(text, null, column) if None in distinct else map(text, column))
+        if after:
+            pieces.append(repeat(after))
+    rows = map("".join, zip(*pieces))
+    return (layout.between.join(islice(rows, _CHUNK_ROWS)) for _ in range(0, len(columns[0]), _CHUNK_ROWS))
+
+
+_in_csv_order = operator.attrgetter(*CSV_FIELDS)  # a ReportColumns' lists in CSV_FIELDS order
+
+
+def _checked_texts(report, layout):
+    """Check `report` (ReportColumns, or FidelityReports; see `check_reports`), then give its rows
+    as `_report_texts` does in `layout`, fields in CSV_FIELDS order."""
     report = report_columns(report)
     check_reports(report)
-    two_j, two_k, theta, method, value, uncertainty, notes, step = report
-    keys, separator, end, methods, quote, null = layout
-    two_j_text = _once((keys[0] + "%s").__mod__, two_j)
-    two_k_text = _once((keys[1] + "%s").__mod__, two_k)
-    theta_text = _angle_text(keys[2], theta)
-    step_text = _once(lambda s: keys[4] + (null if s is None else str(s)), step)
-    notes_text = _once(lambda note: keys[7] + quote(note) + end, notes)
-    value_key, uncertainty_key = keys[5], separator + keys[6]
-    copysign = math.copysign
-
-    def chunk(lo):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        return (map(two_j_text, two_j[rows]), map(two_k_text, two_k[rows]), map(theta_text, theta[rows]),
-                map(methods.__getitem__, method[rows]), map(step_text, step[rows]),
-                [value_key + repr(v) + uncertainty_key + (repr(u) if u or copysign(1.0, u) < 0 else "0.0")
-                 for v, u in zip(value[rows], uncertainty[rows])],
-                map(notes_text, notes[rows]))
-    return map(chunk, range(0, len(value), _CHUNK_ROWS))
+    return _report_texts(_in_csv_order(report), CSV_FIELDS, layout)
 
 
 _CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
@@ -415,15 +429,14 @@ _CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
 
 def _csv_report(report):
     """The texts of a CSV report, its header first; `report` is checked by this call."""
-    chunks = _report_texts(report, _CSV)
-    return chain([_CSV_HEADER], ("\n".join(map(",".join, zip(*columns))) + "\n" for columns in chunks))
+    return chain([_CSV_HEADER], _checked_texts(report, _CSV))
 
 
 def write_reports_csv(report, fh):
     """The bytes csv.writer(fh, lineterminator="\\n") writes for the header and the rows of
     `report` (ReportColumns, or FidelityReports), checked by `check_reports` first: a field csv
-    quotes is only ever a mode_notes (the others are numbers and method names), so each distinct
-    one is quoted once, by `csv` itself when it needs quotes (see `_report_texts`)."""
+    quotes is only ever a mode_notes (the others are numbers and method names), and a note that
+    needs quotes is quoted by `csv` itself (see `_csv_field`)."""
     fh.writelines(_csv_report(report))
 
 
@@ -458,14 +471,6 @@ def _rows_to_json(command, rows, extra=None):
     return doc
 
 
-def _json_row(fields):
-    """One row of `fields` as json.dumps(..., indent=2) lays it out in a list of the document."""
-    return "    {\n%s\n    }" % ",\n".join('      "%s": %%s' % field for field in fields)
-
-
-_RESULT_ROW = _json_row(RESULT_FIELDS)
-
-
 def _json_document(doc, key, items):
     """The texts of json.dumps(doc, indent=2) and a newline, once doc[key], the empty list in
     `doc`, holds the items of `items`: texts of consecutive items, each as json lays out an item
@@ -483,9 +488,7 @@ def _json_document(doc, key, items):
 
 def _json_report(report, command, extra):
     """The texts of a JSON report (see `write_reports_json`); `report` is checked by this call."""
-    chunks = _report_texts(report, _JSON)
-    return _json_document(_rows_to_json(command, [], extra), "rows",
-                          (",\n".join(map(_JSON.separator.join, zip(*columns))) for columns in chunks))
+    return _json_document(_rows_to_json(command, [], extra), "rows", _checked_texts(report, _JSON))
 
 
 def write_reports_json(report, command, extra, fh):
@@ -565,22 +568,17 @@ def _certify_doc(results, row_errors):
 
 def _certify_json(results, row_errors):
     """The texts of a certify document (see `write_certify_json`)."""
-    quote = json.encoder.encode_basestring_ascii
     doc = _certify_doc(results, row_errors)
     doc["results"] = []
-    return _json_document(doc, "results", [",\n".join([_RESULT_ROW % (
-        quote(r["label"]), r["two_j"], format_float(r["theta_rad"]),
-        format_float(r["measured_avg_fidelity"]), format_float(r["std_err"]),
-        format_float(r["mo_benchmark"]), format_float(r["optimal_fidelity"]),
-        "null" if r["z_score"] is None else format_float(r["z_score"]), quote(r["verdict"]),
-    ) for r in results])] if results else [])
+    columns = list(zip(*map(operator.itemgetter(*RESULT_FIELDS), results))) or [()] * len(RESULT_FIELDS)
+    return _json_document(doc, "results", _report_texts(columns, RESULT_FIELDS, _JSON))
 
 
 def write_certify_json(results, row_errors, fh):
     """The bytes of json.dumps(_certify_doc(results, row_errors), indent=2) and a
-    newline (see `_json_document`).  The floats of a result are finite: the record's
-    are checked by `ExperimentRecord`, the closed forms' by their kernels, and a
-    z-score that is not is None."""
+    newline (see `_json_document`), its results written by `_report_texts` as columns.  The
+    floats of a result are finite: the record's are checked by `ExperimentRecord`, the closed
+    forms' by their kernels, and a z-score that is not is None."""
     fh.writelines(_certify_json(results, row_errors))
 
 
@@ -623,7 +621,8 @@ def cmd_report(args):
 
 def cmd_certify(args):
     try:
-        with open(args.input, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export starts with
+        with open(args.input, newline="", encoding="utf-8-sig") as fh:
             records, row_errors = read_experiment_csv(fh)
     except OSError as exc:
         print("cannot read %s: %s" % (args.input, exc), file=sys.stderr)

@@ -1,6 +1,11 @@
 import sys
 
 import pytest
+from hypothesis import settings
+
+# `pytest --hypothesis-profile=ci` runs each property test on 1000 examples (the default is 100);
+# no per-example deadline there, as a slow runner must not fail a correct example
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

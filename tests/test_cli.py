@@ -1,9 +1,11 @@
+import codecs
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -249,10 +251,13 @@ _json_notes = st.text(alphabet=st.one_of(
 
 
 _finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1e308, -0.0, 5e-324]))
-# a certify result: its values in document order
+# a certify result: its values in document order; labels, spins, angles (both signed zeros
+# among them) and z-scores from small pools as well, so that a document repeats them
 _result = st.tuples(
-    st.text(), st.integers(1, 2**53), _finite, st.floats(0, 1), _finite, _finite, _finite,
-    st.one_of(st.none(), _finite),
+    st.one_of(st.sampled_from(["run-a", "", "\u00e9"]), st.text()),
+    st.one_of(st.sampled_from([1, 3]), st.integers(1, 2**53)),
+    st.one_of(st.sampled_from([0.0, -0.0, PI]), _finite), st.floats(0, 1), _finite, _finite, _finite,
+    st.one_of(st.none(), st.sampled_from([0.0, -0.0]), _finite),
     st.sampled_from(["quantum-enhanced", "classical-reachable", "inconclusive", "suspect-above-quantum-bound"]),
 ).map(lambda values: dict(zip(cli.RESULT_FIELDS, values)))
 _row_error = st.builds(dict, line=st.integers(2, 10**6), error=st.text())
@@ -261,7 +266,7 @@ _row_error = st.builds(dict, line=st.integers(2, 10**6), error=st.text())
 @given(st.lists(st.one_of(_bounded, _unbounded), max_size=8), _json_notes,
        st.sampled_from(["sweep", "fidelity"]),
        st.one_of(st.none(), st.builds(dict, threads=st.integers(1, 64))),
-       st.lists(_result, max_size=6), st.lists(_row_error, max_size=4))
+       st.lists(_result, max_size=8), st.lists(_row_error, max_size=4))
 def test_json_writer_matches_json_dumps(rows, notes, command, extra, results, row_errors):
     # reports: the empty row list, step None and int, extra with and without
     # threads; certify: empty results (and so an empty summary), empty row
@@ -290,6 +295,34 @@ def test_csv_writer_matches_csv_module(rows, notes):
         buf = io.StringIO()
         write_reports_csv(report, buf)
         assert buf.getvalue() == want.getvalue()
+
+
+def test_writers_cross_the_chunk_boundary():
+    # the writers form _CHUNK_ROWS rows at a time: a report one row past two chunks, and a
+    # certify document one result past one, with fields formatted per distinct entry (spins,
+    # methods, notes, steps, verdicts) and entry by entry (angles, values, labels, z-scores)
+    rng = random.Random(33)
+    rows = [FidelityReport(rng.choice([3, 41]), 1, rng.uniform(0, 2 * PI), rng.choice(["opt_exact", "recycling"]),
+                           rng.random(), rng.choice([0.0, rng.random()]), rng.choice(["", "a;b", 'q"t,e']),
+                           rng.choice([None, 0, 7])) for _ in range(2 * cli._CHUNK_ROWS + 1)]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows([r.two_j, r.two_k, format_float(r.theta_rad), r.method, "" if r.step is None else r.step,
+                      format_float(r.value), format_float(r.uncertainty), r.mode_notes] for r in rows)
+    buf = io.StringIO()
+    write_reports_csv(rows, buf)
+    assert buf.getvalue() == want.getvalue()
+    buf = io.StringIO()
+    write_reports_json(rows, "sweep", {"threads": 1}, buf)
+    assert buf.getvalue() == json.dumps(cli._rows_to_json("sweep", rows, {"threads": 1}), indent=2) + "\n"
+    results = [dict(zip(cli.RESULT_FIELDS, (
+        "exp%d" % i, rng.choice([1, 3]), rng.uniform(0, PI), rng.random(), rng.random(), rng.random(), rng.random(),
+        rng.choice([None, rng.gauss(0, 5)]), rng.choice(["inconclusive", "quantum-enhanced"]))))
+        for i in range(cli._CHUNK_ROWS + 1)]
+    buf = io.StringIO()
+    cli.write_certify_json(results, [], buf)
+    assert buf.getvalue() == json.dumps(cli._certify_doc(results, []), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +949,18 @@ def test_certify_wrong_header(tmp_path, capsys):
     path.write_text("a,b\n1,2\n")
     assert main(["certify", "--input", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_certify_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    # a spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order mark, which is not
+    # part of the first field name
+    plain = _certify_file(tmp_path, [("run-a", 3, PI, 0.69, 0.005), ("run-b", 4, 2.0, 0.7, 0.01)])
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + Path(plain).read_bytes())
+    assert main(["certify", "--input", plain]) == 0
+    want = capsys.readouterr()
+    assert main(["certify", "--input", str(marked)]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_csv_header_constant_matches_docs():
