@@ -157,7 +157,12 @@ def entanglement_fidelity(ch: ProgramChannel | KrausChannel, target_gate) -> flo
 def _entanglement_fidelities(kraus, v):
     """sum_a |Tr[V^dag K_a]|^2 / d^2 of each (K, V) of a stack, checked in [0, 1] and clipped."""
     overlaps = np.einsum("...ji,...aji->...a", v.conj(), kraus)  # Tr[V^dag K_a]
-    fe = (np.abs(overlaps) ** 2).sum(-1) / v.shape[-1] ** 2
+    return _clipped_fidelities((np.abs(overlaps) ** 2).sum(-1) / v.shape[-1] ** 2)
+
+
+def _clipped_fidelities(fe):
+    """The array of entanglement fidelities `fe` clipped to [0, 1], each checked no more than
+    1e-12 outside it (NaN refused) first."""
     check_each(np.abs(fe - 0.5), 0.5 + 1e-12, "entanglement fidelity escapes [0, 1]: |F_e - 1/2| = %r")
     return np.minimum(np.maximum(fe, 0.0), 1.0)
 

@@ -12,10 +12,15 @@ A report is a `ReportColumns`, one list per field, from the row builders to
 the writers: the builders evaluate the closed forms through `closed_forms`'
 plain-float kernels, and `check_reports` checks every row in one pass before a
 writer formats a byte.  A row is a `FidelityReport`, a plain named tuple, as
-`read_reports_csv` returns it (checked too).  One row writer, `_report_texts`,
-serves reports (CSV and JSON) and certify (JSON, its results transposed to
-columns once): it formats each field that repeats (spin, angle, step, method,
-note, label, verdict) once per distinct entry, and any other entry by entry.
+`read_reports_csv` returns it (checked too); a library caller's numpy scalars
+are stored as the Python numbers they equal.  One row writer, `_report_texts`,
+serves reports (CSV and JSON, each formed by `_report_document`) and certify
+(JSON, its results and row errors transposed to columns once): it formats each
+field that repeats (spin, angle, step, method, note, label, verdict, line,
+message) once per distinct entry, and any other entry by entry.  One row
+reader, `_read_csv`, serves report and certify input: it names each row by the
+file line it starts on, skips blank lines, refuses a row with more or fewer
+fields than the header, and drops a byte-order mark that starts the file.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -92,10 +97,16 @@ class ReportColumns(NamedTuple):
 
 
 def report_columns(report):
-    """`report` as ReportColumns: a ReportColumns as it is, rows (FidelityReports) transposed."""
+    """`report` as ReportColumns: a ReportColumns as it is, rows (FidelityReports) transposed,
+    each number stored as the Python int or float it equals (a numpy scalar's repr is not its
+    value's, and a numpy float32 computes in single precision)."""
     if isinstance(report, ReportColumns):
         return report
-    return ReportColumns._make(list(map(list, zip(*report))) or ([] for _ in ReportColumns._fields))
+    two_j, two_k, theta, method, value, uncertainty, notes, step = list(zip(*report)) or [()] * 8
+    return ReportColumns(
+        list(map(operator.index, two_j)), list(map(operator.index, two_k)), list(map(float, theta)), list(method),
+        list(map(float, value)), list(map(float, uncertainty)), list(notes),
+        [None if x is None else operator.index(x) for x in step])
 
 
 def check_reports(report):
@@ -143,6 +154,10 @@ class ExperimentRecord:
             raise ValueError("std_err must be finite")
         if self.std_err < 0:
             raise ValueError("std_err must be >= 0")
+        # a numpy scalar is kept as the Python number it equals (see `report_columns`)
+        object.__setattr__(self, "two_j", operator.index(self.two_j))
+        for field in ("theta_rad", "measured_avg_fidelity", "std_err"):
+            object.__setattr__(self, field, float(getattr(self, field)))
 
 
 def format_float(x) -> str:
@@ -248,13 +263,14 @@ def fidelity_rows(two_j, theta):
 def spin_k_rows(two_j, two_k, theta):
     j = HalfInteger(two_j)
     k = HalfInteger(two_k)
-    # the tuned interaction angle is only known for the qubit target; beyond
-    # that the plain choice f = theta is the one with controlled asymptotics
+    # the tuned interaction angle and conditional rotation are only known for the qubit target;
+    # beyond it the plain choice f = tau = theta is the one with controlled asymptotics
     if two_k == 1:
         sim = protocols.simulate_optimal_qubit_strategy(j, theta)
+        mo_val = protocols.simulate_mo_strategy(j, theta)
     else:
         sim = protocols.simulate_spin_k(j, k, theta)
-    mo_val = protocols.simulate_spin_k_mo(j, k, theta)
+        mo_val = protocols.simulate_spin_k_mo(j, k, theta)
     terms = closed_forms._large_j_terms(k)
     asym_avg, asym_mo, asym_w = (closed_forms._large_j_value(j.value, *terms[form], theta)
                                  for form in ("average", "mo", "worst_case"))
@@ -416,20 +432,16 @@ def _report_texts(columns, fields, layout):
 _in_csv_order = operator.attrgetter(*CSV_FIELDS)  # a ReportColumns' lists in CSV_FIELDS order
 
 
-def _checked_texts(report, layout):
-    """Check `report` (ReportColumns, or FidelityReports; see `check_reports`), then give its rows
-    as `_report_texts` does in `layout`, fields in CSV_FIELDS order."""
+def _report_document(report, fmt, command="", extra=None):
+    """The texts of `report` (ReportColumns, or FidelityReports) as a "csv" or "json" document
+    (see the writers), formed as they are taken; `report` is checked by this call, before any
+    output is opened, so that a refused report writes nothing and a wide one is never held as text."""
     report = report_columns(report)
     check_reports(report)
-    return _report_texts(_in_csv_order(report), CSV_FIELDS, layout)
-
-
-_CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
-
-
-def _csv_report(report):
-    """The texts of a CSV report, its header first; `report` is checked by this call."""
-    return chain([_CSV_HEADER], _checked_texts(report, _CSV))
+    texts = _report_texts(_in_csv_order(report), CSV_FIELDS, _CSV if fmt == "csv" else _JSON)
+    if fmt == "csv":
+        return chain([",".join(CSV_FIELDS) + "\n"], texts)
+    return _json_document(_rows_to_json(command, [], extra), {"rows": texts})
 
 
 def write_reports_csv(report, fh):
@@ -437,30 +449,7 @@ def write_reports_csv(report, fh):
     `report` (ReportColumns, or FidelityReports), checked by `check_reports` first: a field csv
     quotes is only ever a mode_notes (the others are numbers and method names), and a note that
     needs quotes is quoted by `csv` itself (see `_csv_field`)."""
-    fh.writelines(_csv_report(report))
-
-
-def read_reports_csv(fh):
-    """The rows of a CSV report, checked by `check_reports`; a row with more or fewer fields
-    than the header is refused with ValueError."""
-    reader = csv.DictReader(fh)
-    if reader.fieldnames != list(CSV_FIELDS):
-        raise ValueError("unexpected CSV header %r" % (reader.fieldnames,))
-    rows = []
-    for lineno, rec in enumerate(reader, start=2):
-        # DictReader keeps the fields past the header's under None, and fills missing ones with None
-        fields = len(CSV_FIELDS) + len(rec.get(None, ())) - list(rec.values()).count(None)
-        if fields != len(CSV_FIELDS):
-            raise ValueError("line %d: row has %d fields, the header %d" % (lineno, fields, len(CSV_FIELDS)))
-        rows.append(FidelityReport(
-            two_j=int(rec["two_j"]), two_k=int(rec["two_k"]),
-            theta_rad=float(rec["theta_rad"]), method=rec["method"],
-            value=float(rec["value"]), uncertainty=float(rec["uncertainty"]),
-            mode_notes=rec["mode_notes"],
-            step=int(rec["step"]) if rec["step"] != "" else None,
-        ))
-    check_reports(rows)
-    return rows
+    fh.writelines(_report_document(report, "csv"))
 
 
 def _rows_to_json(command, rows, extra=None):
@@ -471,24 +460,22 @@ def _rows_to_json(command, rows, extra=None):
     return doc
 
 
-def _json_document(doc, key, items):
-    """The texts of json.dumps(doc, indent=2) and a newline, once doc[key], the empty list in
-    `doc`, holds the items of `items`: texts of consecutive items, each as json lays out an item
-    of the list and joined by ",\\n", passed on as they come instead of through the pure-Python
-    encoder that `indent` selects."""
-    # a string's newline is escaped, so the key's line is the document's own
-    head, opening, tail = json.dumps(doc, indent=2).partition('\n  "%s": [' % key)
-    yield head + opening
-    separator = "\n"
-    for text in items:
-        yield separator + text
-        separator = ",\n"
-    yield ("\n  " if separator == ",\n" else "") + tail + "\n"
-
-
-def _json_report(report, command, extra):
-    """The texts of a JSON report (see `write_reports_json`); `report` is checked by this call."""
-    return _json_document(_rows_to_json(command, [], extra), "rows", _checked_texts(report, _JSON))
+def _json_document(doc, lists):
+    """The texts of json.dumps(doc, indent=2) and a newline, once each doc[key], an empty list
+    in `doc`, holds the items that lists[key] gives as texts (texts of consecutive items, each
+    as json lays out an item of the list and joined by ",\\n"), keys in document order: passed
+    on as they come instead of through the pure-Python encoder that `indent` selects."""
+    # a string's newline is escaped, so each key's line is the document's own
+    tail = json.dumps(doc, indent=2)
+    for key, texts in lists.items():
+        head, opening, tail = tail.partition('\n  "%s": [' % key)
+        yield head + opening
+        separator = "\n"
+        for text in texts:
+            yield separator + text
+            separator = ",\n"
+        tail = ("\n  " if separator == ",\n" else "") + tail
+    yield tail + "\n"
 
 
 def write_reports_json(report, command, extra, fh):
@@ -496,13 +483,7 @@ def write_reports_json(report, command, extra, fh):
     `_json_document`), for the rows of `report` (ReportColumns, or FidelityReports).  They are
     checked by `check_reports` first, so their floats are finite and their repr is JSON's;
     strings go through json's own ASCII escaper."""
-    fh.writelines(_json_report(report, command, extra))
-
-
-def _emit(report, command, fmt, out_path, extra=None):
-    """Write `report` as `fmt`: checked before the output is opened, then written as it is
-    formatted, so that a refused report writes nothing and a wide one is never held as text."""
-    _write(_json_report(report, command, extra) if fmt == "json" else _csv_report(report), out_path)
+    fh.writelines(_report_document(report, "json", command, extra))
 
 
 def _write(texts, out_path):
@@ -512,6 +493,48 @@ def _write(texts, out_path):
             fh.writelines(texts)
     else:
         sys.stdout.writelines(texts)
+
+
+def _read_csv(fh, fields, header_error, parse):
+    """(parse(*row) for each row of the CSV text `fh` after its header, {"line": n, "error": message}
+    for each row with more or fewer fields than `fields` or whose parse raises ValueError), n the
+    file line the row starts on.  Blank lines are skipped, and a U+FEFF (the byte-order mark of a
+    spreadsheet's "CSV UTF-8" export) that starts the first line is dropped before it is parsed.
+    A header other than `fields` is refused with ValueError(header_error % header)."""
+    lines = iter(fh)
+    first = next(lines, "").removeprefix("\ufeff")
+    reader = csv.reader(chain([first] if first else [], lines))  # an empty file has no header
+    header = next(reader, None)
+    if header != list(fields):
+        raise ValueError(header_error % (header,))
+    values, errors = [], []
+    line = reader.line_num + 1  # the line the next row starts on
+    for row in reader:
+        if row:  # not a blank line
+            try:
+                if len(row) != len(fields):
+                    raise ValueError("row has %d fields, the header %d" % (len(row), len(fields)))
+                values.append(parse(*row))
+            except ValueError as exc:
+                errors.append({"line": line, "error": str(exc)})
+        line = reader.line_num + 1
+    return values, errors
+
+
+def _report_row(two_j, two_k, theta, method, step, value, uncertainty, notes):
+    return FidelityReport(int(two_j), int(two_k), float(theta), method, float(value), float(uncertainty), notes,
+                          int(step) if step else None)
+
+
+def read_reports_csv(fh):
+    """The rows of a CSV report, checked by `check_reports`; a row with more or fewer fields
+    than the header, or a field that does not parse, is refused with ValueError, the first
+    such row by its line."""
+    rows, errors = _read_csv(fh, CSV_FIELDS, "unexpected CSV header %r", _report_row)
+    if errors:
+        raise ValueError("line %(line)d: %(error)s" % errors[0])
+    check_reports(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -566,46 +589,34 @@ def _certify_doc(results, row_errors):
             "row_errors": row_errors, "summary": summary}
 
 
+def _json_rows(dicts, fields):
+    """The texts of `dicts`, each holding `fields` in that order, as JSON list items: their
+    columns, transposed once, written by `_report_texts`."""
+    columns = list(zip(*map(operator.itemgetter(*fields), dicts))) or [()] * len(fields)
+    return _report_texts(columns, fields, _JSON)
+
+
 def _certify_json(results, row_errors):
     """The texts of a certify document (see `write_certify_json`)."""
-    doc = _certify_doc(results, row_errors)
-    doc["results"] = []
-    columns = list(zip(*map(operator.itemgetter(*RESULT_FIELDS), results))) or [()] * len(RESULT_FIELDS)
-    return _json_document(doc, "results", _report_texts(columns, RESULT_FIELDS, _JSON))
+    doc = dict(_certify_doc(results, row_errors), results=[], row_errors=[])
+    return _json_document(doc, {"results": _json_rows(results, RESULT_FIELDS),
+                                "row_errors": _json_rows(row_errors, ("line", "error"))})
 
 
 def write_certify_json(results, row_errors, fh):
     """The bytes of json.dumps(_certify_doc(results, row_errors), indent=2) and a
-    newline (see `_json_document`), its results written by `_report_texts` as columns.  The
-    floats of a result are finite: the record's are checked by `ExperimentRecord`, the closed
-    forms' by their kernels, and a z-score that is not is None."""
+    newline (see `_json_document`), its results and row errors written by `_report_texts` as
+    columns.  The floats of a result are finite: the record's are checked by `ExperimentRecord`,
+    the closed forms' by their kernels, and a z-score that is not is None."""
     fh.writelines(_certify_json(results, row_errors))
 
 
 def read_experiment_csv(fh):
-    """Parse certify input; returns (records, row_errors)."""
-    reader = csv.DictReader(fh)
-    if reader.fieldnames != list(CERTIFY_FIELDS):
-        raise ValueError(
-            "certify input must have header %s, got %r"
-            % (",".join(CERTIFY_FIELDS), reader.fieldnames)
-        )
-    records, errors = [], []
-    for lineno, rec in enumerate(reader, start=2):
-        try:
-            if None in rec:  # DictReader keeps the fields past the header's under None
-                raise ValueError("row has %d fields, the header %d"
-                                 % (len(CERTIFY_FIELDS) + len(rec[None]), len(CERTIFY_FIELDS)))
-            records.append(ExperimentRecord(
-                label=rec["label"],
-                two_j=int(rec["two_j"]),
-                theta_rad=float(rec["theta_rad"]),
-                measured_avg_fidelity=float(rec["measured_avg_fidelity"]),
-                std_err=float(rec["std_err"]),
-            ))
-        except (TypeError, ValueError) as exc:
-            errors.append({"line": lineno, "error": str(exc)})
-    return records, errors
+    """Parse certify input; returns (records, row_errors), each row error the line a refused row
+    starts on and the message refusing it (see `_read_csv`)."""
+    return _read_csv(fh, CERTIFY_FIELDS, "certify input must have header %s, got %%r" % ",".join(CERTIFY_FIELDS),
+                     lambda label, two_j, theta, fidelity, std_err: ExperimentRecord(
+                         label, int(two_j), float(theta), float(fidelity), float(std_err)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +626,13 @@ def read_experiment_csv(fh):
 def cmd_report(args):
     """Emit the rows of `fidelity`, `sweep`, `longevity` or `spin-k`."""
     extra = {"threads": args.threads} if args.command == "sweep" else None
-    _emit(args.rows(args), args.command, args.format, args.out, extra)
+    _write(_report_document(args.rows(args), args.format, args.command, extra), args.out)
     return EXIT_OK
 
 
 def cmd_certify(args):
     try:
-        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export starts with
-        with open(args.input, newline="", encoding="utf-8-sig") as fh:
+        with open(args.input, newline="", encoding="utf-8") as fh:
             records, row_errors = read_experiment_csv(fh)
     except OSError as exc:
         print("cannot read %s: %s" % (args.input, exc), file=sys.stderr)

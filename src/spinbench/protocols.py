@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_lab import (
-    _chart_axes, _completeness_error, _entanglement_fidelities, _worst_cases, average_fidelity_from_entanglement)
+    _chart_axes, _clipped_fidelities, _completeness_error, _entanglement_fidelities, _worst_cases,
+    average_fidelity_from_entanglement)
 from .closed_forms import _K_HALF, _mo_angle, coupling_angle, folded_angle
 from .spin_algebra import (
     ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin, check_each)
@@ -106,8 +107,7 @@ def _mo_entanglement_fidelity(doubled_js, k, thetas, taus):
     u_prev, u = 0.0, 1.0  # U_{-1}, U_0
     for _ in range(k.doubled):
         u_prev, u = u, 2.0 * c * u - u_prev
-    fe = (weights[:, None, :] * (u / (k.doubled + 1.0)) ** 2).sum(-1)
-    return [min(max(x, 0.0), 1.0) for x in fe.ravel().tolist()]
+    return _clipped_fidelities((weights[:, None, :] * (u / (k.doubled + 1.0)) ** 2).sum(-1)).ravel().tolist()
 
 
 def simulate_mo_strategy(j, theta) -> float:

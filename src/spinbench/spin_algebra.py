@@ -30,9 +30,9 @@ class ToleranceError(Exception):
 
 
 def check_each(errors, bound, message, error=ToleranceError):
-    """Raise error(message % e) at the first e of `errors` not <= bound, NaN too; `index` is its
-    row.  `message` may also be a list of one message per row."""
-    if not errors.max() <= bound:  # NaN is the max of an array that holds one
+    """Raise error(message % e) at the first e of `errors` not <= bound, NaN too (an empty
+    `errors` passes); `index` is its row.  `message` may also be a list of one message per row."""
+    if not errors.max(initial=-np.inf) <= bound:  # NaN is the max of an array that holds one
         i = int(np.argmin(errors.ravel() <= bound))
         row = np.unravel_index(i, errors.shape)[0] if errors.ndim else None
         exc = error((message if isinstance(message, str) else message[row]) % errors.flat[i])

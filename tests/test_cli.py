@@ -199,6 +199,57 @@ def test_csv_rejects_a_row_of_another_length(row, fields):
         read_reports_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row, fields", [("run,3,1.0,0.7,0.01,9", 6), ("run,3,1.0,0.7", 4), ("run", 1)])
+def test_certify_refuses_a_row_of_another_length(row, fields):
+    # the report reader's rule and message, as a row error
+    text = ",".join(CERTIFY_FIELDS) + "\nok,3,1.0,0.7,0.01\n" + row + "\n"
+    records, errors = cli.read_experiment_csv(io.StringIO(text))
+    assert [r.label for r in records] == ["ok"]
+    assert errors == [{"line": 3, "error": "row has %d fields, the header 5" % fields}]
+
+
+def test_readers_name_the_line_a_row_starts_on():
+    # a blank line is no row, and a quoted field may span lines: a row is named by its first line
+    text = ",".join(CERTIFY_FIELDS) + '\nok,3,1.0,0.7,0.01\n\nspin,0,1.0,0.7,0.01\n"two\nlines",0,1.0,0.7,0.01\nshort,3\n'
+    records, errors = cli.read_experiment_csv(io.StringIO(text))
+    assert [r.label for r in records] == ["ok"]
+    assert errors == [{"line": 4, "error": "two_j must be in [1, 2**53]"},
+                      {"line": 5, "error": "two_j must be in [1, 2**53]"},
+                      {"line": 7, "error": "row has 2 fields, the header 5"}]
+    header, row = ",".join(CSV_FIELDS) + "\n", "3,1,1.0,opt_exact,,0.5,0.0,"
+    for text, message in ((header + row + "\n\n" + row + ',"a\nb"\n' + row + "\n", "line 4: row has 9 fields"),
+                          (header + "\n" + row + '"a\nb"\n' + row[:-1] + "\n", "line 5: row has 7 fields")):
+        with pytest.raises(ValueError, match="^%s, the header 8$" % message):
+            read_reports_csv(io.StringIO(text))
+
+
+def test_a_report_with_a_byte_order_mark_reads_back():
+    rows = [FidelityReport(3, 1, PI, "opt_exact", 17 / 24), FidelityReport(3, 1, PI, "mo_exact", 29 / 45)]
+    buf = io.StringIO()
+    write_reports_csv(rows, buf)
+    assert read_reports_csv(io.StringIO("\ufeff" + buf.getvalue())) == rows
+
+
+def test_numpy_scalars_print_as_the_python_numbers_they_equal():
+    # a library caller's numpy scalars are stored as the Python numbers they equal, so that
+    # every document prints those numbers' bytes and certify computes in double precision
+    def texts(rows, record):
+        csv_text, json_text, certify_text = io.StringIO(), io.StringIO(), io.StringIO()
+        write_reports_csv(rows, csv_text)
+        write_reports_json(rows, "fidelity", None, json_text)
+        cli.write_certify_json([classify_experiment(record)], [], certify_text)
+        return csv_text.getvalue(), json_text.getvalue(), certify_text.getvalue()
+
+    for kind in (np.float64, np.float32):
+        x = [float(kind(v)) for v in (2.0, 0.3, 0.01, 0.7)]
+        rows = [FidelityReport(np.int64(3), np.int64(1), kind(2.0), "opt_exact", kind(0.3), kind(0.01), step=np.int64(7))]
+        record = ExperimentRecord("a", np.int64(3), kind(2.0), kind(0.7), kind(0.01))
+        assert [type(v) for v in (record.two_j, record.theta_rad, record.measured_avg_fidelity, record.std_err)] \
+            == [int, float, float, float]
+        assert texts(rows, record) == texts([FidelityReport(3, 1, x[0], "opt_exact", x[1], x[2], step=7)],
+                                            ExperimentRecord("a", 3, x[0], x[3], x[2]))
+
+
 def test_the_first_bad_row_is_refused():
     # a report with two bad rows is refused by the earlier one's message, whichever it is
     good = FidelityReport(3, 1, PI, "opt_exact", 0.5)
@@ -260,13 +311,15 @@ _result = st.tuples(
     st.one_of(st.none(), st.sampled_from([0.0, -0.0]), _finite),
     st.sampled_from(["quantum-enhanced", "classical-reachable", "inconclusive", "suspect-above-quantum-bound"]),
 ).map(lambda values: dict(zip(cli.RESULT_FIELDS, values)))
-_row_error = st.builds(dict, line=st.integers(2, 10**6), error=st.text())
+# row errors from small pools as well, so that a document repeats their lines and messages
+_row_error = st.builds(dict, line=st.one_of(st.sampled_from([2, 3]), st.integers(2, 10**6)),
+                       error=st.one_of(st.sampled_from(["row has 3 fields, the header 5", ""]), st.text()))
 
 
 @given(st.lists(st.one_of(_bounded, _unbounded), max_size=8), _json_notes,
        st.sampled_from(["sweep", "fidelity"]),
        st.one_of(st.none(), st.builds(dict, threads=st.integers(1, 64))),
-       st.lists(_result, max_size=8), st.lists(_row_error, max_size=4))
+       st.lists(_result, max_size=8), st.lists(_row_error, max_size=8))
 def test_json_writer_matches_json_dumps(rows, notes, command, extra, results, row_errors):
     # reports: the empty row list, step None and int, extra with and without
     # threads; certify: empty results (and so an empty summary), empty row
@@ -738,6 +791,19 @@ def test_spin_k_command_matches_qubit_path(capsys):
     assert "asymptotic" in worst[1].mode_notes
 
 
+def test_spin_k_qubit_mo_row_is_the_fidelity_row():
+    # at 2k = 1 the MO row rotates by the tuned conditional angle, as `fidelity`'s does
+    def mo_sim(argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        return [line.split(",")[5] for line in out.splitlines() if line.split(",")[3] == "mo_sim"]
+
+    for two_j in ("1", "2", "6", "41", "150"):
+        for theta in ("0.3", "2.0", "pi", "4.0"):
+            assert mo_sim(["spin-k", "--two-j", two_j, "--two-k", "1", "--theta", theta]) \
+                == mo_sim(["fidelity", "--two-j", two_j, "--theta", theta]), (two_j, theta)
+
+
 def test_spin_k_labels_the_chart_bound(capsys):
     # the worst case is exact for 2k <= 2 and a chart search's upper bound above
     for two_k, note in (("1", ""), ("2", ""), ("3", "chart_upper_bound")):
@@ -953,14 +1019,15 @@ def test_certify_wrong_header(tmp_path, capsys):
 
 def test_certify_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
     # a spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order mark, which is not
-    # part of the first field name
-    plain = _certify_file(tmp_path, [("run-a", 3, PI, 0.69, 0.005), ("run-b", 4, 2.0, 0.7, 0.01)])
-    marked = tmp_path / "marked.csv"
-    marked.write_bytes(codecs.BOM_UTF8 + Path(plain).read_bytes())
-    assert main(["certify", "--input", plain]) == 0
+    # part of the first field name, also when that name is quoted
+    plain = Path(_certify_file(tmp_path, [("run-a", 3, PI, 0.69, 0.005), ("run-b", 4, 2.0, 0.7, 0.01)]))
+    assert main(["certify", "--input", str(plain)]) == 0
     want = capsys.readouterr()
-    assert main(["certify", "--input", str(marked)]) == 0
-    assert capsys.readouterr() == want
+    for text in (plain.read_bytes(), b'"label"' + plain.read_bytes()[len(b"label"):]):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert main(["certify", "--input", str(marked)]) == 0
+        assert capsys.readouterr() == want
 
 
 def test_csv_header_constant_matches_docs():

@@ -315,6 +315,19 @@ def test_mo_oracle_flip():
     assert abs(simulate_mo_strategy(1.5, PI) - 29.0 / 45.0) < 1e-9
 
 
+def test_mo_fidelity_outside_the_unit_interval_is_refused(monkeypatch, capsys):
+    # a rule whose weights sum to 1.5 puts F_e near 1.5 at a small angle: refused like the
+    # strategy's entanglement fidelity, not clipped to 1
+    rule = protocols._pole_rule
+    monkeypatch.setattr(protocols, "_pole_rule", lambda doubled_js, nodes: (
+        rule(doubled_js, nodes)[0], 1.5 * rule(doubled_js, nodes)[1]))
+    with pytest.raises(ToleranceError, match=r"entanglement fidelity escapes \[0, 1\]"):
+        simulate_mo_strategy(1.5, 0.3)
+    assert cli.main(["fidelity", "--two-j", "3", "--theta", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("numerical failure: entanglement fidelity escapes")
+
+
 # Under the estimate's weight (2j+1)(1-t)^{2j}, E[(1-t)^p] = (2j+1)/(2j+1+p):
 # a third route to the MO fidelities, independent of the rule and the closed form.
 def _beta_moment(two_j, p):
@@ -367,8 +380,8 @@ def test_spin_k_reduces_to_qubit():
     tuned = simulate_spin_k(j, 0.5, theta, f=coupling_angle(j, theta))
     direct = simulate_optimal_qubit_strategy(j, theta)
     assert abs(tuned.entanglement - direct.entanglement) < 1e-12
-    # spin-k MO rotates by theta itself, so at k = 1/2 it is strictly
-    # dominated by the tuned conditional angle
+    # the library's spin-k MO rotates by theta itself, so at k = 1/2 it is strictly
+    # dominated by the tuned conditional angle (which `spin-k --two-k 1` prints)
     assert simulate_spin_k_mo(j, 0.5, theta) < simulate_mo_strategy(j, theta)
 
 
