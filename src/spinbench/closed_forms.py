@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .spin_algebra import HalfInteger, ToleranceError, _is_complex, as_angle, as_spin
+from .scalars import HalfInteger, ToleranceError, _is_complex, as_angle, as_spin
 
 # cos(theta) at which the j=1/2 optimum switches from the boundary (coherent
 # program) branch to the interior branch; equals cos(2*arctan(sqrt(4+sqrt 7))).

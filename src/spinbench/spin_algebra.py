@@ -18,15 +18,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .scalars import (  # noqa: F401  (re-exported: the scalar layer's names are importable from here too)
+    MAX_DOUBLED_SPIN,
+    HalfInteger,
+    ToleranceError,
+    _is_complex,
+    as_angle,
+    as_half_integer,
+    as_spin,
+)
+
 # Matrices are never exponentiated beyond this dimension (2j+1 <= DIM_CAP).
 DIM_CAP = 2001
-
-# every spin meets a float, and 2**53 is the largest doubled spin it holds exactly
-MAX_DOUBLED_SPIN = 2 ** 53
-
-
-class ToleranceError(Exception):
-    """A computed value breached an internal consistency bound."""
 
 
 def check_each(errors, bound, message, error=ToleranceError):
@@ -38,109 +41,6 @@ def check_each(errors, bound, message, error=ToleranceError):
         exc = error((message if isinstance(message, str) else message[row]) % errors.flat[i])
         exc.index = row
         raise exc
-
-
-class HalfInteger:
-    """An exact half-integer, stored as twice its value.
-
-    HalfInteger(3) is 3/2; HalfInteger.from_value(1.5) is the same thing.
-    """
-
-    __slots__ = ("doubled",)
-
-    def __init__(self, doubled):
-        if isinstance(doubled, bool) or not isinstance(doubled, (int, np.integer)):
-            raise TypeError("doubled must be an integer, got %r" % (doubled,))
-        if abs(doubled) > MAX_DOUBLED_SPIN:
-            raise ValueError("doubled spin exceeds 2**53, the largest a float holds exactly")
-        self.doubled = int(doubled)
-
-    @classmethod
-    def from_value(cls, value):
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError("%r is not a half-integer" % (value,))
-        doubled = 2 * value
-        if not -math.inf < doubled < math.inf or doubled != round(doubled):
-            raise ValueError("%r is not a half-integer" % (value,))
-        return cls(int(round(doubled)))
-
-    @property
-    def value(self):
-        return self.doubled / 2
-
-    @property
-    def is_integer(self):
-        return self.doubled % 2 == 0
-
-    def __float__(self):
-        return self.doubled / 2
-
-    def __eq__(self, other):
-        if isinstance(other, HalfInteger):
-            return self.doubled == other.doubled
-        return self.value == other
-
-    def __lt__(self, other):
-        return self.value < _as_number(other)
-
-    def __le__(self, other):
-        return self.value <= _as_number(other)
-
-    def __gt__(self, other):
-        return self.value > _as_number(other)
-
-    def __ge__(self, other):
-        return self.value >= _as_number(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        if self.doubled % 2 == 0:
-            return "HalfInteger(%d)" % (self.doubled // 2)
-        return "HalfInteger(%d/2)" % self.doubled
-
-    def __str__(self):
-        if self.doubled % 2 == 0:
-            return str(self.doubled // 2)
-        return "%d/2" % self.doubled
-
-
-def _as_number(x):
-    return x.value if isinstance(x, HalfInteger) else x
-
-
-def as_half_integer(x) -> HalfInteger:
-    """Coerce an int, exact half-integral float, or HalfInteger to HalfInteger."""
-    if isinstance(x, HalfInteger):
-        return x
-    return HalfInteger.from_value(x)
-
-
-def as_spin(x, what) -> HalfInteger:
-    """`as_half_integer`, refused below 1/2 by a ValueError naming the spin `what`."""
-    s = as_half_integer(x)
-    if s.doubled < 1:
-        raise ValueError("%s must be >= 1/2, got %s" % (what, s))
-    return s
-
-
-def _is_complex(x):
-    """Whether x is a complex number: numpy orders one by its real part first, as if it were real."""
-    return isinstance(x, (complex, np.complexfloating))
-
-
-def as_angle(x, what="theta"):
-    """x, refused unless a finite real number (NaN too) by a ValueError naming the angle `what`."""
-    try:
-        if type(x) is not float and _is_complex(x):  # it would pass the comparison below
-            raise TypeError
-        finite = -math.inf < x < math.inf
-    except TypeError:  # None, a string, a complex number
-        raise ValueError("%s must be a real number, got %r" % (what, x)) from None
-    if not finite:
-        raise ValueError("%s must be finite, got %r" % (what, x))
-    return x
 
 
 @dataclass(frozen=True)

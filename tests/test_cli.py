@@ -792,11 +792,12 @@ def test_spin_k_command_matches_qubit_path(capsys):
 
 
 def test_spin_k_qubit_mo_row_is_the_fidelity_row():
-    # at 2k = 1 the MO row rotates by the tuned conditional angle, as `fidelity`'s does
+    # at 2k = 1 the MO row rotates by the tuned conditional angle, as `fidelity`'s does, and its
+    # uncertainty is the distance to the same exact benchmark
     def mo_sim(argv):
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
-        return [line.split(",")[5] for line in out.splitlines() if line.split(",")[3] == "mo_sim"]
+        return [line.split(",")[5:7] for line in out.splitlines() if line.split(",")[3] == "mo_sim"]
 
     for two_j in ("1", "2", "6", "41", "150"):
         for theta in ("0.3", "2.0", "pi", "4.0"):
