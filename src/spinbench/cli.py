@@ -313,9 +313,10 @@ def sweep_rows(two_j_values, thetas, methods):
     grid_theta = list(thetas) * len(js)
     if "mo_sim" in methods:
         mo = protocols.simulate_mo_strategies(js, thetas)
-    if "heisenberg_sim" in methods or "worst_case" in methods:
+    if "heisenberg_sim" in methods or "worst_case" in methods:  # the worst case only if printed
         _, average, worst_case = protocols.simulate_strategies(
-            js, 0.5, thetas, [closed_forms.coupling_angle(j, t) for j in js for t in thetas])
+            js, 0.5, thetas, [closed_forms.coupling_angle(j, t) for j in js for t in thetas],
+            worst_case="worst_case" in methods)
     fo = list(map(closed_forms._optimal_value, grid_j, grid_theta))
     fm = list(map(closed_forms._mo_value, grid_j, grid_theta))
 

@@ -20,7 +20,8 @@ from .channel_lab import (
     average_fidelity_from_entanglement)
 from .closed_forms import _K_HALF, _mo_angle, coupling_angle, folded_angle
 from .spin_algebra import (
-    ToleranceError, _check_dimension, _exchange_block, as_angle, as_half_integer, as_spin, check_each)
+    ToleranceError, _check_dimension, _exchange_block, _jacobi_rotation, as_angle, as_half_integer, as_spin,
+    check_each)
 
 
 class StrategyFidelities(NamedTuple):
@@ -72,15 +73,22 @@ def _pole_rule(doubled_js, nodes):
     matrix and the weights the squared first eigenvector components (Golub &
     Welsch 1969), so they sum to 1 at every j and `nodes` points integrate
     polynomials of degree < 2 * nodes exactly.  The rule depends on the spin
-    alone: every spin's matrix is built at once and solved by one stacked
-    eigh, whose rows are bitwise each spin's own.
+    alone.  The two-node rule of a qubit target takes one Jacobi rotation per
+    spin (`_jacobi_rotation`) and calls no LAPACK routine; a larger rule
+    builds every spin's matrix at once and solves them by one stacked eigh,
+    whose rows are bitwise each spin's own.
     """
     beta = np.asarray(doubled_js, dtype=float)[:, None]
     i = np.arange(nodes, dtype=float)
     d = 2.0 * i + beta
-    matrix = np.zeros((len(beta), nodes * nodes))  # each row a flattened tridiagonal matrix
-    matrix[:, ::nodes + 1] = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
+    diagonal = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
     off = i[1:] * (i[1:] + beta) / (d[:, 1:] * np.sqrt(d[:, 1:] * d[:, 1:] - 1.0))
+    if nodes == 2:  # rows (t0, t1, c, s): the first components of the eigenvectors are c, s
+        rows = np.array([_jacobi_rotation(d0, e, d1)
+                         for (d0, d1), (e,) in zip(diagonal.tolist(), off.tolist())]).reshape(-1, 4)
+        return rows[:, :2], rows[:, 2:] ** 2
+    matrix = np.zeros((len(beta), nodes * nodes))  # each row a flattened tridiagonal matrix
+    matrix[:, ::nodes + 1] = diagonal
     matrix[:, 1::nodes + 1] = matrix[:, nodes::nodes + 1] = off
     t, vectors = np.linalg.eigh(matrix.reshape(-1, nodes, nodes))
     return t, vectors[:, 0] ** 2
@@ -185,7 +193,7 @@ def simulate_spin_k(j, k, theta, f=None) -> StrategyFidelities:
     return StrategyFidelities(*(x[0] for x in sim))
 
 
-def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
+def simulate_strategies(js, k, thetas, fs=None, worst_case=True) -> StrategyFidelities:
     """`simulate_spin_k` at each point of the grid `js` x `thetas`, 2j major (interaction angles
     `fs`, one per point, by default the folded angles) as one stacked evaluation: one list of
     values over the grid, each computed as at one point, and every check run at every point, a
@@ -193,7 +201,8 @@ def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
     an angle that is not a finite real number, are refused with ValueError before any work, a
     given f named by its theta.  Every point has 2k+1 Kraus operators, so the grid is one
     stack, and its worst cases are one call of `channel_lab._worst_cases`, which picks their
-    route.
+    route.  With `worst_case` false no worst case is computed and the field is None, so no
+    chart budget applies either.
     """
     js, k = [as_spin(j, "program spin") for j in js], as_spin(k, "target spin")
     if fs is None:
@@ -215,10 +224,10 @@ def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
                 raise ValueError("theta = %r: %s" % (theta, exc)) from None
     d = k.doubled + 1
     _check_dimension(d)
-    if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
+    if worst_case and k.doubled > 2:  # the worst case searches a chart; refuse one over budget first
         _chart_axes(d, d, True)
     if not len(fs):  # an empty grid builds no stack
-        return StrategyFidelities([], [], [])
+        return StrategyFidelities([], [], [] if worst_case else None)
     try:
         kraus = _strategy_kraus(js, k, fs)
         # the (d, d) entry is sum_a |B_d[a, 0]|^2: each block column the channel uses has norm 1
@@ -227,7 +236,7 @@ def simulate_strategies(js, k, thetas, fs=None) -> StrategyFidelities:
         phases = np.exp(-1j * np.array(thetas * len(js))[:, None] * (k.value - np.arange(d)))
         check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
         fe = _entanglement_fidelities(kraus, np.eye(d) * phases[:, None, :]).tolist()
-        fw = _worst_cases(phases.conj()[:, None, :, None] * kraus)[0]  # the rows of V^dag K_a
+        fw = _worst_cases(phases.conj()[:, None, :, None] * kraus)[0] if worst_case else None  # V^dag K_a
     except (ToleranceError, ValueError) as exc:
         i = getattr(exc, "index", None)  # a point of the grid
         raise exc if i is None else type(exc)("theta = %r: %s" % (thetas[i % len(thetas)], exc)) from None

@@ -185,6 +185,27 @@ def _coherent_ladder(two_j):
     return ladder, ik
 
 
+def _jacobi_rotation(d0, e, d1):
+    """The eigenpairs of the symmetric 2 x 2 matrix [[d0, e], [e, d1]], e != 0, from one Jacobi
+    rotation, in floats: (w0, w1, c, s) with eigenvalues w0 <= w1 and unit eigenvectors the
+    columns (c, -s) and (s, c) of [[c, s], [-s, c]], as numpy.linalg.eigh orders them.
+
+    With h = (d1 - d0)/2e the rotation's tangent t = sgn(h)/(|h| + sqrt(1 + h^2)) is the root
+    of t^2 + 2ht - 1 = 0 of modulus <= 1, formed without cancellation, and the eigenvalues are
+    d0 - te and d1 + te (Golub & Van Loan, Matrix Computations, sec. 8.5.2): ascending, they are
+    min(d0, d1) - |te| and max(d0, d1) + |te|.  No difference of two eigenvalue-sized terms is
+    formed, so an eigenvalue keeps its digits where l(l+1) - j(j+1) - k(k+1) would cancel.
+    """
+    h = (d1 - d0) / (2.0 * e)
+    t = 1.0 / (abs(h) + math.hypot(1.0, h))  # |t|
+    cos = 1.0 / math.sqrt(1.0 + t * t)
+    sin = math.copysign(t * cos, e)  # t cos, if d0 <= d1
+    shift = t * abs(e)
+    if d0 <= d1:
+        return d0 - shift, d1 + shift, cos, sin
+    return d1 - shift, d0 + shift, sin, cos  # the rotation by pi/2 minus the angle
+
+
 @lru_cache(maxsize=64)
 def _exchange_block(doubled_j, doubled_k, drop):
     """The total-M block of 2 J.K on the product space j (x) k with M = j + k - drop.
@@ -193,28 +214,36 @@ def _exchange_block(doubled_j, doubled_k, drop):
     into tridiagonal blocks of size <= 2 min(j, k) + 1, one per drop = 0 ..
     2j + 2k.  The entry is (indices, w, v), all three read-only: the
     product-basis positions of the block (m_j descending within it) and the
-    eigh of the block.  The eigenvalues are l(l+1) - j(j+1) - k(k+1), so in a
-    block of size s the i-th eigenvector (ascending) is the |l, M> state with
-    l = j + k - s + 1 + i.  The block does not depend on the coupling angle,
-    so it is cached for repeated calls at one spin in one process: the 7
-    blocks of heisenberg_gate(2, 1, f) take ~0.3 ms to build (2-core Xeon),
-    against ~0.1 ms for the rest of that call.  v is checked orthogonal,
+    eigendecomposition of the block, as numpy.linalg.eigh gives it.  The
+    eigenvalues are l(l+1) - j(j+1) - k(k+1), so in a block of size s the i-th
+    eigenvector (ascending) is the |l, M> state with l = j + k - s + 1 + i.
+    A block of one state is its own eigenpair, and one of two states takes one
+    Jacobi rotation (`_jacobi_rotation`), so a qubit target (every block of at
+    most two states) calls no LAPACK routine; larger blocks take eigh.  The
+    block does not depend on the coupling angle, so it is cached for repeated
+    calls at one spin in one process.  v is checked orthogonal,
     |v^T v - I| <= 1e-12 (ToleranceError, naming no angle), before the entry
     is cached, so a basis that fails is never cached.
     """
     j, k = doubled_j / 2, doubled_k / 2
-    a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
-    mj, mk = j - a, k - (drop - a)
+    a = range(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
+    mj, mk = [j - x for x in a], [k - (drop - x) for x in a]
+    diagonal = [2.0 * x * y for x, y in zip(mj, mk)]
     # <m_j+1, m_k-1| J_+ K_- |m_j, m_k> couples each state to its predecessor
-    off = np.sqrt(j * (j + 1) - mj[1:] * (mj[1:] + 1)) * np.sqrt(
-        k * (k + 1) - mk[1:] * (mk[1:] - 1))
-    block = np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1)
-    w, v = np.linalg.eigh(block)
+    off = [math.sqrt(j * (j + 1) - x * (x + 1)) * math.sqrt(k * (k + 1) - y * (y - 1))
+           for x, y in zip(mj[1:], mk[1:])]
+    if len(a) == 1:
+        w, v = np.array(diagonal), np.ones((1, 1))
+    elif len(a) == 2:
+        w0, w1, c, s = _jacobi_rotation(diagonal[0], off[0], diagonal[1])
+        w, v = np.array([w0, w1]), np.array([[c, s], [-s, c]])
+    else:
+        w, v = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
     error = abs(v.T @ v - np.eye(len(w))).max()
     if not error <= 1e-12:  # a NaN fails too
         raise ToleranceError("exchange basis of (2j, 2k, drop) = (%d, %d, %d) is not orthogonal (error %g)"
                              % (doubled_j, doubled_k, drop, error))
-    indices = a * (doubled_k + 1) + drop - a
+    indices = np.array([x * (doubled_k + 1) + drop - x for x in a])
     for x in (indices, w, v):
         x.setflags(write=False)
     return indices, w, v

@@ -35,3 +35,23 @@ def skew_kraus(monkeypatch):
             return families
         monkeypatch.setattr(protocols, "_strategy_kraus", skewed)
     return skew
+
+
+class LapackCalled(Exception):
+    """Raised by a numpy eigensolver under the `no_lapack` fixture."""
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """From then on numpy's eigensolvers raise LapackCalled: numpy.linalg.eigh, eigvalsh, eig
+    and eigvals, and numpy.roots, which binds its own eigvals at import."""
+    import numpy as np
+
+    def refused(name):
+        def solver(*args, **kwargs):
+            raise LapackCalled(name + " called")
+        return solver
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refused("numpy.linalg." + name))
+    monkeypatch.setattr(np, "roots", refused("numpy.roots"))

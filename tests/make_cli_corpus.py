@@ -11,7 +11,8 @@ repository root:
 Regenerating the file is a test-data change: the change that does it names
 the rows that moved, and why.  Before it overwrites the file, the script
 prints each case whose output changed, with its argv and the fields of each
-row that differ.  It writes no corpus in which a case other than REFUSALS
+row that differ; a moved float is followed by its distance in ulp, taken at
+max(|v|, 1/2) as ``test_cli_corpus.py`` takes it.  It writes no corpus in which a case other than REFUSALS
 exits other than 0.
 """
 
@@ -21,6 +22,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 
@@ -110,9 +112,29 @@ def report_rows(text):
     return lines[0], [dict(zip(lines[0], line)) for line in lines[1:]]
 
 
+def ulps_moved(old, new):
+    """The largest distance between the floats of two field texts, in ulp of max(|v|, 1/2) at
+    the old value v, over the items of a mode_notes field ("key=<float>;..."); None unless every
+    item that differs is a float on both sides."""
+    items_old, items_new = old.split(";"), new.split(";")
+    if len(items_old) != len(items_new):
+        return None
+    distance = 0.0
+    for a, b in zip(items_old, items_new):
+        if a == b:
+            continue
+        try:
+            x, y = float(a.rpartition("=")[2]), float(b.rpartition("=")[2])
+        except ValueError:
+            return None
+        distance = max(distance, abs(x - y) / math.ulp(max(abs(x), 0.5)))
+    return distance
+
+
 def changed_rows(old, new):
     """Lines "row <n>: <field> <old> -> <new>" for each field that differs
-    between two report outputs; anything else that differs is one line."""
+    between two report outputs, a moved float followed by "(<d> ulp)"; anything
+    else that differs is one line."""
     if not (old and new):
         return ["stdout %r -> %r" % (old[:200], new[:200])]
     (old_head, old_rows), (new_head, new_rows) = report_rows(old), report_rows(new)
@@ -120,8 +142,11 @@ def changed_rows(old, new):
     if len(old_rows) != len(new_rows):
         lines.append("%d rows -> %d rows" % (len(old_rows), len(new_rows)))
     for i, (a, b) in enumerate(zip(old_rows, new_rows)):
-        lines += ["row %d: %s %s -> %s" % (i, field, a.get(field), b.get(field))
-                  for field in dict.fromkeys([*a, *b]) if a.get(field) != b.get(field)]
+        for field in dict.fromkeys([*a, *b]):
+            if a.get(field) != b.get(field):
+                ulps = None if None in (a.get(field), b.get(field)) else ulps_moved(a[field], b[field])
+                lines.append("row %d: %s %s -> %s%s" % (i, field, a.get(field), b.get(field),
+                                                        "" if ulps is None else " (%.3g ulp)" % ulps))
     return lines
 
 

@@ -617,8 +617,8 @@ def test_a_bad_row_is_refused_before_any_output(capsys, monkeypatch, tmp_path, f
     # before the writer formats a byte, so neither stdout nor --out gets any
     simulate = protocols.simulate_strategies
 
-    def nan_at_one_point(js, k, thetas, fs=None):  # at 2j = 4, theta = 2.0 of the 2j-major grid
-        sim = simulate(js, k, thetas, fs)
+    def nan_at_one_point(js, k, thetas, fs=None, worst_case=True):  # at 2j = 4, theta = 2.0 of the grid
+        sim = simulate(js, k, thetas, fs, worst_case)
         return sim._replace(average=[math.nan if p == 4 else x for p, x in enumerate(sim.average)])
 
     monkeypatch.setattr(protocols, "simulate_strategies", nan_at_one_point)
@@ -630,6 +630,23 @@ def test_a_bad_row_is_refused_before_any_output(capsys, monkeypatch, tmp_path, f
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "numerical failure: heisenberg_sim value nan is not finite\n"
     assert not out.exists()
+
+
+def test_no_worst_case_is_computed_unless_printed(monkeypatch):
+    # fidelity prints no worst case, nor does a sweep without worst_case among its methods: with
+    # the worst-case search raising, both print the same bytes; a sweep that prints it reaches it
+    argvs = [["fidelity", "--two-j", "41", "--theta", "2.0"],
+             ["sweep", "--two-j-range", "1:6", "--thetas", "0.3,pi",
+              "--methods", "opt_exact,heisenberg_sim,mo_sim", "--format", "json"]]
+    before = [run_cli(argv) for argv in argvs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("worst case computed")
+
+    monkeypatch.setattr(protocols, "_worst_cases", refused)
+    assert [run_cli(argv) for argv in argvs] == before
+    with pytest.raises(AssertionError, match="^worst case computed$"):
+        run_cli(["sweep", "--two-j-range", "3", "--thetas", "pi", "--methods", "worst_case"])
 
 
 def test_sweep_rows_are_the_rows_of_single_points():

@@ -169,22 +169,30 @@ def test_strategy_builds_no_dense_operator(monkeypatch):
 
 def test_strategy_checks_each_sector_block(monkeypatch):
     # V^T V = I is checked once per exchange basis, where _exchange_block builds
-    # it: a skewed eigh basis is refused there, through heisenberg_gate too, with
-    # no angle named, and is not cached
-    eigh = np.linalg.eigh
+    # it: a skewed eigh basis (the first block of three states, drop 2) or a
+    # skewed Jacobi rotation (the first block of two states, drop 1) is refused
+    # there, through heisenberg_gate too, with no angle named, and is not cached
+    eigh, rotation = np.linalg.eigh, spin_algebra._jacobi_rotation
 
     def skewed_eigh(a):
         w, v = eigh(a)
         return w, v * (1.0 + 1e-6)
 
-    spin_algebra._exchange_block.cache_clear()
-    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
-    for call in (lambda: simulate_spin_k(3.0, 1.0, 2.0, f=0.7), lambda: heisenberg_gate(3.0, 1.0, 0.7)):
-        with pytest.raises(ToleranceError, match=r"^exchange basis of \(2j, 2k, drop\) = \(6, 2, 0\) "
-                                                 r"is not orthogonal \(error 2e-06\)$"):
-            call()
-    monkeypatch.undo()
-    assert spin_algebra._exchange_block.cache_info().currsize == 0
+    def skewed_rotation(d0, e, d1):
+        w0, w1, c, s = rotation(d0, e, d1)
+        return w0, w1, c * (1.0 + 1e-6), s * (1.0 + 1e-6)
+
+    for owner, name, skewed, drop in ((np.linalg, "eigh", skewed_eigh, 2),
+                                      (spin_algebra, "_jacobi_rotation", skewed_rotation, 1)):
+        spin_algebra._exchange_block.cache_clear()
+        monkeypatch.setattr(owner, name, skewed)
+        for call in (lambda: simulate_spin_k(3.0, 1.0, 2.0, f=0.7), lambda: heisenberg_gate(3.0, 1.0, 0.7)):
+            with pytest.raises(ToleranceError, match=r"^exchange basis of \(2j, 2k, drop\) = \(6, 2, %d\) "
+                                                     r"is not orthogonal \(error 2e-06\)$" % drop):
+                call()
+        monkeypatch.undo()
+        # only the blocks before the skewed one, drops 0 .. drop - 1, passed and are cached
+        assert spin_algebra._exchange_block.cache_info().currsize == drop
     simulate_spin_k(3.0, 1.0, 2.0, f=0.7)
     # a skewed block that reaches the strategy anyway fails the completeness
     # check of each point's Kraus family, which names the angle
@@ -197,6 +205,58 @@ def test_strategy_checks_each_sector_block(monkeypatch):
     monkeypatch.setattr(protocols, "_exchange_block", skewed)
     with pytest.raises(ToleranceError, match=r"^theta = 2\.0: Kraus operators are not complete"):
         simulate_spin_k(3.0, 1.0, 2.0)
+
+
+def _eigh_block(doubled_j, doubled_k, drop):
+    """The oracle of `_exchange_block`: the same block, solved by numpy.linalg.eigh."""
+    j, k = doubled_j / 2, doubled_k / 2
+    a = np.arange(max(0, drop - doubled_k), min(drop, doubled_j) + 1)
+    mj, mk = j - a, k - (drop - a)
+    off = np.sqrt(j * (j + 1) - mj[1:] * (mj[1:] + 1)) * np.sqrt(k * (k + 1) - mk[1:] * (mk[1:] - 1))
+    w, v = np.linalg.eigh(np.diag(2.0 * mj * mk) + np.diag(off, 1) + np.diag(off, -1))
+    return a * (doubled_k + 1) + drop - a, w, v
+
+
+def _two_state_drops(doubled_j, doubled_k, drops):
+    return [d for d in drops if min(d, doubled_j) - max(0, d - doubled_k) == 1]
+
+
+def test_two_state_blocks_match_eigh():
+    # every block of two states takes one Jacobi rotation: its eigenpairs are eigh's, to 1e-13
+    # of the largest eigenvalue and to 1e-13 in each eigenvector (up to its sign), on every
+    # drop of the small spins and on the first and last drops of spins far apart
+    cases = [(two_j, two_k, drop) for two_j in range(1, 61) for two_k in range(1, 7)
+             for drop in _two_state_drops(two_j, two_k, range(two_j + two_k + 1))]
+    for two_j in (999, 10**6 + 1, 2**53 - 1):
+        for two_k in range(1, 7):
+            ends = [*range(1, 7), two_j // 2, *range(two_j + two_k - 6, two_j + two_k + 1)]
+            cases += [(two_j, two_k, drop) for drop in _two_state_drops(two_j, two_k, ends)]
+    assert len(cases) > 2000
+    for case in cases:
+        indices, w, v = spin_algebra._exchange_block(*case)
+        want_indices, want_w, want_v = _eigh_block(*case)
+        assert (indices == want_indices).all() and w[0] <= w[1]
+        assert abs(w - want_w).max() <= 1e-13 * abs(want_w).max(), case
+        assert abs(v * np.sign((v * want_v).sum(0)) - want_v).max() <= 1e-13, case
+
+
+def test_qubit_gates_and_projectors_call_no_lapack(no_lapack, monkeypatch):
+    # with a qubit partner every exchange block has one or two states: the gate and the
+    # total-spin projectors are built with numpy's eigensolvers raising, and match those of
+    # the eigh blocks to 1e-13
+    spin_algebra._exchange_block.cache_clear()
+    fs = (0.7, 2.9, -40.0)
+    built = [([heisenberg_gate(HalfInteger(two_j), 0.5, f) for f in fs],
+              spin_algebra.total_spin_projectors(HalfInteger(two_j), 0.5)) for two_j in range(1, 42)]
+    monkeypatch.undo()
+    for owner in (spin_algebra, protocols):
+        monkeypatch.setattr(owner, "_exchange_block", _eigh_block)
+    for two_j, (gates, projectors) in zip(range(1, 42), built):
+        for f, gate in zip(fs, gates):
+            assert abs(gate - heisenberg_gate(HalfInteger(two_j), 0.5, f)).max() <= 1e-13
+        want = spin_algebra.total_spin_projectors(HalfInteger(two_j), 0.5)
+        assert [l for l, _ in projectors] == [l for l, _ in want]
+        assert max(abs(p - q).max() for (_, p), (_, q) in zip(projectors, want)) <= 1e-13
 
 
 def test_per_spin_caches_are_bounded_and_read_only():
@@ -346,6 +406,32 @@ def test_pole_rule_reproduces_beta_moments(two_j):
             assert abs(w @ (1.0 - t) ** p - float(_beta_moment(two_j, p))) < 1e-15
         stacked = _pole_rule(POLE_SPINS, nodes)
         assert all((a[POLE_SPINS.index(two_j)] == b).all() for a, b in zip(stacked, (t, w)))
+
+
+def _golub_welsch(doubled_js, nodes):
+    """The oracle of `_pole_rule`: every spin's Jacobi matrix solved by one stacked eigh."""
+    beta = np.asarray(doubled_js, dtype=float)[:, None]
+    i = np.arange(nodes, dtype=float)
+    d = 2.0 * i + beta
+    matrix = np.zeros((len(beta), nodes * nodes))
+    matrix[:, ::nodes + 1] = (2.0 * i * i + 2.0 * i * beta + 2.0 * i + beta) / (d * (d + 2.0))
+    off = i[1:] * (i[1:] + beta) / (d[:, 1:] * np.sqrt(d[:, 1:] * d[:, 1:] - 1.0))
+    matrix[:, 1::nodes + 1] = matrix[:, nodes::nodes + 1] = off
+    t, vectors = np.linalg.eigh(matrix.reshape(-1, nodes, nodes))
+    return t, vectors[:, 0] ** 2
+
+
+def test_two_node_rule_is_golub_welsch():
+    # the qubit rule takes one Jacobi rotation per spin: its nodes and weights are those of
+    # the Golub-Welsch eigh within 4 ulp, alone and stacked; larger rules are eigh's, bitwise
+    spins = [1, 2, 3, 41, 999, 10**6 + 1, 2**53 - 1]
+    for rule, want in zip(_pole_rule(spins, 2), _golub_welsch(spins, 2)):
+        assert (abs(rule - want) <= 4 * np.spacing(want)).all()
+    stacked = _pole_rule(spins, 2)
+    for row, two_j in enumerate(spins):
+        assert all((a[0] == b[row]).all() for a, b in zip(_pole_rule([two_j], 2), stacked))
+    for got, want in zip(_pole_rule(spins, 3), _golub_welsch(spins, 3)):
+        assert (got == want).all()
 
 
 def _spin_k_mo_from_moments(two_j, two_k, theta):
@@ -675,6 +761,17 @@ def test_a_grid_refuses_interaction_angles_of_another_shape(monkeypatch):
         want = r"^theta = 0\.3: interaction angle f must be a real number, got %r$" % fs[0]
         with pytest.raises(ValueError, match=want):
             protocols.simulate_strategies([1, 2], 0.5, [0.3], fs)
+
+
+def test_the_worst_case_is_computed_only_when_asked():
+    # without it the other fields are those of the full call, and no chart budget applies
+    spins, thetas = [3, 41], [0.3, 2.0, PI]
+    full = protocols.simulate_strategies(spins, 0.5, thetas)
+    assert protocols.simulate_strategies(spins, 0.5, thetas, worst_case=False) == full._replace(worst_case=None)
+    assert protocols.simulate_strategies([3], 0.5, [], worst_case=False) == ([], [], None)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        protocols.simulate_strategies([300], 2.0, [2.0])
+    assert len(protocols.simulate_strategies([300], 2.0, [2.0], worst_case=False).average) == 1
 
 
 def test_an_empty_grid_gives_empty_lists():
