@@ -201,8 +201,7 @@ def simulate_strategies(js, k, thetas, fs=None, worst_case=True) -> StrategyFide
     an angle that is not a finite real number, are refused with ValueError before any work, a
     given f named by its theta.  Every point has 2k+1 Kraus operators, so the grid is one
     stack, and its worst cases are one call of `channel_lab._worst_cases`, which picks their
-    route.  With `worst_case` false no worst case is computed and the field is None, so no
-    chart budget applies either.
+    route.  With `worst_case` false no worst case is computed and that field is None.
     """
     js, k = [as_spin(j, "program spin") for j in js], as_spin(k, "target spin")
     if fs is None:
@@ -224,7 +223,7 @@ def simulate_strategies(js, k, thetas, fs=None, worst_case=True) -> StrategyFide
                 raise ValueError("theta = %r: %s" % (theta, exc)) from None
     d = k.doubled + 1
     _check_dimension(d)
-    if worst_case and k.doubled > 2:  # the worst case searches a chart; refuse one over budget first
+    if k.doubled > 2:  # the worst case searches a chart; refuse one over budget before any work
         _chart_axes(d, d, True)
     if not len(fs):  # an empty grid builds no stack
         return StrategyFidelities([], [], [] if worst_case else None)
