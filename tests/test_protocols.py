@@ -221,6 +221,17 @@ def _two_state_drops(doubled_j, doubled_k, drops):
     return [d for d in drops if min(d, doubled_j) - max(0, d - doubled_k) == 1]
 
 
+def test_other_blocks_are_those_of_eigh_bitwise():
+    # a block of one state is its own eigenpair and a larger one takes eigh of the same entries,
+    # formed in floats as the oracle forms them in arrays: both are the oracle's, bit for bit
+    for two_j in range(0, 25):
+        for two_k in range(0, 7):
+            for drop in range(two_j + two_k + 1):
+                if min(drop, two_j) - max(0, drop - two_k) != 1:
+                    got, want = spin_algebra._exchange_block(two_j, two_k, drop), _eigh_block(two_j, two_k, drop)
+                    assert all((a == b).all() for a, b in zip(got, want)), (two_j, two_k, drop)
+
+
 def test_two_state_blocks_match_eigh():
     # every block of two states takes one Jacobi rotation: its eigenpairs are eigh's, to 1e-13
     # of the largest eigenvalue and to 1e-13 in each eigenvector (up to its sign), on every
