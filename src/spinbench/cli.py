@@ -52,17 +52,6 @@ EXIT_NUMERICAL = 3
 
 SCHEMA_VERSION = "spinbench/1"
 
-SWEEP_METHODS = (
-    "opt_exact",
-    "opt_asymptotic",
-    "mo_exact",
-    "mo_asymptotic",
-    "heisenberg_sim",
-    "mo_sim",
-    "worst_case",
-)
-METHODS = frozenset(SWEEP_METHODS + ("recycling", "spin_k_sim"))
-
 SWEEP_POINTS_CAP = 100_000
 
 CSV_FIELDS = ("two_j", "two_k", "theta_rad", "method", "step", "value", "uncertainty", "mode_notes")
@@ -256,35 +245,96 @@ def parse_methods(text: str):
 # report rows
 
 
+class _Route(NamedTuple):
+    """How a report forms one row at each (2j, theta) point: its method and step, the source of
+    its value, the source its uncertainty is the distance to (None: 0.0), and its note.  A source
+    is a (kind, quantity) pair, one column over the grid (see `_report_rows`)."""
+    method: str
+    step: Optional[int]
+    value: tuple
+    reference: Optional[tuple]
+    note: object  # a text, or a function (two_k, two_js, column) giving one note per point
+
+
+def _node_notes(two_k, two_js, column):
+    return ["gauss_jacobi_nodes=%d" % (two_k + 1)] * len(two_js)
+
+
+# the routes of a sweep, in canonical order; `fidelity` prints all but the worst case
+_SWEEP_ROUTES = (
+    _Route("opt_exact", None, ("exact", "average"), None,
+           lambda two_k, two_js, column: [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in two_js]),
+    _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
+    _Route("mo_exact", None, ("exact", "mo"), None, ""),
+    _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
+    _Route("heisenberg_sim", None, ("sim", "average"), ("exact", "average"), ""),
+    _Route("mo_sim", None, ("sim", "mo"), ("exact", "mo"), _node_notes),
+    _Route("worst_case", None, ("sim", "worst_case"), ("large_j", "worst_case"), "vs_asymptotic"),
+)
+_SPIN_K_ROUTES = (
+    _Route("spin_k_sim", None, ("sim", "average"), ("large_j", "average"), lambda two_k, two_js, column: [
+        "entanglement=%s" % format_float(x) for x in column(("sim", "entanglement"))]),
+    # the worst case is exact for 2k <= 2, and a chart search's upper bound above
+    _Route("worst_case", 0, ("sim", "worst_case"), ("large_j", "worst_case"),
+           lambda two_k, two_js, column: ["chart_upper_bound" if two_k >= 3 else ""] * len(two_js)),
+    _Route("mo_sim", None, ("sim", "mo"), ("exact", "mo"), _node_notes),
+    _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
+    _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
+    _Route("worst_case", 1, ("large_j", "worst_case"), None, "asymptotic"),
+)
+SWEEP_METHODS = tuple(route.method for route in _SWEEP_ROUTES)
+METHODS = frozenset(route.method for route in _SWEEP_ROUTES + _SPIN_K_ROUTES) | {"recycling"}
+
+
+def _report_rows(two_j_values, thetas, two_k, routes):
+    """The report of `routes` at every (2j, theta) point, 2j major, for a spin-k target.  Each
+    source is formed once, if a route reads it: an "exact" closed form (beyond the qubit target,
+    the "large_j" one) is one kernel call per point, and each "sim"ulation, the strategy's
+    (its worst case only if printed) and the MO one, one stacked evaluation over the grid."""
+    js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
+    k = HalfInteger(two_k)
+    two_js = [j.doubled for j in js for _ in thetas]
+    grid_j = [j.value for j in js for _ in thetas]
+    grid_theta = list(thetas) * len(js)
+
+    @functools.cache
+    def column(source):
+        kind, quantity = source
+        if source == ("sim", "mo"):
+            return protocols.simulate_mo_strategies(js, thetas) if two_k == 1 else [
+                protocols.simulate_spin_k_mo(j, k, theta) for j in js for theta in thetas]
+        if source == ("sim", "strategy"):  # a qubit target's at the tuned interaction angle
+            fs = [closed_forms.coupling_angle(j, theta) for j in js for theta in thetas] if two_k == 1 else None
+            return protocols.simulate_strategies(
+                js, k, thetas, fs, worst_case=any(route.value == ("sim", "worst_case") for route in routes))
+        if kind == "sim":
+            return getattr(column(("sim", "strategy")), quantity)
+        if kind == "exact" and two_k == 1:
+            kernel = closed_forms._optimal_value if quantity == "average" else closed_forms._mo_value
+            return list(map(kernel, grid_j, grid_theta))
+        coeff, denom = closed_forms._large_j_terms(k)[quantity]
+        return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
+
+    width, points = len(routes), len(grid_theta)
+    # a row is a (point, route) pair, so each route's column fills every width-th row
+    values, uncertainties, notes = ([None] * (width * points) for _ in range(3))
+    for i, (_, _, value, reference, note) in enumerate(routes):
+        values[i::width] = column(value)
+        uncertainties[i::width] = [0.0] * points if reference is None else [
+            abs(x - r) for x, r in zip(column(value), column(reference))]
+        notes[i::width] = [note] * points if type(note) is str else note(two_k, two_js, column)
+    return ReportColumns(
+        [two_j for two_j in two_js for _ in routes], [two_k] * len(values),
+        [theta for theta in grid_theta for _ in routes], [route.method for route in routes] * points,
+        values, uncertainties, notes, [route.step for route in routes] * points)
+
+
 def fidelity_rows(two_j, theta):
     return sweep_rows([two_j], [theta], SWEEP_METHODS[:-1])  # all but worst_case
 
 
 def spin_k_rows(two_j, two_k, theta):
-    j = HalfInteger(two_j)
-    k = HalfInteger(two_k)
-    # the tuned interaction angle and conditional rotation are only known for the qubit target;
-    # beyond it the plain choice f = tau = theta is the one with controlled asymptotics
-    if two_k == 1:
-        sim = protocols.simulate_optimal_qubit_strategy(j, theta)
-        mo_val = protocols.simulate_mo_strategy(j, theta)
-    else:
-        sim = protocols.simulate_spin_k(j, k, theta)
-        mo_val = protocols.simulate_spin_k_mo(j, k, theta)
-    terms = closed_forms._large_j_terms(k)
-    asym_avg, asym_mo, asym_w = (closed_forms._large_j_value(j.value, *terms[form], theta)
-                                 for form in ("average", "mo", "worst_case"))
-    # the MO row's uncertainty is its distance to the exact benchmark (a qubit target) or, beyond
-    # the qubit, to the asymptotic one, as `fidelity`'s is to the exact one
-    mo_ref = closed_forms._mo_value(j.value, theta) if two_k == 1 else asym_mo
-    return ReportColumns(
-        [two_j] * 6, [two_k] * 6, [theta] * 6,
-        ["spin_k_sim", "worst_case", "mo_sim", "opt_asymptotic", "mo_asymptotic", "worst_case"],
-        [sim.average, sim.worst_case, mo_val, asym_avg, asym_mo, asym_w],
-        [abs(sim.average - asym_avg), abs(sim.worst_case - asym_w), abs(mo_val - mo_ref), 0.0, 0.0, 0.0],
-        ["entanglement=%s" % format_float(sim.entanglement), "chart_upper_bound" if two_k >= 3 else "",
-         "gauss_jacobi_nodes=%d" % (two_k + 1), "", "", "asymptotic"],
-        [None, 0, None, None, None, 1])
+    return _report_rows([two_j], [theta], two_k, _SPIN_K_ROUTES)
 
 
 def longevity_rows(two_j, theta, n_max):
@@ -304,56 +354,8 @@ def longevity_rows(two_j, theta, n_max):
 
 
 def sweep_rows(two_j_values, thetas, methods):
-    """The report of every (2j, theta) point, 2j major, each point's `methods` in canonical order.
-    Each method is one column over the grid: a closed form is one kernel call per point, and
-    the MO and strategy simulations are one stacked evaluation each over the whole grid."""
-    js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
-    grid_two_j = [j.doubled for j in js for _ in thetas]
-    grid_j = [j.value for j in js for _ in thetas]
-    grid_theta = list(thetas) * len(js)
-    if "mo_sim" in methods:
-        mo = protocols.simulate_mo_strategies(js, thetas)
-    if "heisenberg_sim" in methods or "worst_case" in methods:  # the worst case only if printed
-        _, average, worst_case = protocols.simulate_strategies(
-            js, 0.5, thetas, [closed_forms.coupling_angle(j, t) for j in js for t in thetas],
-            worst_case="worst_case" in methods)
-    fo = list(map(closed_forms._optimal_value, grid_j, grid_theta))
-    fm = list(map(closed_forms._mo_value, grid_j, grid_theta))
-
-    def large_j(form):
-        coeff, denom = closed_forms.QUBIT_TERMS[form]
-        return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
-
-    def residuals(simulated, forms):
-        return [abs(x - v) for x, v in zip(simulated, forms)]
-
-    width, rows = len(methods), len(grid_theta) * len(methods)
-    zeros = [0.0] * len(grid_theta)
-    # a row is a (point, method) pair, so each method's column fills every width-th row
-    values, uncertainties, notes = [None] * rows, [None] * rows, [""] * rows
-    for column, method in enumerate(methods):
-        if method == "opt_exact":
-            values[column::width], uncertainties[column::width] = fo, zeros
-            notes[column::width] = [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in grid_two_j]
-        elif method == "opt_asymptotic":
-            values[column::width], uncertainties[column::width] = large_j("average"), zeros
-        elif method == "mo_exact":
-            values[column::width], uncertainties[column::width] = fm, zeros
-        elif method == "mo_asymptotic":
-            values[column::width], uncertainties[column::width] = large_j("mo"), zeros
-        elif method == "heisenberg_sim":
-            values[column::width], uncertainties[column::width] = average, residuals(average, fo)
-        elif method == "mo_sim":
-            values[column::width], uncertainties[column::width] = mo, residuals(mo, fm)
-            notes[column::width] = ["gauss_jacobi_nodes=2"] * len(grid_theta)
-        else:  # worst_case
-            values[column::width] = worst_case
-            uncertainties[column::width] = residuals(worst_case, large_j("worst_case"))
-            notes[column::width] = ["vs_asymptotic"] * len(grid_theta)
-    return ReportColumns(
-        [two_j for two_j in grid_two_j for _ in methods], [1] * rows,
-        [theta for theta in grid_theta for _ in methods], list(methods) * len(grid_theta),
-        values, uncertainties, notes, [None] * rows)
+    """The report of every (2j, theta) point, 2j major, each point's `methods` in canonical order."""
+    return _report_rows(two_j_values, thetas, 1, [route for route in _SWEEP_ROUTES if route.method in methods])
 
 
 # ---------------------------------------------------------------------------
