@@ -247,12 +247,12 @@ def parse_methods(text: str):
 
 class _Route(NamedTuple):
     """How a report forms one row at each (2j, theta) point: its method and step, the source of
-    its value, the source its uncertainty is the distance to (None: 0.0), and its note.  A source
-    is a (kind, quantity) pair, one column over the grid (see `_report_rows`)."""
+    its value, the quantity whose reference its uncertainty is the distance to (None: 0.0), and
+    its note.  A source is a (kind, quantity) pair, one column over the grid (see `_report_rows`)."""
     method: str
     step: Optional[int]
     value: tuple
-    reference: Optional[tuple]
+    reference: Optional[str]
     note: object  # a text, or a function (two_k, two_js, column) giving one note per point
 
 
@@ -267,17 +267,17 @@ _SWEEP_ROUTES = (
     _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
     _Route("mo_exact", None, ("exact", "mo"), None, ""),
     _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
-    _Route("heisenberg_sim", None, ("sim", "average"), ("exact", "average"), ""),
-    _Route("mo_sim", None, ("sim", "mo"), ("exact", "mo"), _node_notes),
-    _Route("worst_case", None, ("sim", "worst_case"), ("large_j", "worst_case"), "vs_asymptotic"),
+    _Route("heisenberg_sim", None, ("sim", "average"), "average", ""),
+    _Route("mo_sim", None, ("sim", "mo"), "mo", _node_notes),
+    _Route("worst_case", None, ("sim", "worst_case"), "worst_case", ""),
 )
 _SPIN_K_ROUTES = (
-    _Route("spin_k_sim", None, ("sim", "average"), ("large_j", "average"), lambda two_k, two_js, column: [
+    _Route("spin_k_sim", None, ("sim", "average"), "average", lambda two_k, two_js, column: [
         "entanglement=%s" % format_float(x) for x in column(("sim", "entanglement"))]),
     # the worst case is exact for 2k <= 2, and a chart search's upper bound above
-    _Route("worst_case", 0, ("sim", "worst_case"), ("large_j", "worst_case"),
+    _Route("worst_case", 0, ("sim", "worst_case"), "worst_case",
            lambda two_k, two_js, column: ["chart_upper_bound" if two_k >= 3 else ""] * len(two_js)),
-    _Route("mo_sim", None, ("sim", "mo"), ("exact", "mo"), _node_notes),
+    _Route("mo_sim", None, ("sim", "mo"), "mo", _node_notes),
     _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
     _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
     _Route("worst_case", 1, ("large_j", "worst_case"), None, "asymptotic"),
@@ -288,9 +288,9 @@ METHODS = frozenset(route.method for route in _SWEEP_ROUTES + _SPIN_K_ROUTES) | 
 
 def _report_rows(two_j_values, thetas, two_k, routes):
     """The report of `routes` at every (2j, theta) point, 2j major, for a spin-k target.  Each
-    source is formed once, if a route reads it: an "exact" closed form (beyond the qubit target,
-    the "large_j" one) is one kernel call per point, and each "sim"ulation, the strategy's
-    (its worst case only if printed) and the MO one, one stacked evaluation over the grid."""
+    source is formed once, if a route reads it: an "exact" or "large_j" closed form is one kernel
+    call per point, and each "sim"ulation, the strategy's (its worst case only if printed) and
+    the MO one, one stacked evaluation over the grid."""
     js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
     k = HalfInteger(two_k)
     two_js = [j.doubled for j in js for _ in thetas]
@@ -309,7 +309,7 @@ def _report_rows(two_j_values, thetas, two_k, routes):
                 js, k, thetas, fs, worst_case=any(route.value == ("sim", "worst_case") for route in routes))
         if kind == "sim":
             return getattr(column(("sim", "strategy")), quantity)
-        if kind == "exact" and two_k == 1:
+        if kind == "exact":
             kernel = closed_forms._optimal_value if quantity == "average" else closed_forms._mo_value
             return list(map(kernel, grid_j, grid_theta))
         coeff, denom = closed_forms._large_j_terms(k)[quantity]
@@ -318,11 +318,18 @@ def _report_rows(two_j_values, thetas, two_k, routes):
     width, points = len(routes), len(grid_theta)
     # a row is a (point, route) pair, so each route's column fills every width-th row
     values, uncertainties, notes = ([None] * (width * points) for _ in range(3))
-    for i, (_, _, value, reference, note) in enumerate(routes):
+    for i, (_, _, value, quantity, note) in enumerate(routes):
         values[i::width] = column(value)
-        uncertainties[i::width] = [0.0] * points if reference is None else [
-            abs(x - r) for x, r in zip(column(value), column(reference))]
         notes[i::width] = [note] * points if type(note) is str else note(two_k, two_js, column)
+        if quantity is None:
+            uncertainties[i::width] = [0.0] * points
+            continue
+        # the reference is the exact form of the quantity where one exists (a qubit target's
+        # average and MO fidelity), else its large-j form, which the note then names
+        reference = ("exact" if two_k == 1 and quantity in ("average", "mo") else "large_j", quantity)
+        uncertainties[i::width] = [abs(x - r) for x, r in zip(column(value), column(reference))]
+        if reference[0] == "large_j":
+            notes[i::width] = [n + ";vs_asymptotic" if n else "vs_asymptotic" for n in notes[i::width]]
     return ReportColumns(
         [two_j for two_j in two_js for _ in routes], [two_k] * len(values),
         [theta for theta in grid_theta for _ in routes], [route.method for route in routes] * points,
