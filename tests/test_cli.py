@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from make_cli_corpus import run_cli
+from make_cli_corpus import report_rows, run_cli
 
 from spinbench import channel_lab, cli, optimal_fidelity, protocols, recycling, spin_algebra
 from spinbench.cli import (
@@ -809,17 +809,23 @@ def test_spin_k_command_matches_qubit_path(capsys):
 
 
 def test_spin_k_qubit_mo_row_is_the_fidelity_row():
-    # at 2k = 1 the MO row rotates by the tuned conditional angle, as `fidelity`'s does, and its
-    # uncertainty is the distance to the same exact benchmark
-    def mo_sim(argv):
+    # at 2k = 1 the spin-k rows are those of the qubit commands, measured against the same
+    # references: spin_k_sim is fidelity's heisenberg_sim, mo_sim is fidelity's (rotating by the
+    # tuned conditional angle), and the step-0 worst case is sweep's worst_case, note and all
+    def rows(argv):
         code, out, err = run_cli(argv)
         assert (code, err) == (0, "")
-        return [line.split(",")[5:7] for line in out.splitlines() if line.split(",")[3] == "mo_sim"]
+        return {(row["method"], row["step"]): [row["value"], row["uncertainty"], row["mode_notes"]]
+                for row in report_rows(out)[1]}
 
     for two_j in ("1", "2", "6", "41", "150"):
         for theta in ("0.3", "2.0", "pi", "4.0"):
-            assert mo_sim(["spin-k", "--two-j", two_j, "--two-k", "1", "--theta", theta]) \
-                == mo_sim(["fidelity", "--two-j", two_j, "--theta", theta]), (two_j, theta)
+            spin_k = rows(["spin-k", "--two-j", two_j, "--two-k", "1", "--theta", theta])
+            fidelity = rows(["fidelity", "--two-j", two_j, "--theta", theta])
+            sweep = rows(["sweep", "--two-j-range", two_j, "--thetas", theta, "--methods", "worst_case"])
+            assert spin_k[("spin_k_sim", "")][:2] == fidelity[("heisenberg_sim", "")][:2], (two_j, theta)
+            assert spin_k[("mo_sim", "")] == fidelity[("mo_sim", "")], (two_j, theta)
+            assert spin_k[("worst_case", "0")] == sweep[("worst_case", "")], (two_j, theta)
 
 
 def test_spin_k_labels_the_chart_bound(capsys):

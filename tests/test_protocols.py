@@ -2,17 +2,15 @@ import math
 import re
 import time
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as P
+from independent_routes import beta_moment, dense_strategy, spin_k_mo_from_moments
 
 from spinbench import channel_lab, cli, closed_forms, covariant_opt, protocols, recycling, spin_algebra
 from spinbench.channel_lab import (
     KrausChannel,
     ProgramChannel,
-    average_fidelity_from_entanglement,
     average_fidelity_mc,
     entanglement_fidelity,
     haar_state,
@@ -33,7 +31,6 @@ from spinbench.covariant_opt import (
     params_from_gammas,
 )
 from spinbench.protocols import (
-    StrategyFidelities,
     _pole_rule,
     _strategy_kraus,
     heisenberg_gate,
@@ -48,7 +45,6 @@ from spinbench.spin_algebra import (
     HalfInteger,
     ToleranceError,
     Z_AXIS,
-    as_half_integer,
     make_spin_operators,
     rotation_unitary,
     spin_coherent_state,
@@ -105,17 +101,6 @@ def test_heisenberg_gate_commutes_with_collective_rotations():
         assert np.abs(u @ r - r @ u).max() < 1e-10
 
 
-def _dense_strategy(j, k, theta, f, n=Z_AXIS, grid=16):
-    # the strategy through the whole gate: every control basis state gives a
-    # Kraus operator of ProgramChannel, the program is a coherent state along n
-    j, k = as_half_integer(j), as_half_integer(k)
-    ch = ProgramChannel(heisenberg_gate(j, k, f), spin_coherent_state(j, n), j, k)
-    v = rotation_unitary(make_spin_operators(k), n, theta)
-    fe = entanglement_fidelity(ch, v)
-    fw, _ = worst_case_fidelity(ch, v, grid=grid)
-    return StrategyFidelities(fe, average_fidelity_from_entanglement(fe, k.doubled + 1), fw)
-
-
 @pytest.mark.parametrize("two_k", [1, 2, 3])
 def test_sector_kraus_are_the_nonzero_dense_ones(two_k):
     k = HalfInteger(two_k)
@@ -147,7 +132,7 @@ def test_strategy_matches_dense_route_on_any_axis():
         # the d >= 3 chart search depends on the frame, the qubit minimum does not
         same_search = two_k == 1 or n == Z_AXIS
         got = simulate_spin_k(two_j / 2, two_k / 2, theta, f=f)
-        want = _dense_strategy(two_j / 2, two_k / 2, theta, f, n=n, grid=16 if same_search else 8)
+        want = dense_strategy(two_j / 2, two_k / 2, theta, f, n=n, grid=16 if same_search else 8)
         assert abs(got.entanglement - want.entanglement) < 1e-12
         assert abs(got.average - want.average) < 1e-12
         if same_search:
@@ -308,7 +293,7 @@ def test_strategy_axis_independent():
     base = simulate_optimal_qubit_strategy(2.0, 2.1)
     for _ in range(5):
         n = Direction.normalized(*rng.standard_normal(3))
-        got = _dense_strategy(2.0, 0.5, 2.1, coupling_angle(2.0, 2.1), n=n)
+        got = dense_strategy(2.0, 0.5, 2.1, coupling_angle(2.0, 2.1), n=n)
         assert abs(got.entanglement - base.entanglement) < 1e-10
         assert abs(got.worst_case - base.worst_case) < 1e-12
 
@@ -399,12 +384,6 @@ def test_mo_fidelity_outside_the_unit_interval_is_refused(monkeypatch, capsys):
     assert captured.out == "" and captured.err.startswith("numerical failure: entanglement fidelity escapes")
 
 
-# Under the estimate's weight (2j+1)(1-t)^{2j}, E[(1-t)^p] = (2j+1)/(2j+1+p):
-# a third route to the MO fidelities, independent of the rule and the closed form.
-def _beta_moment(two_j, p):
-    return Fraction(two_j + 1, two_j + 1 + p)
-
-
 POLE_SPINS = [1, 41, 999, 10**6, 2**53]
 
 
@@ -414,7 +393,7 @@ def test_pole_rule_reproduces_beta_moments(two_j):
     for nodes in (1, 2, 3, 5):
         (t,), (w,) = _pole_rule([two_j], nodes)
         for p in range(2 * nodes):
-            assert abs(w @ (1.0 - t) ** p - float(_beta_moment(two_j, p))) < 1e-15
+            assert abs(w @ (1.0 - t) ** p - float(beta_moment(two_j, p))) < 1e-15
         stacked = _pole_rule(POLE_SPINS, nodes)
         assert all((a[POLE_SPINS.index(two_j)] == b).all() for a, b in zip(stacked, (t, w)))
 
@@ -445,24 +424,12 @@ def test_two_node_rule_is_golub_welsch():
         assert (got == want).all()
 
 
-def _spin_k_mo_from_moments(two_j, two_k, theta):
-    # (U_{2k}(c)/(2k+1))^2 with c = cos(theta) + 2 sin^2(theta/2) s, s = 1 - t,
-    # expanded in exact rationals (the float coefficients are large and cancel)
-    c = np.array([Fraction(math.cos(theta)), Fraction(2.0 * math.sin(theta / 2.0) ** 2)])
-    u_prev, u = np.array([Fraction(0)]), np.array([Fraction(1)])
-    for _ in range(two_k):
-        u_prev, u = u, P.polysub(P.polymul(2 * c, u), u_prev)
-    poly = P.polymul(u, u)
-    fe = sum(a * _beta_moment(two_j, p) for p, a in enumerate(poly)) / (two_k + 1) ** 2
-    return average_fidelity_from_entanglement(float(fe), two_k + 1)
-
-
 @pytest.mark.parametrize("two_j", [1, 41, 999, 2001, 10**6])
 def test_spin_k_mo_matches_beta_moments(two_j):
     for two_k in range(1, 5):
         for theta in (0.3, 1.0, 2.2, PI):
             got = simulate_spin_k_mo(HalfInteger(two_j), HalfInteger(two_k), theta)
-            assert abs(got - _spin_k_mo_from_moments(two_j, two_k, theta)) < 1e-13
+            assert abs(got - spin_k_mo_from_moments(two_j, two_k, theta)) < 1e-13
 
 
 def test_coherent_beats_mo():
