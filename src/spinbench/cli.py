@@ -9,18 +9,21 @@ A sweep runs on one thread: its --threads is checked (>= 1), echoed in the
 JSON, and ignored.
 
 A report is a `ReportColumns`, one list per field, from the row builders to
-the writers: the builders evaluate the closed forms through `closed_forms`'
-plain-float kernels, and `check_reports` checks every row in one pass before a
-writer formats a byte.  A row is a `FidelityReport`, a plain named tuple, as
-`read_reports_csv` returns it (checked too); a library caller's numpy scalars
-are stored as the Python numbers they equal.  One row writer, `_report_texts`,
-serves reports (CSV and JSON, each formed by `_report_document`) and certify
-(JSON, its results and row errors transposed to columns once): it formats each
-field that repeats (spin, angle, step, method, note, label, verdict, line,
-message) once per distinct entry, and any other entry by entry.  One row
-reader, `_read_csv`, serves report and certify input: it names each row by the
-file line it starts on, skips blank lines, refuses a row with more or fewer
-fields than the header, and drops a byte-order mark that starts the file.
+the writers, and `check_reports` checks every row in one pass before a writer
+formats a byte.  `fidelity`, `sweep` and `spin-k` rows come from one route
+table (see `_report_rows`).  A simulated row's uncertainty is its distance to
+the exact form of its quantity where one exists, else to the large-j form,
+which its note then names `vs_asymptotic`; every other row's is 0.0.  A row is
+a `FidelityReport`, a plain named tuple, as `read_reports_csv` returns it
+(checked too); a library caller's numpy scalars are stored as the Python
+numbers they equal.  One row writer, `_report_texts`, serves reports (CSV and
+JSON, each formed by `_report_document`) and certify (JSON, its results and
+row errors transposed to columns once): it formats each field that repeats
+(spin, angle, step, method, note, label, verdict, line, message) once per
+distinct entry, and any other entry by entry.  One row reader, `_read_csv`,
+serves report and certify input: it names each row by the file line it starts
+on, skips blank lines, refuses a row with more or fewer fields than the
+header, and drops a byte-order mark that starts the file.
 
 Exit codes: 0 success, 1 usage error, 2 data/input error, 3 numerical
 tolerance failure.  A sweep grid of more than SWEEP_POINTS_CAP (2j, theta)
@@ -246,51 +249,44 @@ def parse_methods(text: str):
 
 
 class _Route(NamedTuple):
-    """How a report forms one row at each (2j, theta) point: its method and step, the source of
-    its value, the quantity whose reference its uncertainty is the distance to (None: 0.0), and
-    its note.  A source is a (kind, quantity) pair, one column over the grid (see `_report_rows`)."""
+    """A report's row at each (2j, theta) point: its method, step, value source, the quantity its
+    uncertainty is measured against (None: 0.0), and its note: a text, or a function (two_k,
+    two_js, column) of one text for every point or a list of one."""
     method: str
     step: Optional[int]
     value: tuple
     reference: Optional[str]
-    note: object  # a text, or a function (two_k, two_js, column) giving one note per point
+    note: object
 
 
-def _node_notes(two_k, two_js, column):
-    return ["gauss_jacobi_nodes=%d" % (two_k + 1)] * len(two_js)
-
-
-# the routes of a sweep, in canonical order; `fidelity` prints all but the worst case
-_SWEEP_ROUTES = (
+# the routes of a sweep by method, in canonical order; `fidelity` prints all but the worst case
+_SWEEP_ROUTES = {route.method: route for route in (
     _Route("opt_exact", None, ("exact", "average"), None,
            lambda two_k, two_js, column: [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in two_js]),
     _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
     _Route("mo_exact", None, ("exact", "mo"), None, ""),
     _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
     _Route("heisenberg_sim", None, ("sim", "average"), "average", ""),
-    _Route("mo_sim", None, ("sim", "mo"), "mo", _node_notes),
-    _Route("worst_case", None, ("sim", "worst_case"), "worst_case", ""),
-)
+    _Route("mo_sim", None, ("sim", "mo"), "mo", lambda two_k, *_: "gauss_jacobi_nodes=%d" % (two_k + 1)),
+    _Route("worst_case", None, ("sim", "worst_case"), "worst_case",  # exact for 2k <= 2; a chart's bound above
+           lambda two_k, *_: "chart_upper_bound" if two_k >= 3 else ""),
+)}
 _SPIN_K_ROUTES = (
     _Route("spin_k_sim", None, ("sim", "average"), "average", lambda two_k, two_js, column: [
-        "entanglement=%s" % format_float(x) for x in column(("sim", "entanglement"))]),
-    # the worst case is exact for 2k <= 2, and a chart search's upper bound above
-    _Route("worst_case", 0, ("sim", "worst_case"), "worst_case",
-           lambda two_k, two_js, column: ["chart_upper_bound" if two_k >= 3 else ""] * len(two_js)),
-    _Route("mo_sim", None, ("sim", "mo"), "mo", _node_notes),
-    _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
-    _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
+        "entanglement=%s" % format_float(x) for x in column("sim", "entanglement")]),
+    _SWEEP_ROUTES["worst_case"]._replace(step=0),
+    *map(_SWEEP_ROUTES.get, ("mo_sim", "opt_asymptotic", "mo_asymptotic")),
     _Route("worst_case", 1, ("large_j", "worst_case"), None, "asymptotic"),
 )
-SWEEP_METHODS = tuple(route.method for route in _SWEEP_ROUTES)
-METHODS = frozenset(route.method for route in _SWEEP_ROUTES + _SPIN_K_ROUTES) | {"recycling"}
+SWEEP_METHODS = tuple(_SWEEP_ROUTES)
+METHODS = frozenset(SWEEP_METHODS + tuple(route.method for route in _SPIN_K_ROUTES)) | {"recycling"}
 
 
 def _report_rows(two_j_values, thetas, two_k, routes):
-    """The report of `routes` at every (2j, theta) point, 2j major, for a spin-k target.  Each
-    source is formed once, if a route reads it: an "exact" or "large_j" closed form is one kernel
-    call per point, and each "sim"ulation, the strategy's (its worst case only if printed) and
-    the MO one, one stacked evaluation over the grid."""
+    """The report of `routes` at every (2j, theta) point, 2j major, for a spin-k target.  A source
+    is a (kind, quantity) column over the grid, `column(kind, quantity)`, formed once if a route
+    reads it: an "exact" or "large_j" closed form by one kernel call per point, the strategy's and
+    the MO "sim"ulation by one stacked evaluation each (the worst case only if a route reads it)."""
     js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
     k = HalfInteger(two_k)
     two_js = [j.doubled for j in js for _ in thetas]
@@ -298,42 +294,36 @@ def _report_rows(two_j_values, thetas, two_k, routes):
     grid_theta = list(thetas) * len(js)
 
     @functools.cache
-    def column(source):
-        kind, quantity = source
-        if source == ("sim", "mo"):
+    def column(kind, quantity):
+        if (kind, quantity) == ("sim", "mo"):
             return protocols.simulate_mo_strategies(js, thetas) if two_k == 1 else [
                 protocols.simulate_spin_k_mo(j, k, theta) for j in js for theta in thetas]
-        if source == ("sim", "strategy"):  # a qubit target's at the tuned interaction angle
+        if (kind, quantity) == ("sim", "strategy"):  # a qubit target's at the tuned interaction angle
             fs = [closed_forms.coupling_angle(j, theta) for j in js for theta in thetas] if two_k == 1 else None
-            return protocols.simulate_strategies(
-                js, k, thetas, fs, worst_case=any(route.value == ("sim", "worst_case") for route in routes))
+            return protocols.simulate_strategies(js, k, thetas, fs, worst_case=("sim", "worst_case") in sources)
         if kind == "sim":
-            return getattr(column(("sim", "strategy")), quantity)
+            return getattr(column("sim", "strategy"), quantity)
         if kind == "exact":
             kernel = closed_forms._optimal_value if quantity == "average" else closed_forms._mo_value
             return list(map(kernel, grid_j, grid_theta))
         coeff, denom = closed_forms._large_j_terms(k)[quantity]
         return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
 
-    width, points = len(routes), len(grid_theta)
+    width, points, sources = len(routes), len(grid_theta), [route.value for route in routes]
     # a row is a (point, route) pair, so each route's column fills every width-th row
-    values, uncertainties, notes = ([None] * (width * points) for _ in range(3))
+    values, uncertainties, notes = [None] * (width * points), [0.0] * (width * points), [None] * (width * points)
     for i, (_, _, value, quantity, note) in enumerate(routes):
-        values[i::width] = column(value)
-        notes[i::width] = [note] * points if type(note) is str else note(two_k, two_js, column)
-        if quantity is None:
-            uncertainties[i::width] = [0.0] * points
-            continue
-        # the reference is the exact form of the quantity where one exists (a qubit target's
-        # average and MO fidelity), else its large-j form, which the note then names
-        reference = ("exact" if two_k == 1 and quantity in ("average", "mo") else "large_j", quantity)
-        uncertainties[i::width] = [abs(x - r) for x, r in zip(column(value), column(reference))]
-        if reference[0] == "large_j":
-            notes[i::width] = [n + ";vs_asymptotic" if n else "vs_asymptotic" for n in notes[i::width]]
-    return ReportColumns(
-        [two_j for two_j in two_js for _ in routes], [two_k] * len(values),
-        [theta for theta in grid_theta for _ in routes], [route.method for route in routes] * points,
-        values, uncertainties, notes, [route.step for route in routes] * points)
+        values[i::width] = column(*value)
+        note = note if type(note) is str else note(two_k, two_js, column)
+        notes[i::width] = [note] * points if type(note) is str else note
+        if quantity is not None:  # against the exact form of the quantity where one exists, else the large-j one
+            kind = "exact" if two_k == 1 and quantity != "worst_case" else "large_j"
+            uncertainties[i::width] = [abs(x - r) for x, r in zip(column(*value), column(kind, quantity))]
+            if kind == "large_j":
+                notes[i::width] = [n + ";vs_asymptotic" if n else "vs_asymptotic" for n in notes[i::width]]
+    return ReportColumns([two_j for two_j in two_js for _ in routes], [two_k] * len(values),
+                         [theta for theta in grid_theta for _ in routes], [route.method for route in routes] * points,
+                         values, uncertainties, notes, [route.step for route in routes] * points)
 
 
 def fidelity_rows(two_j, theta):
@@ -362,7 +352,7 @@ def longevity_rows(two_j, theta, n_max):
 
 def sweep_rows(two_j_values, thetas, methods):
     """The report of every (2j, theta) point, 2j major, each point's `methods` in canonical order."""
-    return _report_rows(two_j_values, thetas, 1, [route for route in _SWEEP_ROUTES if route.method in methods])
+    return _report_rows(two_j_values, thetas, 1, [_SWEEP_ROUTES[m] for m in SWEEP_METHODS if m in methods])
 
 
 # ---------------------------------------------------------------------------
