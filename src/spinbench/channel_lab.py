@@ -94,7 +94,7 @@ class ProgramChannel:
             u.setflags(write=False)
             check_each(_unitarity_error(u), 1e-12, "joint evolution is not unitary (error %g)", ValueError)
             _verified_unitary[0] = (u, u.tobytes())
-        if not abs(math.sqrt(np.vdot(phi, phi).real) - 1.0) < 1e-12:
+        if not abs(np.vdot(phi, phi).real - 1.0) < 1e-12:  # the fidelities scale with |phi|^2
             raise ValueError("program state is not normalized")
         object.__setattr__(self, "joint_unitary", u)
         object.__setattr__(self, "program_state", phi)
@@ -140,7 +140,7 @@ class KrausChannel:
 
 def _check_unitary(v, dim):
     v = np.asarray(v, dtype=complex)
-    if v.shape != (dim, dim) or not _unitarity_error(v).max() <= 1e-10:
+    if v.shape != (dim, dim) or not _unitarity_error(v).max() <= 1e-12:
         raise ValueError("target gate is not a %dx%d unitary" % (dim, dim))
     return v
 

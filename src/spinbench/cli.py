@@ -249,44 +249,39 @@ def parse_methods(text: str):
 
 
 class _Route(NamedTuple):
-    """A report's row at each (2j, theta) point: its method, step, value source, the quantity its
-    uncertainty is measured against (None: 0.0), and its note: a text, or a function (two_k,
-    two_js, column) of one text for every point or a list of one."""
+    """A report's row at each (2j, theta) point: method, step, value source and note (a text or a note source)."""
     method: str
     step: Optional[int]
     value: tuple
-    reference: Optional[str]
     note: object
 
 
 # the routes of a sweep by method, in canonical order; `fidelity` prints all but the worst case
 _SWEEP_ROUTES = {route.method: route for route in (
-    _Route("opt_exact", None, ("exact", "average"), None,
-           lambda two_k, two_js, column: [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in two_js]),
-    _Route("opt_asymptotic", None, ("large_j", "average"), None, ""),
-    _Route("mo_exact", None, ("exact", "mo"), None, ""),
-    _Route("mo_asymptotic", None, ("large_j", "mo"), None, ""),
-    _Route("heisenberg_sim", None, ("sim", "average"), "average", ""),
-    _Route("mo_sim", None, ("sim", "mo"), "mo", lambda two_k, *_: "gauss_jacobi_nodes=%d" % (two_k + 1)),
-    _Route("worst_case", None, ("sim", "worst_case"), "worst_case",  # exact for 2k <= 2; a chart's bound above
-           lambda two_k, *_: "chart_upper_bound" if two_k >= 3 else ""),
+    _Route("opt_exact", None, ("exact", "average"), ("note", "optimal")),
+    _Route("opt_asymptotic", None, ("large_j", "average"), ""),
+    _Route("mo_exact", None, ("exact", "mo"), ""),
+    _Route("mo_asymptotic", None, ("large_j", "mo"), ""),
+    _Route("heisenberg_sim", None, ("sim", "average"), ""),
+    _Route("mo_sim", None, ("sim", "mo"), ("note", "nodes")),
+    _Route("worst_case", None, ("sim", "worst_case"), ("note", "chart")),  # exact for 2k <= 2; a chart's bound above
 )}
 _SPIN_K_ROUTES = (
-    _Route("spin_k_sim", None, ("sim", "average"), "average", lambda two_k, two_js, column: [
-        "entanglement=%s" % format_float(x) for x in column("sim", "entanglement")]),
+    _Route("spin_k_sim", None, ("sim", "average"), ("note", "entanglement")),
     _SWEEP_ROUTES["worst_case"]._replace(step=0),
     *map(_SWEEP_ROUTES.get, ("mo_sim", "opt_asymptotic", "mo_asymptotic")),
-    _Route("worst_case", 1, ("large_j", "worst_case"), None, "asymptotic"),
+    _Route("worst_case", 1, ("large_j", "worst_case"), "asymptotic"),
 )
 SWEEP_METHODS = tuple(_SWEEP_ROUTES)
 METHODS = frozenset(SWEEP_METHODS + tuple(route.method for route in _SPIN_K_ROUTES)) | {"recycling"}
+_EXACT_FORMS = {"average": "_optimal_value", "mo": "_mo_value"}  # a qubit target's, by `closed_forms` kernel name
 
 
 def _report_rows(two_j_values, thetas, two_k, routes):
-    """The report of `routes` at every (2j, theta) point, 2j major, for a spin-k target.  A source
-    is a (kind, quantity) column over the grid, `column(kind, quantity)`, formed once if a route
-    reads it: an "exact" or "large_j" closed form by one kernel call per point, the strategy's and
-    the MO "sim"ulation by one stacked evaluation each (the worst case only if a route reads it)."""
+    """The report of `routes` at every (2j, theta) point, 2j major, for a spin-k target.  A source is
+    a (kind, name) column over the grid, `column(kind, name)`, formed once if a route reads it: a
+    "note", or an "exact" or "large_j" closed form, point by point, the strategy's and the MO
+    "sim"ulation by one stacked evaluation each (the worst case only if a route reads it)."""
     js = [as_spin(HalfInteger(two_j), "program spin") for two_j in two_j_values]
     k = HalfInteger(two_k)
     two_js = [j.doubled for j in js for _ in thetas]
@@ -294,32 +289,37 @@ def _report_rows(two_j_values, thetas, two_k, routes):
     grid_theta = list(thetas) * len(js)
 
     @functools.cache
-    def column(kind, quantity):
-        if (kind, quantity) == ("sim", "mo"):
+    def column(kind, name):
+        if (kind, name) == ("sim", "mo"):
             return protocols.simulate_mo_strategies(js, thetas) if two_k == 1 else [
                 protocols.simulate_spin_k_mo(j, k, theta) for j in js for theta in thetas]
-        if (kind, quantity) == ("sim", "strategy"):  # a qubit target's at the tuned interaction angle
+        if (kind, name) == ("sim", "strategy"):  # a qubit target's at the tuned interaction angle
             fs = [closed_forms.coupling_angle(j, theta) for j in js for theta in thetas] if two_k == 1 else None
             return protocols.simulate_strategies(js, k, thetas, fs, worst_case=("sim", "worst_case") in sources)
         if kind == "sim":
-            return getattr(column("sim", "strategy"), quantity)
+            return getattr(column("sim", "strategy"), name)
         if kind == "exact":
-            kernel = closed_forms._optimal_value if quantity == "average" else closed_forms._mo_value
-            return list(map(kernel, grid_j, grid_theta))
-        coeff, denom = closed_forms._large_j_terms(k)[quantity]
-        return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
+            return list(map(getattr(closed_forms, _EXACT_FORMS[name]), grid_j, grid_theta))
+        if kind == "large_j":
+            coeff, denom = closed_forms._large_j_terms(k)[name]
+            return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
+        if name == "optimal":
+            return [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in two_js]
+        if name == "entanglement":
+            return ["entanglement=%s" % format_float(x) for x in column("sim", "entanglement")]
+        text = "gauss_jacobi_nodes=%d" % (two_k + 1) if name == "nodes" else "chart_upper_bound" if two_k >= 3 else ""
+        return [text] * points
 
     width, points, sources = len(routes), len(grid_theta), [route.value for route in routes]
     # a row is a (point, route) pair, so each route's column fills every width-th row
     values, uncertainties, notes = [None] * (width * points), [0.0] * (width * points), [None] * (width * points)
-    for i, (_, _, value, quantity, note) in enumerate(routes):
-        values[i::width] = column(*value)
-        note = note if type(note) is str else note(two_k, two_js, column)
-        notes[i::width] = [note] * points if type(note) is str else note
-        if quantity is not None:  # against the exact form of the quantity where one exists, else the large-j one
-            kind = "exact" if two_k == 1 and quantity != "worst_case" else "large_j"
-            uncertainties[i::width] = [abs(x - r) for x, r in zip(column(*value), column(kind, quantity))]
-            if kind == "large_j":
+    for i, (_, _, (kind, quantity), note) in enumerate(routes):
+        values[i::width] = column(kind, quantity)
+        notes[i::width] = [note] * points if type(note) is str else column(*note)
+        if kind == "sim":  # against the exact form of the quantity where one exists, else the large-j one
+            form = "exact" if two_k == 1 and quantity in _EXACT_FORMS else "large_j"
+            uncertainties[i::width] = [abs(x - r) for x, r in zip(column(kind, quantity), column(form, quantity))]
+            if form == "large_j":
                 notes[i::width] = [n + ";vs_asymptotic" if n else "vs_asymptotic" for n in notes[i::width]]
     return ReportColumns([two_j for two_j in two_js for _ in routes], [two_k] * len(values),
                          [theta for theta in grid_theta for _ in routes], [route.method for route in routes] * points,

@@ -21,7 +21,7 @@ from .closed_forms import _J_HALF_SWITCH_COS, _J_ONE_SWITCH_COS
 from .spin_algebra import HalfInteger, ToleranceError, _check_dimension, as_angle, as_half_integer, as_spin
 
 # slack of every feasibility check: PSD blocks, trace preservation, realizable moments
-SLACK = 1e-9
+SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,14 @@ def check_params(j, params: CovariantChannelParams):
         raise ValueError("gamma block is not PSD: gamma_a*gamma_d < |gamma_b|^2")
     c1 = (2 * jv + 3) / (2 * jv + 2) * params.alpha + (2 * jv + 1) / (2 * jv + 2) * params.gamma_a
     if abs(c1 - 1.0) > SLACK:
-        raise ValueError("first trace-preservation constraint violated (%g != 1)" % c1)
+        raise ValueError("first trace-preservation constraint violated (off by %r)" % float(c1 - 1.0))
     if j.doubled == 1:
         if abs(params.gamma_d - 0.5) > SLACK or abs(params.beta) > SLACK:
             raise ValueError("at j=1/2: need beta = 0 and gamma_d = 1/2")
     else:
         c2 = (2 * jv - 1) / (2 * jv) * params.beta + (2 * jv + 1) / (2 * jv) * params.gamma_d
         if abs(c2 - 1.0) > SLACK:
-            raise ValueError("second trace-preservation constraint violated (%g != 1)" % c2)
+            raise ValueError("second trace-preservation constraint violated (off by %r)" % float(c2 - 1.0))
 
 
 def moments_lower_bound(j, x: float) -> float:

@@ -233,7 +233,7 @@ def simulate_strategies(js, k, thetas, fs=None, worst_case=True) -> StrategyFide
         check_each(_completeness_error(kraus), 1e-12, "Kraus operators are not complete (error %g)")
         # V = diag(phases), point by point
         phases = np.exp(-1j * np.array(thetas * len(js))[:, None] * (k.value - np.arange(d)))
-        check_each(abs(abs(phases) ** 2 - 1.0), 1e-10, "target gate is not unitary (error %g)", ValueError)
+        check_each(abs(abs(phases) ** 2 - 1.0), 1e-12, "target gate is not unitary (error %g)", ValueError)
         fe = _entanglement_fidelities(kraus, np.eye(d) * phases[:, None, :]).tolist()
         fw = _worst_cases(phases.conj()[:, None, :, None] * kraus)[0] if worst_case else None  # V^dag K_a
     except (ToleranceError, ValueError) as exc:

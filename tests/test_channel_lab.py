@@ -945,3 +945,49 @@ def test_monte_carlo_is_batched(monkeypatch):
         counts.append((len(calls), len(contractions)))
     # no sample builds its Kraus operators
     assert counts[0] == counts[1] and counts[0][0] <= 2
+
+
+def test_a_target_is_checked_as_tightly_as_its_fidelity():
+    # (1 + 4e-11) I passed a 1e-10 unitarity check, then put F_e at 1.00000000008
+    identity = KrausChannel([np.eye(2)])
+    for fidelity in (entanglement_fidelity, worst_case_fidelity):
+        with pytest.raises(ValueError, match="target gate is not a 2x2 unitary"):
+            fidelity(identity, (1 + 4e-11) * np.eye(2))
+    # a unitary channel's target V = U (I + eps H), H Hermitian, its unitarity error at the edge
+    rng = np.random.default_rng(7)
+    for d in (2, 3, 4):
+        for n in range(60):
+            u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = z + z.conj().T
+            eps = 1e-18 / channel_lab._unitarity_error(u @ (np.eye(d) + 1e-6 * h)).max()
+            v = u @ (np.eye(d) + 0.999 * eps * h)
+            assert 0.99e-12 < channel_lab._unitarity_error(v).max() <= 1e-12
+            ch = KrausChannel([u])
+            assert entanglement_fidelity(ch, v) <= 1.0
+            if n < 2:  # the chart search (d >= 3) is slow
+                assert worst_case_fidelity(ch, v, grid=8)[0] <= 1.0 + 1e-12
+            with pytest.raises(ValueError, match="target gate is not a %dx%d unitary" % (d, d)):
+                entanglement_fidelity(ch, u @ (np.eye(d) + 1.01 * eps * h))
+
+
+def test_the_program_norm_is_checked_on_its_square():
+    # the fidelities scale with |phi|^2: |phi| = 1 + 9e-13 passed, then put F_e at 1 + 1.8e-12
+    half = HalfInteger(1)
+    gate = heisenberg_gate(half, half, 0.0)
+    with pytest.raises(ValueError, match="program state is not normalized"):
+        ProgramChannel(gate, np.array([1 + 9e-13, 0]), half, half)
+    ch = ProgramChannel(gate, np.array([1 + 4e-13, 0]), half, half)  # |phi|^2 - 1 = 8e-13
+    assert entanglement_fidelity(ch, np.eye(2)) == 1.0
+    assert worst_case_fidelity(ch, np.eye(2))[0] <= 1.0 + 1e-12
+
+
+def test_a_refused_fidelity_prints_its_deviation_as_a_python_float(monkeypatch):
+    # numpy 2 writes the repr of a numpy scalar as np.float64(0.75), numpy 1 as 0.75
+    with pytest.raises(ToleranceError, match=r"^entanglement fidelity escapes \[0, 1\]: \|F_e - 1/2\| = 0\.75$"):
+        channel_lab._clipped_fidelities(np.array([0.5, 1.25]))
+    # a route's claim 0.5 above F = 1 at its state
+    monkeypatch.setattr(channel_lab, "_qubit_one_diagonal_minimum",
+                        lambda mats: (np.array([1.5]), np.array([[1.0 + 0j, 0.0]])))
+    with pytest.raises(ToleranceError, match=r"^qubit quadratic differs from F on its state by 0\.5$"):
+        worst_case_fidelity(KrausChannel([np.eye(2)]), np.eye(2))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -252,3 +253,15 @@ def test_gamma_caps():
     assert abs(gamma_d_cap(0.5) - 0.5) < 1e-15
     assert abs(gamma_a_cap(3.0) - 8.0 / 7.0) < 1e-15
     assert abs(gamma_d_cap(3.0) - 6.0 / 7.0) < 1e-15
+
+
+def test_a_channel_off_by_5e_10_is_refused_before_its_fidelity():
+    # with a slack of 1e-9 this channel passed check_params, then put F_e at 1.00000000025;
+    # the message prints the deviation, which %g printed as "(1 != 1)"
+    _, params, moments = maximize_covariant_fidelity(1.5, 0.0)
+    off = dataclasses.replace(params, gamma_a=params.gamma_a + 5e-10, gamma_d=params.gamma_d + 5e-10)
+    message = r"^first trace-preservation constraint violated \(off by 4\.000000330961484e-10\)$"
+    with pytest.raises(ValueError, match=message):
+        check_params(1.5, off)
+    with pytest.raises(ValueError, match=message):
+        covariant_entanglement_fidelity(1.5, 0.0, off, moments)
