@@ -274,7 +274,7 @@ _SPIN_K_ROUTES = (
 )
 SWEEP_METHODS = tuple(_SWEEP_ROUTES)
 METHODS = frozenset(SWEEP_METHODS + tuple(route.method for route in _SPIN_K_ROUTES)) | {"recycling"}
-_EXACT_FORMS = {"average": "_optimal_value", "mo": "_mo_value"}  # a qubit target's, by `closed_forms` kernel name
+_EXACT_FORMS = {"average": closed_forms._optimal_value, "mo": closed_forms._mo_value}  # a qubit target's
 
 
 def _report_rows(two_j_values, thetas, two_k, routes):
@@ -299,7 +299,7 @@ def _report_rows(two_j_values, thetas, two_k, routes):
         if kind == "sim":
             return getattr(column("sim", "strategy"), name)
         if kind == "exact":
-            return list(map(getattr(closed_forms, _EXACT_FORMS[name]), grid_j, grid_theta))
+            return list(map(_EXACT_FORMS[name], grid_j, grid_theta))
         if kind == "large_j":
             coeff, denom = closed_forms._large_j_terms(k)[name]
             return list(map(closed_forms._large_j_value, grid_j, repeat(coeff), repeat(denom), grid_theta))
@@ -307,8 +307,8 @@ def _report_rows(two_j_values, thetas, two_k, routes):
             return [closed_forms.OPTIMAL_NOTES.get(two_j, "") for two_j in two_js]
         if name == "entanglement":
             return ["entanglement=%s" % format_float(x) for x in column("sim", "entanglement")]
-        text = "gauss_jacobi_nodes=%d" % (two_k + 1) if name == "nodes" else "chart_upper_bound" if two_k >= 3 else ""
-        return [text] * points
+        texts = {"nodes": "gauss_jacobi_nodes=%d" % (two_k + 1), "chart": "chart_upper_bound" if two_k >= 3 else ""}
+        return [texts[name]] * points
 
     width, points, sources = len(routes), len(grid_theta), [route.value for route in routes]
     # a row is a (point, route) pair, so each route's column fills every width-th row

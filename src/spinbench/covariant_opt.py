@@ -20,7 +20,8 @@ from .channel_lab import minimize  # noqa: F401  (unused; perfbench/tracing.py p
 from .closed_forms import _J_HALF_SWITCH_COS, _J_ONE_SWITCH_COS
 from .spin_algebra import HalfInteger, ToleranceError, _check_dimension, as_angle, as_half_integer, as_spin
 
-# slack of every feasibility check: PSD blocks, trace preservation, realizable moments
+# slack of every feasibility check: PSD blocks and trace preservation absolutely, realizable
+# moments relative to their size
 SLACK = 1e-12
 
 
@@ -131,8 +132,10 @@ def check_moments(j, moments: ProgramMoments):
     jv = as_spin(j, "program spin").value
     _check_finite(moments)
     x, y = moments.jz_mean, moments.jz2_mean
-    if (abs(x) > jv + SLACK or y > jv * jv + SLACK
-            or y < moments_lower_bound(j, x) - SLACK or y < x * x - SLACK):
+    # y ~ j^2 rounds by more than 1e-12 once j is above about 90; F_e weighs x by ~1/j and y by ~1/j^2
+    x_slack, y_slack = SLACK * max(1.0, jv), SLACK * max(1.0, jv * jv)
+    if (abs(x) > jv + x_slack or y > jv * jv + y_slack
+            or y < moments_lower_bound(j, x) - y_slack or y < x * x - y_slack):
         raise ValueError("moments %r are not realizable by any program distribution" % (moments,))
 
 

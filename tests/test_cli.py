@@ -1134,3 +1134,9 @@ def test_every_argv_exits_with_a_documented_code(certify_dir, case):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+
+
+def test_a_route_with_an_unknown_note_source_is_refused():
+    route = cli._Route("opt_exact", None, ("exact", "average"), ("note", "chrat"))
+    with pytest.raises(KeyError, match="chrat"):
+        cli._report_rows([3], [0.5], 1, (route,))

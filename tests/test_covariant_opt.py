@@ -265,3 +265,25 @@ def test_a_channel_off_by_5e_10_is_refused_before_its_fidelity():
         check_params(1.5, off)
     with pytest.raises(ValueError, match=message):
         covariant_entanglement_fidelity(1.5, 0.0, off, moments)
+
+
+def test_moments_of_large_spins_are_checked_relative_to_their_size():
+    # at j = 100, y ~ j^2 rounds by more than 1e-12: moments that a distribution reaches, computed
+    # as p @ m and p @ m**2, were refused against an absolute slack of 1e-12
+    rng = np.random.default_rng(0)
+    for j in (100.0, 100.5):
+        m = np.arange(-j, j + 1)
+        for _ in range(200):  # a mixture of two adjacent m, on the hull's lower chord
+            i, w = rng.integers(0, len(m) - 1), rng.random()
+            p = np.zeros(len(m))
+            p[i], p[i + 1] = w, 1.0 - w
+            check_moments(j, ProgramMoments(float(p @ m), float(p @ m**2)))
+        for i in range(len(m) - 30, len(m) - 1):  # |j, j> with 1e-16 of a nearby m: x can land an ulp past j
+            p = np.zeros(len(m))
+            p[-1], p[i] = 1.0, 1e-16
+            p /= p.sum()
+            check_moments(j, ProgramMoments(float(p @ m), float(p @ m**2)))
+        check_moments(j, ProgramMoments(j, j * j))
+        for x, y in ((j + 1e-6, j * j), (0.5, 0.25 - 1e-6), (j - 0.5, j * j - j + 0.5 - 1e-6)):
+            with pytest.raises(ValueError, match="not realizable"):
+                check_moments(j, ProgramMoments(x, y))
